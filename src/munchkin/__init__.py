@@ -17,10 +17,11 @@ from .ir import (
 from .generator import GenParams, generate_program, ground_truth_coverage
 from .callgraph import (
     CallGraph,
-    DistanceCache,
     DistanceField,
+    ProgramIndex,
     build_callgraph,
     frontier_set,
+    index_program,
     sonar_distances,
 )
 from .executor import (
@@ -53,7 +54,6 @@ __all__ = [
     "CallGraph",
     "CampaignReport",
     "CoverageMap",
-    "DistanceCache",
     "DistanceField",
     "FuzzConfig",
     "FuzzResult",
@@ -64,6 +64,7 @@ __all__ = [
     "Outcome",
     "ParseError",
     "Program",
+    "ProgramIndex",
     "RunResult",
     "Solver",
     "SolverStats",
@@ -77,6 +78,7 @@ __all__ = [
     "fuzz_campaign",
     "generate_program",
     "ground_truth_coverage",
+    "index_program",
     "merge_coverage",
     "mutate",
     "parse_program",

@@ -7,11 +7,16 @@ via BFS over the static call graph. Distance fields support the directed
 block over the interprocedural block graph, whose edges are intra-function
 CFG edges, call edges from call-site blocks to callee entries, and return
 edges from callee exit blocks back to the call-site block.
+
+``index_program`` analyses a program once: its ``ProgramIndex`` holds the
+call graph, the reachable set and the reverse block graph, and memoises one
+distance field per target, so campaigns that aim at many targets share one
+analysis instead of rebuilding the block graph for each target.
 """
 
 from __future__ import annotations
 
-import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 from .ir import Branch, Call, Function, Jump, Program, Return
@@ -97,49 +102,83 @@ def interprocedural_edges(program: Program) -> set[tuple[tuple[str, str], tuple[
     return edges
 
 
-def sonar_distances(program: Program, target: str) -> DistanceField:
-    """Backward BFS from the target's entry over the interprocedural graph."""
-    func = program.functions.get(target)
-    if func is None:
-        raise ValueError(f"unknown target '{target}'")
-
-    reverse: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for src, dst in interprocedural_edges(program):
-        reverse.setdefault(dst, []).append(src)
-
-    start = (target, func.entry_block)
-    dist = {start: 0}
-    queue = [start]
-    while queue:
-        loc = queue.pop(0)
-        for pred in sorted(reverse.get(loc, ())):
-            if pred not in dist:
-                dist[pred] = dist[loc] + 1
-                queue.append(pred)
-    return DistanceField(target, dist)
+Location = tuple[str, str]
 
 
-class DistanceCache:
-    """Per-program cache of distance fields, one per target.
+@dataclass(frozen=True)
+class ProgramIndex:
+    """Static facts of one program, computed once and shared by its campaigns.
 
-    Safe for concurrent readers with exclusive insertion; recomputing a
-    field twice under a race is harmless because the result is
-    deterministic.
+    Locations are numbered in program order; ``predecessors[i]`` lists the
+    locations with an edge into location ``i``. Distance fields are
+    memoised per target; they are deterministic, so the memo never changes
+    an answer.
     """
 
-    def __init__(self, program: Program):
-        self.program = program
-        self._fields: dict[str, DistanceField] = {}
-        self._lock = threading.Lock()
+    program: Program
+    callgraph: CallGraph
+    reachable: frozenset[str]
+    locations: tuple[Location, ...]
+    ids: dict[Location, int]
+    predecessors: tuple[tuple[int, ...], ...]
+    _fields: dict[str, DistanceField] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def get(self, target: str) -> DistanceField:
-        with self._lock:
-            cached = self._fields.get(target)
+    def distances(self, target: str) -> DistanceField:
+        """Backward BFS from the target's entry over the reverse block graph."""
+        cached = self._fields.get(target)
         if cached is not None:
             return cached
-        computed = sonar_distances(self.program, target)
-        with self._lock:
-            return self._fields.setdefault(target, computed)
+        func = self.program.functions.get(target)
+        if func is None:
+            raise ValueError(f"unknown target '{target}'")
+
+        locations, predecessors = self.locations, self.predecessors
+        start = self.ids[(target, func.entry_block)]
+        hops = [-1] * len(locations)
+        hops[start] = 0
+        dist = {locations[start]: 0}
+        queue = deque([start])
+        while queue:
+            loc = queue.popleft()
+            step = hops[loc] + 1
+            for pred in predecessors[loc]:
+                if hops[pred] < 0:
+                    hops[pred] = step
+                    dist[locations[pred]] = step
+                    queue.append(pred)
+        computed = DistanceField(target, dist)
+        self._fields[target] = computed
+        return computed
+
+
+def index_program(program: Program) -> ProgramIndex:
+    """Build the call graph and the reverse interprocedural block graph once."""
+    cg = build_callgraph(program)
+    locations = tuple(
+        (fname, bid) for fname, func in program.functions.items() for bid in func.blocks
+    )
+    ids = {loc: i for i, loc in enumerate(locations)}
+    predecessors: list[list[int]] = [[] for _ in locations]
+    for src, dst in interprocedural_edges(program):
+        predecessors[ids[dst]].append(ids[src])
+    return ProgramIndex(
+        program,
+        cg,
+        cg.reachable(),
+        locations,
+        ids,
+        tuple(tuple(sorted(preds)) for preds in predecessors),
+    )
+
+
+def sonar_distances(program: Program, target: str) -> DistanceField:
+    """Distance field of one target; analyses the whole program per call.
+
+    Campaigns over many targets should share ``index_program(program)``.
+    """
+    return index_program(program).distances(target)
 
 
 def frontier_set(cg: CallGraph, covered: set[str] | frozenset[str]) -> list[str]:

@@ -11,13 +11,14 @@ codes: 0 success, 1 usage error, 2 campaign or input failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import generator, orchestrator, report
-from .callgraph import build_callgraph, depths_tsv, to_dot
+from .callgraph import build_callgraph, depths_tsv, index_program, to_dot
 from .executor import CoverageMap, read_seed_dir, write_input_file
 from .fuzzer import FuzzConfig, fuzz_campaign
 from .ir import IRError, parse_program, serialize_program
@@ -110,7 +111,6 @@ def _hybrid_config(args, config, mode: str) -> HybridConfig:
         per_target_state_budget=_resolve(args, config, "per_target_states", 10_000),
         seeds=tuple(_load_seeds(args)),
         rng_seed=_resolve(args, config, "rng_seed", 0),
-        parallel=bool(getattr(args, "parallel", False)),
     )
 
 
@@ -176,6 +176,7 @@ def _cmd_symex(args, config) -> int:
     program = parse_program(Path(args.program).read_text(encoding="utf-8"))
     out = _out_dir(args, "symex")
     search = Strategy(args.search)
+    index = index_program(program)
     result = symex_campaign(
         program,
         search,
@@ -183,10 +184,11 @@ def _cmd_symex(args, config) -> int:
         max_inputs=_resolve(args, config, "max_inputs", 4),
         target=args.target,
         rng_seed=_resolve(args, config, "rng_seed", 0),
+        index=index,
     )
-    for index, tc in enumerate(result.test_cases):
-        write_input_file(out / f"test-{index}.txt", tc.values)
-    cg = build_callgraph(program)
+    for number, tc in enumerate(result.test_cases):
+        write_input_file(out / f"test-{number}.txt", tc.values)
+    cg = index.callgraph
     rep = CampaignReport(
         orchestrator.TECHNIQUE_SYMEX,
         result.coverage,
@@ -293,22 +295,14 @@ def _cmd_table1(args, config) -> int:
         return "  ".join(str(cell).rjust(w) for cell, w in zip(row, widths))
 
     print(fmt(header))
-    all_tables = []
+    fs_cfg = _hybrid_config(args, config, "fs")
+    sf_cfg = dataclasses.replace(fs_cfg, mode="sf")
+    all_rows = []
     for index, (b, d) in enumerate(_GRID, start=1):
         program = generator.generate_program(generator.GenParams(b, d))
-        cfg = _hybrid_config(args, config, "fs")
-        fuzz_rep, symex_rep = run_baselines(program, cfg)
-        fs_rep = run_fs(program, cfg)
-        sf_rep = run_sf(
-            program,
-            HybridConfig(
-                mode="sf",
-                fuzz_budget=cfg.fuzz_budget,
-                symex_limits=cfg.symex_limits,
-                seeds=cfg.seeds,
-                rng_seed=cfg.rng_seed,
-            ),
-        )
+        fuzz_rep, symex_rep = run_baselines(program, fs_cfg)
+        fs_rep = run_fs(program, fs_cfg)
+        sf_rep = run_sf(program, sf_cfg)
         cg = build_callgraph(program)
         print(
             fmt(
@@ -334,10 +328,11 @@ def _cmd_table1(args, config) -> int:
                 fs_rep.per_depth,
                 sf_rep.per_depth,
             ]
-            report.emit_plot_dat(tables, out / f"plot-p{index}.dat")
-            all_tables.append(report.read_plot_dat(out / f"plot-p{index}.dat"))
-    if out is not None and all_tables:
-        report.write_plot_rows(report.average_plot_rows(all_tables), out / "plot-avg.dat")
+            rows = report.plot_rows(tables)
+            report.write_plot_rows(rows, out / f"plot-p{index}.dat")
+            all_rows.append(rows)
+    if out is not None:
+        report.write_plot_rows(report.average_plot_rows(all_rows), out / "plot-avg.dat")
     return 0
 
 
@@ -417,7 +412,6 @@ def _add_hybrid_options(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--seeds", help="directory of seed .txt files")
     p.add_argument("--rng-seed", dest="rng_seed", type=int, default=None)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--out")
 
 

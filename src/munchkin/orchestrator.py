@@ -3,9 +3,11 @@
 FS runs a fuzzing phase first, then directs symbolic execution at each
 still-uncovered function (frontier functions first, by ascending call
 depth), re-merging replay-validated coverage after every target so that
-functions covered en route are never targeted. One solver with its query
-cache is shared across all targeted runs, mirroring what a single long
-symbolic-execution run gets for free.
+functions covered en route are never targeted. All targeted runs share one
+solver with its query cache, mirroring what a single long
+symbolic-execution run gets for free, and one ``ProgramIndex``, so the
+program's call graph and block graph are built once per campaign and each
+target costs one BFS for its distance field.
 
 SF runs bounded symbolic execution first to produce one test case per
 newly covered function, then fuzzes from those seeds (falling back to the
@@ -18,11 +20,10 @@ field.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .ir import Program
-from .callgraph import CallGraph, DistanceCache, build_callgraph, frontier_set
+from .callgraph import ProgramIndex, frontier_set, index_program
 from .executor import CoverageMap, DEFAULT_STEP_LIMIT, InputVector, merge_coverage
 from .fuzzer import FuzzConfig, FuzzResult, fuzz_campaign
 from .report import DepthRow, depth_table
@@ -48,7 +49,6 @@ class HybridConfig:
     rng_seed: int = 0
     step_limit: int = DEFAULT_STEP_LIMIT
     max_inputs: int = 4
-    parallel: bool = False
 
 
 @dataclass
@@ -75,13 +75,14 @@ def _fuzz_suite(result: FuzzResult) -> list[InputVector]:
 
 def _make_report(
     technique: str,
-    cg: CallGraph,
+    index: ProgramIndex,
     coverage: CoverageMap,
     stats: SolverStats,
     executions: int,
     test_suite: list[InputVector],
     started: float,
 ) -> CampaignReport:
+    cg = index.callgraph
     return CampaignReport(
         technique,
         coverage,
@@ -90,7 +91,7 @@ def _make_report(
         executions,
         test_suite,
         time.perf_counter() - started,
-        unreachable=len(cg.nodes) - len(cg.reachable()),
+        unreachable=len(cg.nodes) - len(index.reachable),
     )
 
 
@@ -111,64 +112,42 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
     executions = fuzz_result.executions
     test_suite = _fuzz_suite(fuzz_result)
 
-    cg = build_callgraph(program)
+    index = index_program(program)
     solver = Solver()
-    distances = DistanceCache(program)
     limits = SymexLimits(cfg.per_target_state_budget, cfg.per_target_query_budget)
-    stats = SolverStats()
     failed: set[str] = set()
 
-    def run_target(target: str, covered_snapshot: frozenset[str], shared: bool):
-        return symex_campaign(
+    while True:
+        covered = coverage.functions
+        target = next(
+            (
+                name
+                for name in frontier_set(index.callgraph, covered)
+                if name not in failed and name in index.reachable
+            ),
+            None,
+        )
+        if target is None:
+            break
+        result = symex_campaign(
             program,
             Strategy.SONAR,
             limits,
             cfg.max_inputs,
             target=target,
             rng_seed=cfg.rng_seed,
-            solver=solver if shared else None,
-            distances=distances,
-            already_covered=covered_snapshot,
+            solver=solver,
+            index=index,
+            already_covered=covered,
         )
-
-    while True:
-        covered = set(coverage.functions)
-        targets = [
-            name
-            for name in frontier_set(cg, covered)
-            if name not in failed and cg.depth(name) is not None
-        ]
-        if not targets:
-            break
-        if cfg.parallel:
-            # Each target gets its own solver so query totals stay
-            # deterministic; only the coverage set is order-independent.
-            snapshot = frozenset(covered)
-            with ThreadPoolExecutor(max_workers=min(8, len(targets))) as pool:
-                results = list(
-                    pool.map(lambda t: run_target(t, snapshot, shared=False), targets)
-                )
-            for result in results:
-                coverage = merge_coverage(coverage, result.coverage)
-                executions += len(result.test_cases)
-                test_suite.extend(tc.values for tc in result.test_cases)
-                stats = stats.add(result.stats)
-            for target in targets:
-                if target not in coverage.functions:
-                    failed.add(target)
-        else:
-            target = targets[0]
-            result = run_target(target, frozenset(covered), shared=True)
-            coverage = merge_coverage(coverage, result.coverage)
-            executions += len(result.test_cases)
-            test_suite.extend(tc.values for tc in result.test_cases)
-            if target not in coverage.functions:
-                failed.add(target)
-    if not cfg.parallel:
-        stats = solver.stats
+        coverage = merge_coverage(coverage, result.coverage)
+        executions += len(result.test_cases)
+        test_suite.extend(tc.values for tc in result.test_cases)
+        if target not in coverage.functions:
+            failed.add(target)
 
     return _make_report(
-        TECHNIQUE_FS, cg, coverage, stats, executions, test_suite, started
+        TECHNIQUE_FS, index, coverage, solver.stats, executions, test_suite, started
     )
 
 
@@ -177,7 +156,7 @@ def run_sf(program: Program, cfg: HybridConfig) -> CampaignReport:
     if cfg.mode != MODE_SF:
         raise ValueError("config mode must be 'sf'")
     started = time.perf_counter()
-    cg = build_callgraph(program)
+    index = index_program(program)
 
     sym_result = symex_campaign(
         program,
@@ -185,6 +164,7 @@ def run_sf(program: Program, cfg: HybridConfig) -> CampaignReport:
         cfg.symex_limits,
         cfg.max_inputs,
         rng_seed=cfg.rng_seed,
+        index=index,
     )
     seeds = [tc.values for tc in sym_result.test_cases] or [(0,)]
     executions = len(sym_result.test_cases)
@@ -200,7 +180,7 @@ def run_sf(program: Program, cfg: HybridConfig) -> CampaignReport:
             test_suite.append(values)
 
     return _make_report(
-        TECHNIQUE_SF, cg, coverage, sym_result.stats, executions, test_suite, started
+        TECHNIQUE_SF, index, coverage, sym_result.stats, executions, test_suite, started
     )
 
 
@@ -208,13 +188,13 @@ def run_baselines(
     program: Program, cfg: HybridConfig
 ) -> tuple[CampaignReport, CampaignReport]:
     """Fuzz-only and symex-only reports under the config's budgets."""
-    cg = build_callgraph(program)
+    index = index_program(program)
 
     started = time.perf_counter()
     fuzz_result = fuzz_campaign(program, list(cfg.seeds), _fuzz_config(cfg))
     fuzz_report = _make_report(
         TECHNIQUE_FUZZ,
-        cg,
+        index,
         fuzz_result.cumulative,
         SolverStats(),
         fuzz_result.executions,
@@ -229,10 +209,11 @@ def run_baselines(
         cfg.symex_limits,
         cfg.max_inputs,
         rng_seed=cfg.rng_seed,
+        index=index,
     )
     symex_report = _make_report(
         TECHNIQUE_SYMEX,
-        cg,
+        index,
         sym_result.coverage,
         sym_result.stats,
         len(sym_result.test_cases),

@@ -87,18 +87,22 @@ def depth_table_tsv(rows: list[DepthRow]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def emit_plot_dat(tables: Sequence[list[DepthRow]], path: str | Path) -> None:
-    """Write four aligned depth tables as ``depth p1 p2 p3 p4`` rows."""
+def plot_rows(tables: Sequence[list[DepthRow]]) -> list[tuple[int, ...]]:
+    """Four aligned depth tables as ``(depth, p1, p2, p3, p4)`` rows."""
     if len(tables) != 4:
         raise ValueError("plot data needs exactly four depth tables")
     axes = [tuple(row[0] for row in table) for table in tables]
     if any(axis != axes[0] for axis in axes):
         raise ValueError("depth tables are not aligned")
-    lines = []
-    for i, depth in enumerate(axes[0]):
-        percents = " ".join(str(table[i][3]) for table in tables)
-        lines.append(f"{depth} {percents}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return [
+        (depth,) + tuple(table[i][3] for table in tables)
+        for i, depth in enumerate(axes[0])
+    ]
+
+
+def emit_plot_dat(tables: Sequence[list[DepthRow]], path: str | Path) -> None:
+    """Write four aligned depth tables as ``depth p1 p2 p3 p4`` rows."""
+    write_plot_rows(plot_rows(tables), path)
 
 
 def read_plot_dat(path: str | Path) -> list[tuple[float, ...]]:

@@ -16,6 +16,12 @@ does return is verified against wrap-around semantics by evaluation.
 Results are cached by canonical path condition; cache hits are not
 charged as queries.
 
+Sonar search picks the state nearest to its target function, by the
+target's distance field from the program's ``ProgramIndex``. A campaign
+analyses the program itself unless the caller passes an index, and keeps
+its own solver unless the caller passes one; FS passes both, shared across
+all its targeted runs.
+
 A test case is emitted whenever a state enters a function not covered by
 previously emitted test cases. Every emitted input vector is validated by
 concrete replay, and only replay coverage is reported.
@@ -43,7 +49,7 @@ from .ir import (
     apply_cmp,
     wrap32,
 )
-from .callgraph import DistanceCache, DistanceField, build_callgraph
+from .callgraph import DistanceField, ProgramIndex, index_program
 from .executor import (
     CoverageMap,
     DEFAULT_STEP_LIMIT,
@@ -505,7 +511,7 @@ def symex_campaign(
     *,
     rng_seed: int = 0,
     solver: Solver | None = None,
-    distances: DistanceCache | None = None,
+    index: ProgramIndex | None = None,
     already_covered: Iterable[str] = (),
     max_steps_per_state: int = 100_000,
     replay_step_limit: int = DEFAULT_STEP_LIMIT,
@@ -518,6 +524,9 @@ def symex_campaign(
     soon as the target is entered and a test case for it was produced.
     Limit checks run between state slices, so tight query budgets may be
     overshot by one fork.
+
+    ``index`` supplies the reachable set and the sonar distance fields;
+    without one the campaign analyses the program itself.
     """
     if limits.max_states <= 0 or limits.max_queries <= 0:
         raise ValueError("limits must be positive")
@@ -529,12 +538,12 @@ def symex_campaign(
     solver = solver if solver is not None else Solver()
     stats_start = solver.stats.copy()
     rng = random.Random(rng_seed)
-    df = None
-    if search is Strategy.SONAR:
-        cache = distances if distances is not None else DistanceCache(program)
-        df = cache.get(target)
-
-    reachable = build_callgraph(program).reachable()
+    if index is None:
+        index = index_program(program)
+    elif index.program is not program:
+        raise ValueError("index was built for another program")
+    df = index.distances(target) if search is Strategy.SONAR else None
+    reachable = index.reachable
     emitted_covered = set(already_covered)
     test_cases: list[TestCase] = []
     coverage = EMPTY_COVERAGE

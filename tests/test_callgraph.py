@@ -3,10 +3,10 @@
 import pytest
 
 from munchkin.callgraph import (
-    DistanceCache,
     build_callgraph,
     depths_tsv,
     frontier_set,
+    index_program,
     interprocedural_edges,
     sonar_distances,
     to_dot,
@@ -88,8 +88,28 @@ class TestSonarDistances:
 
     def test_cache_returns_identical_fields(self):
         program = generate_program(GenParams(2, 2))
-        cache = DistanceCache(program)
-        assert cache.get("n_0_0") is cache.get("n_0_0")
+        index = index_program(program)
+        assert index.distances("n_0_0") is index.distances("n_0_0")
+
+    def test_index_rejects_unknown_target(self, chain_program):
+        with pytest.raises(ValueError, match="unknown target"):
+            index_program(chain_program).distances("nope")
+
+    @pytest.mark.parametrize("name", ["chain", "unreachable", "b2d3"])
+    def test_index_matches_brute_force_everywhere(self, name, chain_program):
+        # Every location and every target, None where the target is unreachable.
+        program = {
+            "chain": chain_program,
+            "unreachable": parse_program(UNREACHABLE_TEXT),
+            "b2d3": generate_program(GenParams(2, 3)),
+        }[name]
+        edges = interprocedural_edges(program)
+        index = index_program(program)
+        for target, func in program.functions.items():
+            df = index.distances(target)
+            goal = (target, func.entry_block)
+            for loc in index.locations:
+                assert df.at(*loc) == _brute_force_distance(edges, loc, goal), (target, loc)
 
 
 def _brute_force_distance(edges, start, goal):

@@ -7,6 +7,7 @@ import pytest
 from munchkin.cli import main
 from munchkin.executor import write_input_file
 from munchkin.ir import parse_program
+from munchkin.report import average_plot_rows, read_plot_dat, write_plot_rows
 
 
 def run_cli(*argv):
@@ -198,3 +199,10 @@ class TestTable1:
         second = capsys.readouterr().out
         assert first == second
         assert len(first.strip().splitlines()) == 13  # header + 12 programs
+
+    def test_average_matches_the_written_plot_files(self, tmp_path, capsys):
+        out = tmp_path / "grid"
+        assert run_cli("table1", "--fuzz-budget", "24", "--out", str(out)) == 0
+        per_program = [read_plot_dat(out / f"plot-p{i}.dat") for i in range(1, 13)]
+        write_plot_rows(average_plot_rows(per_program), tmp_path / "reread.dat")
+        assert (out / "plot-avg.dat").read_bytes() == (tmp_path / "reread.dat").read_bytes()

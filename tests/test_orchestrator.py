@@ -1,10 +1,12 @@
 """FS and SF hybrid campaigns and the two baselines."""
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
 
-from munchkin import orchestrator
+from munchkin import callgraph, orchestrator, symex
 from munchkin.callgraph import build_callgraph
 from munchkin.executor import run_concrete
 from munchkin.generator import GenParams, generate_program
@@ -19,8 +21,8 @@ from munchkin.orchestrator import (
     run_hybrid,
     run_sf,
 )
-from munchkin.report import campaign_to_dict, coverage_percent
-from munchkin.symex import SolverStats, SymexLimits, SymResult
+from munchkin.report import campaign_json_bytes, campaign_to_dict, coverage_percent
+from munchkin.symex import SolverStats, Strategy, SymexLimits, SymResult
 
 
 def _fs_config(**overrides):
@@ -71,11 +73,24 @@ class TestFS:
             witnessed |= run_concrete(program, values).coverage.functions
         assert report.coverage.functions <= witnessed
 
-    def test_parallel_mode_matches_sequential_coverage(self):
-        program = generate_program(GenParams(3, 2))
-        sequential = run_fs(program, _fs_config(fuzz_budget=16))
-        parallel = run_fs(program, _fs_config(fuzz_budget=16, parallel=True))
-        assert parallel.coverage.functions == sequential.coverage.functions
+    def test_program_is_analysed_once(self, monkeypatch):
+        program = generate_program(GenParams(2, 3))
+        builds = []
+
+        def counting_index(prog):
+            builds.append(prog)
+            return callgraph.index_program(prog)
+
+        for module in (orchestrator, symex):
+            monkeypatch.setattr(module, "index_program", counting_index)
+        report = run_fs(program, _fs_config(fuzz_budget=8))
+        assert report.solver_stats.queries > 0  # targeted runs happened
+        assert builds == [program]
+
+        index = callgraph.index_program(program)
+        builds.clear()
+        symex.symex_campaign(program, Strategy.SONAR, target="n_3_3", index=index)
+        assert builds == []
 
     def test_mode_and_budget_validation(self):
         program = generate_program(GenParams(2, 1))
@@ -161,6 +176,26 @@ class TestDeterminism:
             payload.pop("duration")
             dicts.append(payload)
         assert dicts[0] == dicts[1]
+
+    # sha256 of the report bytes with duration 0, pinned from the code as it
+    # was before the per-program index replaced per-target analysis. A
+    # change here means FS or SF output changed.
+    @pytest.mark.parametrize("runner, cfg, digest", [
+        (
+            run_fs,
+            HybridConfig(fuzz_budget=64, rng_seed=0),
+            "b05736dc4db640b6680324a555b4c2166b741b356128410e24e4c11d826a239d",
+        ),
+        (
+            run_sf,
+            HybridConfig(mode="sf", fuzz_budget=64, rng_seed=0),
+            "d52826ef77c04893f41517e6367086c0dc20da25fb46eaea5851f0226fb2d886",
+        ),
+    ])
+    def test_golden_report(self, runner, cfg, digest):
+        program = generate_program(GenParams(3, 3, 0))
+        report = dataclasses.replace(runner(program, cfg), duration=0.0)
+        assert hashlib.sha256(campaign_json_bytes(report)).hexdigest() == digest
 
     def test_run_hybrid_dispatch(self):
         program = generate_program(GenParams(2, 1))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from munchkin.callgraph import DistanceCache, build_callgraph
+from munchkin.callgraph import build_callgraph, index_program
 from munchkin.executor import run_concrete
 from munchkin.generator import GenParams, generate_program
 from munchkin.ir import INT32_MAX, parse_program
@@ -159,12 +159,12 @@ class TestSelectNextState:
     def test_sonar_picks_smaller_distance(self, chain_program):
         states = self._states(chain_program, 2)
         states[0].frames[0].function = "f"  # distance 1 to g
-        df = DistanceCache(chain_program).get("g")
+        df = index_program(chain_program).distances("g")
         assert select_next_state(states, Strategy.SONAR, df=df) is states[0]
 
     def test_sonar_ties_break_on_charged_queries_then_seq(self, chain_program):
         states = self._states(chain_program, 3)
-        df = DistanceCache(chain_program).get("g")
+        df = index_program(chain_program).distances("g")
         states[0].queries_charged = 5
         states[1].queries_charged = 2
         states[2].queries_charged = 2
@@ -272,6 +272,11 @@ class TestCampaigns:
         assert result.target_reached
         assert result.states_explored == 0
         assert any("main" in tc.covering for tc in result.test_cases)
+
+    def test_index_of_another_program_rejected(self, chain_program):
+        program = generate_program(GenParams(2, 1))
+        with pytest.raises(ValueError, match="another program"):
+            symex_campaign(program, index=index_program(chain_program))
 
     def test_sonar_charges_at_most_what_baseline_needs(self):
         # Fresh solvers both sides; baseline budget is grown until the
