@@ -6,6 +6,10 @@ limits do not exist, budgets are execution/query counts. Option precedence
 is flags, then --config key=value file, then built-in defaults. The
 MUNCHKIN_OUT environment variable supplies the default output root. Exit
 codes: 0 success, 1 usage error, 2 campaign or input failure.
+
+Every campaign report comes from the orchestrator's report builder, and
+every printed coverage percentage is read from a report's depth table, so
+no subcommand analyses its program again after a campaign.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
-from . import generator, orchestrator, report
+from . import generator, report
 from .callgraph import build_callgraph, depths_tsv, index_program, to_dot
 from .executor import CoverageMap, read_seed_dir, write_input_file
 from .fuzzer import FuzzConfig, fuzz_campaign
@@ -25,11 +30,14 @@ from .ir import IRError, parse_program, serialize_program
 from .orchestrator import (
     CampaignReport,
     HybridConfig,
+    fuzz_report,
     run_baselines,
     run_fs,
+    run_hybrid,
     run_sf,
+    symex_report,
 )
-from .symex import SolverStats, Strategy, SymexLimits, symex_campaign
+from .symex import Strategy, SymexLimits, symex_campaign
 
 _GRID = [(b, d) for b in (2, 3, 4) for d in (1, 2, 3, 4)]
 
@@ -142,30 +150,23 @@ def _cmd_callgraph(args, config) -> int:
 
 def _cmd_fuzz(args, config) -> int:
     program = parse_program(Path(args.program).read_text(encoding="utf-8"))
+    seeds = _load_seeds(args)
     out = _out_dir(args, "fuzz")
     cfg = FuzzConfig(
         rng_seed=_resolve(args, config, "rng_seed", 0),
         budget=_resolve(args, config, "budget", 1000),
         step_limit=_resolve(args, config, "step_limit", 10**6),
     )
-    result = fuzz_campaign(program, _load_seeds(args), cfg)
+    cg = build_callgraph(program)
+    started = time.perf_counter()
+    result = fuzz_campaign(program, seeds, cfg)
+    rep = fuzz_report(cg, result, started)
     for entry in result.corpus:
         write_input_file(out / f"id-{entry.discovery_iteration}.txt", entry.values)
-    cg = build_callgraph(program)
-    rep = CampaignReport(
-        orchestrator.TECHNIQUE_FUZZ,
-        result.cumulative,
-        report.depth_table(result.cumulative, cg),
-        SolverStats(),
-        result.executions,
-        [entry.values for entry in result.corpus],
-        0.0,
-        unreachable=len(cg.nodes) - len(cg.reachable()),
-    )
     _write_report(rep, out)
     print(
         f"{result.executions} executions, corpus {len(result.corpus)}, "
-        f"coverage {report.coverage_percent(result.cumulative, cg)}% "
+        f"coverage {report.coverage_percent(rep.per_depth)}% "
         f"({len(result.cumulative.functions)}/{len(cg.reachable())} functions), "
         f"{len(result.faults)} faults"
     )
@@ -177,6 +178,7 @@ def _cmd_symex(args, config) -> int:
     out = _out_dir(args, "symex")
     search = Strategy(args.search)
     index = index_program(program)
+    started = time.perf_counter()
     result = symex_campaign(
         program,
         search,
@@ -186,23 +188,13 @@ def _cmd_symex(args, config) -> int:
         rng_seed=_resolve(args, config, "rng_seed", 0),
         index=index,
     )
+    rep = symex_report(index.callgraph, result, started)
     for number, tc in enumerate(result.test_cases):
         write_input_file(out / f"test-{number}.txt", tc.values)
-    cg = index.callgraph
-    rep = CampaignReport(
-        orchestrator.TECHNIQUE_SYMEX,
-        result.coverage,
-        report.depth_table(result.coverage, cg),
-        result.stats,
-        len(result.test_cases),
-        [tc.values for tc in result.test_cases],
-        0.0,
-        unreachable=len(cg.nodes) - len(cg.reachable()),
-    )
     _write_report(rep, out)
     print(
         f"{result.states_explored} states, {result.stats.queries} queries, "
-        f"coverage {report.coverage_percent(result.coverage, cg)}%"
+        f"coverage {report.coverage_percent(rep.per_depth)}%"
         + (f", target reached: {result.target_reached}" if args.target else "")
     )
     return 0
@@ -211,14 +203,12 @@ def _cmd_symex(args, config) -> int:
 def _cmd_hybrid(args, config) -> int:
     program = parse_program(Path(args.program).read_text(encoding="utf-8"))
     out = _out_dir(args, "hybrid")
-    cfg = _hybrid_config(args, config, args.mode)
-    rep = run_fs(program, cfg) if args.mode == "fs" else run_sf(program, cfg)
+    rep = run_hybrid(program, _hybrid_config(args, config, args.mode))
     for index, values in enumerate(rep.test_suite):
         write_input_file(out / f"id-{index}.txt", values)
     _write_report(rep, out)
-    cg = build_callgraph(program)
     print(
-        f"{rep.technique}: coverage {report.coverage_percent(rep.coverage, cg)}%, "
+        f"{rep.technique}: coverage {report.coverage_percent(rep.per_depth)}%, "
         f"{rep.solver_stats.queries} solver queries, {rep.executions} executions"
     )
     return 0
@@ -231,10 +221,9 @@ def _cmd_baselines(args, config) -> int:
     fuzz_rep, symex_rep = run_baselines(program, cfg)
     _write_report(fuzz_rep, out)
     _write_report(symex_rep, out)
-    cg = build_callgraph(program)
     for rep in (fuzz_rep, symex_rep):
         print(
-            f"{rep.technique}: coverage {report.coverage_percent(rep.coverage, cg)}%, "
+            f"{rep.technique}: coverage {report.coverage_percent(rep.per_depth)}%, "
             f"{rep.solver_stats.queries} solver queries"
         )
     return 0
@@ -303,7 +292,6 @@ def _cmd_table1(args, config) -> int:
         fuzz_rep, symex_rep = run_baselines(program, fs_cfg)
         fs_rep = run_fs(program, fs_cfg)
         sf_rep = run_sf(program, sf_cfg)
-        cg = build_callgraph(program)
         print(
             fmt(
                 (
@@ -311,10 +299,10 @@ def _cmd_table1(args, config) -> int:
                     b,
                     d,
                     len(program.functions),
-                    report.coverage_percent(fuzz_rep.coverage, cg),
-                    report.coverage_percent(symex_rep.coverage, cg),
-                    report.coverage_percent(fs_rep.coverage, cg),
-                    report.coverage_percent(sf_rep.coverage, cg),
+                    report.coverage_percent(fuzz_rep.per_depth),
+                    report.coverage_percent(symex_rep.per_depth),
+                    report.coverage_percent(fs_rep.per_depth),
+                    report.coverage_percent(sf_rep.per_depth),
                     symex_rep.solver_stats.queries,
                     fs_rep.solver_stats.queries,
                     sf_rep.solver_stats.queries,

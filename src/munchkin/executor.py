@@ -234,8 +234,14 @@ def read_input_file(path: str | Path) -> InputVector:
 
 
 def read_seed_dir(path: str | Path) -> list[InputVector]:
-    """Load every ``*.txt`` test case in a directory, sorted by filename."""
+    """Load every ``*.txt`` test case in a directory, sorted by filename.
+
+    A path that is not an existing directory raises ``NotADirectoryError``.
+    """
+    directory = Path(path)
+    if not directory.is_dir():
+        raise NotADirectoryError(f"seed path {directory} is not a directory")
     seeds = []
-    for entry in sorted(Path(path).glob("*.txt")):
+    for entry in sorted(directory.glob("*.txt")):
         seeds.append(read_input_file(entry))
     return seeds

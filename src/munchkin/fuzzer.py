@@ -2,9 +2,12 @@
 
 Single-threaded by contract: results depend only on (program, seeds,
 config). Seeds run first, then each iteration picks a corpus entry
-round-robin, stacks 1..havoc_stacking integer-level mutations, executes,
+round-robin, stacks 1..HAVOC_STACKING integer-level mutations, executes,
 and admits the mutant iff it sets an edge bit unseen so far. Budgets are
 execution counts, not wall-clock, so campaigns replay exactly.
+
+A campaign's test suite is its corpus plus the first witness of each
+covered function that the corpus lacks.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ def _interesting_values() -> tuple[int, ...]:
 
 INTERESTING = _interesting_values()
 MAX_INPUT_LENGTH = 64
+HAVOC_STACKING = 4
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,6 @@ class FuzzConfig:
     rng_seed: int = 0
     budget: int = 1000
     step_limit: int = DEFAULT_STEP_LIMIT
-    havoc_stacking: int = 4
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,14 @@ class FuzzResult:
     # First input observed entering each function; keeps a concrete witness
     # even when edge-hash collisions block corpus admission.
     function_witnesses: dict[str, InputVector] = field(default_factory=dict)
+
+    def test_suite(self) -> list[InputVector]:
+        """Corpus inputs in admission order, then witnesses the corpus lacks.
+
+        Corpus inputs are distinct: a repeated input sets no new edge bit.
+        """
+        corpus = [entry.values for entry in self.corpus]
+        return list(dict.fromkeys(corpus + list(self.function_witnesses.values())))
 
 
 def _op_bitflip(values: list[int], rng: random.Random) -> None:
@@ -119,7 +130,7 @@ MUTATION_OPS = (
 def mutate(
     values: InputVector,
     rng: random.Random,
-    stacking: int = 4,
+    stacking: int = HAVOC_STACKING,
     trace: list[str] | None = None,
 ) -> InputVector:
     """Apply 1..stacking stacked mutations; ``trace`` collects op names."""
@@ -169,7 +180,7 @@ def fuzz_campaign(
     # bit and the cumulative map begins empty.
     for round_num in range(config.budget):
         parent = corpus[round_num % len(corpus)]
-        mutant = mutate(parent.values, rng, config.havoc_stacking)
+        mutant = mutate(parent.values, rng)
         execute(mutant, iteration)
         iteration += 1
 

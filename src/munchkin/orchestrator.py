@@ -13,8 +13,13 @@ SF runs bounded symbolic execution first to produce one test case per
 newly covered function, then fuzzes from those seeds (falling back to the
 single seed [0] if the first phase emitted nothing).
 
-Reports are deterministic given (program, config) except for the duration
-field.
+``make_report`` is the one place a campaign result becomes a
+``CampaignReport``; ``fuzz_report`` and ``symex_report`` apply it to a
+single fuzzing or symbolic-execution run, for the baselines and the CLI.
+It reads only the call graph, and ``duration`` is the wall time since the
+campaign started. Reports are deterministic given (program, config)
+except for that field. ``HybridConfig.step_limit`` bounds every concrete
+run of a campaign: fuzzer executions and symex replays alike.
 """
 
 from __future__ import annotations
@@ -23,16 +28,12 @@ import time
 from dataclasses import dataclass
 
 from .ir import Program
-from .callgraph import ProgramIndex, frontier_set, index_program
+from .callgraph import CallGraph, frontier_set, index_program
 from .executor import CoverageMap, DEFAULT_STEP_LIMIT, InputVector, merge_coverage
 from .fuzzer import FuzzConfig, FuzzResult, fuzz_campaign
+from .report import TECHNIQUE_FS, TECHNIQUE_FUZZ, TECHNIQUE_SF, TECHNIQUE_SYMEX
 from .report import DepthRow, depth_table
-from .symex import Solver, SolverStats, Strategy, SymexLimits, symex_campaign
-
-TECHNIQUE_FUZZ = "AFL-like"
-TECHNIQUE_SYMEX = "SymexOnly"
-TECHNIQUE_FS = "FS"
-TECHNIQUE_SF = "SF"
+from .symex import Solver, SolverStats, Strategy, SymexLimits, SymResult, symex_campaign
 
 MODE_FS = "fs"
 MODE_SF = "sf"
@@ -63,26 +64,16 @@ class CampaignReport:
     unreachable: int = 0
 
 
-def _fuzz_suite(result: FuzzResult) -> list[InputVector]:
-    suite = [entry.values for entry in result.corpus]
-    present = set(suite)
-    for values in result.function_witnesses.values():
-        if values not in present:
-            present.add(values)
-            suite.append(values)
-    return suite
-
-
-def _make_report(
+def make_report(
     technique: str,
-    index: ProgramIndex,
+    cg: CallGraph,
     coverage: CoverageMap,
     stats: SolverStats,
     executions: int,
     test_suite: list[InputVector],
     started: float,
 ) -> CampaignReport:
-    cg = index.callgraph
+    """The report of a campaign that began at ``perf_counter()`` ``started``."""
     return CampaignReport(
         technique,
         coverage,
@@ -91,7 +82,21 @@ def _make_report(
         executions,
         test_suite,
         time.perf_counter() - started,
-        unreachable=len(cg.nodes) - len(index.reachable),
+        unreachable=len(cg.nodes) - len(cg.reachable()),
+    )
+
+
+def fuzz_report(cg: CallGraph, result: FuzzResult, started: float) -> CampaignReport:
+    return make_report(
+        TECHNIQUE_FUZZ, cg, result.cumulative, SolverStats(),
+        result.executions, result.test_suite(), started,
+    )
+
+
+def symex_report(cg: CallGraph, result: SymResult, started: float) -> CampaignReport:
+    suite = [tc.values for tc in result.test_cases]
+    return make_report(
+        TECHNIQUE_SYMEX, cg, result.coverage, result.stats, len(suite), suite, started
     )
 
 
@@ -110,7 +115,7 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
     fuzz_result = fuzz_campaign(program, list(cfg.seeds), _fuzz_config(cfg))
     coverage = fuzz_result.cumulative
     executions = fuzz_result.executions
-    test_suite = _fuzz_suite(fuzz_result)
+    test_suite = fuzz_result.test_suite()
 
     index = index_program(program)
     solver = Solver()
@@ -139,6 +144,7 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
             solver=solver,
             index=index,
             already_covered=covered,
+            replay_step_limit=cfg.step_limit,
         )
         coverage = merge_coverage(coverage, result.coverage)
         executions += len(result.test_cases)
@@ -146,8 +152,9 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
         if target not in coverage.functions:
             failed.add(target)
 
-    return _make_report(
-        TECHNIQUE_FS, index, coverage, solver.stats, executions, test_suite, started
+    return make_report(
+        TECHNIQUE_FS, index.callgraph, coverage, solver.stats,
+        executions, test_suite, started,
     )
 
 
@@ -165,22 +172,18 @@ def run_sf(program: Program, cfg: HybridConfig) -> CampaignReport:
         cfg.max_inputs,
         rng_seed=cfg.rng_seed,
         index=index,
+        replay_step_limit=cfg.step_limit,
     )
-    seeds = [tc.values for tc in sym_result.test_cases] or [(0,)]
-    executions = len(sym_result.test_cases)
-
-    fuzz_result = fuzz_campaign(program, seeds, _fuzz_config(cfg))
+    symex_suite = [tc.values for tc in sym_result.test_cases]
+    fuzz_result = fuzz_campaign(program, symex_suite or [(0,)], _fuzz_config(cfg))
     coverage = merge_coverage(sym_result.coverage, fuzz_result.cumulative)
-    executions += fuzz_result.executions
-    test_suite = [tc.values for tc in sym_result.test_cases]
-    seen = set(test_suite)
-    for values in _fuzz_suite(fuzz_result):
-        if values not in seen:
-            seen.add(values)
-            test_suite.append(values)
+    executions = len(symex_suite) + fuzz_result.executions
+    known = set(symex_suite)
+    test_suite = symex_suite + [v for v in fuzz_result.test_suite() if v not in known]
 
-    return _make_report(
-        TECHNIQUE_SF, index, coverage, sym_result.stats, executions, test_suite, started
+    return make_report(
+        TECHNIQUE_SF, index.callgraph, coverage, sym_result.stats,
+        executions, test_suite, started,
     )
 
 
@@ -192,15 +195,7 @@ def run_baselines(
 
     started = time.perf_counter()
     fuzz_result = fuzz_campaign(program, list(cfg.seeds), _fuzz_config(cfg))
-    fuzz_report = _make_report(
-        TECHNIQUE_FUZZ,
-        index,
-        fuzz_result.cumulative,
-        SolverStats(),
-        fuzz_result.executions,
-        _fuzz_suite(fuzz_result),
-        started,
-    )
+    fuzz_rep = fuzz_report(index.callgraph, fuzz_result, started)
 
     started = time.perf_counter()
     sym_result = symex_campaign(
@@ -210,17 +205,9 @@ def run_baselines(
         cfg.max_inputs,
         rng_seed=cfg.rng_seed,
         index=index,
+        replay_step_limit=cfg.step_limit,
     )
-    symex_report = _make_report(
-        TECHNIQUE_SYMEX,
-        index,
-        sym_result.coverage,
-        sym_result.stats,
-        len(sym_result.test_cases),
-        [tc.values for tc in sym_result.test_cases],
-        started,
-    )
-    return fuzz_report, symex_report
+    return fuzz_rep, symex_report(index.callgraph, sym_result, started)
 
 
 def run_hybrid(program: Program, cfg: HybridConfig) -> CampaignReport:

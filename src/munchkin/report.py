@@ -1,8 +1,10 @@
-"""Coverage reporting: depth tables, intersections, plot data, JSON.
+"""Coverage reporting: technique names, depth tables, intersections, plot
+data, JSON.
 
 Percentages are rounded half-up to integers. Depth tables cover reachable
 functions only; unreachable functions are excluded from denominators and
-reported as a separate count in the JSON schema. Plot data files hold five
+reported as a separate count in the JSON schema, and a campaign's overall
+percentage is read back from its depth table. Plot data files hold five
 whitespace-separated columns, depth first, then one coverage percent per
 technique in the fixed order symex-only, fuzz-only, FS, SF.
 """
@@ -19,7 +21,12 @@ from .executor import CoverageMap
 # (depth, covered, total, percent)
 DepthRow = tuple[int, int, int, int]
 
-PLOT_TECHNIQUE_ORDER = ("SymexOnly", "AFL-like", "FS", "SF")
+TECHNIQUE_FUZZ = "AFL-like"
+TECHNIQUE_SYMEX = "SymexOnly"
+TECHNIQUE_FS = "FS"
+TECHNIQUE_SF = "SF"
+
+PLOT_TECHNIQUE_ORDER = (TECHNIQUE_SYMEX, TECHNIQUE_FUZZ, TECHNIQUE_FS, TECHNIQUE_SF)
 
 
 def percent_round(covered: int, total: int) -> int:
@@ -47,10 +54,9 @@ def depth_table(coverage: CoverageMap, cg: CallGraph) -> list[DepthRow]:
     return rows
 
 
-def coverage_percent(coverage: CoverageMap, cg: CallGraph) -> int:
-    """Overall percent of reachable functions covered."""
-    reachable = cg.reachable()
-    return percent_round(len(coverage.functions & reachable), len(reachable))
+def coverage_percent(rows: Sequence[DepthRow]) -> int:
+    """Overall percent of reachable functions covered, from a depth table."""
+    return percent_round(sum(row[1] for row in rows), sum(row[2] for row in rows))
 
 
 def intersection_report(

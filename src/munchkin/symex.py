@@ -30,7 +30,7 @@ concrete replay, and only replay coverage is reported.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -60,6 +60,8 @@ from .executor import (
 )
 
 ENUMERATION_CAP = 1 << 16
+# Interpreter steps after which a symbolic state is dropped.
+MAX_STEPS_PER_STATE = 100_000
 _PROPAGATION_ROUNDS = 100
 _INF = float("inf")
 
@@ -208,15 +210,6 @@ class SolverStats:
             self.unsat - earlier.unsat,
             self.unknown - earlier.unknown,
             self.cache_hits - earlier.cache_hits,
-        )
-
-    def add(self, other: "SolverStats") -> "SolverStats":
-        return SolverStats(
-            self.queries + other.queries,
-            self.sat + other.sat,
-            self.unsat + other.unsat,
-            self.unknown + other.unknown,
-            self.cache_hits + other.cache_hits,
         )
 
 
@@ -417,7 +410,6 @@ class SymState:
     pc: list[Constraint]
     inputs_read: int = 0
     queries_charged: int = 0
-    entered: set[str] = field(default_factory=set)
     steps: int = 0
     seq: int = 0
 
@@ -432,7 +424,6 @@ class SymState:
             list(self.pc),
             self.inputs_read,
             self.queries_charged,
-            set(self.entered),
             self.steps,
             seq,
         )
@@ -513,7 +504,6 @@ def symex_campaign(
     solver: Solver | None = None,
     index: ProgramIndex | None = None,
     already_covered: Iterable[str] = (),
-    max_steps_per_state: int = 100_000,
     replay_step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> SymResult:
     """Explore the program symbolically, emitting replay-validated tests.
@@ -561,7 +551,6 @@ def symex_campaign(
         return True
 
     def on_entry(state: SymState, function: str) -> None:
-        state.entered.add(function)
         if target is not None and function == target:
             if emit(state):
                 raise _TargetReached
@@ -582,7 +571,7 @@ def symex_campaign(
     def run_slice(state: SymState) -> list[SymState]:
         nonlocal seq
         while True:
-            if state.steps >= max_steps_per_state:
+            if state.steps >= MAX_STEPS_PER_STATE:
                 return []
             frame = state.frames[-1]
             block = program.functions[frame.function].blocks[frame.block]

@@ -1,5 +1,6 @@
 """Command line interface behavior and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -60,6 +61,20 @@ class TestExitCodes:
             )
             == 2
         )
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_seed_path_that_is_not_a_directory_is_campaign_failure(
+        self, tree_mir, tmp_path, kind, capsys
+    ):
+        seeds = tmp_path / "seeds"
+        if kind == "file":
+            write_input_file(seeds, (5,))
+        code = run_cli(
+            "fuzz", str(tree_mir), "--budget", "0", "--seeds", str(seeds),
+            "--out", str(tmp_path / "fz"),
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_symex_target(self, tree_mir, tmp_path):
         assert (
@@ -137,6 +152,48 @@ class TestCampaignCommands:
         )
         assert "1 executions" in capsys.readouterr().out
 
+    def test_empty_seed_directory_falls_back_to_the_default_seed(
+        self, tree_mir, tmp_path, capsys
+    ):
+        seeds = tmp_path / "seeds"
+        seeds.mkdir()
+        out = tmp_path / "fz"
+        assert (
+            run_cli(
+                "fuzz", str(tree_mir), "--budget", "0", "--seeds", str(seeds),
+                "--out", str(out),
+            )
+            == 0
+        )
+        assert "1 executions" in capsys.readouterr().out
+        assert json.loads((out / "report-AFL-like.json").read_text())["test_suite"] == [[0]]
+
+    def test_fuzz_and_symex_reports_equal_the_baselines(self, tmp_path, capsys):
+        # Held already before `fuzz` and `symex` shared the campaign report
+        # builder with `baselines` (checked on the code as it was then).
+        program = tmp_path / "b3d3.mir"
+        assert run_cli(
+            "generate", "--branching", "3", "--depth", "3", "--out", str(program)
+        ) == 0
+        assert run_cli(
+            "fuzz", str(program), "--budget", "300", "--rng-seed", "5",
+            "--out", str(tmp_path / "f"),
+        ) == 0
+        assert run_cli(
+            "symex", str(program), "--rng-seed", "5", "--out", str(tmp_path / "s")
+        ) == 0
+        assert run_cli(
+            "baselines", str(program), "--fuzz-budget", "300", "--rng-seed", "5",
+            "--out", str(tmp_path / "b"),
+        ) == 0
+        for technique, single in (("AFL-like", "f"), ("SymexOnly", "s")):
+            name = f"report-{technique}.json"
+            alone = json.loads((tmp_path / single / name).read_text())
+            baseline = json.loads((tmp_path / "b" / name).read_text())
+            assert alone.pop("duration") > 0
+            assert baseline.pop("duration") > 0
+            assert alone == baseline
+
 
 class TestReportCommand:
     def test_four_reports_produce_plot_dat(self, tree_mir, tmp_path, capsys):
@@ -199,6 +256,22 @@ class TestTable1:
         second = capsys.readouterr().out
         assert first == second
         assert len(first.strip().splitlines()) == 13  # header + 12 programs
+
+    # sha256 of stdout and of plot-avg.dat, computed on the code as it was
+    # before the campaign reports and printed percentages shared one builder.
+    # A change here means a Table 1 number changed.
+    def test_output_is_pinned(self, tmp_path, capsys):
+        out = tmp_path / "grid"
+        assert run_cli(
+            "table1", "--fuzz-budget", "24", "--rng-seed", "7", "--out", str(out)
+        ) == 0
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "d22d86d8b21ede1cfa5260c08d13548623ae377dec29975cf84e9d378405e9b9"
+        )
+        assert hashlib.sha256((out / "plot-avg.dat").read_bytes()).hexdigest() == (
+            "65a6f91ed3769de1993f2bb2781bb2d29804c256d98855cc4c10b73e8fed005d"
+        )
 
     def test_average_matches_the_written_plot_files(self, tmp_path, capsys):
         out = tmp_path / "grid"

@@ -174,3 +174,12 @@ class TestInputFiles:
         write_input_file(tmp_path / "b.txt", (2,))
         write_input_file(tmp_path / "a.txt", (1,))
         assert read_seed_dir(tmp_path) == [(1,), (2,)]
+
+    def test_seed_dir_must_be_a_directory(self, tmp_path):
+        with pytest.raises(OSError):
+            read_seed_dir(tmp_path / "missing")
+        write_input_file(tmp_path / "a.txt", (1,))
+        with pytest.raises(OSError):
+            read_seed_dir(tmp_path / "a.txt")
+        (tmp_path / "empty").mkdir()
+        assert read_seed_dir(tmp_path / "empty") == []

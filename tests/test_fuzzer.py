@@ -7,7 +7,9 @@ import pytest
 from munchkin.callgraph import build_callgraph
 from munchkin.executor import EMPTY_COVERAGE, Outcome, merge_coverage, run_concrete
 from munchkin.fuzzer import (
+    CorpusEntry,
     FuzzConfig,
+    FuzzResult,
     INTERESTING,
     MUTATION_OPS,
     fuzz_campaign,
@@ -83,6 +85,24 @@ class TestCampaign:
         result = fuzz_campaign(program, [(0,)], FuzzConfig(rng_seed=2, budget=300))
         for function, values in result.function_witnesses.items():
             assert function in run_concrete(program, values).coverage.functions
+
+    def test_test_suite_is_the_corpus_then_the_witnesses_it_lacks(self):
+        # (3,) stands for an input an edge-hash collision kept out of the corpus.
+        corpus = [CorpusEntry((1,), EMPTY_COVERAGE, 0), CorpusEntry((2,), EMPTY_COVERAGE, 4)]
+        witnesses = {"main": (1,), "f": (3,), "g": (2,), "h": (3,)}
+        result = FuzzResult(corpus, EMPTY_COVERAGE, 5, [], witnesses)
+        assert result.test_suite() == [(1,), (2,), (3,)]
+
+    def test_test_suite_covers_the_campaign(self):
+        program = generate_program(GenParams(2, 3))
+        result = fuzz_campaign(program, [(0,)], FuzzConfig(rng_seed=4, budget=200))
+        suite = result.test_suite()
+        assert suite[: len(result.corpus)] == [entry.values for entry in result.corpus]
+        assert len(set(suite)) == len(suite)
+        covered = set()
+        for values in suite:
+            covered |= run_concrete(program, values).coverage.functions
+        assert covered == result.cumulative.functions
 
     def test_negative_budget_rejected(self):
         program = generate_program(GenParams(2, 1))

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from munchkin import callgraph, orchestrator, symex
+from munchkin import callgraph, fuzzer, orchestrator, symex
 from munchkin.callgraph import build_callgraph
 from munchkin.executor import run_concrete
 from munchkin.generator import GenParams, generate_program
@@ -144,17 +144,16 @@ class TestBaselines:
         cfg = _fs_config(fuzz_budget=64)
         fuzz_report, symex_report = run_baselines(program, cfg)
         fs_report = run_fs(program, cfg)
-        cg = build_callgraph(program)
-        fs_pct = coverage_percent(fs_report.coverage, cg)
-        assert fs_pct >= coverage_percent(fuzz_report.coverage, cg)
-        assert fs_pct >= coverage_percent(symex_report.coverage, cg)
+        fs_pct = coverage_percent(fs_report.per_depth)
+        assert fs_pct >= coverage_percent(fuzz_report.per_depth)
+        assert fs_pct >= coverage_percent(symex_report.per_depth)
         assert fuzz_report.technique == TECHNIQUE_FUZZ
         assert symex_report.technique == TECHNIQUE_SYMEX
 
     def test_symex_only_is_complete_on_smallest_tree(self):
         program = generate_program(GenParams(2, 1))
         _, symex_report = run_baselines(program, _fs_config())
-        assert coverage_percent(symex_report.coverage, build_callgraph(program)) == 100
+        assert coverage_percent(symex_report.per_depth) == 100
 
     def test_fuzz_baseline_issues_no_queries(self):
         program = generate_program(GenParams(2, 2))
@@ -196,6 +195,28 @@ class TestDeterminism:
         program = generate_program(GenParams(3, 3, 0))
         report = dataclasses.replace(runner(program, cfg), duration=0.0)
         assert hashlib.sha256(campaign_json_bytes(report)).hexdigest() == digest
+
+    @pytest.mark.parametrize("runner, cfg_factory", [
+        (run_fs, _fs_config),
+        (run_sf, _sf_config),
+    ])
+    def test_step_limit_reaches_every_concrete_run(self, runner, cfg_factory, monkeypatch):
+        program = generate_program(GenParams(2, 3))
+        calls = {"fuzzer": [], "symex": []}
+
+        def spy_into(seen):
+            def spy(prog, values, *rest):
+                seen.append(rest)
+                return run_concrete(prog, values, *rest)
+
+            return spy
+
+        monkeypatch.setattr(fuzzer, "run_concrete", spy_into(calls["fuzzer"]))
+        monkeypatch.setattr(symex, "run_concrete", spy_into(calls["symex"]))
+        report = runner(program, cfg_factory(fuzz_budget=8, step_limit=5_000))
+        assert calls["fuzzer"] and calls["symex"]  # both phases ran
+        assert len(calls["fuzzer"]) + len(calls["symex"]) == report.executions
+        assert set(calls["fuzzer"]) | set(calls["symex"]) == {(5_000,)}
 
     def test_run_hybrid_dispatch(self):
         program = generate_program(GenParams(2, 1))

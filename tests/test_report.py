@@ -7,9 +7,11 @@ import pytest
 from munchkin.callgraph import build_callgraph
 from munchkin.executor import CoverageMap
 from munchkin.generator import GenParams, generate_program
+from munchkin.ir import parse_program
 from munchkin.report import (
     average_plot_rows,
     campaign_to_dict,
+    coverage_percent,
     depth_table,
     depth_table_tsv,
     emit_plot_dat,
@@ -56,6 +58,16 @@ class TestDepthTable:
         for _, covered, total, percent in depth_table(CoverageMap(some), cg):
             assert 0 <= covered <= total
             assert 0 <= percent <= 100
+
+    def test_coverage_percent_counts_reachable_functions_only(self):
+        program = parse_program(
+            "program p\n"
+            "func main()\nblock entry:\n  call f()\n  ret\n"
+            "func f()\nblock entry:\n  ret\n"
+            "func orphan()\nblock entry:\n  ret\n"
+        )
+        rows = depth_table(CoverageMap(frozenset({"main"})), build_callgraph(program))
+        assert coverage_percent(rows) == 50
 
     def test_unknown_functions_rejected(self):
         program = generate_program(GenParams(2, 1))
