@@ -1,21 +1,22 @@
 """Command line interface.
 
 Subcommands: generate, callgraph, fuzz, symex, hybrid, baselines, report,
-table1. All randomized behavior is controlled by --rng-seed; wall-clock
-limits do not exist, budgets are execution/query counts. Option precedence
-is flags, then --config key=value file, then built-in defaults. The
-MUNCHKIN_OUT environment variable supplies the default output root. Exit
-codes: 0 success, 1 usage error, 2 campaign or input failure.
-
-Every campaign report comes from the orchestrator's report builder, and
-every printed coverage percentage is read from a report's depth table, so
-no subcommand analyses its program again after a campaign.
+table1. All randomized behavior is controlled by --rng-seed; budgets are
+execution/query counts, never wall-clock. Each campaign value has one name,
+in the one table ``CAMPAIGN_KEYS``: config key ``fuzz_budget`` is flag
+``--fuzz-budget``. One resolver builds a campaign's ``HybridConfig`` from
+flags, then the ``--config`` key = value file, then the ``HybridConfig``
+defaults; a config key outside the table is an input failure. MUNCHKIN_OUT
+sets the default output root. Exit codes: 0 success, 1 usage error, 2
+campaign or input failure. Reports come from the orchestrator's builder,
+and printed percentages from their depth tables.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -25,11 +26,12 @@ from pathlib import Path
 from . import generator, report
 from .callgraph import build_callgraph, depths_tsv, index_program, to_dot
 from .executor import CoverageMap, read_seed_dir, write_input_file
-from .fuzzer import FuzzConfig, fuzz_campaign
+from .fuzzer import fuzz_campaign
 from .ir import IRError, parse_program, serialize_program
 from .orchestrator import (
     CampaignReport,
     HybridConfig,
+    fuzz_config,
     fuzz_report,
     run_baselines,
     run_fs,
@@ -37,9 +39,27 @@ from .orchestrator import (
     run_sf,
     symex_report,
 )
-from .symex import Strategy, SymexLimits, symex_campaign
+from .symex import Strategy, symex_campaign
 
 _GRID = [(b, d) for b in (2, 3, 4) for d in (1, 2, 3, 4)]
+
+# Config key (and flag, with "-" for "_") -> (HybridConfig field, value type,
+# help). A dotted field names a field of a nested dataclass.
+CAMPAIGN_KEYS = {
+    "fuzz_budget": ("fuzz_budget", int, "fuzzing executions"),
+    "symex_states": ("symex_limits.max_states", int, "symbolic states"),
+    "symex_queries": ("symex_limits.max_queries", int, "solver queries"),
+    "per_target_queries": ("per_target_query_budget", int, "FS queries per target"),
+    "per_target_states": ("per_target_state_budget", int, "FS states per target"),
+    "step_limit": ("step_limit", int, "interpreter steps per concrete run"),
+    "max_inputs": ("max_inputs", int, "input values one symbolic state may read"),
+    "rng_seed": ("rng_seed", int, "seed of every random choice"),
+    "seeds": ("seeds", str, "directory of seed .txt files, if not empty"),
+}
+_FUZZ_KEYS = ("fuzz_budget", "step_limit", "rng_seed", "seeds")
+_SYMEX_KEYS = ("symex_states", "symex_queries", "step_limit", "max_inputs", "rng_seed")
+# Every key a config file may hold: the table's, and generate's name salt.
+_CONFIG_TYPES = {key: entry[1] for key, entry in CAMPAIGN_KEYS.items()} | {"seed": int}
 
 
 class _UsageError(Exception):
@@ -51,10 +71,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_config(path: str | None) -> dict[str, str]:
+def _load_config(path: str | None) -> dict[str, int | str]:
     if not path:
         return {}
-    config: dict[str, str] = {}
+    config: dict[str, int | str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -62,21 +82,51 @@ def _load_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        config[key.strip()] = value.strip().strip("\"'")
+        key, value = key.strip(), value.strip().strip("\"'")
+        if key not in _CONFIG_TYPES:
+            raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+        try:
+            config[key] = _CONFIG_TYPES[key](value)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: {key} = {value!r}") from None
     return config
 
 
-def _resolve(args, config: dict[str, str], name: str, default, cast=int):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return cast(config[name])
-    return default
+def _given(args, config, key: str, default=None):
+    value = getattr(args, key, None)
+    return config.get(key, default) if value is None else value
+
+
+def _campaign_config(args, config) -> HybridConfig:
+    """The keys the subcommand registered, over the ``HybridConfig`` defaults."""
+    cfg = HybridConfig()
+    for key, (field, _, _) in CAMPAIGN_KEYS.items():
+        value = _given(args, config, key) if hasattr(args, key) else None
+        if value is None:
+            continue
+        if key == "seeds":
+            value = tuple(read_seed_dir(value)) or cfg.seeds
+        owner, _, name = field.rpartition(".")
+        if owner:
+            value = dataclasses.replace(getattr(cfg, owner), **{name: value})
+            name = owner
+        cfg = dataclasses.replace(cfg, **{name: value})
+    return cfg
+
+
+def _add_campaign_keys(p: argparse.ArgumentParser, keys=tuple(CAMPAIGN_KEYS)) -> None:
+    for key in keys:
+        field, kind, text = CAMPAIGN_KEYS[key]
+        default = functools.reduce(getattr, field.split("."), HybridConfig())
+        shown = [list(values) for values in default] if key == "seeds" else default
+        p.add_argument(
+            "--" + key.replace("_", "-"), type=kind, help=f"{text} (default: {shown})"
+        )
+    p.add_argument("--out")
 
 
 def _out_dir(args, subcommand: str) -> Path:
-    if getattr(args, "out", None):
+    if args.out:
         path = Path(args.out)
     else:
         root = os.environ.get("MUNCHKIN_OUT", ".")
@@ -85,12 +135,8 @@ def _out_dir(args, subcommand: str) -> Path:
     return path
 
 
-def _load_seeds(args) -> list[tuple[int, ...]]:
-    if getattr(args, "seeds", None):
-        seeds = read_seed_dir(args.seeds)
-        if seeds:
-            return seeds
-    return [(0,)]
+def _read_program(path: str):
+    return parse_program(Path(path).read_text(encoding="utf-8"))
 
 
 def _write_report(rep: CampaignReport, out: Path) -> None:
@@ -100,33 +146,25 @@ def _write_report(rep: CampaignReport, out: Path) -> None:
     )
 
 
-def _symex_limits(args, config) -> SymexLimits:
-    return SymexLimits(
-        _resolve(args, config, "max_states", 100_000),
-        _resolve(args, config, "max_queries", 100_000),
-    )
-
-
-def _hybrid_config(args, config, mode: str) -> HybridConfig:
-    return HybridConfig(
-        mode=mode,
-        fuzz_budget=_resolve(args, config, "fuzz_budget", 1000),
-        symex_limits=SymexLimits(
-            _resolve(args, config, "symex_states", 100_000),
-            _resolve(args, config, "symex_queries", 100_000),
-        ),
-        per_target_query_budget=_resolve(args, config, "per_target_queries", 64),
-        per_target_state_budget=_resolve(args, config, "per_target_states", 10_000),
-        seeds=tuple(_load_seeds(args)),
-        rng_seed=_resolve(args, config, "rng_seed", 0),
-    )
+def _read_report(path: str) -> tuple[str, CoverageMap]:
+    """The technique and coverage of a campaign report JSON file."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        technique, coverage = data["technique"], data["coverage"]
+        if not isinstance(technique, str):
+            raise TypeError("technique is not a string")
+        return technique, CoverageMap(
+            frozenset(coverage["functions"]), frozenset(coverage["edges"])
+        )
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{path}: not a campaign report ({err!r})") from None
 
 
 def _cmd_generate(args, config) -> int:
-    params = generator.GenParams(
-        args.branching, args.depth, _resolve(args, config, "seed", 0)
+    seed = _given(args, config, "seed", generator.GenParams.seed)
+    program = generator.generate_program(
+        generator.GenParams(args.branching, args.depth, seed)
     )
-    program = generator.generate_program(params)
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -139,27 +177,18 @@ def _cmd_generate(args, config) -> int:
 
 
 def _cmd_callgraph(args, config) -> int:
-    program = parse_program(Path(args.program).read_text(encoding="utf-8"))
-    cg = build_callgraph(program)
-    if args.dot:
-        sys.stdout.write(to_dot(cg))
-    else:
-        sys.stdout.write(depths_tsv(cg))
+    cg = build_callgraph(_read_program(args.program))
+    sys.stdout.write(to_dot(cg) if args.dot else depths_tsv(cg))
     return 0
 
 
 def _cmd_fuzz(args, config) -> int:
-    program = parse_program(Path(args.program).read_text(encoding="utf-8"))
-    seeds = _load_seeds(args)
+    program = _read_program(args.program)
+    cfg = _campaign_config(args, config)
     out = _out_dir(args, "fuzz")
-    cfg = FuzzConfig(
-        rng_seed=_resolve(args, config, "rng_seed", 0),
-        budget=_resolve(args, config, "budget", 1000),
-        step_limit=_resolve(args, config, "step_limit", 10**6),
-    )
     cg = build_callgraph(program)
     started = time.perf_counter()
-    result = fuzz_campaign(program, seeds, cfg)
+    result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))
     rep = fuzz_report(cg, result, started)
     for entry in result.corpus:
         write_input_file(out / f"id-{entry.discovery_iteration}.txt", entry.values)
@@ -174,19 +203,20 @@ def _cmd_fuzz(args, config) -> int:
 
 
 def _cmd_symex(args, config) -> int:
-    program = parse_program(Path(args.program).read_text(encoding="utf-8"))
+    program = _read_program(args.program)
+    cfg = _campaign_config(args, config)
     out = _out_dir(args, "symex")
-    search = Strategy(args.search)
     index = index_program(program)
     started = time.perf_counter()
     result = symex_campaign(
         program,
-        search,
-        _symex_limits(args, config),
-        max_inputs=_resolve(args, config, "max_inputs", 4),
+        Strategy(args.search),
+        cfg.symex_limits,
+        cfg.max_inputs,
         target=args.target,
-        rng_seed=_resolve(args, config, "rng_seed", 0),
+        rng_seed=cfg.rng_seed,
         index=index,
+        replay_step_limit=cfg.step_limit,
     )
     rep = symex_report(index.callgraph, result, started)
     for number, tc in enumerate(result.test_cases):
@@ -201,9 +231,10 @@ def _cmd_symex(args, config) -> int:
 
 
 def _cmd_hybrid(args, config) -> int:
-    program = parse_program(Path(args.program).read_text(encoding="utf-8"))
+    program = _read_program(args.program)
+    cfg = dataclasses.replace(_campaign_config(args, config), mode=args.mode)
     out = _out_dir(args, "hybrid")
-    rep = run_hybrid(program, _hybrid_config(args, config, args.mode))
+    rep = run_hybrid(program, cfg)
     for index, values in enumerate(rep.test_suite):
         write_input_file(out / f"id-{index}.txt", values)
     _write_report(rep, out)
@@ -215,13 +246,11 @@ def _cmd_hybrid(args, config) -> int:
 
 
 def _cmd_baselines(args, config) -> int:
-    program = parse_program(Path(args.program).read_text(encoding="utf-8"))
+    program = _read_program(args.program)
+    cfg = _campaign_config(args, config)
     out = _out_dir(args, "baselines")
-    cfg = _hybrid_config(args, config, "fs")
-    fuzz_rep, symex_rep = run_baselines(program, cfg)
-    _write_report(fuzz_rep, out)
-    _write_report(symex_rep, out)
-    for rep in (fuzz_rep, symex_rep):
+    for rep in run_baselines(program, cfg):
+        _write_report(rep, out)
         print(
             f"{rep.technique}: coverage {report.coverage_percent(rep.per_depth)}%, "
             f"{rep.solver_stats.queries} solver queries"
@@ -230,18 +259,12 @@ def _cmd_baselines(args, config) -> int:
 
 
 def _cmd_report(args, config) -> int:
-    program = parse_program(Path(args.program).read_text(encoding="utf-8"))
-    cg = build_callgraph(program)
+    cg = build_callgraph(_read_program(args.program))
     out = _out_dir(args, "report")
     coverages = {}
     tables = {}
     for path in args.reports:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        technique = data["technique"]
-        cov = CoverageMap(
-            frozenset(data["coverage"]["functions"]),
-            frozenset(data["coverage"]["edges"]),
-        )
+        technique, cov = _read_report(path)
         coverages[technique] = cov
         tables[technique] = report.depth_table(cov, cg)
         (out / f"depth-{technique}.tsv").write_text(
@@ -263,9 +286,7 @@ def _cmd_report(args, config) -> int:
 
 
 def _cmd_table1(args, config) -> int:
-    out = None
-    if getattr(args, "out", None):
-        out = _out_dir(args, "table1")
+    out = _out_dir(args, "table1") if args.out else None
     header = (
         "prog",
         "b",
@@ -284,7 +305,7 @@ def _cmd_table1(args, config) -> int:
         return "  ".join(str(cell).rjust(w) for cell, w in zip(row, widths))
 
     print(fmt(header))
-    fs_cfg = _hybrid_config(args, config, "fs")
+    fs_cfg = _campaign_config(args, config)
     sf_cfg = dataclasses.replace(fs_cfg, mode="sf")
     all_rows = []
     for index, (b, d) in enumerate(_GRID, start=1):
@@ -336,41 +357,32 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="output .mir path")
     p.set_defaults(handler=_cmd_generate)
 
-    p = sub.add_parser("callgraph", help="print call-graph info for a program")
+    p = sub.add_parser("callgraph", help="print function/depth TSV for a program")
     p.add_argument("program")
-    p.add_argument("--dot", action="store_true", help="emit Graphviz text")
-    p.add_argument("--depths", action="store_true", help="emit function/depth TSV")
+    p.add_argument("--dot", action="store_true", help="emit Graphviz text instead")
     p.set_defaults(handler=_cmd_callgraph)
 
     p = sub.add_parser("fuzz", help="run a coverage-guided fuzzing campaign")
     p.add_argument("program")
-    p.add_argument("--seeds", help="directory of seed .txt files")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--rng-seed", dest="rng_seed", type=int, default=None)
-    p.add_argument("--step-limit", dest="step_limit", type=int, default=None)
-    p.add_argument("--out")
+    _add_campaign_keys(p, _FUZZ_KEYS)
     p.set_defaults(handler=_cmd_fuzz)
 
     p = sub.add_parser("symex", help="run a symbolic-execution campaign")
     p.add_argument("program")
     p.add_argument("--search", choices=["baseline", "sonar"], default="baseline")
     p.add_argument("--target", help="target function for sonar search")
-    p.add_argument("--max-states", dest="max_states", type=int, default=None)
-    p.add_argument("--max-queries", dest="max_queries", type=int, default=None)
-    p.add_argument("--max-inputs", dest="max_inputs", type=int, default=None)
-    p.add_argument("--rng-seed", dest="rng_seed", type=int, default=None)
-    p.add_argument("--out")
+    _add_campaign_keys(p, _SYMEX_KEYS)
     p.set_defaults(handler=_cmd_symex)
 
     p = sub.add_parser("hybrid", help="run an FS or SF hybrid campaign")
     p.add_argument("program")
     p.add_argument("--mode", choices=["fs", "sf"], required=True)
-    _add_hybrid_options(p)
+    _add_campaign_keys(p)
     p.set_defaults(handler=_cmd_hybrid)
 
     p = sub.add_parser("baselines", help="run fuzz-only and symex-only campaigns")
     p.add_argument("program")
-    _add_hybrid_options(p)
+    _add_campaign_keys(p)
     p.set_defaults(handler=_cmd_baselines)
 
     p = sub.add_parser("report", help="derive tables and plot data from reports")
@@ -382,25 +394,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "table1", help="run the 12-program benchmark grid across all four techniques"
     )
-    _add_hybrid_options(p)
+    _add_campaign_keys(p)
     p.set_defaults(handler=_cmd_table1)
 
     return parser
-
-
-def _add_hybrid_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fuzz-budget", dest="fuzz_budget", type=int, default=None)
-    p.add_argument("--symex-queries", dest="symex_queries", type=int, default=None)
-    p.add_argument("--symex-states", dest="symex_states", type=int, default=None)
-    p.add_argument(
-        "--per-target-queries", dest="per_target_queries", type=int, default=None
-    )
-    p.add_argument(
-        "--per-target-states", dest="per_target_states", type=int, default=None
-    )
-    p.add_argument("--seeds", help="directory of seed .txt files")
-    p.add_argument("--rng-seed", dest="rng_seed", type=int, default=None)
-    p.add_argument("--out")
 
 
 def main(argv: list[str] | None = None) -> int:

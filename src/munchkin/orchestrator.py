@@ -100,7 +100,8 @@ def symex_report(cg: CallGraph, result: SymResult, started: float) -> CampaignRe
     )
 
 
-def _fuzz_config(cfg: HybridConfig) -> FuzzConfig:
+def fuzz_config(cfg: HybridConfig) -> FuzzConfig:
+    """The fuzzing phase's part of ``cfg``: RNG seed, fuzz budget, step limit."""
     return FuzzConfig(cfg.rng_seed, cfg.fuzz_budget, cfg.step_limit)
 
 
@@ -112,7 +113,7 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
         raise ValueError("per-target query budget must be positive")
     started = time.perf_counter()
 
-    fuzz_result = fuzz_campaign(program, list(cfg.seeds), _fuzz_config(cfg))
+    fuzz_result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))
     coverage = fuzz_result.cumulative
     executions = fuzz_result.executions
     test_suite = fuzz_result.test_suite()
@@ -175,7 +176,7 @@ def run_sf(program: Program, cfg: HybridConfig) -> CampaignReport:
         replay_step_limit=cfg.step_limit,
     )
     symex_suite = [tc.values for tc in sym_result.test_cases]
-    fuzz_result = fuzz_campaign(program, symex_suite or [(0,)], _fuzz_config(cfg))
+    fuzz_result = fuzz_campaign(program, symex_suite, fuzz_config(cfg))
     coverage = merge_coverage(sym_result.coverage, fuzz_result.cumulative)
     executions = len(symex_suite) + fuzz_result.executions
     known = set(symex_suite)
@@ -194,7 +195,7 @@ def run_baselines(
     index = index_program(program)
 
     started = time.perf_counter()
-    fuzz_result = fuzz_campaign(program, list(cfg.seeds), _fuzz_config(cfg))
+    fuzz_result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))
     fuzz_rep = fuzz_report(index.callgraph, fuzz_result, started)
 
     started = time.perf_counter()

@@ -1,14 +1,36 @@
 """Command line interface behavior and exit codes."""
 
+import functools
 import hashlib
 import json
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from munchkin.cli import main
+from munchkin.callgraph import build_callgraph, index_program
+from munchkin.cli import CAMPAIGN_KEYS, main
 from munchkin.executor import write_input_file
-from munchkin.ir import parse_program
-from munchkin.report import average_plot_rows, read_plot_dat, write_plot_rows
+from munchkin.fuzzer import fuzz_campaign
+from munchkin.generator import GenParams, generate_program
+from munchkin.ir import parse_program, serialize_program
+from munchkin.orchestrator import (
+    HybridConfig,
+    fuzz_config,
+    fuzz_report,
+    run_baselines,
+    run_hybrid,
+    symex_report,
+)
+from munchkin.report import (
+    average_plot_rows,
+    campaign_to_dict,
+    read_plot_dat,
+    write_plot_rows,
+)
+from munchkin.symex import Strategy, SymexLimits, symex_campaign
 
 
 def run_cli(*argv):
@@ -26,7 +48,7 @@ def tree_mir(tmp_path):
 class TestGenerateAndCallgraph:
     def test_generate_then_depths_lists_sixteen_functions(self, tree_mir, capsys):
         capsys.readouterr()
-        assert run_cli("callgraph", str(tree_mir), "--depths") == 0
+        assert run_cli("callgraph", str(tree_mir)) == 0
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 16
 
@@ -70,7 +92,7 @@ class TestExitCodes:
         if kind == "file":
             write_input_file(seeds, (5,))
         code = run_cli(
-            "fuzz", str(tree_mir), "--budget", "0", "--seeds", str(seeds),
+            "fuzz", str(tree_mir), "--fuzz-budget", "0", "--seeds", str(seeds),
             "--out", str(tmp_path / "fz"),
         )
         assert code == 2
@@ -91,7 +113,7 @@ class TestCampaignCommands:
         out = tmp_path / "fuzz-out"
         assert (
             run_cli(
-                "fuzz", str(tree_mir), "--budget", "50", "--rng-seed", "3",
+                "fuzz", str(tree_mir), "--fuzz-budget", "50", "--rng-seed", "3",
                 "--out", str(out),
             )
             == 0
@@ -145,7 +167,7 @@ class TestCampaignCommands:
         out = tmp_path / "fz"
         assert (
             run_cli(
-                "fuzz", str(tree_mir), "--budget", "0", "--seeds", str(seeds),
+                "fuzz", str(tree_mir), "--fuzz-budget", "0", "--seeds", str(seeds),
                 "--out", str(out),
             )
             == 0
@@ -160,7 +182,7 @@ class TestCampaignCommands:
         out = tmp_path / "fz"
         assert (
             run_cli(
-                "fuzz", str(tree_mir), "--budget", "0", "--seeds", str(seeds),
+                "fuzz", str(tree_mir), "--fuzz-budget", "0", "--seeds", str(seeds),
                 "--out", str(out),
             )
             == 0
@@ -176,7 +198,7 @@ class TestCampaignCommands:
             "generate", "--branching", "3", "--depth", "3", "--out", str(program)
         ) == 0
         assert run_cli(
-            "fuzz", str(program), "--budget", "300", "--rng-seed", "5",
+            "fuzz", str(program), "--fuzz-budget", "300", "--rng-seed", "5",
             "--out", str(tmp_path / "f"),
         ) == 0
         assert run_cli(
@@ -221,16 +243,163 @@ class TestReportCommand:
             assert len(line.split()) == 5
         assert (rep / "intersections.json").exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        ["{}", "[1]", '{"technique": "FS", "coverage": {"functions": 5}}', "{"],
+        ids=["no-keys", "list", "functions-not-a-list", "not-json"],
+    )
+    def test_a_malformed_report_is_input_failure(self, tree_mir, tmp_path, text, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run_cli("report", str(tree_mir), str(bad), "--out", str(tmp_path / "r")) == 2
+        assert f"{bad}: not a campaign report" in capsys.readouterr().err
+
+
+# Non-default values for every campaign key, and the keys each subcommand reads.
+CAMPAIGN_VALUES = {
+    "fuzz_budget": 40, "symex_states": 30, "symex_queries": 12,
+    "per_target_queries": 8, "per_target_states": 6, "step_limit": 12,
+    "max_inputs": 1, "rng_seed": 11,
+}
+FUZZ_KEYS = ("fuzz_budget", "step_limit", "rng_seed", "seeds")
+SYMEX_KEYS = ("symex_states", "symex_queries", "step_limit", "max_inputs", "rng_seed")
+ALL_KEYS = (*CAMPAIGN_VALUES, "seeds")
+
+
+def as_flags(values, keys):
+    return [item for key in keys for item in ("--" + key.replace("_", "-"), str(values[key]))]
+
+
+COMMANDS = {
+    "fuzz": (["fuzz"], FUZZ_KEYS),
+    "symex": (["symex"], SYMEX_KEYS),
+    "hybrid-fs": (["hybrid", "--mode", "fs"], ALL_KEYS),
+    "hybrid-sf": (["hybrid", "--mode", "sf"], ALL_KEYS),
+    "baselines": (["baselines"], ALL_KEYS),
+}
+
+
+def library_reports(command, program, cfg):
+    """What the library makes of ``cfg``, with ``duration`` removed."""
+    started = time.perf_counter()
+    if command == "fuzz":
+        result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))
+        reports = [fuzz_report(build_callgraph(program), result, started)]
+    elif command == "symex":
+        index = index_program(program)
+        result = symex_campaign(
+            program, Strategy.BASELINE, cfg.symex_limits, cfg.max_inputs,
+            rng_seed=cfg.rng_seed, index=index, replay_step_limit=cfg.step_limit,
+        )
+        reports = [symex_report(index.callgraph, result, started)]
+    elif command == "baselines":
+        reports = list(run_baselines(program, cfg))
+    else:
+        reports = [run_hybrid(program, cfg)]
+    dicts = {rep.technique: campaign_to_dict(rep) for rep in reports}
+    for payload in dicts.values():
+        payload.pop("duration")
+    return dicts
+
+
+def written_reports(out):
+    dicts = {}
+    for path in out.glob("report-*.json"):
+        payload = json.loads(path.read_text())
+        payload.pop("duration")
+        dicts[payload["technique"]] = payload
+    return dicts
+
 
 class TestConfigAndEnv:
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_campaign_runs_the_config_it_is_given(
+        self, tree_mir, tmp_path, command, source, capsys
+    ):
+        seeds = tmp_path / "seeds"
+        seeds.mkdir()
+        write_input_file(seeds / "a.txt", (5,))
+        write_input_file(seeds / "b.txt", (2,))
+        values = {**CAMPAIGN_VALUES, "seeds": str(seeds)}
+        words, keys = COMMANDS[command]
+        config = tmp_path / "cfg"
+        if source == "flags":  # over a config file that sets every key otherwise
+            config.write_text(
+                "".join(f"{key} = {value + 1}\n" for key, value in CAMPAIGN_VALUES.items())
+                + f"seeds = {tmp_path / 'missing'}\n"
+            )
+            options = as_flags(values, keys)
+        else:  # a config file may hold keys this subcommand does not read
+            config.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+            options = []
+        out = tmp_path / "out"
+        assert run_cli(
+            "--config", str(config), *words, str(tree_mir), *options, "--out", str(out)
+        ) == 0
+        cfg = HybridConfig(
+            mode="sf" if command == "hybrid-sf" else "fs",
+            fuzz_budget=40, symex_limits=SymexLimits(30, 12),
+            per_target_query_budget=8, per_target_state_budget=6,
+            seeds=((5,), (2,)), rng_seed=11, step_limit=12, max_inputs=1,
+        )
+        program = parse_program(tree_mir.read_text())
+        assert written_reports(out) == library_reports(command, program, cfg)
+
+    def test_empty_config_runs_the_library_defaults(self, tree_mir, tmp_path):
+        config = tmp_path / "cfg"
+        config.write_text("# nothing set\n")
+        out = tmp_path / "out"
+        assert run_cli("--config", str(config), "baselines", str(tree_mir), "--out", str(out)) == 0
+        program = parse_program(tree_mir.read_text())
+        assert written_reports(out) == library_reports("baselines", program, HybridConfig())
+
+    @pytest.mark.parametrize("flag", ["--budget", "--max-states", "--max-queries"])
+    def test_a_flag_outside_the_key_table_is_usage_error(self, tree_mir, flag, capsys):
+        for command in ("fuzz", "symex"):
+            assert run_cli(command, str(tree_mir), flag, "5") == 1
+
+    @pytest.mark.parametrize(
+        "line", ["budget = 5", "max_states = 5", "max_queries = 5", "fuzz_bugdet = 5"]
+    )
+    def test_a_config_key_outside_the_key_table_is_input_failure(
+        self, tree_mir, tmp_path, line, capsys
+    ):
+        config = tmp_path / "cfg"
+        config.write_text(f"rng_seed = 1\n{line}\n")
+        out = tmp_path / "out"
+        assert run_cli("--config", str(config), "fuzz", str(tree_mir), "--out", str(out)) == 2
+        key = line.split()[0]
+        assert f"{config}: line 2: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_config_value_that_is_not_an_integer_is_input_failure(
+        self, tree_mir, tmp_path, capsys
+    ):
+        config = tmp_path / "cfg"
+        config.write_text("fuzz_budget = lots\n")
+        assert run_cli("--config", str(config), "fuzz", str(tree_mir)) == 2
+        assert f"{config}: line 1: fuzz_budget" in capsys.readouterr().err
+
+    def test_readme_key_table_matches_the_cli(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = [line.split("|")[1:4] for line in readme.splitlines() if line.startswith("| `--")]
+        table = {key.strip(" `"): (flag.strip(" `"), default.strip()) for flag, key, default in rows}
+        assert set(table) == set(CAMPAIGN_KEYS)
+        for key, (field, _, _) in CAMPAIGN_KEYS.items():
+            flag, default = table[key]
+            assert flag == "--" + key.replace("_", "-")
+            if key != "seeds":
+                assert default == str(functools.reduce(getattr, field.split("."), HybridConfig()))
+
     def test_flag_beats_config(self, tree_mir, tmp_path):
         config = tmp_path / "cfg"
-        config.write_text("rng_seed = 1\nbudget = 10\n")
+        config.write_text("rng_seed = 1\nfuzz_budget = 10\n")
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         run_cli("--config", str(config), "fuzz", str(tree_mir), "--out", str(out_a))
         run_cli(
-            "--config", str(config), "fuzz", str(tree_mir), "--budget", "10",
+            "--config", str(config), "fuzz", str(tree_mir), "--fuzz-budget", "10",
             "--rng-seed", "1", "--out", str(out_b),
         )
         report_a = json.loads((out_a / "report-AFL-like.json").read_text())
@@ -240,7 +409,7 @@ class TestConfigAndEnv:
 
     def test_env_var_supplies_output_root(self, tree_mir, tmp_path, monkeypatch):
         monkeypatch.setenv("MUNCHKIN_OUT", str(tmp_path / "root"))
-        assert run_cli("fuzz", str(tree_mir), "--budget", "5") == 0
+        assert run_cli("fuzz", str(tree_mir), "--fuzz-budget", "5") == 0
         assert (tmp_path / "root" / "fuzz-out" / "report-AFL-like.json").exists()
 
 
@@ -279,3 +448,81 @@ class TestTable1:
         per_program = [read_plot_dat(out / f"plot-p{i}.dat") for i in range(1, 13)]
         write_plot_rows(average_plot_rows(per_program), tmp_path / "reread.dat")
         assert (out / "plot-avg.dat").read_bytes() == (tmp_path / "reread.dat").read_bytes()
+
+
+B2D2_LINES = serialize_program(generate_program(GenParams(2, 2))).splitlines()
+IR_JUNK = [
+    "call main(x)", "x = call main(x)", "jmp entry", "jmp nowhere", "ret x", "ret",
+    "x = x / 0", "y = x + 2147483647", "br < x 0 -> entry, entry", "block entry:",
+    "func main()", "func n_0_0(x)", "x = input", "print y", "program p",
+]
+SMALL_TEXT = st.text(alphabet="abx_0189 =<>-+,:()#\n", max_size=24)
+
+
+@st.composite
+def mangled_mir(draw):
+    """A generated b2d2 program with lines dropped and junk lines inserted."""
+    lines = list(B2D2_LINES)
+    for index in sorted(draw(st.sets(st.integers(0, len(lines) - 1), max_size=4)), reverse=True):
+        del lines[index]
+    junk = st.sampled_from(IR_JUNK + B2D2_LINES) | SMALL_TEXT
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(junk))
+    return "\n".join(lines) + "\n"
+
+
+CONFIG_LINE = st.tuples(
+    st.sampled_from(sorted(CAMPAIGN_VALUES) + ["seeds", "seed", "budget", "mode"]) | SMALL_TEXT,
+    st.sampled_from(["=", " = ", ":", ""]),
+    st.integers(-3, 10**12).map(str) | SMALL_TEXT,
+).map("".join)
+REPORT_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from(["FS", "x", "main"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["technique", "coverage", "functions", "edges"]), inner),
+    max_leaves=8,
+)
+# Every budget is at most 5; the step limit bounds loops a junk line may add.
+SMALL_BUDGETS = {
+    "fuzz_budget": 5, "symex_states": 5, "symex_queries": 5, "per_target_queries": 5,
+    "per_target_states": 5, "max_inputs": 5, "step_limit": 50,
+}
+
+
+class TestExitCodeProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mir=st.one_of(mangled_mir(), st.just("\n".join(B2D2_LINES))),
+        seed_text=st.text(alphabet="0123456789-+ x\n", max_size=30),
+        config_lines=st.lists(CONFIG_LINE, max_size=3),
+        report_json=REPORT_JSON,
+    )
+    def test_main_returns_an_exit_code_and_never_raises(
+        self, mir, seed_text, config_lines, report_json
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            program = root / "p.mir"
+            program.write_text(mir)
+            (root / "seeds").mkdir()
+            (root / "seeds" / "s.txt").write_text(seed_text)
+            config = root / "cfg"
+            config.write_text("\n".join(config_lines))
+            report_file = root / "r.json"
+            report_file.write_text(json.dumps(report_json))
+            p, out = str(program), str(root / "out")
+            seeds = ["--seeds", str(root / "seeds"), "--out", out]
+            budgets = {
+                keys: as_flags(SMALL_BUDGETS, [k for k in keys if k in SMALL_BUDGETS])
+                for keys in (FUZZ_KEYS, SYMEX_KEYS, ALL_KEYS)
+            }
+            for argv in (
+                ["callgraph", p],
+                ["fuzz", p, *budgets[FUZZ_KEYS], *seeds],
+                ["symex", p, *budgets[SYMEX_KEYS], "--out", out],
+                ["hybrid", p, "--mode", "fs", *budgets[ALL_KEYS], *seeds],
+                ["--config", str(config), "hybrid", p, "--mode", "sf", *budgets[ALL_KEYS],
+                 "--out", out],
+                ["report", p, str(report_file), "--out", out],
+            ):
+                assert main(argv) in (0, 1, 2), argv
