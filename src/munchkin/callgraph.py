@@ -17,6 +17,7 @@ analysis instead of rebuilding the block graph for each target.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 from .ir import Branch, Call, Function, Jump, Program, Return
@@ -110,9 +111,11 @@ class ProgramIndex:
     """Static facts of one program, computed once and shared by its campaigns.
 
     Locations are numbered in program order; ``predecessors[i]`` lists the
-    locations with an edge into location ``i``. Distance fields are
-    memoised per target; they are deterministic, so the memo never changes
-    an answer.
+    locations with an edge into location ``i``. ``callers`` maps each
+    function to the functions that call it; ``by_depth`` lists the reachable
+    functions by ascending depth, then name, the order ``frontier_set``
+    keeps within each of its two groups. Distance fields are memoised per
+    target; they are deterministic, so the memo never changes an answer.
     """
 
     program: Program
@@ -121,6 +124,8 @@ class ProgramIndex:
     locations: tuple[Location, ...]
     ids: dict[Location, int]
     predecessors: tuple[tuple[int, ...], ...]
+    callers: dict[str, tuple[str, ...]]
+    by_depth: tuple[str, ...]
     _fields: dict[str, DistanceField] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -152,6 +157,23 @@ class ProgramIndex:
         self._fields[target] = computed
         return computed
 
+    def next_target(self, covered: Set[str], skip: Set[str]) -> str | None:
+        """The first reachable function of ``frontier_set(callgraph, covered)``
+        that is not in ``skip``, or None.
+
+        One pass over ``by_depth`` stops at the first eligible frontier
+        function; without one, the first eligible function is the answer.
+        """
+        first = None
+        for name in self.by_depth:
+            if name in covered or name in skip:
+                continue
+            if not covered.isdisjoint(self.callers[name]):
+                return name
+            if first is None:
+                first = name
+        return first
+
 
 def index_program(program: Program) -> ProgramIndex:
     """Build the call graph and the reverse interprocedural block graph once."""
@@ -163,6 +185,9 @@ def index_program(program: Program) -> ProgramIndex:
     predecessors: list[list[int]] = [[] for _ in locations]
     for src, dst in interprocedural_edges(program):
         predecessors[ids[dst]].append(ids[src])
+    callers: dict[str, list[str]] = {name: [] for name in program.functions}
+    for caller, callee in sorted(cg.edges):
+        callers[callee].append(caller)
     return ProgramIndex(
         program,
         cg,
@@ -170,6 +195,8 @@ def index_program(program: Program) -> ProgramIndex:
         locations,
         ids,
         tuple(tuple(sorted(preds)) for preds in predecessors),
+        {name: tuple(names) for name, names in callers.items()},
+        tuple(sorted(cg.reachable(), key=lambda name: _frontier_key(cg, name, False))),
     )
 
 
@@ -195,17 +222,21 @@ def frontier_set(cg: CallGraph, covered: set[str] | frozenset[str]) -> list[str]
     has_covered_caller = {
         callee for caller, callee in cg.edges if caller in covered and callee in uncovered
     }
+    return sorted(
+        uncovered, key=lambda name: _frontier_key(cg, name, name in has_covered_caller)
+    )
 
-    def key(name: str) -> tuple[int, int, int, str]:
-        depth = cg.depth(name)
-        return (
-            0 if name in has_covered_caller else 1,
-            1 if depth is None else 0,
-            depth if depth is not None else 0,
-            name,
-        )
 
-    return sorted(uncovered, key=key)
+def _frontier_key(cg: CallGraph, name: str, frontier: bool) -> tuple[int, int, int, str]:
+    """Sort key: frontier functions before the rest; within each, reachable
+    functions by ascending depth before unreachable ones, then by name."""
+    depth = cg.depth(name)
+    return (
+        0 if frontier else 1,
+        1 if depth is None else 0,
+        depth if depth is not None else 0,
+        name,
+    )
 
 
 def to_dot(cg: CallGraph) -> str:

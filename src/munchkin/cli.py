@@ -67,6 +67,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # A flag has only its own name: no prefix of it selects it.
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # noqa: A003 - argparse API
         raise _UsageError(message)
 

@@ -15,11 +15,20 @@ from location ``prev`` to ``cur`` (each a (function, block) pair) is::
 A virtual start location ("", "") precedes the entry block, so every run
 sets at least one bit. The hash is a pure function of names, making
 bitmaps comparable across runs and processes; collisions are accepted.
+
+The first ``run_concrete`` of a program lowers it: every block becomes a
+list of small opcode tuples, each location is hashed once, and branches,
+jumps and calls refer to their target blocks directly with the edge index
+of the transition precomputed. The lowered form is stored on the program
+object, so it is built once per program (never by ``parse_program``) and
+freed with it. Lowering changes no result: the edge hash above and the
+bitmap are bit-for-bit those of a direct interpretation of the IR.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -37,7 +46,6 @@ from .ir import (
     Program,
     ReadInput,
     apply_binop,
-    apply_cmp,
     wrap32,
 )
 
@@ -98,107 +106,177 @@ class RunResult:
     steps: int
 
 
-@dataclass
-class _Frame:
-    function: str
-    block: str
-    index: int
-    locals: dict[str, int]
-    ret_dest: str | None
+# Opcodes of the lowered form. Every instruction and terminator of a block
+# becomes one tuple whose first element is its opcode; an operand becomes the
+# pair (operand, is_name). Tuples of branches, jumps and calls refer to the
+# target block's instruction list directly and carry the edge index of the
+# transition, and a return carries its block's shifted hash, so no run
+# hashes a name or looks a block up by name.
+_CONST, _INPUT, _BINOP, _PRINT, _CALL, _BRANCH, _JUMP, _RETURN = range(8)
+_COMPARE = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">=": operator.ge,
+    ">": operator.gt,
+}
+_MASK = MAP_SIZE - 1
+
+
+def _operand(op: Operand) -> tuple[Operand, bool]:
+    return op, isinstance(op, str)
+
+
+def _lower(program: Program) -> tuple[list[tuple], int]:
+    """Each block as a list of opcode tuples, terminator last.
+
+    Returns the entry block's list and the edge index of the virtual start
+    transition. Every location is hashed exactly once here.
+    """
+    functions = program.functions
+    hashes = {
+        (fname, bid): _location_hash((fname, bid))
+        for fname, func in functions.items()
+        for bid in func.blocks
+    }
+    codes: dict[tuple[str, str], list[tuple]] = {loc: [] for loc in hashes}
+
+    def edge(src: tuple[str, str], dst: tuple[str, str]) -> int:
+        return ((hashes[src] >> 1) ^ hashes[dst]) & _MASK
+
+    for here, code in codes.items():
+        fname, bid = here
+        block = functions[fname].blocks[bid]
+        for instr in block.instructions:
+            if isinstance(instr, Const):
+                code.append((_CONST, instr.dest, instr.value))
+            elif isinstance(instr, ReadInput):
+                code.append((_INPUT, instr.dest))
+            elif isinstance(instr, BinOp):
+                code.append(
+                    (_BINOP, instr.dest, instr.op, *_operand(instr.lhs), *_operand(instr.rhs))
+                )
+            elif isinstance(instr, Print):
+                code.append((_PRINT, *_operand(instr.operand)))
+            elif isinstance(instr, Call):
+                callee = functions[instr.callee]
+                entry = (instr.callee, callee.entry_block)
+                args = tuple(
+                    (param, *_operand(arg)) for param, arg in zip(callee.params, instr.args)
+                )
+                code.append((
+                    _CALL, instr.callee, codes[entry], args, instr.dest,
+                    edge(here, entry), hashes[here] & _MASK,
+                ))
+        term = block.terminator
+        if isinstance(term, Branch):
+            then, other = (fname, term.then_block), (fname, term.else_block)
+            code.append((
+                _BRANCH, _COMPARE[term.cmp], *_operand(term.lhs), *_operand(term.rhs),
+                codes[then], edge(here, then), codes[other], edge(here, other),
+            ))
+        elif isinstance(term, Jump):
+            target = (fname, term.target)
+            code.append((_JUMP, codes[target], edge(here, target)))
+        else:
+            value = 0 if term.value is None else term.value
+            code.append((_RETURN, *_operand(value), (hashes[here] >> 1) & _MASK))
+
+    entry = (program.entry, functions[program.entry].entry_block)
+    start = ((_location_hash(_START_LOCATION) >> 1) ^ hashes[entry]) & _MASK
+    return codes[entry], start
 
 
 def run_concrete(
     program: Program, input_values: Sequence[int], step_limit: int = DEFAULT_STEP_LIMIT
 ) -> RunResult:
-    """Execute the program from its entry function on one input vector."""
+    """Execute the program from its entry function on one input vector.
+
+    The program must be valid, as ``parse_program`` and
+    ``generate_program`` leave it.
+    """
     if step_limit <= 0:
         raise ValueError("step limit must be positive")
+    lowered = getattr(program, "_lowered", None)
+    if lowered is None:
+        lowered = _lower(program)
+        # Stored on the (frozen) program, so the lowered form is built once
+        # per program and freed with it.
+        object.__setattr__(program, "_lowered", lowered)
+    code, start_edge = lowered
 
-    functions = program.functions
-    entry = functions[program.entry]
-    frames = [_Frame(program.entry, entry.entry_block, 0, {}, None)]
     covered = {program.entry}
-    edges: set[int] = set()
+    edges = {start_edge}
     printed: list[int] = []
+    # Callers' (code, index, locals, result local, block hash) while a callee runs.
+    stack: list[tuple] = []
+    env: dict[str, int] = {}
+    index = 0
     input_pos = 0
     steps = 0
-    prev_location = _START_LOCATION
-
-    def transition(cur: tuple[str, str]) -> None:
-        nonlocal prev_location
-        edges.add(edge_index(prev_location, cur))
-        prev_location = cur
-
-    transition((program.entry, entry.entry_block))
-
-    def value_of(frame: _Frame, op: Operand) -> int:
-        if isinstance(op, int):
-            return op
-        return frame.locals.get(op, 0)
-
     outcome = Outcome.COMPLETED
-    while frames:
+    while True:
         if steps >= step_limit:
             outcome = Outcome.STEP_LIMIT_EXCEEDED
             break
         steps += 1
-        frame = frames[-1]
-        block = functions[frame.function].blocks[frame.block]
-
-        if frame.index < len(block.instructions):
-            instr = block.instructions[frame.index]
-            frame.index += 1
-            if isinstance(instr, Const):
-                frame.locals[instr.dest] = instr.value
-            elif isinstance(instr, ReadInput):
-                if input_pos < len(input_values):
-                    frame.locals[instr.dest] = wrap32(input_values[input_pos])
-                    input_pos += 1
-                else:
-                    frame.locals[instr.dest] = 0
-            elif isinstance(instr, BinOp):
-                try:
-                    frame.locals[instr.dest] = apply_binop(
-                        instr.op, value_of(frame, instr.lhs), value_of(frame, instr.rhs)
-                    )
-                except ZeroDivisionError:
-                    outcome = Outcome.ARITHMETIC_FAULT
-                    break
-            elif isinstance(instr, Print):
-                printed.append(value_of(frame, instr.operand))
-            elif isinstance(instr, Call):
-                callee = functions[instr.callee]
-                args = {
-                    param: value_of(frame, arg)
-                    for param, arg in zip(callee.params, instr.args)
-                }
-                covered.add(instr.callee)
-                frames.append(
-                    _Frame(instr.callee, callee.entry_block, 0, args, instr.dest)
+        instr = code[index]
+        index += 1
+        op = instr[0]
+        if op == _BRANCH:
+            _, compare, lhs, lhs_name, rhs, rhs_name, then, then_edge, other, other_edge = instr
+            if compare(env.get(lhs, 0) if lhs_name else lhs, env.get(rhs, 0) if rhs_name else rhs):
+                code = then
+                edges.add(then_edge)
+            else:
+                code = other
+                edges.add(other_edge)
+            index = 0
+        elif op == _CALL:
+            _, callee, entry, args, dest, call_edge, caller_hash = instr
+            stack.append((code, index, env, dest, caller_hash))
+            caller_env = env
+            env = {}
+            for param, arg, name in args:
+                env[param] = caller_env.get(arg, 0) if name else arg
+            code = entry
+            index = 0
+            covered.add(callee)
+            edges.add(call_edge)
+        elif op == _RETURN:
+            value = env.get(instr[1], 0) if instr[2] else instr[1]
+            if not stack:
+                break
+            code, index, env, dest, caller_hash = stack.pop()
+            edges.add(instr[3] ^ caller_hash)
+            if dest is not None:
+                env[dest] = value
+        elif op == _JUMP:
+            code = instr[1]
+            index = 0
+            edges.add(instr[2])
+        elif op == _BINOP:
+            _, dest, binop, lhs, lhs_name, rhs, rhs_name = instr
+            try:
+                env[dest] = apply_binop(
+                    binop,
+                    env.get(lhs, 0) if lhs_name else lhs,
+                    env.get(rhs, 0) if rhs_name else rhs,
                 )
-                transition((instr.callee, callee.entry_block))
-            continue
-
-        term = block.terminator
-        if isinstance(term, Branch):
-            taken = apply_cmp(
-                term.cmp, value_of(frame, term.lhs), value_of(frame, term.rhs)
-            )
-            frame.block = term.then_block if taken else term.else_block
-            frame.index = 0
-            transition((frame.function, frame.block))
-        elif isinstance(term, Jump):
-            frame.block = term.target
-            frame.index = 0
-            transition((frame.function, frame.block))
+            except ZeroDivisionError:
+                outcome = Outcome.ARITHMETIC_FAULT
+                break
+        elif op == _CONST:
+            env[instr[1]] = instr[2]
+        elif op == _INPUT:
+            if input_pos < len(input_values):
+                env[instr[1]] = wrap32(input_values[input_pos])
+                input_pos += 1
+            else:
+                env[instr[1]] = 0
         else:
-            value = 0 if term.value is None else value_of(frame, term.value)
-            finished = frames.pop()
-            if frames:
-                caller = frames[-1]
-                transition((caller.function, caller.block))
-                if finished.ret_dest is not None:
-                    caller.locals[finished.ret_dest] = value
+            printed.append(env.get(instr[1], 0) if instr[2] else instr[1])
 
     return RunResult(
         CoverageMap(frozenset(covered), frozenset(edges)),

@@ -6,6 +6,10 @@ round-robin, stacks 1..HAVOC_STACKING integer-level mutations, executes,
 and admits the mutant iff it sets an edge bit unseen so far. Budgets are
 execution counts, not wall-clock, so campaigns replay exactly.
 
+The campaign keeps its cumulative function and edge-bit sets as mutable
+sets, updated in place when an execution adds to them, and builds the
+result's ``CoverageMap`` once at the end.
+
 A campaign's test suite is its corpus plus the first witness of each
 covered function that the corpus lacks.
 """
@@ -16,16 +20,7 @@ import random
 from dataclasses import dataclass, field
 
 from .ir import INT32_MAX, INT32_MIN, Program, wrap32
-from .executor import (
-    CoverageMap,
-    EMPTY_COVERAGE,
-    DEFAULT_STEP_LIMIT,
-    InputVector,
-    Outcome,
-    RunResult,
-    merge_coverage,
-    run_concrete,
-)
+from .executor import CoverageMap, DEFAULT_STEP_LIMIT, InputVector, Outcome, run_concrete
 
 
 def _interesting_values() -> tuple[int, ...]:
@@ -153,23 +148,26 @@ def fuzz_campaign(
     seed_list = [tuple(s) for s in seeds] or [(0,)]
 
     corpus: list[CorpusEntry] = []
-    cumulative = EMPTY_COVERAGE
+    functions: set[str] = set()
+    edge_bits: set[int] = set()
     faults: list[tuple[InputVector, Outcome]] = []
     witnesses: dict[str, InputVector] = {}
     executions = 0
 
-    def execute(values: InputVector, iteration: int) -> RunResult:
-        nonlocal cumulative, executions
+    def execute(values: InputVector, iteration: int) -> None:
+        nonlocal executions
         result = run_concrete(program, values, config.step_limit)
         executions += 1
-        for fn in sorted(result.coverage.functions - cumulative.functions):
-            witnesses[fn] = values
+        coverage = result.coverage
+        if not coverage.functions <= functions:
+            for fn in sorted(coverage.functions - functions):
+                witnesses[fn] = values
+            functions.update(coverage.functions)
         if result.outcome is not Outcome.COMPLETED:
             faults.append((values, result.outcome))
-        if result.coverage.edge_bits - cumulative.edge_bits:
-            corpus.append(CorpusEntry(values, result.coverage, iteration))
-        cumulative = merge_coverage(cumulative, result.coverage)
-        return result
+        if not coverage.edge_bits <= edge_bits:
+            corpus.append(CorpusEntry(values, coverage, iteration))
+            edge_bits.update(coverage.edge_bits)
 
     iteration = 0
     for seed in seed_list:
@@ -184,4 +182,5 @@ def fuzz_campaign(
         execute(mutant, iteration)
         iteration += 1
 
+    cumulative = CoverageMap(frozenset(functions), frozenset(edge_bits))
     return FuzzResult(corpus, cumulative, executions, faults, witnesses)

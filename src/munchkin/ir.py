@@ -177,6 +177,12 @@ class Program:
     functions: dict[str, Function]
     entry: str = ENTRY_FUNCTION
 
+    def __getstate__(self) -> dict:
+        # The interpreter's lowered form is a cache on the program (see
+        # executor.run_concrete); copies and pickles leave it out and lower
+        # again on their first run.
+        return {key: value for key, value in self.__dict__.items() if key != "_lowered"}
+
 
 # ---------------------------------------------------------------------------
 # Errors

@@ -28,12 +28,20 @@ import time
 from dataclasses import dataclass
 
 from .ir import Program
-from .callgraph import CallGraph, frontier_set, index_program
+from .callgraph import CallGraph, index_program
 from .executor import CoverageMap, DEFAULT_STEP_LIMIT, InputVector, merge_coverage
 from .fuzzer import FuzzConfig, FuzzResult, fuzz_campaign
 from .report import TECHNIQUE_FS, TECHNIQUE_FUZZ, TECHNIQUE_SF, TECHNIQUE_SYMEX
 from .report import DepthRow, depth_table
-from .symex import Solver, SolverStats, Strategy, SymexLimits, SymResult, symex_campaign
+from .symex import (
+    DEFAULT_MAX_INPUTS,
+    Solver,
+    SolverStats,
+    Strategy,
+    SymexLimits,
+    SymResult,
+    symex_campaign,
+)
 
 MODE_FS = "fs"
 MODE_SF = "sf"
@@ -42,14 +50,14 @@ MODE_SF = "sf"
 @dataclass(frozen=True)
 class HybridConfig:
     mode: str = MODE_FS
-    fuzz_budget: int = 1000
+    fuzz_budget: int = FuzzConfig.budget
     symex_limits: SymexLimits = SymexLimits()
     per_target_query_budget: int = 64
     per_target_state_budget: int = 10_000
     seeds: tuple[InputVector, ...] = ((0,),)
     rng_seed: int = 0
     step_limit: int = DEFAULT_STEP_LIMIT
-    max_inputs: int = 4
+    max_inputs: int = DEFAULT_MAX_INPUTS
 
 
 @dataclass
@@ -125,14 +133,7 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
 
     while True:
         covered = coverage.functions
-        target = next(
-            (
-                name
-                for name in frontier_set(index.callgraph, covered)
-                if name not in failed and name in index.reachable
-            ),
-            None,
-        )
+        target = index.next_target(covered, failed)
         if target is None:
             break
         result = symex_campaign(

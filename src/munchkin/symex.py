@@ -62,6 +62,8 @@ from .executor import (
 ENUMERATION_CAP = 1 << 16
 # Interpreter steps after which a symbolic state is dropped.
 MAX_STEPS_PER_STATE = 100_000
+# Input values one symbolic state may read before further reads are concrete 0.
+DEFAULT_MAX_INPUTS = 4
 _PROPAGATION_ROUNDS = 100
 _INF = float("inf")
 
@@ -497,7 +499,7 @@ def symex_campaign(
     program: Program,
     search: Strategy = Strategy.BASELINE,
     limits: SymexLimits = SymexLimits(),
-    max_inputs: int = 4,
+    max_inputs: int = DEFAULT_MAX_INPUTS,
     target: str | None = None,
     *,
     rng_seed: int = 0,

@@ -1,5 +1,7 @@
 """Call-graph depths, sonar distance fields, frontier ordering."""
 
+import random
+
 import pytest
 
 from munchkin.callgraph import (
@@ -150,6 +152,27 @@ class TestFrontier:
         covered = {"main", "n_0_8"}
         ordered = frontier_set(cg, covered)
         assert sorted(ordered) == sorted(cg.nodes - covered)
+
+    @pytest.mark.parametrize("text", ["b3d2", UNREACHABLE_TEXT])
+    def test_next_target_is_the_first_eligible_function_of_the_frontier(self, text):
+        program = (
+            generate_program(GenParams(3, 2)) if text == "b3d2" else parse_program(text)
+        )
+        index = index_program(program)
+        names = sorted(program.functions)
+        rng = random.Random(0)
+        for _ in range(300):
+            covered = {"main"} | set(rng.sample(names, rng.randrange(len(names))))
+            skip = set(rng.sample(names, rng.randrange(3)))
+            expected = next(
+                (
+                    name
+                    for name in frontier_set(index.callgraph, covered)
+                    if name not in skip and name in index.reachable
+                ),
+                None,
+            )
+            assert index.next_target(covered, skip) == expected
 
     def test_covered_must_be_subset(self, chain_program):
         cg = build_callgraph(chain_program)

@@ -1,6 +1,12 @@
 """Concrete interpreter, coverage maps, test-case files."""
 
+import copy
+import gc
+import hashlib
+import json
+import pickle
 import random
+import weakref
 
 import pytest
 
@@ -53,6 +59,50 @@ block entry:
 """
 
 
+# A loop, a call whose value is used, a call whose value is dropped, a read
+# of a local that only another block assigns, division and remainder.
+PINNED_TEXT = """\
+program pinned
+
+func main()
+block entry:
+  n = input
+  d = input
+  i = const 0
+  s = const 0
+  jmp head
+block head:
+  br < i n -> body, done
+block body:
+  s = call add(s, i)
+  call note(i)
+  t = i * 3
+  i = i + 1
+  jmp head
+block done:
+  q = s / d
+  print q
+  r = s % 7
+  print r
+  print t
+  ret q
+
+func add(a, b)
+block entry:
+  c = a + b
+  br > c 100 -> big, small
+block big:
+  print c
+  ret c
+block small:
+  ret c
+
+func note(v)
+block entry:
+  ret
+"""
+
+
 class TestRunConcrete:
     def test_input_five_matches_oracle(self):
         params = GenParams(2, 3)
@@ -100,6 +150,52 @@ class TestRunConcrete:
         program = generate_program(params)
         wrapped = run_concrete(program, (1 << 32,))  # wraps to 0
         assert wrapped.coverage.functions == ground_truth_coverage(params)[0]
+
+
+class TestPinnedResults:
+    # sha256 of every result below, computed on the interpreter as it was
+    # before programs were lowered; a change here changes what tests see.
+    DIGEST = "9fc84eb3d511b1baf58005ec811bf7596e2d26532d1c8c16945e563a65227e22"
+
+    def test_results_equal_the_recorded_ones(self):
+        program = parse_program(PINNED_TEXT)
+        results = [
+            run_concrete(program, values, 400)
+            for values in [
+                (), (5, 2), (20, 3), (3, 0), (-4, 1), (30, -7), (1 << 32, 5), (2**31 - 1, 1)
+            ]
+        ]
+        full = run_concrete(program, (6, 4))
+        assert full.steps == 72
+        results += [run_concrete(program, (6, 4), limit) for limit in range(1, 74)]
+        assert {result.outcome for result in results} == set(Outcome)
+        doc = [
+            [
+                sorted(r.coverage.functions), sorted(r.coverage.edge_bits),
+                r.outcome.value, list(r.printed), r.steps,
+            ]
+            for r in results
+        ]
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == self.DIGEST
+
+    def test_a_run_program_is_freed_with_its_lowered_form(self):
+        program = parse_program(PINNED_TEXT)
+        run_concrete(program, (5, 2))
+        ref = weakref.ref(program)
+        del program
+        gc.collect()
+        assert ref() is None
+
+
+    def test_a_run_program_copies_and_pickles_without_its_lowered_form(self):
+        # A long jump chain: the lowered blocks refer to one another, which
+        # a recursive copy of them could not follow.
+        chain = "".join(f"block b{i}:\n  jmp b{i + 1}\n" for i in range(3000))
+        program = parse_program(f"program p\n\nfunc main()\n{chain}block b3000:\n  ret\n")
+        result = run_concrete(program, ())
+        for clone in (pickle.loads(pickle.dumps(program)), copy.deepcopy(program)):
+            assert clone == program
+            assert run_concrete(clone, ()) == result
 
 
 class TestCoverageMerge:

@@ -1,9 +1,12 @@
 """Coverage-guided fuzzer: determinism, admission, mutation operators."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
+from munchkin import executor
 from munchkin.callgraph import build_callgraph
 from munchkin.executor import EMPTY_COVERAGE, Outcome, merge_coverage, run_concrete
 from munchkin.fuzzer import (
@@ -103,6 +106,55 @@ class TestCampaign:
         for values in suite:
             covered |= run_concrete(program, values).coverage.functions
         assert covered == result.cumulative.functions
+
+    # sha256 of each campaign's whole output, computed on the fuzzer as it was
+    # before it kept its coverage in place and before programs were lowered.
+    @pytest.mark.parametrize(
+        "program, budget, digest",
+        [
+            (
+                generate_program(GenParams(2, 6)), 3000,
+                "cebf0c14c647faa173ca8807f386f0a05a4aa3d387f975b3cb3f7b00962bbc31",
+            ),
+            (
+                parse_program(DIV_TEXT), 300,
+                "d76e92c39a6d5a6f06ae3fb2318582cba148b2533da4b013cd8ee8cf4541d623",
+            ),
+        ],
+        ids=["b2d6", "faults"],
+    )
+    def test_output_equals_the_recorded_one(self, program, budget, digest):
+        result = fuzz_campaign(program, [(0,)], FuzzConfig(rng_seed=0, budget=budget))
+        doc = {
+            "corpus": [
+                [
+                    list(e.values), e.discovery_iteration,
+                    sorted(e.coverage.functions), sorted(e.coverage.edge_bits),
+                ]
+                for e in result.corpus
+            ],
+            "functions": sorted(result.cumulative.functions),
+            "edges": sorted(result.cumulative.edge_bits),
+            "executions": result.executions,
+            "faults": [[list(v), o.value] for v, o in result.faults],
+            "witnesses": [[name, list(v)] for name, v in result.function_witnesses.items()],
+        }
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+
+    def test_each_location_is_hashed_once_per_program(self, monkeypatch):
+        calls = []
+        real = executor.fnv1a32
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(executor, "fnv1a32", counting)
+        program = generate_program(GenParams(2, 4))
+        fuzz_campaign(program, [(0,)], FuzzConfig(rng_seed=0, budget=499))
+        locations = sum(len(func.blocks) for func in program.functions.values())
+        # Every location, plus the virtual start location.
+        assert 0 < len(calls) <= locations + 1
 
     def test_negative_budget_rejected(self):
         program = generate_program(GenParams(2, 1))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import random
 
 import pytest
@@ -224,3 +225,14 @@ class TestDeterminism:
         assert run_hybrid(program, _sf_config()).technique == TECHNIQUE_SF
         with pytest.raises(ValueError):
             run_hybrid(program, HybridConfig(mode="zz"))
+
+
+class TestDefaults:
+    def test_library_defaults_are_the_campaign_defaults(self):
+        cfg = HybridConfig()
+        assert fuzzer.FuzzConfig() == orchestrator.fuzz_config(cfg)
+        params = inspect.signature(symex.symex_campaign).parameters
+        assert params["limits"].default == cfg.symex_limits
+        assert params["max_inputs"].default == cfg.max_inputs
+        assert params["rng_seed"].default == cfg.rng_seed
+        assert params["replay_step_limit"].default == cfg.step_limit
