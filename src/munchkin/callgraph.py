@@ -8,10 +8,13 @@ block over the interprocedural block graph, whose edges are intra-function
 CFG edges, call edges from call-site blocks to callee entries, and return
 edges from callee exit blocks back to the call-site block.
 
-``index_program`` analyses a program once: its ``ProgramIndex`` holds the
-call graph, the reachable set and the reverse block graph, and memoises one
-distance field per target, so campaigns that aim at many targets share one
-analysis instead of rebuilding the block graph for each target.
+``index_program`` analyses a program once and stores the ``ProgramIndex``
+on the program object, so every campaign on that program shares it. The
+index holds the call graph, the reachable set and the reverse block graph
+over integer location ids (the numbering of ``ir.block_locations``, which
+the interpreters' lowered form uses too), and memoises one distance field
+per target. A distance field is a hop list indexed by location id, so
+sonar search ranks a symbolic state by one list lookup.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass, field
 
-from .ir import Branch, Call, Function, Jump, Program, Return
+from .ir import Branch, Call, Function, Jump, Program, Return, block_locations
 
 
 @dataclass(frozen=True)
@@ -66,16 +69,25 @@ def build_callgraph(program: Program) -> CallGraph:
     return CallGraph(frozenset(program.functions), frozenset(edges), depths)
 
 
+Location = tuple[str, str]
+
+
 @dataclass(frozen=True)
 class DistanceField:
-    """Shortest hop counts from every block location to one target entry."""
+    """Shortest hop counts from every block location to one target entry.
+
+    ``hops[i]`` is the distance from location id ``i`` (see
+    ``ir.block_locations``), or -1 when the target is unreachable from it.
+    """
 
     target: str
-    dist: dict[tuple[str, str], int]
+    hops: list[int]
+    ids: dict[Location, int] = field(repr=False, compare=False)
 
     def at(self, function: str, block: str) -> int | None:
         """Distance from a location, or None when the target is unreachable."""
-        return self.dist.get((function, block))
+        i = self.ids.get((function, block))
+        return None if i is None or self.hops[i] < 0 else self.hops[i]
 
 
 def _exit_blocks(func: Function) -> list[str]:
@@ -103,26 +115,24 @@ def interprocedural_edges(program: Program) -> set[tuple[tuple[str, str], tuple[
     return edges
 
 
-Location = tuple[str, str]
-
-
 @dataclass(frozen=True)
 class ProgramIndex:
     """Static facts of one program, computed once and shared by its campaigns.
 
-    Locations are numbered in program order; ``predecessors[i]`` lists the
-    locations with an edge into location ``i``. ``callers`` maps each
-    function to the functions that call it; ``by_depth`` lists the reachable
-    functions by ascending depth, then name, the order ``frontier_set``
-    keeps within each of its two groups. Distance fields are memoised per
+    Locations are numbered by ``ir.block_locations``, as in the lowered
+    form; ``entries`` maps each function to its entry block's location id,
+    and ``predecessors[i]`` lists the locations with an edge into location
+    ``i``. ``callers`` maps each function to the functions that call it;
+    ``by_depth`` lists the reachable functions by ascending depth, then
+    name, the order ``frontier_set`` keeps within each of its two groups. Distance fields are memoised per
     target; they are deterministic, so the memo never changes an answer.
     """
 
-    program: Program
     callgraph: CallGraph
     reachable: frozenset[str]
     locations: tuple[Location, ...]
     ids: dict[Location, int]
+    entries: dict[str, int]
     predecessors: tuple[tuple[int, ...], ...]
     callers: dict[str, tuple[str, ...]]
     by_depth: tuple[str, ...]
@@ -135,15 +145,13 @@ class ProgramIndex:
         cached = self._fields.get(target)
         if cached is not None:
             return cached
-        func = self.program.functions.get(target)
-        if func is None:
+        start = self.entries.get(target)
+        if start is None:
             raise ValueError(f"unknown target '{target}'")
 
-        locations, predecessors = self.locations, self.predecessors
-        start = self.ids[(target, func.entry_block)]
-        hops = [-1] * len(locations)
+        predecessors = self.predecessors
+        hops = [-1] * len(self.locations)
         hops[start] = 0
-        dist = {locations[start]: 0}
         queue = deque([start])
         while queue:
             loc = queue.popleft()
@@ -151,9 +159,8 @@ class ProgramIndex:
             for pred in predecessors[loc]:
                 if hops[pred] < 0:
                     hops[pred] = step
-                    dist[locations[pred]] = step
                     queue.append(pred)
-        computed = DistanceField(target, dist)
+        computed = DistanceField(target, hops, self.ids)
         self._fields[target] = computed
         return computed
 
@@ -176,11 +183,16 @@ class ProgramIndex:
 
 
 def index_program(program: Program) -> ProgramIndex:
-    """Build the call graph and the reverse interprocedural block graph once."""
+    """The program's index, built on first use and stored on the program.
+
+    Like the lowered form (``executor.lowered_form``), the index lives and
+    dies with its program, so every campaign on one program shares it.
+    """
+    index = getattr(program, "_index", None)
+    if index is not None:
+        return index
     cg = build_callgraph(program)
-    locations = tuple(
-        (fname, bid) for fname, func in program.functions.items() for bid in func.blocks
-    )
+    locations = block_locations(program)
     ids = {loc: i for i, loc in enumerate(locations)}
     predecessors: list[list[int]] = [[] for _ in locations]
     for src, dst in interprocedural_edges(program):
@@ -188,23 +200,22 @@ def index_program(program: Program) -> ProgramIndex:
     callers: dict[str, list[str]] = {name: [] for name in program.functions}
     for caller, callee in sorted(cg.edges):
         callers[callee].append(caller)
-    return ProgramIndex(
-        program,
+    index = ProgramIndex(
         cg,
         cg.reachable(),
         locations,
         ids,
+        {name: ids[(name, func.entry_block)] for name, func in program.functions.items()},
         tuple(tuple(sorted(preds)) for preds in predecessors),
         {name: tuple(names) for name, names in callers.items()},
         tuple(sorted(cg.reachable(), key=lambda name: _frontier_key(cg, name, False))),
     )
+    object.__setattr__(program, "_index", index)
+    return index
 
 
 def sonar_distances(program: Program, target: str) -> DistanceField:
-    """Distance field of one target; analyses the whole program per call.
-
-    Campaigns over many targets should share ``index_program(program)``.
-    """
+    """Distance field of one target, from the program's index."""
     return index_program(program).distances(target)
 
 

@@ -210,7 +210,6 @@ def _cmd_symex(args, config) -> int:
     program = _read_program(args.program)
     cfg = _campaign_config(args, config)
     out = _out_dir(args, "symex")
-    index = index_program(program)
     started = time.perf_counter()
     result = symex_campaign(
         program,
@@ -219,10 +218,9 @@ def _cmd_symex(args, config) -> int:
         cfg.max_inputs,
         target=args.target,
         rng_seed=cfg.rng_seed,
-        index=index,
         replay_step_limit=cfg.step_limit,
     )
-    rep = symex_report(index.callgraph, result, started)
+    rep = symex_report(index_program(program).callgraph, result, started)
     for number, tc in enumerate(result.test_cases):
         write_input_file(out / f"test-{number}.txt", tc.values)
     _write_report(rep, out)

@@ -16,13 +16,14 @@ A virtual start location ("", "") precedes the entry block, so every run
 sets at least one bit. The hash is a pure function of names, making
 bitmaps comparable across runs and processes; collisions are accepted.
 
-The first ``run_concrete`` of a program lowers it: every block becomes a
-list of small opcode tuples, each location is hashed once, and branches,
-jumps and calls refer to their target blocks directly with the edge index
-of the transition precomputed. The lowered form is stored on the program
-object, so it is built once per program (never by ``parse_program``) and
-freed with it. Lowering changes no result: the edge hash above and the
-bitmap are bit-for-bit those of a direct interpretation of the IR.
+The first run of a program lowers it (``lowered_form``): each location is
+hashed once, every block becomes a list of small opcode tuples, and
+branches, jumps and calls hold their targets' blocks, edge indexes and
+location ids (the numbering of ``ir.block_locations``). The lowered form is
+stored on the program object, built once per program (never by
+``parse_program``) and freed with it. The symbolic interpreter runs the same
+tuples. Lowering changes no result: the edge hash above and the bitmap are
+bit-for-bit those of a direct interpretation of the IR.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .ir import (
     Program,
     ReadInput,
     apply_binop,
+    block_locations,
     wrap32,
 )
 
@@ -106,13 +108,15 @@ class RunResult:
     steps: int
 
 
-# Opcodes of the lowered form. Every instruction and terminator of a block
-# becomes one tuple whose first element is its opcode; an operand becomes the
-# pair (operand, is_name). Tuples of branches, jumps and calls refer to the
-# target block's instruction list directly and carry the edge index of the
-# transition, and a return carries its block's shifted hash, so no run
-# hashes a name or looks a block up by name.
-_CONST, _INPUT, _BINOP, _PRINT, _CALL, _BRANCH, _JUMP, _RETURN = range(8)
+# Opcodes of the lowered form, shared by this interpreter and the symbolic
+# one (symex). Every instruction and terminator of a block becomes one tuple
+# whose first element is its opcode; an operand becomes the pair (operand,
+# is_name). A transfer (branch, jump, call) holds, for each target, the
+# target block's instruction list, the edge index of the transition and the
+# target's location id; a branch also holds its comparison as an ``operator``
+# function and as its IR string. A return holds its block's shifted hash. So
+# no run hashes a name or looks a block up by name.
+OP_CONST, OP_INPUT, OP_BINOP, OP_PRINT, OP_CALL, OP_BRANCH, OP_JUMP, OP_RETURN = range(8)
 _COMPARE = {
     "<": operator.lt,
     "<=": operator.le,
@@ -123,69 +127,83 @@ _COMPARE = {
 }
 _MASK = MAP_SIZE - 1
 
+# (blocks by location id, entry location id, edge index of the start transition)
+Lowered = tuple[list[list[tuple]], int, int]
+
 
 def _operand(op: Operand) -> tuple[Operand, bool]:
     return op, isinstance(op, str)
 
 
-def _lower(program: Program) -> tuple[list[tuple], int]:
+def _lower(program: Program) -> Lowered:
     """Each block as a list of opcode tuples, terminator last.
 
-    Returns the entry block's list and the edge index of the virtual start
-    transition. Every location is hashed exactly once here.
+    Every location is hashed exactly once here.
     """
     functions = program.functions
-    hashes = {
-        (fname, bid): _location_hash((fname, bid))
-        for fname, func in functions.items()
-        for bid in func.blocks
-    }
-    codes: dict[tuple[str, str], list[tuple]] = {loc: [] for loc in hashes}
+    locations = block_locations(program)
+    ids = {loc: i for i, loc in enumerate(locations)}
+    hashes = [_location_hash(loc) for loc in locations]
+    codes: list[list[tuple]] = [[] for _ in locations]
 
-    def edge(src: tuple[str, str], dst: tuple[str, str]) -> int:
-        return ((hashes[src] >> 1) ^ hashes[dst]) & _MASK
+    def transfer(src: int, dst: tuple[str, str]) -> tuple[list[tuple], int, int]:
+        """Target code, edge index and target location id of ``src -> dst``."""
+        i = ids[dst]
+        return codes[i], ((hashes[src] >> 1) ^ hashes[i]) & _MASK, i
 
-    for here, code in codes.items():
-        fname, bid = here
+    for here, (fname, bid) in enumerate(locations):
+        code = codes[here]
         block = functions[fname].blocks[bid]
         for instr in block.instructions:
             if isinstance(instr, Const):
-                code.append((_CONST, instr.dest, instr.value))
+                code.append((OP_CONST, instr.dest, instr.value))
             elif isinstance(instr, ReadInput):
-                code.append((_INPUT, instr.dest))
+                code.append((OP_INPUT, instr.dest))
             elif isinstance(instr, BinOp):
                 code.append(
-                    (_BINOP, instr.dest, instr.op, *_operand(instr.lhs), *_operand(instr.rhs))
+                    (OP_BINOP, instr.dest, instr.op, *_operand(instr.lhs), *_operand(instr.rhs))
                 )
             elif isinstance(instr, Print):
-                code.append((_PRINT, *_operand(instr.operand)))
+                code.append((OP_PRINT, *_operand(instr.operand)))
             elif isinstance(instr, Call):
                 callee = functions[instr.callee]
-                entry = (instr.callee, callee.entry_block)
                 args = tuple(
                     (param, *_operand(arg)) for param, arg in zip(callee.params, instr.args)
                 )
                 code.append((
-                    _CALL, instr.callee, codes[entry], args, instr.dest,
-                    edge(here, entry), hashes[here] & _MASK,
+                    OP_CALL, instr.callee, *transfer(here, (instr.callee, callee.entry_block)),
+                    args, instr.dest, hashes[here] & _MASK,
                 ))
         term = block.terminator
         if isinstance(term, Branch):
-            then, other = (fname, term.then_block), (fname, term.else_block)
             code.append((
-                _BRANCH, _COMPARE[term.cmp], *_operand(term.lhs), *_operand(term.rhs),
-                codes[then], edge(here, then), codes[other], edge(here, other),
+                OP_BRANCH, _COMPARE[term.cmp], *_operand(term.lhs), *_operand(term.rhs),
+                *transfer(here, (fname, term.then_block)),
+                *transfer(here, (fname, term.else_block)), term.cmp,
             ))
         elif isinstance(term, Jump):
-            target = (fname, term.target)
-            code.append((_JUMP, codes[target], edge(here, target)))
+            code.append((OP_JUMP, *transfer(here, (fname, term.target))))
         else:
             value = 0 if term.value is None else term.value
-            code.append((_RETURN, *_operand(value), (hashes[here] >> 1) & _MASK))
+            code.append((OP_RETURN, *_operand(value), (hashes[here] >> 1) & _MASK))
 
-    entry = (program.entry, functions[program.entry].entry_block)
+    entry = ids[(program.entry, functions[program.entry].entry_block)]
     start = ((_location_hash(_START_LOCATION) >> 1) ^ hashes[entry]) & _MASK
-    return codes[entry], start
+    return codes, entry, start
+
+
+def lowered_form(program: Program) -> Lowered:
+    """The program's lowered form, built on first use and stored on the program.
+
+    Stored on the (frozen) program object, so it is built once per program
+    and freed with it. The program must be valid, as ``parse_program`` and
+    ``generate_program`` leave it.
+    """
+    lowered = getattr(program, "_lowered", None)
+    if lowered is None:
+        lowered = _lower(program)
+        object.__setattr__(program, "_lowered", lowered)
+    return lowered
 
 
 def run_concrete(
@@ -198,13 +216,8 @@ def run_concrete(
     """
     if step_limit <= 0:
         raise ValueError("step limit must be positive")
-    lowered = getattr(program, "_lowered", None)
-    if lowered is None:
-        lowered = _lower(program)
-        # Stored on the (frozen) program, so the lowered form is built once
-        # per program and freed with it.
-        object.__setattr__(program, "_lowered", lowered)
-    code, start_edge = lowered
+    codes, entry_id, start_edge = lowered_form(program)
+    code = codes[entry_id]
 
     covered = {program.entry}
     edges = {start_edge}
@@ -224,8 +237,9 @@ def run_concrete(
         instr = code[index]
         index += 1
         op = instr[0]
-        if op == _BRANCH:
-            _, compare, lhs, lhs_name, rhs, rhs_name, then, then_edge, other, other_edge = instr
+        if op == OP_BRANCH:
+            (_, compare, lhs, lhs_name, rhs, rhs_name,
+             then, then_edge, _, other, other_edge, _, _) = instr
             if compare(env.get(lhs, 0) if lhs_name else lhs, env.get(rhs, 0) if rhs_name else rhs):
                 code = then
                 edges.add(then_edge)
@@ -233,8 +247,8 @@ def run_concrete(
                 code = other
                 edges.add(other_edge)
             index = 0
-        elif op == _CALL:
-            _, callee, entry, args, dest, call_edge, caller_hash = instr
+        elif op == OP_CALL:
+            _, callee, entry, call_edge, _, args, dest, caller_hash = instr
             stack.append((code, index, env, dest, caller_hash))
             caller_env = env
             env = {}
@@ -244,7 +258,7 @@ def run_concrete(
             index = 0
             covered.add(callee)
             edges.add(call_edge)
-        elif op == _RETURN:
+        elif op == OP_RETURN:
             value = env.get(instr[1], 0) if instr[2] else instr[1]
             if not stack:
                 break
@@ -252,11 +266,11 @@ def run_concrete(
             edges.add(instr[3] ^ caller_hash)
             if dest is not None:
                 env[dest] = value
-        elif op == _JUMP:
+        elif op == OP_JUMP:
             code = instr[1]
             index = 0
             edges.add(instr[2])
-        elif op == _BINOP:
+        elif op == OP_BINOP:
             _, dest, binop, lhs, lhs_name, rhs, rhs_name = instr
             try:
                 env[dest] = apply_binop(
@@ -267,9 +281,9 @@ def run_concrete(
             except ZeroDivisionError:
                 outcome = Outcome.ARITHMETIC_FAULT
                 break
-        elif op == _CONST:
+        elif op == OP_CONST:
             env[instr[1]] = instr[2]
-        elif op == _INPUT:
+        elif op == OP_INPUT:
             if input_pos < len(input_values):
                 env[instr[1]] = wrap32(input_values[input_pos])
                 input_pos += 1

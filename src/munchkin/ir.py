@@ -178,10 +178,21 @@ class Program:
     entry: str = ENTRY_FUNCTION
 
     def __getstate__(self) -> dict:
-        # The interpreter's lowered form is a cache on the program (see
-        # executor.run_concrete); copies and pickles leave it out and lower
-        # again on their first run.
-        return {key: value for key, value in self.__dict__.items() if key != "_lowered"}
+        # The lowered form (executor.lowered_form) and the index
+        # (callgraph.index_program) are caches stored on the program; copies
+        # and pickles leave them out and rebuild them on first use.
+        return {k: v for k, v in self.__dict__.items() if k not in ("_lowered", "_index")}
+
+
+def block_locations(program: Program) -> tuple[tuple[str, str], ...]:
+    """Every (function, block) location in program order.
+
+    A location's position in this tuple is its location id, the one
+    numbering that the lowered form and the program index share.
+    """
+    return tuple(
+        (fname, bid) for fname, func in program.functions.items() for bid in func.blocks
+    )
 
 
 # ---------------------------------------------------------------------------

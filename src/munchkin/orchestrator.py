@@ -5,9 +5,9 @@ still-uncovered function (frontier functions first, by ascending call
 depth), re-merging replay-validated coverage after every target so that
 functions covered en route are never targeted. All targeted runs share one
 solver with its query cache, mirroring what a single long
-symbolic-execution run gets for free, and one ``ProgramIndex``, so the
-program's call graph and block graph are built once per campaign and each
-target costs one BFS for its distance field.
+symbolic-execution run gets for free, and the program's ``ProgramIndex``,
+which is built once per program and shared by every campaign on it, so
+each target costs at most one BFS for its distance field.
 
 SF runs bounded symbolic execution first to produce one test case per
 newly covered function, then fuzzes from those seeds (falling back to the
@@ -144,7 +144,6 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
             target=target,
             rng_seed=cfg.rng_seed,
             solver=solver,
-            index=index,
             already_covered=covered,
             replay_step_limit=cfg.step_limit,
         )
@@ -165,15 +164,12 @@ def run_sf(program: Program, cfg: HybridConfig) -> CampaignReport:
     if cfg.mode != MODE_SF:
         raise ValueError("config mode must be 'sf'")
     started = time.perf_counter()
-    index = index_program(program)
-
     sym_result = symex_campaign(
         program,
         Strategy.BASELINE,
         cfg.symex_limits,
         cfg.max_inputs,
         rng_seed=cfg.rng_seed,
-        index=index,
         replay_step_limit=cfg.step_limit,
     )
     symex_suite = [tc.values for tc in sym_result.test_cases]
@@ -184,7 +180,7 @@ def run_sf(program: Program, cfg: HybridConfig) -> CampaignReport:
     test_suite = symex_suite + [v for v in fuzz_result.test_suite() if v not in known]
 
     return make_report(
-        TECHNIQUE_SF, index.callgraph, coverage, sym_result.stats,
+        TECHNIQUE_SF, index_program(program).callgraph, coverage, sym_result.stats,
         executions, test_suite, started,
     )
 
@@ -193,11 +189,11 @@ def run_baselines(
     program: Program, cfg: HybridConfig
 ) -> tuple[CampaignReport, CampaignReport]:
     """Fuzz-only and symex-only reports under the config's budgets."""
-    index = index_program(program)
+    cg = index_program(program).callgraph
 
     started = time.perf_counter()
     fuzz_result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))
-    fuzz_rep = fuzz_report(index.callgraph, fuzz_result, started)
+    fuzz_rep = fuzz_report(cg, fuzz_result, started)
 
     started = time.perf_counter()
     sym_result = symex_campaign(
@@ -206,10 +202,9 @@ def run_baselines(
         cfg.symex_limits,
         cfg.max_inputs,
         rng_seed=cfg.rng_seed,
-        index=index,
         replay_step_limit=cfg.step_limit,
     )
-    return fuzz_rep, symex_report(index.callgraph, sym_result, started)
+    return fuzz_rep, symex_report(cg, sym_result, started)
 
 
 def run_hybrid(program: Program, cfg: HybridConfig) -> CampaignReport:

@@ -1,5 +1,9 @@
 """Symbolic execution over the mini IR.
 
+It runs the lowered form that ``run_concrete`` runs
+(``executor.lowered_form``) with symbolic operands, so each program's IR is
+decoded once, for both interpreters.
+
 Values are linear expressions ``c0 + sum(ci * xi)`` over the symbolic
 input variables (one fresh variable per ``input`` read, up to a cap), or
 Opaque when a nonlinear operation mixes symbolic operands. States fork at
@@ -16,15 +20,15 @@ does return is verified against wrap-around semantics by evaluation.
 Results are cached by canonical path condition; cache hits are not
 charged as queries.
 
-Sonar search picks the state nearest to its target function, by the
-target's distance field from the program's ``ProgramIndex``. A campaign
-analyses the program itself unless the caller passes an index, and keeps
-its own solver unless the caller passes one; FS passes both, shared across
-all its targeted runs.
+Sonar search picks the state nearest to its target function: the target's
+distance field (from ``index_program``) is a hop list indexed by location
+id, read at the state's top frame. A campaign keeps its own solver unless
+the caller passes one; FS shares one across all its targeted runs.
 
 A test case is emitted whenever a state enters a function not covered by
 previously emitted test cases. Every emitted input vector is validated by
-concrete replay, and only replay coverage is reported.
+concrete replay, and only replay coverage is reported; it is gathered in
+place and becomes one ``CoverageMap`` when the campaign ends.
 """
 
 from __future__ import annotations
@@ -34,28 +38,20 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .ir import (
-    BinOp,
-    Call,
-    Const,
-    INT32_MAX,
-    INT32_MIN,
-    Jump,
-    Operand,
-    Program,
-    ReadInput,
-    Return,
-    apply_binop,
-    apply_cmp,
-    wrap32,
-)
-from .callgraph import DistanceField, ProgramIndex, index_program
+from .ir import INT32_MAX, INT32_MIN, Program, apply_binop, apply_cmp, wrap32
+from .callgraph import DistanceField, index_program
 from .executor import (
+    OP_BINOP,
+    OP_BRANCH,
+    OP_CALL,
+    OP_CONST,
+    OP_INPUT,
+    OP_JUMP,
+    OP_RETURN,
     CoverageMap,
     DEFAULT_STEP_LIMIT,
-    EMPTY_COVERAGE,
     InputVector,
-    merge_coverage,
+    lowered_form,
     run_concrete,
 )
 
@@ -77,6 +73,7 @@ class Opaque:
     """Result of an operation the linear domain cannot represent."""
 
     _instance: "Opaque | None" = None
+    is_const = False  # so ``v.is_const`` tests any symbolic value
 
     def __new__(cls) -> "Opaque":
         if cls._instance is None:
@@ -131,12 +128,12 @@ def _scale(a: LinExpr, k: int) -> LinExpr:
 
 def sym_binop(op: str, lhs: SymValue, rhs: SymValue) -> SymValue | None:
     """Symbolic arithmetic; None signals a definite arithmetic fault."""
-    if isinstance(lhs, LinExpr) and lhs.is_const and isinstance(rhs, LinExpr) and rhs.is_const:
+    if lhs.is_const and rhs.is_const:
         try:
             return lin_const(apply_binop(op, lhs.const, rhs.const))
         except ZeroDivisionError:
             return None
-    if op in ("/", "%") and isinstance(rhs, LinExpr) and rhs.is_const and rhs.const == 0:
+    if op in ("/", "%") and rhs.is_const and rhs.const == 0:
         return None
     if isinstance(lhs, Opaque) or isinstance(rhs, Opaque):
         return OPAQUE
@@ -394,46 +391,24 @@ class Strategy(Enum):
     SONAR = "sonar"
 
 
-@dataclass
-class _Frame:
-    function: str
-    block: str
-    index: int
-    store: dict[str, SymValue]
-    ret_dest: str | None
-
-    def copy(self) -> "_Frame":
-        return _Frame(self.function, self.block, self.index, dict(self.store), self.ret_dest)
+# (lowered block, index of its next instruction, the block's location id,
+#  local store, the caller's local that receives the return value)
+Frame = tuple[list[tuple], int, int, dict[str, SymValue], str | None]
 
 
 @dataclass
 class SymState:
-    frames: list[_Frame]
+    frames: list[Frame]
     pc: list[Constraint]
     inputs_read: int = 0
     queries_charged: int = 0
     steps: int = 0
     seq: int = 0
 
-    @property
-    def location(self) -> tuple[str, str]:
-        frame = self.frames[-1]
-        return frame.function, frame.block
-
-    def fork(self, seq: int) -> "SymState":
-        return SymState(
-            [f.copy() for f in self.frames],
-            list(self.pc),
-            self.inputs_read,
-            self.queries_charged,
-            self.steps,
-            seq,
-        )
-
 
 def _sonar_rank(state: SymState, df: DistanceField) -> tuple[float, int, int]:
-    dist = df.at(*state.location)
-    return (_INF if dist is None else dist, state.queries_charged, state.seq)
+    hops = df.hops[state.frames[-1][2]]
+    return (_INF if hops < 0 else hops, state.queries_charged, state.seq)
 
 
 def _select_index(
@@ -504,7 +479,6 @@ def symex_campaign(
     *,
     rng_seed: int = 0,
     solver: Solver | None = None,
-    index: ProgramIndex | None = None,
     already_covered: Iterable[str] = (),
     replay_step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> SymResult:
@@ -516,9 +490,6 @@ def symex_campaign(
     soon as the target is entered and a test case for it was produced.
     Limit checks run between state slices, so tight query budgets may be
     overshot by one fork.
-
-    ``index`` supplies the reachable set and the sonar distance fields;
-    without one the campaign analyses the program itself.
     """
     if limits.max_states <= 0 or limits.max_queries <= 0:
         raise ValueError("limits must be positive")
@@ -530,26 +501,24 @@ def symex_campaign(
     solver = solver if solver is not None else Solver()
     stats_start = solver.stats.copy()
     rng = random.Random(rng_seed)
-    if index is None:
-        index = index_program(program)
-    elif index.program is not program:
-        raise ValueError("index was built for another program")
+    index = index_program(program)
     df = index.distances(target) if search is Strategy.SONAR else None
     reachable = index.reachable
     emitted_covered = set(already_covered)
     test_cases: list[TestCase] = []
-    coverage = EMPTY_COVERAGE
+    functions: set[str] = set()
+    edge_bits: set[int] = set()
     target_reached = False
 
     def emit(state: SymState) -> bool:
-        nonlocal coverage
         result = solver.solve(state.pc, state.inputs_read)
         if not result.is_sat:
             return False
         replay = run_concrete(program, result.model, replay_step_limit)
         test_cases.append(TestCase(result.model, replay.coverage.functions))
         emitted_covered.update(replay.coverage.functions)
-        coverage = merge_coverage(coverage, replay.coverage)
+        functions.update(replay.coverage.functions)
+        edge_bits.update(replay.coverage.edge_bits)
         return True
 
     def on_entry(state: SymState, function: str) -> None:
@@ -559,118 +528,112 @@ def symex_campaign(
         elif function not in emitted_covered:
             emit(state)
 
-    def operand_value(frame: _Frame, op: Operand) -> SymValue:
-        if isinstance(op, int):
-            return lin_const(op)
-        return frame.store.get(op, lin_const(0))
-
+    codes, entry_id, _ = lowered_form(program)
+    zero = lin_const(0)
     seq = 0
-    entry = program.functions[program.entry]
-    initial = SymState([_Frame(program.entry, entry.entry_block, 0, {}, None)], [])
+    initial = SymState([(codes[entry_id], 0, entry_id, {}, None)], [])
     frontier: list[SymState] = [initial]
     states_explored = 0
 
     def run_slice(state: SymState) -> list[SymState]:
+        """Run a state up to its next two-way fork or its end; return its successors.
+
+        This is ``run_concrete``'s loop over the same lowered blocks, with
+        symbolic values. While it runs, the running frame lives in locals
+        and ``state.frames`` holds its callers.
+        """
         nonlocal seq
+        frames = state.frames
+        code, index, loc, store, ret_dest = frames.pop()
         while True:
             if state.steps >= MAX_STEPS_PER_STATE:
                 return []
-            frame = state.frames[-1]
-            block = program.functions[frame.function].blocks[frame.block]
-
-            if frame.index < len(block.instructions):
-                instr = block.instructions[frame.index]
-                frame.index += 1
-                state.steps += 1
-                if isinstance(instr, Const):
-                    frame.store[instr.dest] = lin_const(instr.value)
-                elif isinstance(instr, ReadInput):
-                    if state.inputs_read < max_inputs:
-                        frame.store[instr.dest] = lin_var(state.inputs_read)
-                        state.inputs_read += 1
-                    else:
-                        frame.store[instr.dest] = lin_const(0)
-                elif isinstance(instr, BinOp):
-                    value = sym_binop(
-                        instr.op,
-                        operand_value(frame, instr.lhs),
-                        operand_value(frame, instr.rhs),
-                    )
-                    if value is None:
-                        return []  # definite fault ends the path
-                    frame.store[instr.dest] = value
-                elif isinstance(instr, Call):
-                    callee = program.functions[instr.callee]
-                    store = {
-                        param: operand_value(frame, arg)
-                        for param, arg in zip(callee.params, instr.args)
-                    }
-                    state.frames.append(
-                        _Frame(instr.callee, callee.entry_block, 0, store, instr.dest)
-                    )
-                    on_entry(state, instr.callee)
-                continue
-
-            term = block.terminator
             state.steps += 1
-            if isinstance(term, Jump):
-                frame.block = term.target
-                frame.index = 0
-                continue
-            if isinstance(term, Return):
-                value = (
-                    lin_const(0)
-                    if term.value is None
-                    else operand_value(frame, term.value)
-                )
-                finished = state.frames.pop()
-                if not state.frames:
+            instr = code[index]
+            index += 1
+            op = instr[0]
+            if op == OP_BRANCH:
+                (_, compare, lhs, lhs_name, rhs, rhs_name,
+                 then, _, then_id, other, _, other_id, cmp) = instr
+                lhs = store.get(lhs, zero) if lhs_name else lin_const(lhs)
+                rhs = store.get(rhs, zero) if rhs_name else lin_const(rhs)
+                if lhs.is_const and rhs.is_const:
+                    if compare(lhs.const, rhs.const):
+                        code, loc = then, then_id
+                    else:
+                        code, loc = other, other_id
+                    index = 0
+                    continue
+
+                then_c = Constraint(cmp, lhs, rhs)
+                feasible = []
+                for successor in (
+                    (then_c, then, then_id),
+                    (negate_constraint(then_c), other, other_id),
+                ):
+                    verdict = solver.solve(state.pc + [successor[0]], state.inputs_read)
+                    if verdict.status != UNSAT:
+                        feasible.append(successor)
+                if not feasible:
+                    return []
+                if len(feasible) == 1:
+                    constraint, code, loc = feasible[0]
+                    index = 0
+                    state.pc.append(constraint)
+                    state.queries_charged += 1
+                    continue
+                children = []
+                for constraint, target_code, target_id in feasible:
+                    seq += 1
+                    callers = [(c, i, l, dict(s), r) for c, i, l, s, r in frames]
+                    children.append(SymState(
+                        callers + [(target_code, 0, target_id, dict(store), ret_dest)],
+                        state.pc + [constraint],
+                        state.inputs_read,
+                        state.queries_charged + 1,
+                        state.steps,
+                        seq,
+                    ))
+                return children
+            elif op == OP_CALL:
+                _, callee, entry, _, callee_id, args, dest, _ = instr
+                frames.append((code, index, loc, store, ret_dest))
+                caller_store = store
+                store = {}
+                for param, arg, name in args:
+                    store[param] = caller_store.get(arg, zero) if name else lin_const(arg)
+                code, index, loc, ret_dest = entry, 0, callee_id, dest
+                on_entry(state, callee)
+            elif op == OP_RETURN:
+                value = store.get(instr[1], zero) if instr[2] else lin_const(instr[1])
+                if not frames:
                     return []  # entry function returned
-                if finished.ret_dest is not None:
-                    state.frames[-1].store[finished.ret_dest] = value
-                continue
-
-            lhs = operand_value(frame, term.lhs)
-            rhs = operand_value(frame, term.rhs)
-            if (
-                isinstance(lhs, LinExpr)
-                and lhs.is_const
-                and isinstance(rhs, LinExpr)
-                and rhs.is_const
-            ):
-                taken = apply_cmp(term.cmp, lhs.const, rhs.const)
-                frame.block = term.then_block if taken else term.else_block
-                frame.index = 0
-                continue
-
-            then_c = Constraint(term.cmp, lhs, rhs)
-            feasible = []
-            for constraint, target_block in (
-                (then_c, term.then_block),
-                (negate_constraint(then_c), term.else_block),
-            ):
-                verdict = solver.solve(state.pc + [constraint], state.inputs_read)
-                if verdict.status != UNSAT:
-                    feasible.append((constraint, target_block))
-            if not feasible:
-                return []
-            if len(feasible) == 1:
-                constraint, target_block = feasible[0]
-                state.pc.append(constraint)
-                state.queries_charged += 1
-                frame.block = target_block
-                frame.index = 0
-                continue
-            children = []
-            for constraint, target_block in feasible:
-                seq += 1
-                child = state.fork(seq)
-                child.pc.append(constraint)
-                child.queries_charged += 1
-                child.frames[-1].block = target_block
-                child.frames[-1].index = 0
-                children.append(child)
-            return children
+                dest = ret_dest
+                code, index, loc, store, ret_dest = frames.pop()
+                if dest is not None:
+                    store[dest] = value
+            elif op == OP_JUMP:
+                code, loc = instr[1], instr[3]
+                index = 0
+            elif op == OP_BINOP:
+                _, dest, binop, lhs, lhs_name, rhs, rhs_name = instr
+                value = sym_binop(
+                    binop,
+                    store.get(lhs, zero) if lhs_name else lin_const(lhs),
+                    store.get(rhs, zero) if rhs_name else lin_const(rhs),
+                )
+                if value is None:
+                    return []  # definite fault ends the path
+                store[dest] = value
+            elif op == OP_CONST:
+                store[instr[1]] = lin_const(instr[2])
+            elif op == OP_INPUT:
+                if state.inputs_read < max_inputs:
+                    store[instr[1]] = lin_var(state.inputs_read)
+                    state.inputs_read += 1
+                else:
+                    store[instr[1]] = zero
+            # A print has no symbolic effect; it only takes its step.
 
     try:
         on_entry(initial, program.entry)
@@ -689,7 +652,7 @@ def symex_campaign(
 
     return SymResult(
         test_cases,
-        coverage,
+        CoverageMap(frozenset(functions), frozenset(edge_bits)),
         solver.stats.delta(stats_start),
         states_explored,
         target_reached,

@@ -1,5 +1,7 @@
 """Call-graph depths, sonar distance fields, frontier ordering."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -84,7 +86,7 @@ class TestSonarDistances:
         program = generate_program(GenParams(2, 2))
         df = sonar_distances(program, "n_3_3")
         for src, dst in interprocedural_edges(program):
-            d_src, d_dst = df.dist.get(src), df.dist.get(dst)
+            d_src, d_dst = df.at(*src), df.at(*dst)
             if d_dst is not None:
                 assert d_src is not None and d_src <= 1 + d_dst
 
@@ -92,6 +94,15 @@ class TestSonarDistances:
         program = generate_program(GenParams(2, 2))
         index = index_program(program)
         assert index.distances("n_0_0") is index.distances("n_0_0")
+
+    def test_the_index_lives_on_its_program_but_not_in_its_copies(self):
+        program = generate_program(GenParams(2, 2))
+        pickled = pickle.dumps(program)
+        index = index_program(program)
+        index.distances("n_0_0")
+        assert index_program(program) is index
+        assert pickle.dumps(program) == pickled
+        assert index_program(copy.deepcopy(program)) is not index
 
     def test_index_rejects_unknown_target(self, chain_program):
         with pytest.raises(ValueError, match="unknown target"):

@@ -286,12 +286,11 @@ def library_reports(command, program, cfg):
         result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))
         reports = [fuzz_report(build_callgraph(program), result, started)]
     elif command == "symex":
-        index = index_program(program)
         result = symex_campaign(
             program, Strategy.BASELINE, cfg.symex_limits, cfg.max_inputs,
-            rng_seed=cfg.rng_seed, index=index, replay_step_limit=cfg.step_limit,
+            rng_seed=cfg.rng_seed, replay_step_limit=cfg.step_limit,
         )
-        reports = [symex_report(index.callgraph, result, started)]
+        reports = [symex_report(index_program(program).callgraph, result, started)]
     elif command == "baselines":
         reports = list(run_baselines(program, cfg))
     else:

@@ -23,6 +23,7 @@ from munchkin.executor import (
 )
 from munchkin.generator import GenParams, generate_program, ground_truth_coverage
 from munchkin.ir import parse_program
+from munchkin.orchestrator import HybridConfig, run_fs
 
 FAULT_TEXT = """\
 program p
@@ -181,10 +182,13 @@ class TestPinnedResults:
     def test_a_run_program_is_freed_with_its_lowered_form(self):
         program = parse_program(PINNED_TEXT)
         run_concrete(program, (5, 2))
-        ref = weakref.ref(program)
-        del program
+        # FS also stores the program's index on it.
+        analysed = generate_program(GenParams(2, 3))
+        run_fs(analysed, HybridConfig(fuzz_budget=8))
+        refs = [weakref.ref(program), weakref.ref(analysed)]
+        del program, analysed
         gc.collect()
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None]
 
 
     def test_a_run_program_copies_and_pickles_without_its_lowered_form(self):

@@ -75,23 +75,24 @@ class TestFS:
         assert report.coverage.functions <= witnessed
 
     def test_program_is_analysed_once(self, monkeypatch):
+        # Every campaign on one program shares one index: count real builds.
         program = generate_program(GenParams(2, 3))
         builds = []
+        build_index = callgraph.ProgramIndex
 
-        def counting_index(prog):
-            builds.append(prog)
-            return callgraph.index_program(prog)
+        def counting_index(*fields):
+            builds.append(fields)
+            return build_index(*fields)
 
-        for module in (orchestrator, symex):
-            monkeypatch.setattr(module, "index_program", counting_index)
+        monkeypatch.setattr(callgraph, "ProgramIndex", counting_index)
         report = run_fs(program, _fs_config(fuzz_budget=8))
         assert report.solver_stats.queries > 0  # targeted runs happened
-        assert builds == [program]
-
-        index = callgraph.index_program(program)
-        builds.clear()
-        symex.symex_campaign(program, Strategy.SONAR, target="n_3_3", index=index)
-        assert builds == []
+        run_sf(program, _sf_config(fuzz_budget=8))
+        run_baselines(program, _fs_config(fuzz_budget=8))
+        symex.symex_campaign(program, Strategy.SONAR, target="n_3_3")
+        assert len(builds) == 1
+        callgraph.index_program(generate_program(GenParams(2, 3)))
+        assert len(builds) == 2  # an equal but distinct program gets its own
 
     def test_mode_and_budget_validation(self):
         program = generate_program(GenParams(2, 1))

@@ -1,11 +1,13 @@
 """Solver, state selection, and symbolic campaigns."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from munchkin.callgraph import build_callgraph, index_program
-from munchkin.executor import run_concrete
+from munchkin.executor import lowered_form, run_concrete
 from munchkin.generator import GenParams, generate_program
 from munchkin.ir import INT32_MAX, parse_program
 from munchkin.symex import (
@@ -14,6 +16,7 @@ from munchkin.symex import (
     SolveResult,
     Solver,
     Strategy,
+    SymState,
     SymexLimits,
     _combine,
     lin_const,
@@ -142,14 +145,14 @@ class TestSolver:
 
 
 class TestSelectNextState:
-    def _states(self, program, n):
-        from munchkin.symex import SymState, _Frame
+    def _state(self, program, function, seq):
+        """A fresh state at the entry block of ``function``."""
+        codes, _, _ = lowered_form(program)
+        loc = index_program(program).entries[function]
+        return SymState([(codes[loc], 0, loc, {}, None)], [], seq=seq)
 
-        entry = program.functions["main"]
-        return [
-            SymState([_Frame("main", entry.entry_block, 0, {}, None)], [], seq=i)
-            for i in range(n)
-        ]
+    def _states(self, program, n):
+        return [self._state(program, "main", i) for i in range(n)]
 
     def test_singleton_frontier(self, chain_program):
         states = self._states(chain_program, 1)
@@ -157,10 +160,10 @@ class TestSelectNextState:
         assert select_next_state(states, Strategy.BASELINE, rng=rng) is states[0]
 
     def test_sonar_picks_smaller_distance(self, chain_program):
-        states = self._states(chain_program, 2)
-        states[0].frames[0].function = "f"  # distance 1 to g
+        # f's entry is 1 hop from g's, main's 2; the nearer state was admitted later.
+        states = [self._state(chain_program, "main", 0), self._state(chain_program, "f", 1)]
         df = index_program(chain_program).distances("g")
-        assert select_next_state(states, Strategy.SONAR, df=df) is states[0]
+        assert select_next_state(states, Strategy.SONAR, df=df) is states[1]
 
     def test_sonar_ties_break_on_charged_queries_then_seq(self, chain_program):
         states = self._states(chain_program, 3)
@@ -273,11 +276,6 @@ class TestCampaigns:
         assert result.states_explored == 0
         assert any("main" in tc.covering for tc in result.test_cases)
 
-    def test_index_of_another_program_rejected(self, chain_program):
-        program = generate_program(GenParams(2, 1))
-        with pytest.raises(ValueError, match="another program"):
-            symex_campaign(program, index=index_program(chain_program))
-
     def test_sonar_charges_at_most_what_baseline_needs(self):
         # Fresh solvers both sides; baseline budget is grown until the
         # target is first covered, which bounds its first-cover cost.
@@ -355,3 +353,149 @@ class TestCampaigns:
         program = generate_program(GenParams(2, 1))
         with pytest.raises(ValueError):
             symex_campaign(program, **kwargs)
+
+
+PINNED_TEXT = """\
+program opcodes
+
+func main()
+block entry:
+  a = input
+  b = input
+  c = input
+  k = const 7
+  print k
+  s = a + k
+  d = s - b
+  m = d * 3
+  q = m / 2
+  r = q % 5
+  print r
+  br == k 7 -> live, dead
+block dead:
+  ret
+block live:
+  br == c 0 -> body, rare
+block rare:
+  call sink()
+  br > a 5 -> spin, out
+block spin:
+  j = call loop(20000)
+  call after(j)
+  br > b 3 -> spin2, out
+block spin2:
+  call loop(60000)
+  call beyond()
+  ret 1
+block body:
+  br < d 2 -> low, high
+block low:
+  v = call twice(b)
+  br == v 42 -> win, sq
+block win:
+  call target(v)
+  ret
+block sq:
+  y = call square(a)
+  br == y 49 -> more, out
+block more:
+  call log(b)
+  ret
+block out:
+  ret
+block high:
+  br > b 100 -> crash, out
+block crash:
+  z = b / 0
+  print z
+  ret
+
+func square(x)
+block entry:
+  w = x * x
+  ret w
+
+func twice(x)
+block entry:
+  w = x + x
+  ret w
+
+func target(t)
+block entry:
+  print t
+  ret
+
+func log(t)
+block entry:
+  u = t % 3
+  br != u 0 -> odd, even
+block odd:
+  ret u
+block even:
+  ret
+
+func sink()
+block entry:
+  ret
+
+func after(n)
+block entry:
+  ret
+
+func beyond()
+block entry:
+  ret
+
+func loop(limit)
+block entry:
+  i = const 0
+  jmp head
+block head:
+  i = i + 1
+  br < i limit -> head, done
+block done:
+  ret i
+"""
+
+
+class TestPinnedCampaigns:
+    """``symex_campaign`` output on a program that runs every opcode.
+
+    The program reads past ``max_inputs`` (2), prints, runs every binary
+    operator, ends one path in a definite division fault, branches on an
+    opaque ``x * x``, calls with and without a used return value, folds
+    constant branches, and returns from a 20,000-iteration loop but not from
+    a 60,000-iteration one, which ``MAX_STEPS_PER_STATE`` cuts. The digest was recorded before symbolic execution
+    moved onto the interpreter's lowered form.
+    """
+
+    DIGEST = "2d0990c9c722f27ae069c8dfcafffd5a76dcc2ef18360816c29c543b9f688d6b"
+    RUNS = [
+        # (search, target, max_inputs, rng_seed, limits)
+        ("baseline", None, 2, 0, SymexLimits()),
+        ("baseline", None, 2, 5, SymexLimits()),
+        ("baseline", None, 4, 0, SymexLimits()),
+        ("baseline", None, 4, 0, SymexLimits(10_000, 3)),
+        ("baseline", None, 4, 0, SymexLimits(4, 10_000)),
+        ("sonar", "target", 2, 0, SymexLimits()),
+        ("sonar", "log", 2, 0, SymexLimits()),
+        ("sonar", "loop", 4, 0, SymexLimits()),
+        ("sonar", "sink", 4, 0, SymexLimits()),
+        ("sonar", "beyond", 4, 0, SymexLimits()),
+    ]
+
+    def test_output_equals_the_recorded_one(self):
+        doc = []
+        for search, target, max_inputs, seed, limits in self.RUNS:
+            result = symex_campaign(
+                parse_program(PINNED_TEXT), Strategy(search), limits, max_inputs, target,
+                rng_seed=seed, replay_step_limit=100_000,
+            )
+            stats = result.stats
+            doc.append([
+                [[list(tc.values), sorted(tc.covering)] for tc in result.test_cases],
+                sorted(result.coverage.functions), sorted(result.coverage.edge_bits),
+                [stats.queries, stats.sat, stats.unsat, stats.unknown, stats.cache_hits],
+                result.states_explored, result.target_reached,
+            ])
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == self.DIGEST
