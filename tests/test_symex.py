@@ -12,6 +12,7 @@ from munchkin.generator import GenParams, generate_program
 from munchkin.ir import INT32_MAX, parse_program
 from munchkin.symex import (
     Constraint,
+    LinExpr,
     OPAQUE,
     SolveResult,
     Solver,
@@ -142,6 +143,81 @@ class TestSolver:
         solver.solve([a, b], 1)
         solver.solve([b, a], 1)
         assert solver.stats.cache_hits == 1
+
+
+Z = lin_var(2)
+
+
+def _lin(const, *terms):
+    """``const + sum(coeff * x_var)`` from (variable, coefficient) pairs."""
+    return LinExpr(const, tuple(sorted(terms)))
+
+
+def _pinned_chains():
+    """(constraints, num_vars of each prefix) for ``TestPinnedSolver``."""
+    k = lin_const
+    diseq_chain = [c(">=", X, k(0)), c("<=", X, k(200))]
+    # Descending order trims one value per round, so propagation hits the cap.
+    diseq_chain += [c("!=", X, k(j)) for j in range(110, -1, -1)]
+    diseq_chain += [c("<=", X, k(150)), c("!=", X, k(111)), c(">", X, k(140))]
+    return [
+        # Two-variable equality: the zero candidate fails, enumeration finds a model.
+        ([c(">=", X, k(0)), c("<=", X, k(10)), c(">=", Y, k(0)), c("<=", Y, k(10)),
+          c("==", _lin(0, (0, 1), (1, 1)), k(10)), c("!=", X, k(0))], [2] * 6),
+        ([c("==", _lin(0, (0, 1), (1, 1)), k(3)), c("==", _lin(0, (0, 1), (1, -1)), k(1)),
+          c(">=", X, k(-4)), c("<=", Y, k(4)), c(">=", Y, k(-4))], [2] * 5),
+        # Disequality trims at both ends, down to an empty domain.
+        ([c(">=", X, k(0)), c("<=", X, k(3)), c("!=", X, k(0)), c("!=", X, k(3)),
+          c("!=", X, k(1)), c("!=", X, k(2)), c("<", X, k(2))], [1] * 7),
+        # Opaque constraints decide the rest of the chain, ahead of false constants.
+        ([c(">", X, k(0)), c("==", OPAQUE, k(4)), c("<", X, k(0)), c("<", k(2), k(1))],
+         [1] * 4),
+        ([c("<", k(2), k(1)), c(">", X, k(0)), c("==", k(4), OPAQUE)], [1] * 3),
+        # True and false constants.
+        ([c("<", k(1), k(2)), c("==", X, k(7)), c("!=", k(3), k(3)), c(">", X, k(0))],
+         [1] * 4),
+        # Candidates that pass only in exact arithmetic; models are checked under wrap32.
+        ([c(">=", X, k(INT32_MAX - 1)), c(">", _lin(5, (0, 1)), k(0))], [1, 1]),
+        ([c("<", _lin(1, (0, 1)), X)], [1]),
+        ([c(">=", X, k(1)), c("<=", _lin(1, (0, 1)), k(0))], [1, 1]),
+        ([c("!=", Z, k(0)), c("<=", X, k(5)), c("<", _lin(7, (0, 1), (1, -1)), k(2)),
+          c("==", _lin(0, (1, 2)), k(42))], [3] * 4),
+        # num_vars grows along the chain; unused variables are padded with zero.
+        ([c("==", X, k(3)), c("<", Y, k(-2)), c(">=", _lin(0, (2, 3)), k(7)),
+          c("<=", _lin(0, (0, 1), (2, 1)), k(9))], [1, 2, 3, 5]),
+        # Multi-variable propagation that needs many rounds, with and without the cap.
+        ([c(">=", X, k(0)), c("<=", X, k(60)), c(">=", Y, k(0)), c("<=", Y, k(60)),
+          c("<", X, Y), c("<", Y, X)], [2] * 6),
+        ([c(">=", X, k(0)), c("<=", X, k(300)), c(">=", Y, k(0)), c("<=", Y, k(300)),
+          c("<", X, Y), c("<", Y, _lin(1, (0, 1))), c(">=", Y, k(250))], [2] * 7),
+        (diseq_chain, [1] * len(diseq_chain)),
+        # The same constraints in another order, and with a repeat.
+        ([c(">", X, k(0)), c("<", X, k(9))], [1, 1]),
+        ([c("<", X, k(9)), c(">", X, k(0)), c("<", X, k(9)), c("!=", X, k(1))], [1] * 4),
+    ]
+
+
+class TestPinnedSolver:
+    """Verdicts, models and ``SolverStats`` of one solver over a fixed corpus.
+
+    Each chain is solved prefix by prefix, as a symbolic state grows its
+    path condition, through a single ``Solver``, so later chains meet
+    cached keys. The digest was recorded before the solver became
+    incremental.
+    """
+
+    DIGEST = "a7a7f10cb16ac86ca353da6fa5f36785e7e269104bbbbdcd912fea48741e58f5"
+
+    def test_output_equals_the_recorded_one(self):
+        solver = Solver()
+        doc = [list(solver.solve([], 2).model)]
+        for chain, num_vars in _pinned_chains():
+            for i, n in enumerate(num_vars, 1):
+                result = solver.solve(chain[:i], n)
+                doc.append([result.status, list(result.model) if result.model else None])
+            stats = solver.stats
+            doc.append([stats.queries, stats.sat, stats.unsat, stats.unknown, stats.cache_hits])
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == self.DIGEST
 
 
 class TestSelectNextState:
