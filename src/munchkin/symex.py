@@ -17,8 +17,22 @@ constraints plus a bounded enumeration fallback (cap 2**16 candidate
 tuples). Propagation reasons in exact integer arithmetic, so paths that
 are feasible only through int32 wrap-around may be pruned; every model it
 does return is verified against wrap-around semantics by evaluation.
-Results are cached by canonical path condition; cache hits are not
-charged as queries.
+
+Solving is incremental along each path. Path conditions are nodes of a
+per-solver trie: ``Solver.root``, and ``pc.extend(c)`` returns the existing
+child for a constraint, so each fork adds one node and a path walked again
+(each FS sonar run walks down from ``main``) reuses the nodes it built.
+A node keeps its propagated domains. A child starts from its parent's
+fixpoint and reruns only the propagators that can still tighten it; since
+propagators are monotone and run in path order, it reaches the domains a
+run from scratch would, and the parent's rounds plus its own bound the
+rounds that run would take. Where that bound reaches the round cap, the
+node is propagated from scratch, so the cap stops it where it always did.
+A candidate model that agrees with its parent's passing candidate is
+checked against the new constraint only. Verdicts, models and query counts
+are those of solving each path condition from scratch. Results are cached
+by a path condition's set of constraints and the number of variables;
+cache hits are not charged as queries.
 
 Sonar search picks the state nearest to its target function: the target's
 distance field (from ``index_program``) is a hop list indexed by location
@@ -36,7 +50,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 from .ir import INT32_MAX, INT32_MIN, Program, apply_binop, apply_cmp, wrap32
 from .callgraph import DistanceField, index_program
@@ -48,6 +63,7 @@ from .executor import (
     OP_INPUT,
     OP_JUMP,
     OP_RETURN,
+    _COMPARE,
     CoverageMap,
     DEFAULT_STEP_LIMIT,
     InputVector,
@@ -154,14 +170,68 @@ def sym_binop(op: str, lhs: SymValue, rhs: SymValue) -> SymValue | None:
 # ---------------------------------------------------------------------------
 
 
+class _Normal(NamedTuple):
+    """A constraint over inputs in the solver's form, computed once per constraint."""
+
+    # ((variable, coefficient) pairs, bound): sum(coefficient * x) <= bound,
+    # in exact arithmetic. ``==`` gives two, ``!=`` none.
+    ineqs: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
+    # (variable, value) that a single-variable ``!=`` rules out, if integral.
+    excluded: tuple[int, int] | None
+    # Every variable either side mentions, cancelled or not.
+    variables: frozenset[int]
+    # (comparison, lhs constant, lhs terms, rhs constant, rhs terms), both
+    # constants offset by 2**31, for ``_holds``.
+    check: tuple
+
+
 @dataclass(frozen=True)
 class Constraint:
     cmp: str
     lhs: SymValue
     rhs: SymValue
 
+    @cached_property
+    def key(self) -> tuple:
+        """What path-condition keys hold: equal keys mean equal constraints."""
+        return (self.cmp, _expr_key(self.lhs), _expr_key(self.rhs))
 
-PathCondition = tuple[Constraint, ...]
+    @property
+    def is_opaque(self) -> bool:
+        return isinstance(self.lhs, Opaque) or isinstance(self.rhs, Opaque)
+
+    @property
+    def is_const(self) -> bool:
+        return self.lhs.is_const and self.rhs.is_const
+
+    @cached_property
+    def normal(self) -> _Normal:
+        """Normal form of a linear constraint that depends on some input."""
+        lhs, rhs, cmp = self.lhs, self.rhs, self.cmp
+        coeffs, const = _diff(lhs, rhs)
+        terms = tuple(coeffs.items())
+        neg = tuple((v, -k) for v, k in terms)
+        excluded = None
+        if cmp == "<":
+            ineqs = ((terms, -const - 1),)
+        elif cmp == "<=":
+            ineqs = ((terms, -const),)
+        elif cmp == ">":
+            ineqs = ((neg, const - 1),)
+        elif cmp == ">=":
+            ineqs = ((neg, const),)
+        elif cmp == "==":
+            ineqs = ((terms, -const), (neg, const))
+        else:
+            ineqs = ()
+            if len(terms) == 1:
+                (var, coeff), = terms
+                if (-const) % coeff == 0:
+                    excluded = (var, (-const) // coeff)
+        variables = frozenset(v for side in (lhs, rhs) for v, _ in side.terms)
+        check = (_COMPARE[cmp], lhs.const + _HALF, lhs.terms, rhs.const + _HALF, rhs.terms)
+        return _Normal(ineqs, excluded, variables, check)
+
 
 _NEGATION = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
 
@@ -176,14 +246,87 @@ def _expr_key(value: SymValue):
     return ("lin", value.const, value.terms)
 
 
-def canonical_key(pc: Iterable[Constraint]) -> tuple:
-    keys = {(c.cmp, _expr_key(c.lhs), _expr_key(c.rhs)) for c in pc}
-    return tuple(sorted(keys))
+_HALF = 1 << 31
+_MASK = 0xFFFFFFFF
 
 
-def eval_constraint(c: Constraint, model: Sequence[int]) -> bool:
-    assert isinstance(c.lhs, LinExpr) and isinstance(c.rhs, LinExpr)
-    return apply_cmp(c.cmp, c.lhs.evaluate(model), c.rhs.evaluate(model))
+def _holds(check: tuple, model: Sequence[int]) -> bool:
+    """A constraint's ``check`` on a model, each side wrapped to int32.
+
+    ``wrap32(v)`` is ``((v + 2**31) & _MASK) - 2**31``; the constants carry
+    the offset, and the final ``- 2**31`` cancels between the two sides.
+    """
+    compare, lhs, lhs_terms, rhs, rhs_terms = check
+    for var, coeff in lhs_terms:
+        lhs += coeff * model[var]
+    for var, coeff in rhs_terms:
+        rhs += coeff * model[var]
+    return compare(lhs & _MASK, rhs & _MASK)
+
+
+def _check_all(checks: Sequence[tuple], model: Sequence[int]) -> bool:
+    for check in checks:
+        if not _holds(check, model):
+            return False
+    return True
+
+
+class PathCondition:
+    """A path condition: one constraint on top of its parent's.
+
+    Nodes are interned in a trie rooted at ``Solver.root``: ``extend``
+    returns the existing child for a constraint, so a path walked again
+    reuses its nodes and the propagation they hold. ``key`` is the set of
+    constraint keys, by which the solver caches results. Iterating yields
+    the constraints from the root down.
+    """
+
+    __slots__ = ("key", "_link", "_children")
+
+    def __init__(self, key: frozenset = frozenset(), link: "_Link | None" = None) -> None:
+        self.key = key
+        self._link = link if link is not None else _Link(None, None, _TRUE)
+        self._children: dict[tuple, PathCondition] | None = None
+
+    def extend(self, c: Constraint) -> "PathCondition":
+        ck = c.key
+        if self._children is None:
+            self._children = {}
+        child = self._children.get(ck)
+        if child is None:
+            child = self._children[ck] = PathCondition(
+                self.key if ck in self.key else self.key | {ck}, _Link(c, self._link)
+            )
+        return child
+
+    def __iter__(self):
+        return iter(_constraints(self._link))
+
+
+class _Link:
+    """A path condition's last constraint, its parent's link, and its fixpoint
+    once computed.
+
+    Links point up and trie nodes point down, so the trie has no reference
+    cycles and is freed with its solver.
+    """
+
+    __slots__ = ("constraint", "parent", "fixpoint")
+
+    def __init__(self, constraint, parent, fixpoint=None) -> None:
+        self.constraint = constraint
+        self.parent = parent
+        self.fixpoint = fixpoint
+
+
+def _constraints(link: _Link) -> list[Constraint]:
+    """A path's constraints, from the root down."""
+    constraints = []
+    while link.parent is not None:
+        constraints.append(link.constraint)
+        link = link.parent
+    constraints.reverse()
+    return constraints
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +378,37 @@ def _diff(lhs: LinExpr, rhs: LinExpr) -> tuple[dict[int, int], int]:
     return {v: c for v, c in coeffs.items() if c != 0}, lhs.const - rhs.const
 
 
+class _Fixpoint(NamedTuple):
+    """What propagation knows about one path condition.
+
+    ``verdict`` is UNKNOWN (an opaque constraint) or UNSAT (a false constant
+    or an empty domain) when propagation decides the path condition, else
+    None, and then:
+
+    - ``lo``, ``hi``: each variable's domain after propagation, by index;
+    - ``rounds``: an upper bound on the rounds in which propagation from
+      scratch changes a domain, or None if that run stops at the round cap;
+    - ``candidate_ok``: the domains' points nearest zero satisfy every
+      constraint;
+    - ``ineqs``: the path's inequalities over two or more variables, and
+      ``excluded`` its single-variable disequalities, in path order: the
+      propagators a child reruns.
+    """
+
+    verdict: str | None
+    lo: tuple[int, ...] = ()
+    hi: tuple[int, ...] = ()
+    rounds: int | None = 0
+    candidate_ok: bool = True
+    ineqs: tuple = ()
+    excluded: tuple[tuple[int, int], ...] = ()
+
+
+_TRUE = _Fixpoint(None)
+_OPAQUE_PATH = _Fixpoint(UNKNOWN)
+_INFEASIBLE = _Fixpoint(UNSAT)
+
+
 def _nearest_zero(lo: int, hi: int) -> int:
     if lo > 0:
         return lo
@@ -243,112 +417,160 @@ def _nearest_zero(lo: int, hi: int) -> int:
     return 0
 
 
-def _check_all(constraints: Sequence[Constraint], model: Sequence[int]) -> bool:
-    return all(eval_constraint(c, model) for c in constraints)
+def _propagate(ineqs, excluded, lo: list[int], hi: list[int], rounds: int) -> int | None:
+    """Tighten ``lo``/``hi`` in place for at most ``rounds`` rounds.
 
-
-def _solve_raw(constraints: Sequence[Constraint], num_vars: int) -> SolveResult:
-    for c in constraints:
-        if isinstance(c.lhs, Opaque) or isinstance(c.rhs, Opaque):
-            return SolveResult(UNKNOWN)
-
-    # Constant constraints are decided directly under wrap-around semantics.
-    live: list[Constraint] = []
-    for c in constraints:
-        if c.lhs.is_const and c.rhs.is_const:
-            if not apply_cmp(c.cmp, c.lhs.const, c.rhs.const):
-                return SolveResult(UNSAT)
-        else:
-            live.append(c)
-
-    # Normal form: sum(coeffs * x) <= bound, plus disequalities kept apart.
-    ineqs: list[tuple[dict[int, int], int]] = []
-    diseqs: list[tuple[dict[int, int], int]] = []
-    for c in live:
-        coeffs, const = _diff(c.lhs, c.rhs)
-        neg = {v: -k for v, k in coeffs.items()}
-        if c.cmp == "<":
-            ineqs.append((coeffs, -const - 1))
-        elif c.cmp == "<=":
-            ineqs.append((coeffs, -const))
-        elif c.cmp == ">":
-            ineqs.append((neg, const - 1))
-        elif c.cmp == ">=":
-            ineqs.append((neg, const))
-        elif c.cmp == "==":
-            ineqs.append((coeffs, -const))
-            ineqs.append((neg, const))
-        else:
-            diseqs.append((coeffs, const))
-
-    domains = [[INT32_MIN, INT32_MAX] for _ in range(num_vars)]
-
-    for _ in range(_PROPAGATION_ROUNDS):
+    Returns the number of rounds that changed a domain (``rounds`` itself
+    if the last one still did), or None once a domain is empty. A round
+    runs every inequality, then every disequality, in the given order.
+    """
+    for done in range(rounds):
         changed = False
-        for coeffs, bound in ineqs:
-            contrib = {
-                v: min(k * domains[v][0], k * domains[v][1]) for v, k in coeffs.items()
-            }
-            total_min = sum(contrib.values())
-            for var, coeff in coeffs.items():
-                rest = bound - (total_min - contrib[var])
-                lo, hi = domains[var]
+        for terms, bound in ineqs:
+            mins = [k * lo[v] if k > 0 else k * hi[v] for v, k in terms]
+            total_min = sum(mins)
+            for (var, coeff), own in zip(terms, mins):
+                rest = bound - (total_min - own)
                 if coeff > 0:
                     new_hi = rest // coeff
-                    if new_hi < hi:
-                        domains[var][1] = hi = new_hi
+                    if new_hi < hi[var]:
+                        hi[var] = new_hi
                         changed = True
+                        if lo[var] > new_hi:
+                            return None
                 else:
                     new_lo = -(rest // -coeff)
-                    if new_lo > lo:
-                        domains[var][0] = lo = new_lo
+                    if new_lo > lo[var]:
+                        lo[var] = new_lo
                         changed = True
-                if lo > hi:
-                    return SolveResult(UNSAT)
-        for coeffs, const in diseqs:
-            if len(coeffs) != 1:
-                continue
-            (var, coeff), = coeffs.items()
-            if (-const) % coeff == 0:
-                excluded = (-const) // coeff
-                lo, hi = domains[var]
-                if lo == hi == excluded:
-                    return SolveResult(UNSAT)
-                if excluded == lo:
-                    domains[var][0] += 1
-                    changed = True
-                elif excluded == hi:
-                    domains[var][1] -= 1
-                    changed = True
+                        if new_lo > hi[var]:
+                            return None
+        for var, value in excluded:
+            if value == lo[var]:
+                if value == hi[var]:
+                    return None
+                lo[var] += 1
+                changed = True
+            elif value == hi[var]:
+                hi[var] -= 1
+                changed = True
         if not changed:
-            break
+            return done
+    return rounds
 
-    candidate = [_nearest_zero(lo, hi) for lo, hi in domains]
-    if _check_all(live, candidate):
+
+def _extend_fixpoint(parent: _Fixpoint, link: _Link) -> _Fixpoint:
+    """A path's fixpoint from its parent's.
+
+    Propagators are monotone and a round runs them in path order, so a
+    from-scratch run on the node's path is, round for round, inside the
+    run on its parent's path. Started from the parent's fixpoint, the
+    node's propagators therefore reach the node's fixpoint, and a run from
+    scratch reaches it within the parent's rounds plus the ones taken
+    here. The parent's single-variable inequalities hold on any domain
+    inside its fixpoint, so they are not rerun. When that bound reaches
+    the round cap, or the parent's own run never converged, the node is
+    propagated from scratch, as the cap then decides its domains.
+    """
+    c = link.constraint
+    if parent.verdict == UNKNOWN or c.is_opaque:
+        return _OPAQUE_PATH
+    if parent.verdict == UNSAT:
+        return _INFEASIBLE
+    if c.is_const:
+        return parent if apply_cmp(c.cmp, c.lhs.const, c.rhs.const) else _INFEASIBLE
+
+    normal = c.normal
+    ineqs = parent.ineqs + tuple(i for i in normal.ineqs if len(i[0]) > 1)
+    excluded = parent.excluded + (normal.excluded,) if normal.excluded else parent.excluded
+    grow = max(normal.variables) + 1 - len(parent.lo)
+    lo = [*parent.lo, *[INT32_MIN] * grow]
+    hi = [*parent.hi, *[INT32_MAX] * grow]
+    rounds = None
+    if parent.rounds is not None:
+        budget = _PROPAGATION_ROUNDS - parent.rounds
+        changed = _propagate(parent.ineqs + normal.ineqs, excluded, lo, hi, budget)
+        if changed is None:
+            return _INFEASIBLE
+        if changed < budget:
+            rounds = parent.rounds + changed
+    if rounds is None:
+        lo = [INT32_MIN] * len(lo)
+        hi = [INT32_MAX] * len(hi)
+        every_ineq = [i for live in _live(link) for i in live.ineqs]
+        changed = _propagate(every_ineq, excluded, lo, hi, _PROPAGATION_ROUNDS)
+        if changed is None:
+            return _INFEASIBLE
+        if changed < _PROPAGATION_ROUNDS:
+            rounds = changed
+
+    candidate = list(map(_nearest_zero, lo, hi))
+    if parent.candidate_ok and candidate[: len(parent.lo)] == list(
+        map(_nearest_zero, parent.lo, parent.hi)
+    ):
+        candidate_ok = _holds(normal.check, candidate)
+    else:
+        candidate_ok = _check_all([live.check for live in _live(link)], candidate)
+    return _Fixpoint(None, tuple(lo), tuple(hi), rounds, candidate_ok, ineqs, excluded)
+
+
+def _live(link: _Link) -> list[_Normal]:
+    """Normal forms of a path's non-constant constraints, in path order."""
+    return [c.normal for c in _constraints(link) if not c.is_const]
+
+
+def _settle(link: _Link) -> _Fixpoint:
+    """A path's fixpoint, computing its ancestors' first where missing."""
+    pending = []
+    while link.fixpoint is None:
+        pending.append(link)
+        link = link.parent
+    fixpoint = link.fixpoint
+    for link in reversed(pending):
+        fixpoint = link.fixpoint = _extend_fixpoint(fixpoint, link)
+    return fixpoint
+
+
+def _materialise(node: PathCondition, num_vars: int) -> SolveResult:
+    """The verdict on a path condition, from its fixpoint.
+
+    A model is the domains' points nearest zero when they satisfy every
+    constraint; otherwise a bounded enumeration over the domains of the
+    variables the constraints mention looks for one. Models are checked
+    under wrap-around, propagation is exact.
+    """
+    fixpoint = _settle(node._link)
+    if fixpoint.verdict is not None:
+        return SolveResult(fixpoint.verdict)
+    lo, hi = fixpoint.lo, fixpoint.hi
+    candidate = list(map(_nearest_zero, lo, hi)) + [0] * (num_vars - len(lo))
+    if fixpoint.candidate_ok:
         return SolveResult(SAT, tuple(candidate))
 
-    used = sorted({v for c in live for side in (c.lhs, c.rhs) for v, _ in side.terms})
+    live = _live(node._link)
+    checks = [normal.check for normal in live]
+    used = sorted(frozenset().union(*(normal.variables for normal in live)))
     space = 1
     for var in used:
-        space *= domains[var][1] - domains[var][0] + 1
+        space *= hi[var] - lo[var] + 1
         if space > ENUMERATION_CAP:
             break
 
-    model = list(candidate)
-    odometer = [domains[v][0] for v in used]
+    model = candidate
+    odometer = [lo[v] for v in used]
     tried = 0
     while tried < ENUMERATION_CAP:
         for var, value in zip(used, odometer):
             model[var] = value
         tried += 1
-        if _check_all(live, model):
+        if _check_all(checks, model):
             return SolveResult(SAT, tuple(model))
         pos = len(used) - 1
         while pos >= 0:
             odometer[pos] += 1
-            if odometer[pos] <= domains[used[pos]][1]:
+            if odometer[pos] <= hi[used[pos]]:
                 break
-            odometer[pos] = domains[used[pos]][0]
+            odometer[pos] = lo[used[pos]]
             pos -= 1
         if pos < 0:
             return SolveResult(UNSAT)  # exhausted the finite domain product
@@ -356,20 +578,30 @@ def _solve_raw(constraints: Sequence[Constraint], num_vars: int) -> SolveResult:
 
 
 class Solver:
-    """Satisfiability checks with statistics and a canonical-PC cache."""
+    """Satisfiability checks with statistics, a path-condition trie and a result cache.
+
+    Results are cached by a path condition's set of constraints and
+    ``num_vars``; cache hits are not charged as queries.
+    """
 
     def __init__(self) -> None:
         self.stats = SolverStats()
-        self._cache: dict[tuple, SolveResult] = {}
+        self.root = PathCondition()
+        self._cache: dict[tuple[frozenset, int], SolveResult] = {}
 
     def solve(self, pc: Iterable[Constraint], num_vars: int) -> SolveResult:
-        constraints = tuple(pc)
-        key = (canonical_key(constraints), num_vars)
+        """Solve a path condition: a ``PathCondition`` or any iterable of constraints."""
+        if not isinstance(pc, PathCondition):
+            node = self.root
+            for c in pc:
+                node = node.extend(c)
+            pc = node
+        key = (pc.key, num_vars)
         cached = self._cache.get(key)
         if cached is not None:
             self.stats.cache_hits += 1
             return cached
-        result = _solve_raw(constraints, num_vars)
+        result = _materialise(pc, num_vars)
         self.stats.queries += 1
         if result.status == SAT:
             self.stats.sat += 1
@@ -399,7 +631,7 @@ Frame = tuple[list[tuple], int, int, dict[str, SymValue], str | None]
 @dataclass
 class SymState:
     frames: list[Frame]
-    pc: list[Constraint]
+    pc: PathCondition
     inputs_read: int = 0
     queries_charged: int = 0
     steps: int = 0
@@ -531,7 +763,7 @@ def symex_campaign(
     codes, entry_id, _ = lowered_form(program)
     zero = lin_const(0)
     seq = 0
-    initial = SymState([(codes[entry_id], 0, entry_id, {}, None)], [])
+    initial = SymState([(codes[entry_id], 0, entry_id, {}, None)], solver.root)
     frontier: list[SymState] = [initial]
     states_explored = 0
 
@@ -567,28 +799,27 @@ def symex_campaign(
 
                 then_c = Constraint(cmp, lhs, rhs)
                 feasible = []
-                for successor in (
+                for constraint, target_code, target_id in (
                     (then_c, then, then_id),
                     (negate_constraint(then_c), other, other_id),
                 ):
-                    verdict = solver.solve(state.pc + [successor[0]], state.inputs_read)
-                    if verdict.status != UNSAT:
-                        feasible.append(successor)
+                    pc = state.pc.extend(constraint)
+                    if solver.solve(pc, state.inputs_read).status != UNSAT:
+                        feasible.append((pc, target_code, target_id))
                 if not feasible:
                     return []
                 if len(feasible) == 1:
-                    constraint, code, loc = feasible[0]
+                    state.pc, code, loc = feasible[0]
                     index = 0
-                    state.pc.append(constraint)
                     state.queries_charged += 1
                     continue
                 children = []
-                for constraint, target_code, target_id in feasible:
+                for pc, target_code, target_id in feasible:
                     seq += 1
                     callers = [(c, i, l, dict(s), r) for c, i, l, s, r in frames]
                     children.append(SymState(
                         callers + [(target_code, 0, target_id, dict(store), ret_dest)],
-                        state.pc + [constraint],
+                        pc,
                         state.inputs_read,
                         state.queries_charged + 1,
                         state.steps,

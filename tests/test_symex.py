@@ -3,19 +3,23 @@
 import hashlib
 import json
 import random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from munchkin import symex
 from munchkin.callgraph import build_callgraph, index_program
 from munchkin.executor import lowered_form, run_concrete
 from munchkin.generator import GenParams, generate_program
-from munchkin.ir import INT32_MAX, parse_program
+from munchkin.ir import INT32_MAX, INT32_MIN, apply_cmp, parse_program
 from munchkin.symex import (
     Constraint,
     LinExpr,
     OPAQUE,
     SolveResult,
     Solver,
+    SolverStats,
     Strategy,
     SymState,
     SymexLimits,
@@ -160,6 +164,15 @@ def _pinned_chains():
     # Descending order trims one value per round, so propagation hits the cap.
     diseq_chain += [c("!=", X, k(j)) for j in range(110, -1, -1)]
     diseq_chain += [c("<=", X, k(150)), c("!=", X, k(111)), c(">", X, k(140))]
+    # Two trims in turn, each one value per round, in negative values, where
+    # the candidate (the upper end) and enumeration (from the lower end)
+    # differ: 60 rounds lower x's upper end, then y follows it down for 45
+    # more, so the run from scratch stops at the cap although each step's
+    # own propagation is short.
+    relay = [c(">=", X, k(-200)), c("<=", X, k(0))]
+    relay += [c("!=", X, k(-j)) for j in range(59, -1, -1)]
+    relay += [c(">=", Y, k(-200)), c("<=", Y, X)]
+    relay += [c("!=", Y, k(-j)) for j in range(104, 59, -1)]
     return [
         # Two-variable equality: the zero candidate fails, enumeration finds a model.
         ([c(">=", X, k(0)), c("<=", X, k(10)), c(">=", Y, k(0)), c("<=", Y, k(10)),
@@ -191,6 +204,7 @@ def _pinned_chains():
         ([c(">=", X, k(0)), c("<=", X, k(300)), c(">=", Y, k(0)), c("<=", Y, k(300)),
           c("<", X, Y), c("<", Y, _lin(1, (0, 1))), c(">=", Y, k(250))], [2] * 7),
         (diseq_chain, [1] * len(diseq_chain)),
+        (relay, [2] * len(relay)),
         # The same constraints in another order, and with a repeat.
         ([c(">", X, k(0)), c("<", X, k(9))], [1, 1]),
         ([c("<", X, k(9)), c(">", X, k(0)), c("<", X, k(9)), c("!=", X, k(1))], [1] * 4),
@@ -206,7 +220,7 @@ class TestPinnedSolver:
     incremental.
     """
 
-    DIGEST = "a7a7f10cb16ac86ca353da6fa5f36785e7e269104bbbbdcd912fea48741e58f5"
+    DIGEST = "7de2bd11dc7704d57b1d805d6ceea9b7b50b883738e4a05636470046772ca219"
 
     def test_output_equals_the_recorded_one(self):
         solver = Solver()
@@ -220,12 +234,222 @@ class TestPinnedSolver:
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == self.DIGEST
 
 
+# ---------------------------------------------------------------------------
+# Reference: the solver as it was before it became incremental. It solves
+# every path condition from scratch and caches results by the sorted tuple of
+# constraint keys. The caps are parameters so a property can lower them.
+# ---------------------------------------------------------------------------
+
+
+def _reference_key(pc):
+    def expr_key(value):
+        return ("opaque",) if value is OPAQUE else ("lin", value.const, value.terms)
+
+    return tuple(sorted({(c.cmp, expr_key(c.lhs), expr_key(c.rhs)) for c in pc}))
+
+
+def _reference_solve(constraints, num_vars, rounds, cap):
+    for c in constraints:
+        if c.lhs is OPAQUE or c.rhs is OPAQUE:
+            return SolveResult("unknown")
+
+    live = []
+    for c in constraints:
+        if c.lhs.is_const and c.rhs.is_const:
+            if not apply_cmp(c.cmp, c.lhs.const, c.rhs.const):
+                return SolveResult("unsat")
+        else:
+            live.append(c)
+
+    ineqs, diseqs = [], []
+    for c in live:
+        coeffs = dict(c.lhs.terms)
+        for var, coeff in c.rhs.terms:
+            coeffs[var] = coeffs.get(var, 0) - coeff
+        coeffs = {v: k for v, k in coeffs.items() if k != 0}
+        const = c.lhs.const - c.rhs.const
+        neg = {v: -k for v, k in coeffs.items()}
+        if c.cmp == "<":
+            ineqs.append((coeffs, -const - 1))
+        elif c.cmp == "<=":
+            ineqs.append((coeffs, -const))
+        elif c.cmp == ">":
+            ineqs.append((neg, const - 1))
+        elif c.cmp == ">=":
+            ineqs.append((neg, const))
+        elif c.cmp == "==":
+            ineqs.append((coeffs, -const))
+            ineqs.append((neg, const))
+        else:
+            diseqs.append((coeffs, const))
+
+    domains = [[INT32_MIN, INT32_MAX] for _ in range(num_vars)]
+    for _ in range(rounds):
+        changed = False
+        for coeffs, bound in ineqs:
+            contrib = {v: min(k * domains[v][0], k * domains[v][1]) for v, k in coeffs.items()}
+            total_min = sum(contrib.values())
+            for var, coeff in coeffs.items():
+                rest = bound - (total_min - contrib[var])
+                lo, hi = domains[var]
+                if coeff > 0:
+                    new_hi = rest // coeff
+                    if new_hi < hi:
+                        domains[var][1] = hi = new_hi
+                        changed = True
+                else:
+                    new_lo = -(rest // -coeff)
+                    if new_lo > lo:
+                        domains[var][0] = lo = new_lo
+                        changed = True
+                if lo > hi:
+                    return SolveResult("unsat")
+        for coeffs, const in diseqs:
+            if len(coeffs) != 1:
+                continue
+            (var, coeff), = coeffs.items()
+            if (-const) % coeff == 0:
+                excluded = (-const) // coeff
+                lo, hi = domains[var]
+                if lo == hi == excluded:
+                    return SolveResult("unsat")
+                if excluded == lo:
+                    domains[var][0] += 1
+                    changed = True
+                elif excluded == hi:
+                    domains[var][1] -= 1
+                    changed = True
+        if not changed:
+            break
+
+    def check_all(model):
+        return all(
+            apply_cmp(c.cmp, c.lhs.evaluate(model), c.rhs.evaluate(model)) for c in live
+        )
+
+    candidate = [lo if lo > 0 else hi if hi < 0 else 0 for lo, hi in domains]
+    if check_all(candidate):
+        return SolveResult("sat", tuple(candidate))
+
+    used = sorted({v for c in live for side in (c.lhs, c.rhs) for v, _ in side.terms})
+    space = 1
+    for var in used:
+        space *= domains[var][1] - domains[var][0] + 1
+        if space > cap:
+            break
+
+    model = list(candidate)
+    odometer = [domains[v][0] for v in used]
+    tried = 0
+    while tried < cap:
+        for var, value in zip(used, odometer):
+            model[var] = value
+        tried += 1
+        if check_all(model):
+            return SolveResult("sat", tuple(model))
+        pos = len(used) - 1
+        while pos >= 0:
+            odometer[pos] += 1
+            if odometer[pos] <= domains[used[pos]][1]:
+                break
+            odometer[pos] = domains[used[pos]][0]
+            pos -= 1
+        if pos < 0:
+            return SolveResult("unsat")
+    return SolveResult("unknown") if space > cap else SolveResult("unsat")
+
+
+class _ReferenceSolver:
+    def __init__(self, rounds, cap):
+        self.rounds, self.cap = rounds, cap
+        self.stats = SolverStats()
+        self._cache = {}
+
+    def solve(self, pc, num_vars):
+        key = (_reference_key(pc), num_vars)
+        if key in self._cache:
+            self.stats.cache_hits += 1
+            return self._cache[key]
+        result = self._cache[key] = _reference_solve(pc, num_vars, self.rounds, self.cap)
+        self.stats.queries += 1
+        setattr(self.stats, result.status, getattr(self.stats, result.status) + 1)
+        return result
+
+
+_COEFFS = st.sampled_from([-3, -2, -1, 1, 2, 3])
+_CONSTS = st.one_of(st.integers(-12, 12), st.sampled_from([INT32_MIN, INT32_MAX - 2]))
+
+
+@st.composite
+def _linear(draw, num_vars):
+    variables = draw(st.sets(st.integers(0, num_vars - 1), max_size=2))
+    return LinExpr(draw(_CONSTS), tuple((v, draw(_COEFFS)) for v in sorted(variables)))
+
+
+@st.composite
+def _chains(draw):
+    """(constraint, num_vars) steps; num_vars never shrinks and covers every variable."""
+    steps = []
+    num_vars = draw(st.integers(1, 2))
+    for _ in range(draw(st.integers(1, 10))):
+        num_vars = min(3, num_vars + draw(st.integers(0, 1)))
+        cmp = draw(st.sampled_from(["<", "<=", "==", "!=", ">=", ">"]))
+        kind = draw(st.sampled_from(["linear"] * 6 + ["opaque", "constant", "repeat"]))
+        if kind == "repeat" and steps:
+            constraint = draw(st.sampled_from(steps))[0]
+        elif kind == "opaque":
+            constraint = c(cmp, OPAQUE, draw(_linear(num_vars)))
+        elif kind == "constant":
+            constraint = c(cmp, lin_const(draw(_CONSTS)), lin_const(draw(_CONSTS)))
+        else:
+            constraint = c(cmp, draw(_linear(num_vars)), draw(_linear(num_vars)))
+        steps.append((constraint, num_vars))
+    return steps
+
+
+class TestIncrementalSolving:
+    """Incremental solving agrees with solving every path condition from scratch.
+
+    The round cap is drawn as low as 2, so many chains run past it and take
+    the from-scratch fallback, and the enumeration cap is lowered to 2**10,
+    so chains reach it in milliseconds; both caps are the reference's too.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        first=_chains(),
+        shared=st.integers(0, 10),
+        second=_chains(),
+        rounds=st.sampled_from([2, 5, 100]),
+    )
+    def test_every_result_and_count_equals_the_reference(self, first, shared, second, rounds):
+        cap = 1 << 10
+        reference = _ReferenceSolver(rounds, cap)
+        with patch.object(symex, "_PROPAGATION_ROUNDS", rounds), \
+                patch.object(symex, "ENUMERATION_CAP", cap):
+            solver = Solver()
+            # The second chain walks down a prefix of the first, as a later
+            # sonar run walks down from main, and then goes its own way.
+            floor = max((n for _, n in first[:shared]), default=1)
+            for chain in (first, first[:shared] + [(con, max(n, floor)) for con, n in second]):
+                node, prefix = solver.root, []
+                for constraint, num_vars in chain:
+                    # run_slice's order: both successors, then the state's own
+                    # path condition when it emits a test.
+                    for side in (constraint, negate_constraint(constraint)):
+                        got = solver.solve(node.extend(side), num_vars)
+                        assert got == reference.solve(prefix + [side], num_vars)
+                    node, prefix = node.extend(constraint), prefix + [constraint]
+                    assert solver.solve(node, num_vars) == reference.solve(prefix, num_vars)
+        assert solver.stats == reference.stats
+
+
 class TestSelectNextState:
     def _state(self, program, function, seq):
         """A fresh state at the entry block of ``function``."""
         codes, _, _ = lowered_form(program)
         loc = index_program(program).entries[function]
-        return SymState([(codes[loc], 0, loc, {}, None)], [], seq=seq)
+        return SymState([(codes[loc], 0, loc, {}, None)], Solver().root, seq=seq)
 
     def _states(self, program, n):
         return [self._state(program, "main", i) for i in range(n)]
