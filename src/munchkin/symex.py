@@ -277,8 +277,7 @@ class PathCondition:
     Nodes are interned in a trie rooted at ``Solver.root``: ``extend``
     returns the existing child for a constraint, so a path walked again
     reuses its nodes and the propagation they hold. ``key`` is the set of
-    constraint keys, by which the solver caches results. Iterating yields
-    the constraints from the root down.
+    constraint keys, by which the solver caches results.
     """
 
     __slots__ = ("key", "_link", "_children")
@@ -298,9 +297,6 @@ class PathCondition:
                 self.key if ck in self.key else self.key | {ck}, _Link(c, self._link)
             )
         return child
-
-    def __iter__(self):
-        return iter(_constraints(self._link))
 
 
 class _Link:
