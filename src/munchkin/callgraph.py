@@ -13,13 +13,16 @@ on the program object, so every campaign on that program shares it. The
 index holds the call graph, the reachable set and the reverse block graph
 over integer location ids (the numbering of ``ir.block_locations``, which
 the interpreters' lowered form uses too), and memoises one distance field
-per target. A distance field is a hop list indexed by location id, so
-sonar search ranks a symbolic state by one list lookup.
+per target. A distance field is a resumable backward BFS from the target's
+entry: a hop list indexed by location id, -1 where no distance is settled
+yet, and the BFS's current level and its depth. Creating one settles only
+the target's entry; ``expand`` settles one more level, and ``at`` expands until the
+asked location is settled or the BFS runs out, so it is always exact.
+Sonar search expands a field only as far as the states it ranks need.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass, field
 
@@ -72,22 +75,67 @@ def build_callgraph(program: Program) -> CallGraph:
 Location = tuple[str, str]
 
 
-@dataclass(frozen=True)
 class DistanceField:
-    """Shortest hop counts from every block location to one target entry.
+    """Shortest hop counts from block locations to one target's entry,
+    settled one BFS level at a time.
 
     ``hops[i]`` is the distance from location id ``i`` (see
-    ``ir.block_locations``), or -1 when the target is unreachable from it.
+    ``ir.block_locations``) once it is settled, else -1. ``level`` lists
+    the locations settled last, all at distance ``depth``, and ``expand``
+    settles the next level. Once the BFS is exhausted (``level`` is
+    empty), no location without a distance can reach the target. ``at``
+    expands on demand, so its answers are exact however far the field has
+    been settled.
     """
 
-    target: str
-    hops: list[int]
-    ids: dict[Location, int] = field(repr=False, compare=False)
+    __slots__ = ("target", "hops", "level", "depth", "_settled", "_predecessors", "_ids")
+
+    def __init__(
+        self,
+        target: str,
+        start: int,
+        predecessors: tuple[tuple[int, ...], ...],
+        ids: dict[Location, int],
+    ) -> None:
+        self.target = target
+        self.hops = [-1] * len(predecessors)
+        self.hops[start] = 0
+        self.level = [start]
+        self.depth = 0
+        self._settled = 1
+        self._predecessors = predecessors
+        self._ids = ids
+
+    @property
+    def settled(self) -> int:
+        """How many locations have a distance so far."""
+        return self._settled
+
+    def expand(self) -> list[int]:
+        """Settle the next level and return its location ids; [] once exhausted."""
+        hops, predecessors = self.hops, self._predecessors
+        step = self.depth + 1
+        level = []
+        for loc in self.level:
+            for pred in predecessors[loc]:
+                if hops[pred] < 0:
+                    hops[pred] = step
+                    level.append(pred)
+        self.level = level
+        if level:
+            self.depth = step
+            self._settled += len(level)
+        return level
 
     def at(self, function: str, block: str) -> int | None:
         """Distance from a location, or None when the target is unreachable."""
-        i = self.ids.get((function, block))
-        return None if i is None or self.hops[i] < 0 else self.hops[i]
+        i = self._ids.get((function, block))
+        if i is None:
+            return None
+        hops = self.hops
+        while hops[i] < 0 and self.expand():
+            pass
+        return None if hops[i] < 0 else hops[i]
 
 
 def _exit_blocks(func: Function) -> list[str]:
@@ -124,8 +172,10 @@ class ProgramIndex:
     and ``predecessors[i]`` lists the locations with an edge into location
     ``i``. ``callers`` maps each function to the functions that call it;
     ``by_depth`` lists the reachable functions by ascending depth, then
-    name, the order ``frontier_set`` keeps within each of its two groups. Distance fields are memoised per
-    target; they are deterministic, so the memo never changes an answer.
+    name, the order ``frontier_set`` keeps within each of its two groups.
+    Distance fields are memoised per target and settle levels only when
+    asked; hop counts are deterministic, so neither the memo nor how far a
+    field has been settled changes an answer.
     """
 
     callgraph: CallGraph
@@ -141,28 +191,15 @@ class ProgramIndex:
     )
 
     def distances(self, target: str) -> DistanceField:
-        """Backward BFS from the target's entry over the reverse block graph."""
-        cached = self._fields.get(target)
-        if cached is not None:
-            return cached
-        start = self.entries.get(target)
-        if start is None:
-            raise ValueError(f"unknown target '{target}'")
-
-        predecessors = self.predecessors
-        hops = [-1] * len(self.locations)
-        hops[start] = 0
-        queue = deque([start])
-        while queue:
-            loc = queue.popleft()
-            step = hops[loc] + 1
-            for pred in predecessors[loc]:
-                if hops[pred] < 0:
-                    hops[pred] = step
-                    queue.append(pred)
-        computed = DistanceField(target, hops, self.ids)
-        self._fields[target] = computed
-        return computed
+        """The target's distance field, created on first use with only the
+        target's entry settled."""
+        df = self._fields.get(target)
+        if df is None:
+            start = self.entries.get(target)
+            if start is None:
+                raise ValueError(f"unknown target '{target}'")
+            df = self._fields[target] = DistanceField(target, start, self.predecessors, self.ids)
+        return df
 
     def next_target(self, covered: Set[str], skip: Set[str]) -> str | None:
         """The first reachable function of ``frontier_set(callgraph, covered)``

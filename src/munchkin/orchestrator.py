@@ -2,12 +2,13 @@
 
 FS runs a fuzzing phase first, then directs symbolic execution at each
 still-uncovered function (frontier functions first, by ascending call
-depth), re-merging replay-validated coverage after every target so that
-functions covered en route are never targeted. All targeted runs share one
-solver with its query cache, mirroring what a single long
+depth). Replay-validated coverage goes into one live set of functions and
+edges after every target, so functions covered en route are never
+targeted, and becomes a ``CoverageMap`` once, for the report. All targeted
+runs share one solver with its query cache, mirroring what a single long
 symbolic-execution run gets for free, and the program's ``ProgramIndex``,
-which is built once per program and shared by every campaign on it, so
-each target costs at most one BFS for its distance field.
+which is built once per program and shared by every campaign on it. Each
+target's distance field is settled only as far as its sonar run reads it.
 
 SF runs bounded symbolic execution first to produce one test case per
 newly covered function, then fuzzes from those seeds (falling back to the
@@ -122,7 +123,8 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
     started = time.perf_counter()
 
     fuzz_result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))
-    coverage = fuzz_result.cumulative
+    functions = set(fuzz_result.cumulative.functions)
+    edge_bits = set(fuzz_result.cumulative.edge_bits)
     executions = fuzz_result.executions
     test_suite = fuzz_result.test_suite()
 
@@ -132,8 +134,7 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
     failed: set[str] = set()
 
     while True:
-        covered = coverage.functions
-        target = index.next_target(covered, failed)
+        target = index.next_target(functions, failed)
         if target is None:
             break
         result = symex_campaign(
@@ -144,18 +145,19 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
             target=target,
             rng_seed=cfg.rng_seed,
             solver=solver,
-            already_covered=covered,
+            already_covered=functions,
             replay_step_limit=cfg.step_limit,
         )
-        coverage = merge_coverage(coverage, result.coverage)
+        functions.update(result.coverage.functions)
+        edge_bits.update(result.coverage.edge_bits)
         executions += len(result.test_cases)
         test_suite.extend(tc.values for tc in result.test_cases)
-        if target not in coverage.functions:
+        if target not in functions:
             failed.add(target)
 
     return make_report(
-        TECHNIQUE_FS, index.callgraph, coverage, solver.stats,
-        executions, test_suite, started,
+        TECHNIQUE_FS, index.callgraph, CoverageMap(frozenset(functions), frozenset(edge_bits)),
+        solver.stats, executions, test_suite, started,
     )
 
 

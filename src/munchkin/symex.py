@@ -34,10 +34,19 @@ are those of solving each path condition from scratch. Results are cached
 by a path condition's set of constraints and the number of variables;
 cache hits are not charged as queries.
 
-Sonar search picks the state nearest to its target function: the target's
-distance field (from ``index_program``) is a hop list indexed by location
-id, read at the state's top frame. A campaign keeps its own solver unless
-the caller passes one; FS shares one across all its targeted runs.
+Sonar search picks the state nearest to its target function, by the hop
+count at its top frame's location in the target's distance field (from
+``index_program``), then fewer charged queries, then admission order. The
+field is settled lazily, one BFS level at a time (``DistanceField.expand``),
+and a ``SonarFrontier`` settles the next level only when it holds no state
+on the levels settled so far. States on settled locations sit in a heap;
+the others wait in per-location buckets until their level is settled, or
+enter at distance infinity once the field is exhausted. The picks are
+those of a scan of the whole frontier over a fully settled field, and
+``at`` stays exact because it expands on demand. Baseline search picks
+uniformly from a list with the campaign's seeded RNG. A campaign keeps its
+own solver unless the caller passes one; FS shares one across all its
+targeted runs.
 
 A test case is emitted whenever a state enters a function not covered by
 previously emitted test cases. Every emitted input vector is validated by
@@ -51,6 +60,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Iterable, NamedTuple, Sequence
 
 from .ir import INT32_MAX, INT32_MIN, Program, apply_binop, apply_cmp, wrap32
@@ -634,26 +644,97 @@ class SymState:
     seq: int = 0
 
 
-def _sonar_rank(state: SymState, df: DistanceField) -> tuple[float, int, int]:
-    hops = df.hops[state.frames[-1][2]]
-    return (_INF if hops < 0 else hops, state.queries_charged, state.seq)
+class SonarFrontier:
+    """Sonar's frontier: the state nearest the target comes out first, ties
+    broken by fewer charged queries, then by admission order (``seq``,
+    unique per state).
+
+    The frontier takes in its distance field's levels in order. A state
+    whose location lies in a level taken in sits in a heap on
+    ``(distance, queries_charged, seq)``; any other state waits in its
+    location's bucket. Only when the heap is empty does ``pop`` take in the
+    next level, settling it if no one has yet, and move that level's
+    buckets into the heap. Every state in the heap is then no farther than
+    the last level taken in and every waiting one is farther, so the heap's
+    minimum is the frontier's. Once the field is exhausted and every level
+    taken in, the states still waiting cannot reach the target: they enter
+    the heap at distance infinity, as does every later state on a location
+    without a distance.
+    """
+
+    def __init__(self, df: DistanceField) -> None:
+        self._df = df
+        self._heap: list[tuple[float, int, int, SymState]] = []
+        self._waiting: dict[int, list[SymState]] = {}
+        self._depth = 0  # levels 0..depth of the field have been taken in
+        self._drained = False  # every level has, and the field is exhausted
+
+    def __bool__(self) -> bool:
+        return bool(self._heap or self._waiting)
+
+    def push(self, state: SymState) -> None:
+        loc = state.frames[-1][2]
+        hops = self._df.hops[loc]
+        if 0 <= hops <= self._depth:
+            heappush(self._heap, (hops, state.queries_charged, state.seq, state))
+        elif self._drained:
+            heappush(self._heap, (_INF, state.queries_charged, state.seq, state))
+        else:
+            bucket = self._waiting.get(loc)
+            if bucket is None:
+                self._waiting[loc] = [state]
+            else:
+                bucket.append(state)
+
+    def pop(self) -> SymState:
+        heap = self._heap
+        while not heap:
+            if not self._waiting:
+                raise ValueError("empty frontier")
+            self._take_level()
+        return heappop(heap)[3]
+
+    def _take_level(self) -> None:
+        df, heap, waiting = self._df, self._heap, self._waiting
+        depth = self._depth + 1
+        if depth > df.depth:
+            level = df.expand()
+            if not level:
+                self._drained = True
+                for bucket in waiting.values():
+                    for state in bucket:
+                        heappush(heap, (_INF, state.queries_charged, state.seq, state))
+                waiting.clear()
+                return
+        else:
+            level = None  # settled before: look for it among the waiting locations
+        self._depth = depth
+        if level is None or len(waiting) < len(level):
+            hops = df.hops
+            level = [loc for loc in waiting if hops[loc] == depth]
+        for loc in level:
+            bucket = waiting.pop(loc, None)
+            if bucket is not None:
+                for state in bucket:
+                    heappush(heap, (depth, state.queries_charged, state.seq, state))
 
 
-def _select_index(
-    frontier: Sequence[SymState],
-    search: Strategy,
-    df: DistanceField | None,
-    rng: random.Random | None,
-) -> int:
-    if not frontier:
-        raise ValueError("empty frontier")
-    if search is Strategy.SONAR:
-        if df is None:
-            raise ValueError("sonar selection needs a distance field")
-        return min(range(len(frontier)), key=lambda i: _sonar_rank(frontier[i], df))
-    if rng is None:
-        raise ValueError("baseline selection needs an rng")
-    return rng.randrange(len(frontier))
+class _RandomFrontier:
+    """Baseline's frontier: a seeded-uniform pick among the states, kept in
+    admission order."""
+
+    def __init__(self, rng: random.Random) -> None:
+        self._states: list[SymState] = []
+        self._rng = rng
+
+    def __bool__(self) -> bool:
+        return bool(self._states)
+
+    def push(self, state: SymState) -> None:
+        self._states.append(state)
+
+    def pop(self) -> SymState:
+        return self._states.pop(self._rng.randrange(len(self._states)))
 
 
 def select_next_state(
@@ -664,8 +745,19 @@ def select_next_state(
 ) -> SymState:
     """Pick the next state: seeded-uniform for baseline, minimum distance
     for sonar with ties broken by fewer charged queries, then admission
-    order."""
-    return frontier[_select_index(frontier, search, df, rng)]
+    order (a ``SonarFrontier`` holding the states)."""
+    if not frontier:
+        raise ValueError("empty frontier")
+    if search is Strategy.SONAR:
+        if df is None:
+            raise ValueError("sonar selection needs a distance field")
+        sonar = SonarFrontier(df)
+        for state in frontier:
+            sonar.push(state)
+        return sonar.pop()
+    if rng is None:
+        raise ValueError("baseline selection needs an rng")
+    return frontier[rng.randrange(len(frontier))]
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +822,6 @@ def symex_campaign(
     stats_start = solver.stats.copy()
     rng = random.Random(rng_seed)
     index = index_program(program)
-    df = index.distances(target) if search is Strategy.SONAR else None
     reachable = index.reachable
     emitted_covered = set(already_covered)
     test_cases: list[TestCase] = []
@@ -760,7 +851,11 @@ def symex_campaign(
     zero = lin_const(0)
     seq = 0
     initial = SymState([(codes[entry_id], 0, entry_id, {}, None)], solver.root)
-    frontier: list[SymState] = [initial]
+    if search is Strategy.SONAR:
+        frontier: SonarFrontier | _RandomFrontier = SonarFrontier(index.distances(target))
+    else:
+        frontier = _RandomFrontier(rng)
+    frontier.push(initial)
     states_explored = 0
 
     def run_slice(state: SymState) -> list[SymState]:
@@ -871,9 +966,10 @@ def symex_campaign(
                 break
             if reachable <= emitted_covered:
                 break
-            state = frontier.pop(_select_index(frontier, search, df, rng))
+            state = frontier.pop()
             states_explored += 1
-            frontier.extend(run_slice(state))
+            for child in run_slice(state):
+                frontier.push(child)
     except _TargetReached:
         target_reached = True
 

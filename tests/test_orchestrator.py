@@ -94,6 +94,23 @@ class TestFS:
         callgraph.index_program(generate_program(GenParams(2, 3)))
         assert len(builds) == 2  # an equal but distinct program gets its own
 
+    def test_sonar_settles_under_a_quarter_of_the_distances(self, monkeypatch):
+        # The bench's fs-b2d8 campaign at seed 0: 241 targets over 1,025
+        # locations. Sonar reads only the levels up to its nearest states.
+        program = generate_program(GenParams(2, 8, 0))
+        targets = []
+
+        def recording_campaign(*args, **kwargs):
+            targets.append(kwargs["target"])
+            return symex.symex_campaign(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "symex_campaign", recording_campaign)
+        run_fs(program, HybridConfig(fuzz_budget=96, rng_seed=0))
+        index = callgraph.index_program(program)
+        settled = sum(index.distances(target).settled for target in targets)
+        assert len(targets) == len(set(targets)) == 241
+        assert settled < 0.25 * len(targets) * len(index.locations)
+
     def test_mode_and_budget_validation(self):
         program = generate_program(GenParams(2, 1))
         with pytest.raises(ValueError):
@@ -196,6 +213,20 @@ class TestDeterminism:
     def test_golden_report(self, runner, cfg, digest):
         program = generate_program(GenParams(3, 3, 0))
         report = dataclasses.replace(runner(program, cfg), duration=0.0)
+        assert hashlib.sha256(campaign_json_bytes(report)).hexdigest() == digest
+
+    # FS on the bench's fs-b2d8 tree (241 sonar targets at rng seed 0) and on
+    # a wider, shallower one, pinned before sonar search expanded its
+    # distance fields lazily.
+    @pytest.mark.parametrize("params, rng_seed, digest", [
+        ((2, 8, 0), 0, "5ee883e930864a63e594adc721d5efcda9366a2753a3cd7beb55092b9895ff67"),
+        ((2, 8, 0), 7, "7a72d8d50ecee29e3f4594695e97b01138e9875c0a34ef0e064dc5fc62d5be86"),
+        ((4, 4, 0), 0, "02af8ed41cc78a30e7d199e05ec4e4aed643ae535187d2e26852504aa5eeb5b5"),
+    ])
+    def test_golden_fs_report_on_larger_trees(self, params, rng_seed, digest):
+        program = generate_program(GenParams(*params))
+        cfg = HybridConfig(fuzz_budget=96, rng_seed=rng_seed)
+        report = dataclasses.replace(run_fs(program, cfg), duration=0.0)
         assert hashlib.sha256(campaign_json_bytes(report)).hexdigest() == digest
 
     @pytest.mark.parametrize("runner, cfg_factory", [

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import deque
 from unittest.mock import patch
 
 import pytest
@@ -20,6 +21,7 @@ from munchkin.symex import (
     SolveResult,
     Solver,
     SolverStats,
+    SonarFrontier,
     Strategy,
     SymState,
     SymexLimits,
@@ -799,3 +801,243 @@ class TestPinnedCampaigns:
                 result.states_explored, result.target_reached,
             ])
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == self.DIGEST
+
+
+SONAR_TEXT = """\
+program sonar
+
+func main()
+block entry:
+  a = input
+  b = input
+  c = input
+  br < a 0 -> neg, nonneg
+block neg:
+  br > a 5 -> never, stranded
+block never:
+  call ghost()
+  call goal(a)
+  ret
+block stranded:
+  br == b 1 -> s1, s2
+block s1:
+  print b
+  ret
+block s2:
+  br < c 3 -> s1, s3
+block s3:
+  ret
+block nonneg:
+  n = call count(b)
+  call shared(n)
+  br == c 9 -> viaf, out
+block viaf:
+  call f(c)
+  ret
+block out:
+  ret
+
+func count(limit)
+block entry:
+  i = const 0
+  jmp head
+block head:
+  br < i limit -> body, done
+block body:
+  i = i + 1
+  jmp head
+block done:
+  ret i
+
+func shared(x)
+block entry:
+  br > x 2 -> big, small
+block big:
+  ret 1
+block small:
+  ret 0
+
+func f(y)
+block entry:
+  call shared(y)
+  br == y 9 -> hit, miss
+block hit:
+  call goal(y)
+  ret
+block miss:
+  ret
+
+func goal(z)
+block entry:
+  ret
+
+func ghost()
+block entry:
+  ret
+"""
+
+
+class TestPinnedSonar:
+    """Sonar ``symex_campaign`` output where distances and ties decide the order.
+
+    ``count`` loops on a symbolic bound, so every iteration forks. ``shared``
+    has two callers, so ``goal`` is nearest from ``main`` through a return
+    edge into ``f``. ``ghost`` is reachable only on an infeasible branch:
+    once that branch is pruned, every state left sits where ``ghost`` is
+    unreachable, and sonar orders them by charged queries, then admission.
+    The digest was recorded before distance fields were expanded lazily.
+    """
+
+    DIGEST = "a65c80d6d7237f04ed983dfac0b52161e8d315c48bc4a2aacf77ff5efb7c29ec"
+    RUNS = [
+        # (target, max_inputs, limits)
+        ("goal", 3, SymexLimits()),
+        ("goal", 3, SymexLimits(10_000, 4)),
+        ("f", 3, SymexLimits()),
+        ("shared", 3, SymexLimits()),
+        ("ghost", 3, SymexLimits(10_000, 60)),
+        ("ghost", 3, SymexLimits(40, 10_000)),
+        ("count", 1, SymexLimits()),
+    ]
+
+    def test_output_equals_the_recorded_one(self):
+        doc = []
+        for target, max_inputs, limits in self.RUNS:
+            result = symex_campaign(
+                parse_program(SONAR_TEXT), Strategy.SONAR, limits, max_inputs, target,
+                replay_step_limit=100_000,
+            )
+            stats = result.stats
+            doc.append([
+                [[list(tc.values), sorted(tc.covering)] for tc in result.test_cases],
+                sorted(result.coverage.functions), sorted(result.coverage.edge_bits),
+                [stats.queries, stats.sat, stats.unsat, stats.unknown, stats.cache_hits],
+                result.states_explored, result.target_reached,
+            ])
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == self.DIGEST
+
+
+def _full_bfs(index, target):
+    """Every location's hop count to ``target``'s entry, -1 where it cannot
+    reach it, by one whole backward BFS: the reference for lazily settled
+    distance fields."""
+    hops = [-1] * len(index.locations)
+    start = index.entries[target]
+    hops[start] = 0
+    queue = deque([start])
+    while queue:
+        loc = queue.popleft()
+        for pred in index.predecessors[loc]:
+            if hops[pred] < 0:
+                hops[pred] = hops[loc] + 1
+                queue.append(pred)
+    return hops
+
+
+def _scan_rank(state, hops):
+    """Sonar's rank of a state over fully settled hops; the reference pick
+    is the minimum over the whole frontier."""
+    distance = hops[state.frames[-1][2]]
+    return (float("inf") if distance < 0 else distance, state.queries_charged, state.seq)
+
+
+# Programs for the frontier property: trees, and hand-written programs
+# with loops, a function of two callers and locations that cannot reach
+# some targets.
+_FRONTIER_PROGRAMS = {
+    "b2d2": lambda: generate_program(GenParams(2, 2, 0)),
+    "b3d2": lambda: generate_program(GenParams(3, 2, 5)),
+    "sonar": lambda: parse_program(SONAR_TEXT),
+    "opcodes": lambda: parse_program(PINNED_TEXT),
+}
+_SHARED_PROGRAMS = {}
+
+
+class TestSonarFrontier:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(sorted(_FRONTIER_PROGRAMS)),
+        st.booleans(),
+        st.data(),
+    )
+    def test_pops_equal_a_scan_over_the_full_bfs(self, name, shared, data):
+        # A shared program's fields persist across examples, so a frontier
+        # may start on a field earlier frontiers have settled further.
+        if not shared:
+            program = _FRONTIER_PROGRAMS[name]()
+        elif name in _SHARED_PROGRAMS:
+            program = _SHARED_PROGRAMS[name]
+        else:
+            program = _SHARED_PROGRAMS[name] = _FRONTIER_PROGRAMS[name]()
+        index = index_program(program)
+        target = data.draw(st.sampled_from(sorted(program.functions)), label="target")
+        full = _full_bfs(index, target)
+        df = index.distances(target)
+        frontier = SonarFrontier(df)
+        oracle = []
+        # A push (location, charged queries), a pop (None), or "expand": the
+        # field settles a level for someone else while the frontier holds
+        # states, as ``at`` does.
+        ops = data.draw(st.lists(
+            st.one_of(
+                st.tuples(
+                    st.integers(0, len(index.locations) - 1), st.integers(0, 4)
+                ),
+                st.none(),
+                st.just("expand"),
+            ),
+            max_size=60,
+        ), label="ops")
+        for seq, op in enumerate(ops):
+            if op == "expand":
+                df.expand()
+            elif op is None:
+                if not oracle:
+                    assert not frontier
+                    with pytest.raises(ValueError, match="empty frontier"):
+                        frontier.pop()
+                    continue
+                want = min(range(len(oracle)), key=lambda i: _scan_rank(oracle[i], full))
+                assert frontier.pop() is oracle.pop(want)
+            else:
+                loc, queries = op
+                state = SymState([(None, 0, loc, {}, None)], None, queries_charged=queries, seq=seq)
+                frontier.push(state)
+                oracle.append(state)
+            assert bool(frontier) == bool(oracle)
+
+        assert df.settled == sum(h >= 0 for h in df.hops)
+        assert all(h < 0 or h == exact for h, exact in zip(df.hops, full))
+        assert index.distances(target) is df
+        for i, loc in enumerate(index.locations):
+            assert df.at(*loc) == (None if full[i] < 0 else full[i]), loc
+        assert df.hops == full
+
+    def test_a_new_field_settles_only_the_target_entry(self):
+        program = parse_program(SONAR_TEXT)
+        index = index_program(program)
+        df = index.distances("goal")
+        assert df.settled == 1 and df.level == [index.entries["goal"]]
+        level = df.expand()
+        assert level == list(index.predecessors[index.entries["goal"]]) == df.level
+        assert df.depth == 1 and df.settled == 1 + len(level)
+        while df.expand():
+            pass
+        assert df.level == [] and df.expand() == []
+        assert df.hops == _full_bfs(index, "goal")
+        assert df.at("main", "stranded") is None
+
+    def test_a_state_waiting_on_a_level_settled_elsewhere_comes_first(self):
+        # The field settles past a waiting state's level for someone else;
+        # a nearer waiting state must still beat a farther one pushed later.
+        index = index_program(parse_program(SONAR_TEXT))
+        hops = _full_bfs(index, "goal")
+        near, far = hops.index(3), hops.index(5)
+        df = index.distances("goal")
+        frontier = SonarFrontier(df)
+        first = SymState([(None, 0, near, {}, None)], None, seq=1)
+        frontier.push(first)
+        while df.expand():
+            pass
+        frontier.push(SymState([(None, 0, far, {}, None)], None, seq=2))
+        assert frontier.pop() is first
