@@ -22,7 +22,6 @@ from .callgraph import (
     build_callgraph,
     frontier_set,
     index_program,
-    sonar_distances,
 )
 from .executor import (
     CoverageMap,
@@ -88,6 +87,5 @@ __all__ = [
     "run_hybrid",
     "run_sf",
     "serialize_program",
-    "sonar_distances",
     "symex_campaign",
 ]

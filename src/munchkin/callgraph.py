@@ -12,13 +12,15 @@ edges from callee exit blocks back to the call-site block.
 on the program object, so every campaign on that program shares it. The
 index holds the call graph, the reachable set and the reverse block graph
 over integer location ids (the numbering of ``ir.block_locations``, which
-the interpreters' lowered form uses too), and memoises one distance field
-per target. A distance field is a resumable backward BFS from the target's
-entry: a hop list indexed by location id, -1 where no distance is settled
-yet, and the BFS's current level and its depth. Creating one settles only
-the target's entry; ``expand`` settles one more level, and ``at`` expands until the
-asked location is settled or the BFS runs out, so it is always exact.
-Sonar search expands a field only as far as the states it ranks need.
+the interpreters' lowered form uses too); it keeps nothing per target.
+``ProgramIndex.distances`` creates a new distance field on each call, which
+its caller owns. A distance field is a resumable backward BFS from the
+target's entry: a hop list indexed by location id, -1 where no distance is
+settled yet, and the BFS's current level and its depth. Creating one
+settles only the target's entry; ``expand`` settles one more level, and
+``at`` expands until the asked location is settled or the BFS runs out, so
+it is always exact. A sonar run owns its target's field and expands it
+only as far as the states it ranks need.
 """
 
 from __future__ import annotations
@@ -88,16 +90,14 @@ class DistanceField:
     been settled.
     """
 
-    __slots__ = ("target", "hops", "level", "depth", "_settled", "_predecessors", "_ids")
+    __slots__ = ("hops", "level", "depth", "_settled", "_predecessors", "_ids")
 
     def __init__(
         self,
-        target: str,
         start: int,
         predecessors: tuple[tuple[int, ...], ...],
         ids: dict[Location, int],
     ) -> None:
-        self.target = target
         self.hops = [-1] * len(predecessors)
         self.hops[start] = 0
         self.level = [start]
@@ -173,9 +173,8 @@ class ProgramIndex:
     ``i``. ``callers`` maps each function to the functions that call it;
     ``by_depth`` lists the reachable functions by ascending depth, then
     name, the order ``frontier_set`` keeps within each of its two groups.
-    Distance fields are memoised per target and settle levels only when
-    asked; hop counts are deterministic, so neither the memo nor how far a
-    field has been settled changes an answer.
+    The index holds no per-target state: each ``distances`` call builds a
+    new field, which settles levels only when asked.
     """
 
     callgraph: CallGraph
@@ -186,20 +185,13 @@ class ProgramIndex:
     predecessors: tuple[tuple[int, ...], ...]
     callers: dict[str, tuple[str, ...]]
     by_depth: tuple[str, ...]
-    _fields: dict[str, DistanceField] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def distances(self, target: str) -> DistanceField:
-        """The target's distance field, created on first use with only the
-        target's entry settled."""
-        df = self._fields.get(target)
-        if df is None:
-            start = self.entries.get(target)
-            if start is None:
-                raise ValueError(f"unknown target '{target}'")
-            df = self._fields[target] = DistanceField(target, start, self.predecessors, self.ids)
-        return df
+        """A new distance field for the target, with only its entry settled."""
+        start = self.entries.get(target)
+        if start is None:
+            raise ValueError(f"unknown target '{target}'")
+        return DistanceField(start, self.predecessors, self.ids)
 
     def next_target(self, covered: Set[str], skip: Set[str]) -> str | None:
         """The first reachable function of ``frontier_set(callgraph, covered)``
@@ -249,11 +241,6 @@ def index_program(program: Program) -> ProgramIndex:
     )
     object.__setattr__(program, "_index", index)
     return index
-
-
-def sonar_distances(program: Program, target: str) -> DistanceField:
-    """Distance field of one target, from the program's index."""
-    return index_program(program).distances(target)
 
 
 def frontier_set(cg: CallGraph, covered: set[str] | frozenset[str]) -> list[str]:

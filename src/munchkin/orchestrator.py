@@ -120,6 +120,8 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
         raise ValueError("config mode must be 'fs'")
     if cfg.per_target_query_budget <= 0:
         raise ValueError("per-target query budget must be positive")
+    if cfg.per_target_state_budget <= 0:
+        raise ValueError("per-target state budget must be positive")
     started = time.perf_counter()
 
     fuzz_result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))

@@ -35,15 +35,15 @@ by a path condition's set of constraints and the number of variables;
 cache hits are not charged as queries.
 
 Sonar search picks the state nearest to its target function, by the hop
-count at its top frame's location in the target's distance field (from
-``index_program``), then fewer charged queries, then admission order. The
-field is settled lazily, one BFS level at a time (``DistanceField.expand``),
-and a ``SonarFrontier`` settles the next level only when it holds no state
-on the levels settled so far. States on settled locations sit in a heap;
-the others wait in per-location buckets until their level is settled, or
-enter at distance infinity once the field is exhausted. The picks are
-those of a scan of the whole frontier over a fully settled field, and
-``at`` stays exact because it expands on demand. Baseline search picks
+count at its top frame's location in the target's distance field, then
+fewer charged queries, then admission order. Each sonar run creates its own
+field (``ProgramIndex.distances``) and hands it to its ``SonarFrontier``,
+the field's only user, which settles it lazily, one BFS level at a time
+(``DistanceField.expand``), and only when it holds no state on the levels
+settled so far. States on settled locations sit in a heap; the others wait
+in per-location buckets until their level is settled, or enter at
+distance infinity once the field is exhausted. The picks are those of a
+scan of the whole frontier over a fully settled field. Baseline search picks
 uniformly from a list with the campaign's seeded RNG. A campaign keeps its
 own solver unless the caller passes one; FS shares one across all its
 targeted runs.
@@ -649,25 +649,23 @@ class SonarFrontier:
     broken by fewer charged queries, then by admission order (``seq``,
     unique per state).
 
-    The frontier takes in its distance field's levels in order. A state
-    whose location lies in a level taken in sits in a heap on
-    ``(distance, queries_charged, seq)``; any other state waits in its
-    location's bucket. Only when the heap is empty does ``pop`` take in the
-    next level, settling it if no one has yet, and move that level's
+    The frontier is its distance field's only user, so the field has
+    settled exactly the levels the frontier has taken in. A state whose
+    location is settled sits in a heap on ``(distance, queries_charged,
+    seq)``; any other state waits in its location's bucket. Only when the
+    heap is empty does ``pop`` settle the next level and move that level's
     buckets into the heap. Every state in the heap is then no farther than
-    the last level taken in and every waiting one is farther, so the heap's
-    minimum is the frontier's. Once the field is exhausted and every level
-    taken in, the states still waiting cannot reach the target: they enter
-    the heap at distance infinity, as does every later state on a location
-    without a distance.
+    the last level settled and every waiting one is farther, so the heap's
+    minimum is the frontier's. Once the field is exhausted, the states
+    still waiting cannot reach the target: they enter the heap at distance
+    infinity, as does every later state on a location without a distance.
     """
 
     def __init__(self, df: DistanceField) -> None:
         self._df = df
         self._heap: list[tuple[float, int, int, SymState]] = []
         self._waiting: dict[int, list[SymState]] = {}
-        self._depth = 0  # levels 0..depth of the field have been taken in
-        self._drained = False  # every level has, and the field is exhausted
+        self._drained = False  # the field is exhausted
 
     def __bool__(self) -> bool:
         return bool(self._heap or self._waiting)
@@ -675,7 +673,7 @@ class SonarFrontier:
     def push(self, state: SymState) -> None:
         loc = state.frames[-1][2]
         hops = self._df.hops[loc]
-        if 0 <= hops <= self._depth:
+        if hops >= 0:
             heappush(self._heap, (hops, state.queries_charged, state.seq, state))
         elif self._drained:
             heappush(self._heap, (_INF, state.queries_charged, state.seq, state))
@@ -696,20 +694,16 @@ class SonarFrontier:
 
     def _take_level(self) -> None:
         df, heap, waiting = self._df, self._heap, self._waiting
-        depth = self._depth + 1
-        if depth > df.depth:
-            level = df.expand()
-            if not level:
-                self._drained = True
-                for bucket in waiting.values():
-                    for state in bucket:
-                        heappush(heap, (_INF, state.queries_charged, state.seq, state))
-                waiting.clear()
-                return
-        else:
-            level = None  # settled before: look for it among the waiting locations
-        self._depth = depth
-        if level is None or len(waiting) < len(level):
+        level = df.expand()
+        if not level:
+            self._drained = True
+            for bucket in waiting.values():
+                for state in bucket:
+                    heappush(heap, (_INF, state.queries_charged, state.seq, state))
+            waiting.clear()
+            return
+        depth = df.depth
+        if len(waiting) < len(level):
             hops = df.hops
             level = [loc for loc in waiting if hops[loc] == depth]
         for loc in level:
@@ -735,29 +729,6 @@ class _RandomFrontier:
 
     def pop(self) -> SymState:
         return self._states.pop(self._rng.randrange(len(self._states)))
-
-
-def select_next_state(
-    frontier: Sequence[SymState],
-    search: Strategy,
-    df: DistanceField | None = None,
-    rng: random.Random | None = None,
-) -> SymState:
-    """Pick the next state: seeded-uniform for baseline, minimum distance
-    for sonar with ties broken by fewer charged queries, then admission
-    order (a ``SonarFrontier`` holding the states)."""
-    if not frontier:
-        raise ValueError("empty frontier")
-    if search is Strategy.SONAR:
-        if df is None:
-            raise ValueError("sonar selection needs a distance field")
-        sonar = SonarFrontier(df)
-        for state in frontier:
-            sonar.push(state)
-        return sonar.pop()
-    if rng is None:
-        raise ValueError("baseline selection needs an rng")
-    return frontier[rng.randrange(len(frontier))]
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +784,8 @@ def symex_campaign(
     """
     if limits.max_states <= 0 or limits.max_queries <= 0:
         raise ValueError("limits must be positive")
+    if max_inputs < 0:
+        raise ValueError("max_inputs must not be negative")
     if search is Strategy.SONAR and target is None:
         raise ValueError("sonar search requires a target")
     if target is not None and target not in program.functions:
@@ -904,12 +877,19 @@ def symex_campaign(
                     index = 0
                     state.queries_charged += 1
                     continue
+                # The forking state is discarded: the first child gets copies
+                # of its frames' stores, the second takes over the originals.
                 children = []
                 for pc, target_code, target_id in feasible:
                     seq += 1
-                    callers = [(c, i, l, dict(s), r) for c, i, l, s, r in frames]
+                    if children:
+                        callers, top = frames, store
+                    else:
+                        callers = [(c, i, l, dict(s), r) for c, i, l, s, r in frames]
+                        top = dict(store)
+                    callers.append((target_code, 0, target_id, top, ret_dest))
                     children.append(SymState(
-                        callers + [(target_code, 0, target_id, dict(store), ret_dest)],
+                        callers,
                         pc,
                         state.inputs_read,
                         state.queries_charged + 1,

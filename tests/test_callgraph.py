@@ -12,7 +12,6 @@ from munchkin.callgraph import (
     frontier_set,
     index_program,
     interprocedural_edges,
-    sonar_distances,
     to_dot,
 )
 from munchkin.generator import GenParams, generate_program
@@ -56,7 +55,7 @@ class TestDepths:
 
 class TestSonarDistances:
     def test_target_entry_is_zero(self, chain_program):
-        df = sonar_distances(chain_program, "g")
+        df = index_program(chain_program).distances("g")
         assert df.at("g", "entry") == 0
 
     def test_chain_distance_matches_brute_force(self, chain_program):
@@ -69,31 +68,37 @@ class TestSonarDistances:
             (("g", "entry"), ("f", "entry")),
         }
         want = _brute_force_distance(edges, ("main", "entry"), ("g", "entry"))
-        df = sonar_distances(chain_program, "g")
+        df = index_program(chain_program).distances("g")
         assert df.at("main", "entry") == want == 2
 
     def test_unreachable_target(self):
         program = parse_program(UNREACHABLE_TEXT)
-        df = sonar_distances(program, "orphan")
+        df = index_program(program).distances("orphan")
         assert df.at("orphan", "entry") == 0
         assert df.at("main", "entry") is None
 
     def test_unknown_target_rejected(self, chain_program):
         with pytest.raises(ValueError, match="unknown target"):
-            sonar_distances(chain_program, "nope")
+            index_program(chain_program).distances("nope")
 
     def test_triangle_inequality_over_generated_program(self):
         program = generate_program(GenParams(2, 2))
-        df = sonar_distances(program, "n_3_3")
+        df = index_program(program).distances("n_3_3")
         for src, dst in interprocedural_edges(program):
             d_src, d_dst = df.at(*src), df.at(*dst)
             if d_dst is not None:
                 assert d_src is not None and d_src <= 1 + d_dst
 
-    def test_cache_returns_identical_fields(self):
-        program = generate_program(GenParams(2, 2))
-        index = index_program(program)
-        assert index.distances("n_0_0") is index.distances("n_0_0")
+    def test_each_call_returns_a_new_field(self):
+        # A field belongs to the caller that asked for it; expanding one
+        # leaves the next caller's field at the target's entry.
+        index = index_program(generate_program(GenParams(2, 2)))
+        first = index.distances("n_0_0")
+        while first.expand():
+            pass
+        second = index.distances("n_0_0")
+        assert second is not first
+        assert second.settled == 1 and second.level == [index.entries["n_0_0"]]
 
     def test_the_index_lives_on_its_program_but_not_in_its_copies(self):
         program = generate_program(GenParams(2, 2))

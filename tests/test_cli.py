@@ -98,6 +98,13 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_max_inputs_is_campaign_failure(self, tree_mir, tmp_path, capsys):
+        code = run_cli(
+            "symex", str(tree_mir), "--max-inputs", "-1", "--out", str(tmp_path / "out")
+        )
+        assert code == 2
+        assert "max_inputs" in capsys.readouterr().err
+
     def test_unknown_symex_target(self, tree_mir, tmp_path):
         assert (
             run_cli(

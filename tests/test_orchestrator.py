@@ -1,6 +1,7 @@
 """FS and SF hybrid campaigns and the two baselines."""
 
 import dataclasses
+import gc
 import hashlib
 import inspect
 import random
@@ -98,18 +99,26 @@ class TestFS:
         # The bench's fs-b2d8 campaign at seed 0: 241 targets over 1,025
         # locations. Sonar reads only the levels up to its nearest states.
         program = generate_program(GenParams(2, 8, 0))
-        targets = []
+        fields = {}
+        distances = callgraph.ProgramIndex.distances
 
-        def recording_campaign(*args, **kwargs):
-            targets.append(kwargs["target"])
-            return symex.symex_campaign(*args, **kwargs)
+        def recording_distances(index, target):
+            assert target not in fields  # each target is aimed at once
+            fields[target] = distances(index, target)
+            return fields[target]
 
-        monkeypatch.setattr(orchestrator, "symex_campaign", recording_campaign)
+        monkeypatch.setattr(callgraph.ProgramIndex, "distances", recording_distances)
         run_fs(program, HybridConfig(fuzz_budget=96, rng_seed=0))
         index = callgraph.index_program(program)
-        settled = sum(index.distances(target).settled for target in targets)
-        assert len(targets) == len(set(targets)) == 241
-        assert settled < 0.25 * len(targets) * len(index.locations)
+        settled = sum(df.settled for df in fields.values())
+        assert len(fields) == 241
+        assert settled < 0.25 * len(fields) * len(index.locations)
+
+    def test_no_distance_field_outlives_the_campaign(self):
+        program = generate_program(GenParams(2, 8, 0))
+        run_fs(program, HybridConfig(fuzz_budget=96, rng_seed=0))
+        gc.collect()
+        assert not [o for o in gc.get_objects() if isinstance(o, callgraph.DistanceField)]
 
     def test_mode_and_budget_validation(self):
         program = generate_program(GenParams(2, 1))
@@ -117,6 +126,14 @@ class TestFS:
             run_fs(program, _sf_config())
         with pytest.raises(ValueError):
             run_fs(program, _fs_config(per_target_query_budget=0))
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_a_non_positive_state_budget_is_rejected_before_fuzzing(self, depth):
+        # Fuzzing covers all of b2d1 but leaves targets on b2d4; neither
+        # outcome may decide whether the budget is checked.
+        program = generate_program(GenParams(2, depth))
+        with pytest.raises(ValueError, match="state budget"):
+            run_fs(program, _fs_config(fuzz_budget=10, per_target_state_budget=0))
 
 
 class TestSF:

@@ -25,11 +25,11 @@ from munchkin.symex import (
     Strategy,
     SymState,
     SymexLimits,
+    _RandomFrontier,
     _combine,
     lin_const,
     lin_var,
     negate_constraint,
-    select_next_state,
     sym_binop,
     symex_campaign,
 )
@@ -456,40 +456,53 @@ class TestSelectNextState:
     def _states(self, program, n):
         return [self._state(program, "main", i) for i in range(n)]
 
+    def _sonar(self, program, target, states):
+        return self._fill(SonarFrontier(index_program(program).distances(target)), states)
+
+    def _random(self, seed, states):
+        return self._fill(_RandomFrontier(random.Random(seed)), states)
+
+    def _fill(self, frontier, states):
+        for state in states:
+            frontier.push(state)
+        return frontier
+
+    def _drain(self, frontier):
+        picks = []
+        while frontier:
+            picks.append(frontier.pop())
+        return picks
+
     def test_singleton_frontier(self, chain_program):
         states = self._states(chain_program, 1)
-        rng = random.Random(0)
-        assert select_next_state(states, Strategy.BASELINE, rng=rng) is states[0]
+        for frontier in (self._random(0, states), self._sonar(chain_program, "g", states)):
+            assert self._drain(frontier) == states
 
     def test_sonar_picks_smaller_distance(self, chain_program):
         # f's entry is 1 hop from g's, main's 2; the nearer state was admitted later.
         states = [self._state(chain_program, "main", 0), self._state(chain_program, "f", 1)]
-        df = index_program(chain_program).distances("g")
-        assert select_next_state(states, Strategy.SONAR, df=df) is states[1]
+        assert self._drain(self._sonar(chain_program, "g", states)) == states[::-1]
 
     def test_sonar_ties_break_on_charged_queries_then_seq(self, chain_program):
         states = self._states(chain_program, 3)
-        df = index_program(chain_program).distances("g")
         states[0].queries_charged = 5
         states[1].queries_charged = 2
         states[2].queries_charged = 2
-        assert select_next_state(states, Strategy.SONAR, df=df) is states[1]
+        picks = self._drain(self._sonar(chain_program, "g", states))
+        assert picks == [states[1], states[2], states[0]]
 
     def test_baseline_is_reproducible(self, chain_program):
         states = self._states(chain_program, 5)
-        picks_a = [
-            select_next_state(states, Strategy.BASELINE, rng=random.Random(7)).seq
-            for _ in range(3)
-        ]
-        picks_b = [
-            select_next_state(states, Strategy.BASELINE, rng=random.Random(7)).seq
-            for _ in range(3)
-        ]
+        picks_a = [state.seq for state in self._drain(self._random(7, states))]
+        picks_b = [state.seq for state in self._drain(self._random(7, states))]
         assert picks_a == picks_b
+        assert sorted(picks_a) == [0, 1, 2, 3, 4]  # a pick leaves the frontier
 
-    def test_empty_frontier_rejected(self):
+    def test_empty_frontier_rejected(self, chain_program):
         with pytest.raises(ValueError):
-            select_next_state([], Strategy.BASELINE, rng=random.Random(0))
+            _RandomFrontier(random.Random(0)).pop()
+        with pytest.raises(ValueError, match="empty frontier"):
+            self._sonar(chain_program, "g", []).pop()
 
 
 CONSTANT_BRANCH_TEXT = """\
@@ -542,6 +555,63 @@ block out:
   ret
 
 func f()
+block entry:
+  ret
+"""
+
+
+# At each two-way fork the child on the then side writes a local that the
+# other child reads without writing: in main's store, which is a caller's
+# frame while ``pick`` forks, and in the running frame's store at the fork
+# on ``b``. Sonar pops the writer first, as the two tie on distance and
+# charged queries; a store the children shared would hide each target.
+FORK_STORES_TEXT = """\
+program forks
+
+func main()
+block entry:
+  y = const 0
+  r = call pick()
+  br == r 1 -> mark, join
+block mark:
+  y = const 1
+  jmp join
+block join:
+  br == y 0 -> reach, done
+block reach:
+  call caller_store()
+  z = const 0
+  b = input
+  br < b 5 -> mark2, skip2
+block mark2:
+  z = const 1
+  jmp join2
+block skip2:
+  jmp join2
+block join2:
+  br == z 0 -> reach2, done
+block reach2:
+  call top_store()
+  ret
+block done:
+  ret
+
+func pick()
+block entry:
+  a = input
+  br < a 5 -> one, zero
+block one:
+  ret 1
+block zero:
+  jmp zero2
+block zero2:
+  ret 0
+
+func caller_store()
+block entry:
+  ret
+
+func top_store()
 block entry:
   ret
 """
@@ -611,6 +681,12 @@ class TestCampaigns:
         for tc in result.test_cases:
             assert run_concrete(parse_program(OPAQUE_TEXT), tc.values).coverage.functions == tc.covering
 
+    @pytest.mark.parametrize("target", ["caller_store", "top_store"])
+    def test_fork_children_keep_their_own_stores(self, target):
+        program = parse_program(FORK_STORES_TEXT)
+        result = symex_campaign(program, Strategy.SONAR, target=target)
+        assert result.target_reached
+
     def test_max_inputs_caps_symbolic_variables(self):
         program = parse_program(MULTI_INPUT_TEXT)
         result = symex_campaign(program, max_inputs=2)
@@ -649,6 +725,7 @@ class TestCampaigns:
             {"target": "ghost"},
             {"limits": SymexLimits(0, 5)},
             {"limits": SymexLimits(5, 0)},
+            {"max_inputs": -1},
         ],
     )
     def test_invalid_arguments(self, kwargs):
@@ -950,48 +1027,31 @@ _FRONTIER_PROGRAMS = {
     "sonar": lambda: parse_program(SONAR_TEXT),
     "opcodes": lambda: parse_program(PINNED_TEXT),
 }
-_SHARED_PROGRAMS = {}
 
 
 class TestSonarFrontier:
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.sampled_from(sorted(_FRONTIER_PROGRAMS)),
-        st.booleans(),
-        st.data(),
-    )
-    def test_pops_equal_a_scan_over_the_full_bfs(self, name, shared, data):
-        # A shared program's fields persist across examples, so a frontier
-        # may start on a field earlier frontiers have settled further.
-        if not shared:
-            program = _FRONTIER_PROGRAMS[name]()
-        elif name in _SHARED_PROGRAMS:
-            program = _SHARED_PROGRAMS[name]
-        else:
-            program = _SHARED_PROGRAMS[name] = _FRONTIER_PROGRAMS[name]()
+    @given(st.sampled_from(sorted(_FRONTIER_PROGRAMS)), st.data())
+    def test_pops_equal_a_scan_over_the_full_bfs(self, name, data):
+        program = _FRONTIER_PROGRAMS[name]()
         index = index_program(program)
         target = data.draw(st.sampled_from(sorted(program.functions)), label="target")
         full = _full_bfs(index, target)
         df = index.distances(target)
         frontier = SonarFrontier(df)
         oracle = []
-        # A push (location, charged queries), a pop (None), or "expand": the
-        # field settles a level for someone else while the frontier holds
-        # states, as ``at`` does.
+        # A push (location, charged queries) or a pop (None).
         ops = data.draw(st.lists(
             st.one_of(
                 st.tuples(
                     st.integers(0, len(index.locations) - 1), st.integers(0, 4)
                 ),
                 st.none(),
-                st.just("expand"),
             ),
             max_size=60,
         ), label="ops")
         for seq, op in enumerate(ops):
-            if op == "expand":
-                df.expand()
-            elif op is None:
+            if op is None:
                 if not oracle:
                     assert not frontier
                     with pytest.raises(ValueError, match="empty frontier"):
@@ -1008,7 +1068,6 @@ class TestSonarFrontier:
 
         assert df.settled == sum(h >= 0 for h in df.hops)
         assert all(h < 0 or h == exact for h, exact in zip(df.hops, full))
-        assert index.distances(target) is df
         for i, loc in enumerate(index.locations):
             assert df.at(*loc) == (None if full[i] < 0 else full[i]), loc
         assert df.hops == full
@@ -1026,18 +1085,3 @@ class TestSonarFrontier:
         assert df.level == [] and df.expand() == []
         assert df.hops == _full_bfs(index, "goal")
         assert df.at("main", "stranded") is None
-
-    def test_a_state_waiting_on_a_level_settled_elsewhere_comes_first(self):
-        # The field settles past a waiting state's level for someone else;
-        # a nearer waiting state must still beat a farther one pushed later.
-        index = index_program(parse_program(SONAR_TEXT))
-        hops = _full_bfs(index, "goal")
-        near, far = hops.index(3), hops.index(5)
-        df = index.distances("goal")
-        frontier = SonarFrontier(df)
-        first = SymState([(None, 0, near, {}, None)], None, seq=1)
-        frontier.push(first)
-        while df.expand():
-            pass
-        frontier.push(SymState([(None, 0, far, {}, None)], None, seq=2))
-        assert frontier.pop() is first
