@@ -130,6 +130,8 @@ def _add_campaign_keys(p: argparse.ArgumentParser, keys=tuple(CAMPAIGN_KEYS)) ->
 
 
 def _out_dir(args, subcommand: str) -> Path:
+    """Create and return the output directory; call it once the campaign has
+    returned, so a run that fails leaves no directory behind."""
     if args.out:
         path = Path(args.out)
     else:
@@ -189,11 +191,11 @@ def _cmd_callgraph(args, config) -> int:
 def _cmd_fuzz(args, config) -> int:
     program = _read_program(args.program)
     cfg = _campaign_config(args, config)
-    out = _out_dir(args, "fuzz")
     cg = build_callgraph(program)
     started = time.perf_counter()
     result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))
     rep = fuzz_report(cg, result, started)
+    out = _out_dir(args, "fuzz")
     for entry in result.corpus:
         write_input_file(out / f"id-{entry.discovery_iteration}.txt", entry.values)
     _write_report(rep, out)
@@ -209,7 +211,6 @@ def _cmd_fuzz(args, config) -> int:
 def _cmd_symex(args, config) -> int:
     program = _read_program(args.program)
     cfg = _campaign_config(args, config)
-    out = _out_dir(args, "symex")
     started = time.perf_counter()
     result = symex_campaign(
         program,
@@ -221,6 +222,7 @@ def _cmd_symex(args, config) -> int:
         replay_step_limit=cfg.step_limit,
     )
     rep = symex_report(index_program(program).callgraph, result, started)
+    out = _out_dir(args, "symex")
     for number, tc in enumerate(result.test_cases):
         write_input_file(out / f"test-{number}.txt", tc.values)
     _write_report(rep, out)
@@ -235,8 +237,8 @@ def _cmd_symex(args, config) -> int:
 def _cmd_hybrid(args, config) -> int:
     program = _read_program(args.program)
     cfg = dataclasses.replace(_campaign_config(args, config), mode=args.mode)
-    out = _out_dir(args, "hybrid")
     rep = run_hybrid(program, cfg)
+    out = _out_dir(args, "hybrid")
     for index, values in enumerate(rep.test_suite):
         write_input_file(out / f"id-{index}.txt", values)
     _write_report(rep, out)
@@ -250,8 +252,9 @@ def _cmd_hybrid(args, config) -> int:
 def _cmd_baselines(args, config) -> int:
     program = _read_program(args.program)
     cfg = _campaign_config(args, config)
+    reports = run_baselines(program, cfg)
     out = _out_dir(args, "baselines")
-    for rep in run_baselines(program, cfg):
+    for rep in reports:
         _write_report(rep, out)
         print(
             f"{rep.technique}: coverage {report.coverage_percent(rep.per_depth)}%, "
@@ -262,15 +265,12 @@ def _cmd_baselines(args, config) -> int:
 
 def _cmd_report(args, config) -> int:
     cg = build_callgraph(_read_program(args.program))
+    coverages = dict(_read_report(path) for path in args.reports)
+    tables = {t: report.depth_table(cov, cg) for t, cov in coverages.items()}
     out = _out_dir(args, "report")
-    coverages = {}
-    tables = {}
-    for path in args.reports:
-        technique, cov = _read_report(path)
-        coverages[technique] = cov
-        tables[technique] = report.depth_table(cov, cg)
+    for technique, table in tables.items():
         (out / f"depth-{technique}.tsv").write_text(
-            report.depth_table_tsv(tables[technique]), encoding="utf-8"
+            report.depth_table_tsv(table), encoding="utf-8"
         )
     if len(coverages) >= 2:
         inter = report.intersection_report(coverages, len(cg.reachable()))
@@ -288,7 +288,6 @@ def _cmd_report(args, config) -> int:
 
 
 def _cmd_table1(args, config) -> int:
-    out = _out_dir(args, "table1") if args.out else None
     header = (
         "prog",
         "b",
@@ -332,17 +331,17 @@ def _cmd_table1(args, config) -> int:
                 )
             )
         )
-        if out is not None:
-            tables = [
-                symex_rep.per_depth,
-                fuzz_rep.per_depth,
-                fs_rep.per_depth,
-                sf_rep.per_depth,
-            ]
-            rows = report.plot_rows(tables)
+        tables = [
+            symex_rep.per_depth,
+            fuzz_rep.per_depth,
+            fs_rep.per_depth,
+            sf_rep.per_depth,
+        ]
+        all_rows.append(report.plot_rows(tables))
+    if args.out:
+        out = _out_dir(args, "table1")
+        for index, rows in enumerate(all_rows, start=1):
             report.write_plot_rows(rows, out / f"plot-p{index}.dat")
-            all_rows.append(rows)
-    if out is not None:
         report.write_plot_rows(report.average_plot_rows(all_rows), out / "plot-avg.dat")
     return 0
 

@@ -19,20 +19,20 @@ are feasible only through int32 wrap-around may be pruned; every model it
 does return is verified against wrap-around semantics by evaluation.
 
 Solving is incremental along each path. Path conditions are nodes of a
-per-solver trie: ``Solver.root``, and ``pc.extend(c)`` returns the existing
-child for a constraint, so each fork adds one node and a path walked again
-(each FS sonar run walks down from ``main``) reuses the nodes it built.
-A node keeps its propagated domains. A child starts from its parent's
-fixpoint and reruns only the propagators that can still tighten it; since
-propagators are monotone and run in path order, it reaches the domains a
-run from scratch would, and the parent's rounds plus its own bound the
-rounds that run would take. Where that bound reaches the round cap, the
-node is propagated from scratch, so the cap stops it where it always did.
-A candidate model that agrees with its parent's passing candidate is
-checked against the new constraint only. Verdicts, models and query counts
-are those of solving each path condition from scratch. Results are cached
-by a path condition's set of constraints and the number of variables;
-cache hits are not charged as queries.
+per-solver trie: ``solver.extend(pc, c)`` returns the node for ``c`` on top
+of ``pc``, made on first use, so a path walked again (each FS sonar run
+walks down from ``main``) reuses its nodes. Nodes point only up; the
+solver's child table points down. A node keeps its propagated domains. A
+child starts from its parent's fixpoint and reruns only the propagators
+that can still tighten it; since propagators are monotone and run in path
+order, it reaches the domains a run from scratch would, and the parent's
+rounds plus its own bound the rounds that run would take. Where that bound
+reaches the round cap, the node is propagated from scratch, so the cap
+stops it where it always did. A candidate model that agrees with its
+parent's passing candidate is checked against the new constraint only.
+Verdicts, models and query counts are those of solving each path condition
+from scratch. Results are cached by a path condition's set of constraints
+and the number of variables; cache hits are not charged as queries.
 
 Sonar search picks the state nearest to its target function, by the hop
 count at its top frame's location in the target's distance field, then
@@ -201,11 +201,6 @@ class Constraint:
     lhs: SymValue
     rhs: SymValue
 
-    @cached_property
-    def key(self) -> tuple:
-        """What path-condition keys hold: equal keys mean equal constraints."""
-        return (self.cmp, _expr_key(self.lhs), _expr_key(self.rhs))
-
     @property
     def is_opaque(self) -> bool:
         return isinstance(self.lhs, Opaque) or isinstance(self.rhs, Opaque)
@@ -250,12 +245,6 @@ def negate_constraint(c: Constraint) -> Constraint:
     return Constraint(_NEGATION[c.cmp], c.lhs, c.rhs)
 
 
-def _expr_key(value: SymValue):
-    if isinstance(value, Opaque):
-        return ("opaque",)
-    return ("lin", value.const, value.terms)
-
-
 _HALF = 1 << 31
 _MASK = 0xFFFFFFFF
 
@@ -284,55 +273,27 @@ def _check_all(checks: Sequence[tuple], model: Sequence[int]) -> bool:
 class PathCondition:
     """A path condition: one constraint on top of its parent's.
 
-    Nodes are interned in a trie rooted at ``Solver.root``: ``extend``
-    returns the existing child for a constraint, so a path walked again
-    reuses its nodes and the propagation they hold. ``key`` is the set of
-    constraint keys, by which the solver caches results.
+    Nodes are created only by ``Solver.extend``, which interns them in a
+    trie rooted at ``Solver.root``, so a path walked again reuses its nodes
+    and the fixpoints they hold. A node points only up, to its parent; the
+    solver's child table is the only way down. ``key`` is the set of the
+    path's constraints, by which the solver caches results, and
+    ``fixpoint`` is what propagation knows once a solve has asked.
     """
 
-    __slots__ = ("key", "_link", "_children")
+    __slots__ = ("constraint", "parent", "key", "fixpoint")
 
-    def __init__(self, key: frozenset = frozenset(), link: "_Link | None" = None) -> None:
-        self.key = key
-        self._link = link if link is not None else _Link(None, None, _TRUE)
-        self._children: dict[tuple, PathCondition] | None = None
-
-    def extend(self, c: Constraint) -> "PathCondition":
-        ck = c.key
-        if self._children is None:
-            self._children = {}
-        child = self._children.get(ck)
-        if child is None:
-            child = self._children[ck] = PathCondition(
-                self.key if ck in self.key else self.key | {ck}, _Link(c, self._link)
-            )
-        return child
-
-
-class _Link:
-    """A path condition's last constraint, its parent's link, and its fixpoint
-    once computed.
-
-    Links point up and trie nodes point down, so the trie has no reference
-    cycles and is freed with its solver.
-    """
-
-    __slots__ = ("constraint", "parent", "fixpoint")
-
-    def __init__(self, constraint, parent, fixpoint=None) -> None:
+    def __init__(
+        self,
+        constraint: Constraint | None,
+        parent: "PathCondition | None",
+        key: frozenset,
+        fixpoint: "_Fixpoint | None" = None,
+    ) -> None:
         self.constraint = constraint
         self.parent = parent
+        self.key = key
         self.fixpoint = fixpoint
-
-
-def _constraints(link: _Link) -> list[Constraint]:
-    """A path's constraints, from the root down."""
-    constraints = []
-    while link.parent is not None:
-        constraints.append(link.constraint)
-        link = link.parent
-    constraints.reverse()
-    return constraints
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +426,7 @@ def _propagate(ineqs, excluded, lo: list[int], hi: list[int], rounds: int) -> in
     return rounds
 
 
-def _extend_fixpoint(parent: _Fixpoint, link: _Link) -> _Fixpoint:
+def _extend_fixpoint(parent: _Fixpoint, node: PathCondition) -> _Fixpoint:
     """A path's fixpoint from its parent's.
 
     Propagators are monotone and a round runs them in path order, so a
@@ -478,7 +439,7 @@ def _extend_fixpoint(parent: _Fixpoint, link: _Link) -> _Fixpoint:
     the round cap, or the parent's own run never converged, the node is
     propagated from scratch, as the cap then decides its domains.
     """
-    c = link.constraint
+    c = node.constraint
     if parent.verdict == UNKNOWN or c.is_opaque:
         return _OPAQUE_PATH
     if parent.verdict == UNSAT:
@@ -503,7 +464,7 @@ def _extend_fixpoint(parent: _Fixpoint, link: _Link) -> _Fixpoint:
     if rounds is None:
         lo = [INT32_MIN] * len(lo)
         hi = [INT32_MAX] * len(hi)
-        every_ineq = [i for live in _live(link) for i in live.ineqs]
+        every_ineq = [i for live in _live(node) for i in live.ineqs]
         changed = _propagate(every_ineq, excluded, lo, hi, _PROPAGATION_ROUNDS)
         if changed is None:
             return _INFEASIBLE
@@ -516,24 +477,30 @@ def _extend_fixpoint(parent: _Fixpoint, link: _Link) -> _Fixpoint:
     ):
         candidate_ok = _holds(normal.check, candidate)
     else:
-        candidate_ok = _check_all([live.check for live in _live(link)], candidate)
+        candidate_ok = _check_all([live.check for live in _live(node)], candidate)
     return _Fixpoint(None, tuple(lo), tuple(hi), rounds, candidate_ok, ineqs, excluded)
 
 
-def _live(link: _Link) -> list[_Normal]:
+def _live(node: PathCondition) -> list[_Normal]:
     """Normal forms of a path's non-constant constraints, in path order."""
-    return [c.normal for c in _constraints(link) if not c.is_const]
+    live = []
+    while node.parent is not None:
+        if not node.constraint.is_const:
+            live.append(node.constraint.normal)
+        node = node.parent
+    live.reverse()
+    return live
 
 
-def _settle(link: _Link) -> _Fixpoint:
+def _settle(node: PathCondition) -> _Fixpoint:
     """A path's fixpoint, computing its ancestors' first where missing."""
     pending = []
-    while link.fixpoint is None:
-        pending.append(link)
-        link = link.parent
-    fixpoint = link.fixpoint
-    for link in reversed(pending):
-        fixpoint = link.fixpoint = _extend_fixpoint(fixpoint, link)
+    while node.fixpoint is None:
+        pending.append(node)
+        node = node.parent
+    fixpoint = node.fixpoint
+    for node in reversed(pending):
+        fixpoint = node.fixpoint = _extend_fixpoint(fixpoint, node)
     return fixpoint
 
 
@@ -545,7 +512,7 @@ def _materialise(node: PathCondition, num_vars: int) -> SolveResult:
     variables the constraints mention looks for one. Models are checked
     under wrap-around, propagation is exact.
     """
-    fixpoint = _settle(node._link)
+    fixpoint = _settle(node)
     if fixpoint.verdict is not None:
         return SolveResult(fixpoint.verdict)
     lo, hi = fixpoint.lo, fixpoint.hi
@@ -553,7 +520,7 @@ def _materialise(node: PathCondition, num_vars: int) -> SolveResult:
     if fixpoint.candidate_ok:
         return SolveResult(SAT, tuple(candidate))
 
-    live = _live(node._link)
+    live = _live(node)
     checks = [normal.check for normal in live]
     used = sorted(frozenset().union(*(normal.variables for normal in live)))
     space = 1
@@ -586,21 +553,33 @@ def _materialise(node: PathCondition, num_vars: int) -> SolveResult:
 class Solver:
     """Satisfiability checks with statistics, a path-condition trie and a result cache.
 
-    Results are cached by a path condition's set of constraints and
-    ``num_vars``; cache hits are not charged as queries.
+    The solver owns the trie: ``root`` is the empty path condition, and
+    ``extend`` creates every other node, keyed in one table by its parent
+    and its constraint. Results are cached by a path condition's set of
+    constraints and ``num_vars``; cache hits are not charged as queries.
     """
 
     def __init__(self) -> None:
         self.stats = SolverStats()
-        self.root = PathCondition()
+        self.root = PathCondition(None, None, frozenset(), _TRUE)
+        self._children: dict[tuple[PathCondition, Constraint], PathCondition] = {}
         self._cache: dict[tuple[frozenset, int], SolveResult] = {}
+
+    def extend(self, pc: PathCondition, c: Constraint) -> PathCondition:
+        """``pc`` with ``c`` on top: the trie's node, created on first use."""
+        edge = (pc, c)
+        child = self._children.get(edge)
+        if child is None:
+            key = pc.key if c in pc.key else pc.key | {c}
+            child = self._children[edge] = PathCondition(c, pc, key)
+        return child
 
     def solve(self, pc: Iterable[Constraint], num_vars: int) -> SolveResult:
         """Solve a path condition: a ``PathCondition`` or any iterable of constraints."""
         if not isinstance(pc, PathCondition):
             node = self.root
             for c in pc:
-                node = node.extend(c)
+                node = self.extend(node, c)
             pc = node
         key = (pc.key, num_vars)
         cached = self._cache.get(key)
@@ -867,7 +846,7 @@ def symex_campaign(
                     (then_c, then, then_id),
                     (negate_constraint(then_c), other, other_id),
                 ):
-                    pc = state.pc.extend(constraint)
+                    pc = solver.extend(state.pc, constraint)
                     if solver.solve(pc, state.inputs_read).status != UNSAT:
                         feasible.append((pc, target_code, target_id))
                 if not feasible:

@@ -105,6 +105,20 @@ class TestExitCodes:
         assert code == 2
         assert "max_inputs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("symex", "--max-inputs", "-1"),
+            ("hybrid", "--mode", "fs", "--per-target-queries", "0"),
+            ("fuzz", "--fuzz-budget", "-1"),
+        ],
+        ids=["symex", "hybrid", "fuzz"],
+    )
+    def test_a_failed_campaign_leaves_no_output_directory(self, tree_mir, tmp_path, argv):
+        out = tmp_path / "bad-out"
+        assert run_cli(argv[0], str(tree_mir), *argv[1:], "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_unknown_symex_target(self, tree_mir, tmp_path):
         assert (
             run_cli(

@@ -1,5 +1,6 @@
 """Solver, state selection, and symbolic campaigns."""
 
+import gc
 import hashlib
 import json
 import random
@@ -14,6 +15,7 @@ from munchkin.callgraph import build_callgraph, index_program
 from munchkin.executor import lowered_form, run_concrete
 from munchkin.generator import GenParams, generate_program
 from munchkin.ir import INT32_MAX, INT32_MIN, apply_cmp, parse_program
+from munchkin.orchestrator import HybridConfig, run_fs, run_sf
 from munchkin.symex import (
     Constraint,
     LinExpr,
@@ -149,6 +151,17 @@ class TestSolver:
         solver.solve([a, b], 1)
         solver.solve([b, a], 1)
         assert solver.stats.cache_hits == 1
+
+    def test_an_equal_constraint_reaches_the_same_node(self):
+        # Each sonar run builds its constraints anew on its way down from main.
+        solver = Solver()
+        first, again = c("<", lin_var(0), lin_const(3)), c("<", lin_var(0), lin_const(3))
+        assert first is not again
+        node = solver.extend(solver.root, first)
+        assert solver.extend(solver.root, again) is node
+        opaque = solver.extend(node, c("==", OPAQUE, Y))
+        assert solver.extend(node, c("==", OPAQUE, lin_var(1))) is opaque
+        assert solver.extend(node, c("!=", OPAQUE, Y)) is not opaque
 
 
 Z = lin_var(2)
@@ -439,9 +452,9 @@ class TestIncrementalSolving:
                     # run_slice's order: both successors, then the state's own
                     # path condition when it emits a test.
                     for side in (constraint, negate_constraint(constraint)):
-                        got = solver.solve(node.extend(side), num_vars)
+                        got = solver.solve(solver.extend(node, side), num_vars)
                         assert got == reference.solve(prefix + [side], num_vars)
-                    node, prefix = node.extend(constraint), prefix + [constraint]
+                    node, prefix = solver.extend(node, constraint), prefix + [constraint]
                     assert solver.solve(node, num_vars) == reference.solve(prefix, num_vars)
         assert solver.stats == reference.stats
 
@@ -686,6 +699,20 @@ class TestCampaigns:
         program = parse_program(FORK_STORES_TEXT)
         result = symex_campaign(program, Strategy.SONAR, target=target)
         assert result.target_reached
+
+    def test_no_path_condition_outlives_its_campaigns(self):
+        # Nodes point only up and only the solver points down, so reference
+        # counting alone frees a campaign's trie; a cycle would keep it.
+        program = generate_program(GenParams(3, 5, 0))
+        gc.collect()
+        gc.disable()
+        try:
+            run_fs(program, HybridConfig(fuzz_budget=96))
+            run_sf(program, HybridConfig(mode="sf", fuzz_budget=96))
+            alive = [o for o in gc.get_objects() if isinstance(o, symex.PathCondition)]
+        finally:
+            gc.enable()
+        assert not alive
 
     def test_max_inputs_caps_symbolic_variables(self):
         program = parse_program(MULTI_INPUT_TEXT)
