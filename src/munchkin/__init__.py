@@ -20,7 +20,6 @@ from .callgraph import (
     DistanceField,
     ProgramIndex,
     build_callgraph,
-    frontier_set,
     index_program,
 )
 from .executor import (
@@ -73,7 +72,6 @@ __all__ = [
     "ValidationError",
     "build_callgraph",
     "count_branches",
-    "frontier_set",
     "fuzz_campaign",
     "generate_program",
     "ground_truth_coverage",

@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 
 from . import generator, report
-from .callgraph import build_callgraph, depths_tsv, index_program, to_dot
+from .callgraph import depths_tsv, index_program, to_dot
 from .executor import CoverageMap, read_seed_dir, write_input_file
 from .fuzzer import fuzz_campaign
 from .ir import IRError, parse_program, serialize_program
@@ -183,7 +183,7 @@ def _cmd_generate(args, config) -> int:
 
 
 def _cmd_callgraph(args, config) -> int:
-    cg = build_callgraph(_read_program(args.program))
+    cg = index_program(_read_program(args.program)).callgraph
     sys.stdout.write(to_dot(cg) if args.dot else depths_tsv(cg))
     return 0
 
@@ -191,7 +191,7 @@ def _cmd_callgraph(args, config) -> int:
 def _cmd_fuzz(args, config) -> int:
     program = _read_program(args.program)
     cfg = _campaign_config(args, config)
-    cg = build_callgraph(program)
+    cg = index_program(program).callgraph
     started = time.perf_counter()
     result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))
     rep = fuzz_report(cg, result, started)
@@ -264,7 +264,7 @@ def _cmd_baselines(args, config) -> int:
 
 
 def _cmd_report(args, config) -> int:
-    cg = build_callgraph(_read_program(args.program))
+    cg = index_program(_read_program(args.program)).callgraph
     coverages = dict(_read_report(path) for path in args.reports)
     tables = {t: report.depth_table(cov, cg) for t, cov in coverages.items()}
     out = _out_dir(args, "report")

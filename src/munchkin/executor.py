@@ -22,7 +22,8 @@ branches, jumps and calls hold their targets' blocks, edge indexes and
 location ids (the numbering of ``ir.block_locations``). The lowered form is
 stored on the program object, built once per program (never by
 ``parse_program``) and freed with it. The symbolic interpreter runs the same
-tuples. Lowering changes no result: the edge hash above and the bitmap are
+tuples, and ``callgraph.index_program`` reads the call graph and the block
+graph off them. Lowering changes no result: the edge hash above and the bitmap are
 bit-for-bit those of a direct interpretation of the IR.
 """
 

@@ -574,13 +574,8 @@ class Solver:
             child = self._children[edge] = PathCondition(c, pc, key)
         return child
 
-    def solve(self, pc: Iterable[Constraint], num_vars: int) -> SolveResult:
-        """Solve a path condition: a ``PathCondition`` or any iterable of constraints."""
-        if not isinstance(pc, PathCondition):
-            node = self.root
-            for c in pc:
-                node = self.extend(node, c)
-            pc = node
+    def solve(self, pc: PathCondition, num_vars: int) -> SolveResult:
+        """Solve a path condition, a node of this solver's trie."""
         key = (pc.key, num_vars)
         cached = self._cache.get(key)
         if cached is not None:

@@ -20,6 +20,24 @@ block entry:
   ret
 """
 
+# main calls f; nothing calls orphan.
+UNREACHABLE_TEXT = """\
+program p
+
+func main()
+block entry:
+  call f()
+  ret
+
+func f()
+block entry:
+  ret
+
+func orphan()
+block entry:
+  ret
+"""
+
 
 @pytest.fixture
 def chain_program():

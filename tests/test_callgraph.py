@@ -3,36 +3,112 @@
 import copy
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
-from munchkin.callgraph import (
-    build_callgraph,
-    depths_tsv,
-    frontier_set,
-    index_program,
-    interprocedural_edges,
-    to_dot,
-)
+from munchkin.callgraph import build_callgraph, depths_tsv, index_program, to_dot
 from munchkin.generator import GenParams, generate_program
-from munchkin.ir import parse_program
+from munchkin.ir import Branch, Call, Jump, Return, parse_program
 
-UNREACHABLE_TEXT = """\
-program p
+from conftest import UNREACHABLE_TEXT
+
+# What trees never have: two calls of one function in one block, a block
+# that loops to itself, recursion into main, and a callee with two returns.
+HAND_TEXT = """\
+program hand
 
 func main()
 block entry:
-  call f()
+  x = input
+  y = call f(x)
+  z = call f(y)
+  br < z 0 -> spin, again
+block spin:
+  z = z + 1
+  br < z 0 -> spin, again
+block again:
+  br == x 7 -> recurse, done
+block recurse:
+  call main()
+  ret
+block done:
+  print z
   ret
 
-func f()
+func f(a)
 block entry:
-  ret
-
-func orphan()
-block entry:
-  ret
+  br < a 3 -> low, high
+block low:
+  ret 1
+block high:
+  ret a
 """
+
+
+def interprocedural_edges(program):
+    """Forward edges of the interprocedural block graph, read off the IR.
+
+    The reference that the index, read off the lowered form, is checked
+    against: CFG edges, an edge from each call site to its callee's entry,
+    and one from each of the callee's return blocks back to the call site.
+    """
+    edges = set()
+    for fname, func in program.functions.items():
+        for bid, block in func.blocks.items():
+            src = (fname, bid)
+            term = block.terminator
+            if isinstance(term, Branch):
+                edges.add((src, (fname, term.then_block)))
+                edges.add((src, (fname, term.else_block)))
+            elif isinstance(term, Jump):
+                edges.add((src, (fname, term.target)))
+            for instr in block.instructions:
+                if isinstance(instr, Call):
+                    callee = program.functions[instr.callee]
+                    edges.add((src, (instr.callee, callee.entry_block)))
+                    for exit_bid, exit_block in callee.blocks.items():
+                        if isinstance(exit_block.terminator, Return):
+                            edges.add(((instr.callee, exit_bid), src))
+    return edges
+
+
+def frontier_set(cg, covered):
+    """Uncovered functions, cheapest targets first: the reference model of
+    FS's target order, which ``ProgramIndex.next_target`` is checked against.
+
+    Frontier functions (uncovered with at least one covered caller) come
+    first, ordered by ascending depth then name; the remaining uncovered
+    functions follow in the same order. Within each group, unreachable
+    functions come after the reachable ones. The result is a permutation of
+    the uncovered set.
+    """
+    if not covered <= cg.nodes:
+        raise ValueError("covered set contains unknown functions")
+    uncovered = cg.nodes - covered
+    has_covered_caller = {
+        callee for caller, callee in cg.edges if caller in covered and callee in uncovered
+    }
+
+    def key(name):
+        depth = cg.depth(name)
+        return (
+            0 if name in has_covered_caller else 1,
+            1 if depth is None else 0,
+            depth if depth is not None else 0,
+            name,
+        )
+
+    return sorted(uncovered, key=key)
+
+
+def _distance(index, df, loc):
+    """Hops from ``loc`` once ``df`` is expanded to exhaustion; None if it
+    cannot reach the target."""
+    while df.expand():
+        pass
+    hops = df.hops[index.locations.index(loc)]
+    return None if hops < 0 else hops
 
 
 class TestDepths:
@@ -43,8 +119,8 @@ class TestDepths:
 
     def test_generated_histogram(self):
         cg = build_callgraph(generate_program(GenParams(2, 3)))
-        assert cg.depth_histogram() == {0: 1, 1: 1, 2: 2, 3: 4, 4: 8}
-        assert sum(cg.depth_histogram().values()) == 16
+        assert Counter(cg.depths.values()) == {0: 1, 1: 1, 2: 2, 3: 4, 4: 8}
+        assert sum(Counter(cg.depths.values()).values()) == 16
 
     def test_uncalled_function_is_unreachable(self):
         cg = build_callgraph(parse_program(UNREACHABLE_TEXT))
@@ -55,8 +131,9 @@ class TestDepths:
 
 class TestSonarDistances:
     def test_target_entry_is_zero(self, chain_program):
-        df = index_program(chain_program).distances("g")
-        assert df.at("g", "entry") == 0
+        index = index_program(chain_program)
+        df = index.distances("g")
+        assert _distance(index, df, ("g", "entry")) == 0
 
     def test_chain_distance_matches_brute_force(self, chain_program):
         # Independent shortest-path check on the hand-built block graph:
@@ -68,14 +145,16 @@ class TestSonarDistances:
             (("g", "entry"), ("f", "entry")),
         }
         want = _brute_force_distance(edges, ("main", "entry"), ("g", "entry"))
-        df = index_program(chain_program).distances("g")
-        assert df.at("main", "entry") == want == 2
+        index = index_program(chain_program)
+        df = index.distances("g")
+        assert _distance(index, df, ("main", "entry")) == want == 2
 
     def test_unreachable_target(self):
         program = parse_program(UNREACHABLE_TEXT)
-        df = index_program(program).distances("orphan")
-        assert df.at("orphan", "entry") == 0
-        assert df.at("main", "entry") is None
+        index = index_program(program)
+        df = index.distances("orphan")
+        assert _distance(index, df, ("orphan", "entry")) == 0
+        assert _distance(index, df, ("main", "entry")) is None
 
     def test_unknown_target_rejected(self, chain_program):
         with pytest.raises(ValueError, match="unknown target"):
@@ -83,9 +162,10 @@ class TestSonarDistances:
 
     def test_triangle_inequality_over_generated_program(self):
         program = generate_program(GenParams(2, 2))
-        df = index_program(program).distances("n_3_3")
+        index = index_program(program)
+        df = index.distances("n_3_3")
         for src, dst in interprocedural_edges(program):
-            d_src, d_dst = df.at(*src), df.at(*dst)
+            d_src, d_dst = _distance(index, df, src), _distance(index, df, dst)
             if d_dst is not None:
                 assert d_src is not None and d_src <= 1 + d_dst
 
@@ -113,21 +193,29 @@ class TestSonarDistances:
         with pytest.raises(ValueError, match="unknown target"):
             index_program(chain_program).distances("nope")
 
-    @pytest.mark.parametrize("name", ["chain", "unreachable", "b2d3"])
+    @pytest.mark.parametrize("name", ["chain", "unreachable", "b2d3", "hand"])
     def test_index_matches_brute_force_everywhere(self, name, chain_program):
         # Every location and every target, None where the target is unreachable.
         program = {
             "chain": chain_program,
             "unreachable": parse_program(UNREACHABLE_TEXT),
             "b2d3": generate_program(GenParams(2, 3)),
+            "hand": parse_program(HAND_TEXT),
         }[name]
         edges = interprocedural_edges(program)
         index = index_program(program)
+        ids = {loc: i for i, loc in enumerate(index.locations)}
+        predecessors = [set() for _ in index.locations]
+        for src, dst in edges:
+            predecessors[ids[dst]].add(ids[src])
+        assert index.predecessors == tuple(tuple(sorted(preds)) for preds in predecessors)
         for target, func in program.functions.items():
             df = index.distances(target)
             goal = (target, func.entry_block)
             for loc in index.locations:
-                assert df.at(*loc) == _brute_force_distance(edges, loc, goal), (target, loc)
+                assert _distance(index, df, loc) == _brute_force_distance(edges, loc, goal), (
+                    target, loc,
+                )
 
 
 def _brute_force_distance(edges, start, goal):

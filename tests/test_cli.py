@@ -32,6 +32,8 @@ from munchkin.report import (
 )
 from munchkin.symex import Strategy, SymexLimits, symex_campaign
 
+from conftest import UNREACHABLE_TEXT
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -46,11 +48,17 @@ def tree_mir(tmp_path):
 
 
 class TestGenerateAndCallgraph:
+    # sha256 of `callgraph` on the generated b2d3 tree, TSV and --dot,
+    # recorded when the call graph was still built from the IR.
+    TREE_TSV_SHA256 = "362061a352a7fcab03980d31f192c8509d7d37db50f312e5b5344e72e873815b"
+    TREE_DOT_SHA256 = "c5300be0af903e69a88346a294c5baa69794f6b52d0b84b5b6ce57002ef5c8c8"
+
     def test_generate_then_depths_lists_sixteen_functions(self, tree_mir, capsys):
         capsys.readouterr()
         assert run_cli("callgraph", str(tree_mir)) == 0
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 16
+        assert hashlib.sha256(out.encode()).hexdigest() == self.TREE_TSV_SHA256
 
     def test_generated_file_parses(self, tree_mir):
         program = parse_program(tree_mir.read_text())
@@ -59,7 +67,30 @@ class TestGenerateAndCallgraph:
     def test_dot_output(self, tree_mir, capsys):
         capsys.readouterr()
         assert run_cli("callgraph", str(tree_mir), "--dot") == 0
-        assert capsys.readouterr().out.startswith("digraph")
+        out = capsys.readouterr().out
+        assert out.startswith("digraph")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.TREE_DOT_SHA256
+
+    @pytest.mark.parametrize(
+        "flags, want",
+        [
+            ((), "main\t0\nf\t1\norphan\tunreachable\n"),
+            (
+                ("--dot",),
+                'digraph callgraph {\n  "f";\n  "main";\n  "orphan";\n'
+                '  "main" -> "f";\n}\n',
+            ),
+        ],
+        ids=["tsv", "dot"],
+    )
+    def test_output_of_a_program_with_an_unreachable_function(
+        self, flags, want, tmp_path, capsys
+    ):
+        path = tmp_path / "p.mir"
+        path.write_text(UNREACHABLE_TEXT)
+        capsys.readouterr()
+        assert run_cli("callgraph", str(path), *flags) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestExitCodes:

@@ -44,6 +44,14 @@ def c(cmp, lhs, rhs):
     return Constraint(cmp, lhs, rhs)
 
 
+def _solve(solver, constraints, num_vars):
+    """Solve a list of constraints as one path: ``solver.extend`` from the root."""
+    node = solver.root
+    for constraint in constraints:
+        node = solver.extend(node, constraint)
+    return solver.solve(node, num_vars)
+
+
 class TestSymValues:
     def test_linear_arithmetic_stays_linear(self):
         expr = sym_binop("+", sym_binop("*", X, lin_const(3)), lin_const(5))
@@ -71,10 +79,11 @@ class TestSymValues:
 
 class TestSolver:
     def test_empty_condition_yields_zero_model(self):
-        assert Solver().solve([], 1) == SolveResult("sat", (0,))
+        assert _solve(Solver(), [], 1) == SolveResult("sat", (0,))
 
     def test_boxed_interval_returns_domain_minimum(self):
-        result = Solver().solve(
+        result = _solve(
+            Solver(),
             [c(">=", X, lin_const(0)), c("<=", X, lin_const(7)),
              c(">=", X, lin_const(4)), c("<=", X, lin_const(5))],
             1,
@@ -86,11 +95,12 @@ class TestSolver:
         assert result.model[0] in feasible
 
     def test_empty_interval_is_unsat(self):
-        result = Solver().solve([c("<", X, lin_const(0)), c(">", X, lin_const(0))], 1)
+        result = _solve(Solver(), [c("<", X, lin_const(0)), c(">", X, lin_const(0))], 1)
         assert result.status == "unsat"
 
     def test_disequality_edge_trim(self):
-        result = Solver().solve(
+        result = _solve(
+            Solver(),
             [c(">=", X, lin_const(0)), c("<=", X, lin_const(1)), c("!=", X, lin_const(0))],
             1,
         )
@@ -102,44 +112,44 @@ class TestSolver:
             c(">=", Y, lin_const(0)), c("<=", Y, lin_const(10)),
             c("==", _combine(X, Y, 1), lin_const(10)),
         ]
-        result = Solver().solve(pc, 2)
+        result = _solve(Solver(), pc, 2)
         assert result.is_sat
         assert result.model[0] + result.model[1] == 10
 
     def test_enumeration_cap_yields_unknown(self):
-        result = Solver().solve([c("==", _combine(X, Y, 1), lin_const(10**9))], 2)
+        result = _solve(Solver(), [c("==", _combine(X, Y, 1), lin_const(10**9))], 2)
         assert result.status == "unknown"
 
     def test_opaque_constraints_are_unknown(self):
-        assert Solver().solve([c("==", OPAQUE, lin_const(4))], 1).status == "unknown"
+        assert _solve(Solver(), [c("==", OPAQUE, lin_const(4))], 1).status == "unknown"
 
     def test_wrap_dependent_conditions_are_not_claimed_sat(self):
         # x + 1 < x holds only at INT32_MAX under wrap-around; exact
         # propagation cannot see that, and enumeration caps out: unknown.
-        result = Solver().solve([c("<", _combine(X, lin_const(1), 1), X)], 1)
+        result = _solve(Solver(), [c("<", _combine(X, lin_const(1), 1), X)], 1)
         assert result.status == "unknown"
 
     def test_wrap_only_paths_may_be_pruned(self):
         # Documented approximation: exact-arithmetic propagation prunes
         # conditions satisfiable only through overflow.
         pc = [c(">=", X, lin_const(1)), c("<=", _combine(X, lin_const(1), 1), lin_const(0))]
-        assert Solver().solve(pc, 1).status == "unsat"
+        assert _solve(Solver(), pc, 1).status == "unsat"
 
     def test_models_are_verified_against_wraparound(self):
         # Any returned model must satisfy the constraints under wrap32.
         solver = Solver()
         pc = [c(">=", X, lin_const(INT32_MAX - 1)), c("<=", X, lin_const(INT32_MAX))]
-        result = solver.solve(pc, 1)
+        result = _solve(solver, pc, 1)
         assert result.is_sat and result.model[0] >= INT32_MAX - 1
 
     def test_unused_variables_are_padded_with_zero(self):
-        assert Solver().solve([c("==", X, lin_const(3))], 3).model == (3, 0, 0)
+        assert _solve(Solver(), [c("==", X, lin_const(3))], 3).model == (3, 0, 0)
 
     def test_query_accounting_and_cache(self):
         solver = Solver()
-        solver.solve([c(">", X, lin_const(0))], 1)
-        solver.solve([c(">", X, lin_const(0))], 1)  # cache hit
-        solver.solve([c("<", X, lin_const(0)), c(">", X, lin_const(0))], 1)
+        _solve(solver, [c(">", X, lin_const(0))], 1)
+        _solve(solver, [c(">", X, lin_const(0))], 1)  # cache hit
+        _solve(solver, [c("<", X, lin_const(0)), c(">", X, lin_const(0))], 1)
         stats = solver.stats
         assert stats.queries == 2
         assert stats.cache_hits == 1
@@ -148,8 +158,8 @@ class TestSolver:
     def test_constraint_order_does_not_defeat_the_cache(self):
         solver = Solver()
         a, b = c(">", X, lin_const(0)), c("<", X, lin_const(9))
-        solver.solve([a, b], 1)
-        solver.solve([b, a], 1)
+        _solve(solver, [a, b], 1)
+        _solve(solver, [b, a], 1)
         assert solver.stats.cache_hits == 1
 
     def test_an_equal_constraint_reaches_the_same_node(self):
@@ -239,10 +249,10 @@ class TestPinnedSolver:
 
     def test_output_equals_the_recorded_one(self):
         solver = Solver()
-        doc = [list(solver.solve([], 2).model)]
+        doc = [list(_solve(solver, [], 2).model)]
         for chain, num_vars in _pinned_chains():
             for i, n in enumerate(num_vars, 1):
-                result = solver.solve(chain[:i], n)
+                result = _solve(solver, chain[:i], n)
                 doc.append([result.status, list(result.model) if result.model else None])
             stats = solver.stats
             doc.append([stats.queries, stats.sat, stats.unsat, stats.unknown, stats.cache_hits])
@@ -1095,8 +1105,10 @@ class TestSonarFrontier:
 
         assert df.settled == sum(h >= 0 for h in df.hops)
         assert all(h < 0 or h == exact for h, exact in zip(df.hops, full))
+        while df.expand():
+            pass
         for i, loc in enumerate(index.locations):
-            assert df.at(*loc) == (None if full[i] < 0 else full[i]), loc
+            assert df.hops[index.locations.index(loc)] == full[i], loc
         assert df.hops == full
 
     def test_a_new_field_settles_only_the_target_entry(self):
@@ -1111,4 +1123,4 @@ class TestSonarFrontier:
             pass
         assert df.level == [] and df.expand() == []
         assert df.hops == _full_bfs(index, "goal")
-        assert df.at("main", "stranded") is None
+        assert df.hops[index.locations.index(("main", "stranded"))] == -1
