@@ -18,11 +18,22 @@ format (extension ``.mir``) is line oriented, one instruction per line:
       ret [<a>]
 
 Operands are local/parameter names or int32 literals; ``#`` starts a
-comment. Every block ends with exactly one terminator. All arithmetic is
-int32 two's complement with wrap-around; division and remainder truncate
-toward zero (remainder takes the dividend's sign). Division or remainder
-by zero is not undefined behavior: the interpreter and the symbolic engine
-terminate the executing path with an arithmetic fault.
+comment. Tokens may be separated by any whitespace or none, and a ``-``
+directly before digits is part of the literal. Every block ends with exactly
+one terminator. All arithmetic is int32 two's complement with wrap-around;
+division and remainder truncate toward zero (remainder takes the dividend's
+sign). Division or remainder by zero is not undefined behavior: the
+interpreter and the symbolic engine terminate the executing path with an
+arithmetic fault.
+
+Parsing takes one of two paths per line. A line spelled as
+``serialize_program`` writes it (once its comment and outer whitespace are
+gone) is matched whole by one compiled pattern for its kind and built
+directly. Every other line, including every line with an error, goes through
+a token cursor. The patterns accept only what the cursor accepts with an
+equal result, and they leave keywords used as names and out-of-range
+literals to it. So the fast path changes no result, and every ParseError
+comes from the cursor with the line and column it has always had.
 
 Programs are immutable after validation and safe to share across threads.
 """
@@ -399,6 +410,117 @@ def _parse_instruction(cur: _Cursor) -> Instruction:
     return BinOp(dest, op_tok, lhs, rhs)
 
 
+def _parse_program_header(cur: _Cursor) -> str:
+    cur.next()
+    name = cur.ident("program name")
+    cur.done()
+    return name
+
+
+def _parse_func_header(cur: _Cursor) -> tuple[str, tuple[str, ...]]:
+    cur.next()
+    name = cur.ident("function name")
+    params = _parse_param_list(cur)
+    cur.done()
+    return name, params
+
+
+def _parse_block_header(cur: _Cursor) -> str:
+    cur.next()
+    block_id = cur.ident("block id")
+    cur.expect(":")
+    cur.done()
+    return block_id
+
+
+# Canonical lines, spelled as ``serialize_program`` spells them, are matched
+# whole by one pattern per line kind and built without the cursor. Each
+# pattern accepts only what the cursor accepts, with an equal result: every
+# token ends at a space, a punctuation character or the end of the line, as
+# the cursor's tokens do; a name is an identifier that is not a keyword; and
+# digits are ASCII. A literal out of int32 range raises _NotCanonical, so
+# that the cursor reports it.
+_NAME = rf"(?!(?:{'|'.join(sorted(_KEYWORDS))})(?![A-Za-z0-9_]))[A-Za-z_][A-Za-z0-9_]*"
+_OPERAND = rf"(?:-?[0-9]+|{_NAME})"
+_OPERANDS = rf"((?:{_OPERAND}(?:, {_OPERAND})*)?)"
+_LITERAL_START = frozenset("-0123456789")
+
+
+class _NotCanonical(Exception):
+    """A line that matched a canonical pattern but holds an out-of-range literal."""
+
+
+def _operand(tok: str) -> Operand:
+    if tok[0] not in _LITERAL_START:
+        return tok
+    value = int(tok)
+    if not INT32_MIN <= value <= INT32_MAX:
+        raise _NotCanonical
+    return value
+
+
+def _operands(text: str) -> tuple[Operand, ...]:
+    return tuple(map(_operand, text.split(", "))) if text else ()
+
+
+_KEYWORD_LINES = {
+    "program": (re.compile(rf"program ({_NAME})"), lambda name: name),
+    "func": (
+        re.compile(rf"func ({_NAME})\(((?:{_NAME}(?:, {_NAME})*)?)\)"),
+        lambda name, params: (name, tuple(params.split(", ")) if params else ()),
+    ),
+    "block": (re.compile(rf"block ({_NAME}):"), lambda block_id: block_id),
+    "call": (
+        re.compile(rf"call ({_NAME})\({_OPERANDS}\)"),
+        lambda callee, args: Call(None, callee, _operands(args)),
+    ),
+    "print": (re.compile(rf"print ({_OPERAND})"), lambda a: Print(_operand(a))),
+    "br": (
+        re.compile(rf"br (<=|>=|==|!=|<|>) ({_OPERAND}) ({_OPERAND}) -> ({_NAME}), ({_NAME})"),
+        lambda cmp, a, b, then_block, else_block: Branch(
+            cmp, _operand(a), _operand(b), then_block, else_block
+        ),
+    ),
+    "jmp": (re.compile(rf"jmp ({_NAME})"), Jump),
+    "ret": (
+        re.compile(rf"ret(?: ({_OPERAND}))?"),
+        lambda a: Return(None if a is None else _operand(a)),
+    ),
+}
+# Assignments, by the word after "= "; any other word starts a binop.
+_ASSIGNMENT_LINES = {
+    "const": (
+        re.compile(rf"({_NAME}) = const (-?[0-9]+)"),
+        lambda dest, value: Const(dest, _operand(value)),
+    ),
+    "input": (re.compile(rf"({_NAME}) = input"), ReadInput),
+    "call": (
+        re.compile(rf"({_NAME}) = call ({_NAME})\({_OPERANDS}\)"),
+        lambda dest, callee, args: Call(dest, callee, _operands(args)),
+    ),
+}
+_BINOP_LINE = (
+    re.compile(rf"({_NAME}) = ({_OPERAND}) ([-+*/%]) ({_OPERAND})"),
+    lambda dest, a, op, b: BinOp(dest, op, _operand(a), _operand(b)),
+)
+
+
+def _parse_canonical(line: str) -> tuple[str, object] | None:
+    """(first word, parsed line) for a canonical line, else None."""
+    head, _, rest = line.partition(" ")
+    kind = _KEYWORD_LINES.get(head)
+    if kind is None:
+        kind = _ASSIGNMENT_LINES.get(rest[2:].partition(" ")[0], _BINOP_LINE)
+    pattern, build = kind
+    match = pattern.fullmatch(line)
+    if match is None:
+        return None
+    try:
+        return head, build(*match.groups())
+    except _NotCanonical:
+        return None
+
+
 _TERMINATOR_HEADS = frozenset({"br", "jmp", "ret"})
 
 
@@ -454,34 +576,32 @@ def parse_program(text: str) -> Program:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        cur = _Cursor(line, lineno)
-        head = cur.peek()
+        # ``node`` is None where the cursor must parse the line; it does so
+        # after the checks below, so that errors keep the cursor's order.
+        canonical = _parse_canonical(line)
+        if canonical is None:
+            cur = _Cursor(line, lineno)
+            head, node = cur.peek(), None
+        else:
+            head, node = canonical
         if head == "program":
             if program_name is not None:
                 raise ParseError("duplicate 'program' header", lineno)
             if functions or cur_func is not None:
                 raise ParseError("'program' header must come first", lineno)
-            cur.next()
-            program_name = cur.ident("program name")
-            cur.done()
+            program_name = node or _parse_program_header(cur)
             continue
         if program_name is None:
             raise ParseError("expected 'program <name>' header", lineno)
         if head == "func":
             flush_func(lineno)
-            cur.next()
-            cur_func = cur.ident("function name")
-            cur_params = _parse_param_list(cur)
-            cur.done()
+            cur_func, cur_params = node or _parse_func_header(cur)
             continue
         if head == "block":
             if cur_func is None:
                 raise ParseError("block outside of a function", lineno)
             flush_block(lineno)
-            cur.next()
-            cur_block_id = cur.ident("block id")
-            cur.expect(":")
-            cur.done()
+            cur_block_id = node or _parse_block_header(cur)
             cur_block_line = lineno
             continue
         if cur_func is None or cur_block_id is None:
@@ -489,11 +609,11 @@ def parse_program(text: str) -> Program:
         if cur_term is not None:
             raise ParseError("instruction after terminator", lineno)
         if head in _TERMINATOR_HEADS:
-            cur_term = _parse_terminator(cur)
+            cur_term = node or _parse_terminator(cur)
             source_map[(cur_func, cur_block_id, -1)] = lineno
         else:
             source_map[(cur_func, cur_block_id, len(cur_instrs))] = lineno
-            cur_instrs.append(_parse_instruction(cur))
+            cur_instrs.append(node or _parse_instruction(cur))
 
     if program_name is None:
         raise ParseError("expected 'program <name>' header", max(1, text.count("\n") + 1))
@@ -535,23 +655,27 @@ def validate_program(
             raise ValidationError(
                 f"function '{fname}': entry block '{func.entry_block}' does not exist"
             )
+        # A name defined in another block of the function counts as assigned
+        # (control flow is not tracked); one defined only later in its own
+        # block does not. ``defining[name]`` counts the blocks defining it.
         dests_by_block: dict[str, set[str]] = {}
+        defining: dict[str, int] = {}
         for bid, block in func.blocks.items():
-            dests: set[str] = set()
-            for instr in block.instructions:
-                dest = getattr(instr, "dest", None)
-                if dest is not None:
-                    dests.add(dest)
+            dests = {getattr(instr, "dest", None) for instr in block.instructions}
+            dests.discard(None)
             dests_by_block[bid] = dests
+            for dest in dests:
+                defining[dest] = defining.get(dest, 0) + 1
 
         for bid, block in func.blocks.items():
-            external = set(func.params)
-            for other, dests in dests_by_block.items():
-                if other != bid:
-                    external |= dests
+            own = dests_by_block[bid]
 
             def check_operand(op: Operand, assigned: set[str], index: int) -> None:
-                if isinstance(op, str) and op not in assigned and op not in external:
+                if (
+                    isinstance(op, str)
+                    and op not in assigned
+                    and defining.get(op, 0) <= (op in own)
+                ):
                     raise ValidationError(
                         f"function '{fname}': operand '{op}' used before assignment",
                         line_of(fname, bid, index),

@@ -201,6 +201,25 @@ class Constraint:
     lhs: SymValue
     rhs: SymValue
 
+    # The generated hash rebuilds the field tuple and rehashes both
+    # expressions on every call, and the solver's child table and path keys
+    # hash a constraint again and again. This is the generated value,
+    # memoised in an instance attribute that shadows the class's None: most
+    # FS constraints are hashed once, and a cached_property or a read of
+    # ``__dict__`` would make that first call 2-3x dearer.
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.cmp, self.lhs, self.rhs))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes: a copy recomputes its own.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def is_opaque(self) -> bool:
         return isinstance(self.lhs, Opaque) or isinstance(self.rhs, Opaque)

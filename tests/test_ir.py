@@ -1,10 +1,18 @@
 """Parser, serializer, validator, and int32 semantics."""
 
+import random
+import re
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from munchkin import ir
 from munchkin.generator import GenParams, generate_program
 from munchkin.ir import (
+    BIN_OPS,
+    CMP_OPS,
+    ENTRY_FUNCTION,
     BinOp,
     Block,
     Branch,
@@ -14,12 +22,15 @@ from munchkin.ir import (
     INT32_MAX,
     INT32_MIN,
     IRError,
+    Instruction,
     Jump,
+    Operand,
     ParseError,
     Print,
     Program,
     ReadInput,
     Return,
+    Terminator,
     ValidationError,
     apply_binop,
     count_branches,
@@ -156,6 +167,60 @@ class TestValidation:
         warnings = validate_program(program)
         assert any("orphan" in w for w in warnings)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("  call g()\n  ret\n", "line 5: unknown callee 'g'"),
+            ("  call f(1, 2)\n  ret\n", "line 5: call to 'f' passes 2 arguments, expected 1"),
+            (
+                "  x = input\n  br < x 0 -> entry, nowhere\n",
+                "line 6: function 'main': branch target 'nowhere' does not exist",
+            ),
+            (
+                "  x = input\n  br < x 0 -> other, other\nblock other:\n  ret\n",
+                "line 6: function 'main': branch targets must be distinct",
+            ),
+            ("  jmp nowhere\n", "line 5: function 'main': jump target 'nowhere' does not exist"),
+            (
+                "  y = x + 1\n  ret\n",
+                "line 5: function 'main': operand 'x' used before assignment",
+            ),
+            (
+                "  x = const 1\n  call f(y)\n  ret\n",
+                "line 6: function 'main': operand 'y' used before assignment",
+            ),
+            ("  ret x\n", "line 5: function 'main': operand 'x' used before assignment"),
+            (
+                "  x = input\n  br < x z -> other, entry\nblock other:\n  ret\n",
+                "line 6: function 'main': operand 'z' used before assignment",
+            ),
+        ],
+    )
+    def test_error_message(self, body, message):
+        text = f"program p\n\nfunc main()\nblock entry:\n{body}\nfunc f(a)\nblock entry:\n  ret\n"
+        with pytest.raises(ValidationError) as caught:
+            parse_program(text)
+        assert str(caught.value) == message
+
+    def test_a_name_defined_in_another_block_counts_as_assigned(self):
+        text = (
+            "program p\n\nfunc main()\nblock entry:\n  print y\n  jmp later\n"
+            "block later:\n  y = const 1\n  ret\n"
+        )
+        assert parse_program(text).functions["main"].blocks["later"].instructions
+        # Defined later in its own block and also in another block: assigned.
+        text = (
+            "program p\n\nfunc main()\nblock entry:\n  print y\n  y = const 1\n  jmp later\n"
+            "block later:\n  y = const 2\n  ret\n"
+        )
+        assert parse_program(text).functions["main"].blocks["entry"].instructions
+
+    def test_a_name_defined_only_later_in_its_own_block_is_not(self):
+        text = "program p\n\nfunc main()\nblock entry:\n  print y\n  y = const 1\n  ret\n"
+        with pytest.raises(ValidationError) as caught:
+            parse_program(text)
+        assert str(caught.value) == "line 5: function 'main': operand 'y' used before assignment"
+
 
 class TestInt32Semantics:
     @pytest.mark.parametrize(
@@ -285,3 +350,634 @@ def test_parsing_corrupted_text_is_total(program, rng):
     except IRError:
         return
     validate_program(reparsed)
+
+
+# ---------------------------------------------------------------------------
+# The canonical fast path against the cursor-only parser it replaced.
+# ---------------------------------------------------------------------------
+
+
+class _NoCursor:
+    """Stands in for ``ir._Cursor`` where no line may leave the fast path."""
+
+    def __init__(self, line: str, lineno: int):
+        raise AssertionError(f"line {lineno} left the canonical path: {line!r}")
+
+
+@pytest.mark.parametrize("branching, depth", [(2, 8), (3, 6), (2, 9), (4, 5)])
+def test_generated_text_parses_without_the_cursor(branching, depth):
+    params = GenParams(branching, depth, 0)
+    text = serialize_program(generate_program(params))
+    with patch.object(ir, "_Cursor", _NoCursor):
+        program = parse_program(text)
+    assert program == generate_program(params)
+    assert serialize_program(program) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(_programs())
+def test_canonical_text_of_every_line_kind_parses_without_the_cursor(program):
+    text = serialize_program(program)
+    with patch.object(ir, "_Cursor", _NoCursor):
+        assert parse_program(text) == program
+
+
+def _outcome(parse, validate, text):
+    """(program, warnings), or (error type, message, line, col)."""
+    try:
+        program = parse(text)
+    except IRError as err:
+        return type(err), str(err), err.line, getattr(err, "col", None)
+    return program, validate(program)
+
+
+def _assert_parses_as_the_reference(text):
+    got = _outcome(parse_program, validate_program, text)
+    want = _outcome(reference_parse_program, reference_validate_program, text)
+    assert got == want, text
+
+
+def _host(line: str) -> str:
+    """A small program around ``line``: f's header if it is a function header,
+    else in main, after a terminator if it is a block header."""
+    header, before = "func f(a, b)", ""
+    if line.startswith("func"):
+        header, line = line, "  print x"
+    elif line.startswith("block"):
+        before = "  jmp b\n"
+    return (
+        f"program p\n\nfunc main()\nblock entry:\n  x = input\n{before}{line}\n  ret x\n"
+        f"block b:\n  ret\n\n{header}\nblock entry:\n  ret a\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "  y = const 2147483647",
+        "  y = const 2147483648",
+        "  y = const -2147483649",
+        "  y = const x",
+        "  y = x + 2147483648",
+        "  print -2147483649",
+        "  call f(2147483648, x)",
+        "  y = call f(-99999999999, 1)",
+        "  y = const 007",
+        "  y = const -0",
+        "  print \u0663",
+        "  y = x * 1\u0662",
+        "  y = const \uff11",
+        "  ret = const 1",
+        "  y = ret + 1",
+        "  call ret(x)",
+        "  y = call f(input, x)",
+        "  print const",
+        "  jmp block",
+        "  br < x 0 -> b, ret",
+        "block ret:",
+        "block b",
+        "program br",
+        "  y\t=\tinput",
+        "  y=input",
+        "  y  =  x  %  3",
+        "  y = x -3",
+        "  y = x--3",
+        "  call f( x, 1 )",
+        "  call f(x ,1)",
+        "  call f(x,1)",
+        "  call f(x, )",
+        "  y = call  f (x, 1)",
+        "  br < x 0->b,entry",
+        "  br<=x 0 -> b , entry",
+        "  br <x 0 -> b, entry",
+        "  br < x 0 - > b, entry",
+        "  jmp b # comment",
+        "  jmp b#",
+        "  jmp\tb",
+        "  print x @",
+        "  y = x ^ 2",
+        "  y = x < 2",
+        "  jmp b:",
+        "func f(a,b)",
+        "func f( a , b )",
+        "func f (a, b)",
+        "func f(a b)",
+        "func f(a, ret)",
+        "func\tf(a, b)",
+    ],
+)
+def test_a_spelling_parses_as_the_cursor_only_parser_parses_it(line):
+    _assert_parses_as_the_reference(_host(line))
+
+
+_KEYWORD_LIST = sorted(ir._KEYWORDS)
+_ODD_LITERALS = [
+    str(INT32_MAX), str(INT32_MIN), str(INT32_MAX + 1), str(INT32_MIN - 1), "99999999999",
+    "007", "-007", "00", "-0", "\u0663", "-\u0661\u0662", "1\u0662",
+]
+_SPACINGS = ["", " ", "  ", "\t", " \t "]
+_SEPARATOR = re.compile(r" *(?:->|[=,():]) *| +")
+_TOKEN = re.compile(r"->|<=|>=|==|!=|-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[=(),:+*/%<>-]")
+
+
+def _respace(separator: str, rng) -> str:
+    if rng.random() < 0.5:
+        return separator
+    core = separator.strip()
+    return rng.choice(_SPACINGS) + core + (rng.choice(_SPACINGS) if core else "")
+
+
+def _edit_line(line: str, rng, tokens: list[str]) -> str:
+    """One random edit of a line: a token, the spacing, a comment or a character."""
+    kind = rng.randrange(8)
+    found = list(_TOKEN.finditer(line))
+    if kind < 3 and found:
+        m = rng.choice(found)
+        pool = rng.choice((_KEYWORD_LIST, _ODD_LITERALS, tokens, [""]))
+        return line[: m.start()] + rng.choice(pool) + line[m.end() :]
+    if kind == 3:
+        return re.sub(r" *(->|[=,():]) *", r"\1", line)
+    if kind == 4:
+        return _SEPARATOR.sub(lambda m: _respace(m.group(), rng), line)
+    if kind == 5:
+        return line + rng.choice([" # note", "#", "\t# ret @", "# x = 1"])
+    pos = rng.randrange(len(line) + 1)
+    if kind == 6:
+        return line[:pos] + rng.choice("@?$:,(") + line[pos:]
+    return line[:pos] + line[pos + 1 :]
+
+
+def _move_line(lines: list[str], rng) -> None:
+    """Delete or duplicate a line, or swap it with one nearby."""
+    i = rng.randrange(len(lines))
+    j = min(max(i + rng.choice((-2, -1, 1, 2)), 0), len(lines) - 1)
+    kind = rng.randrange(3)
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(j, lines[i])
+    else:
+        lines[i], lines[j] = lines[j], lines[i]
+
+
+_base_texts = st.one_of(
+    _programs().map(serialize_program),
+    st.sampled_from([(2, 1, 0), (2, 2, 3), (3, 2, 1)]).map(
+        lambda p: serialize_program(generate_program(GenParams(*p)))
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_base_texts, st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 1))
+def test_mutated_text_parses_as_the_cursor_only_parser_parses_it(text, seed, edits, moves):
+    # A seeded Random rather than st.randoms(): Hypothesis draws the latter's
+    # values near zero, which would try few of the edits. Edits go to one
+    # line, so that its error, if any, is usually the first.
+    rng = random.Random(seed)
+    lines = text.splitlines()
+    tokens = _TOKEN.findall(text)
+    i = rng.choice([k for k, line in enumerate(lines) if line.strip()])
+    for _ in range(edits):
+        lines[i] = _edit_line(lines[i], rng, tokens)
+    for _ in range(moves):
+        _move_line(lines, rng)
+    _assert_parses_as_the_reference("\n".join(lines) + "\n")
+
+
+_HOST_LINES = [
+    "program q", "func f(a, b)", "block c:", "  y = const -5", "  y = input", "  y = x % 7",
+    "  y = call f(x, 1)", "  call f(-1, x)", "  print x", "  br <= x 0 -> b, entry",
+    "  jmp b", "  ret x", "  ret",
+]
+_VOCABULARY = _KEYWORD_LIST + _ODD_LITERALS + [
+    "x", "y", "a", "b", "f", "entry", "x1", "_", "0", "1", "-1",
+    "=", ",", "(", ")", ":", "->", "+", "-", "*", "/", "%", "<", "<=", "==", "!=", ">",
+]
+
+
+def _single_edits(line: str):
+    """Every line one token replacement, deletion or re-spacing away from ``line``."""
+    spans = [m.span() for m in _TOKEN.finditer(line)]
+    for start, end in spans:
+        for word in ["", *_VOCABULARY]:
+            yield line[:start] + word + line[end:]
+    for (_, end), (start, _) in zip(spans, spans[1:]):
+        for spacing in _SPACINGS:
+            yield line[:end] + spacing + line[start:]
+
+
+def test_every_single_edit_of_a_canonical_line_parses_as_the_cursor_only_parser_parses_it():
+    for line in _HOST_LINES:
+        for edited in _single_edits(line):
+            _assert_parses_as_the_reference(_host(edited))
+
+
+# The cursor-only parser and the per-block validator as they were before the
+# canonical fast path, kept verbatim as the reference for the two tests above.
+
+_REF_TOKEN_RE = re.compile(r"->|<=|>=|==|!=|-?\d+|[A-Za-z_][A-Za-z0-9_]*|[=(),:+*/%<>-]")
+_REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_REF_KEYWORDS = frozenset(
+    {"program", "func", "block", "const", "input", "call", "print", "br", "jmp", "ret"}
+)
+
+
+class _RefCursor:
+    """Token cursor over a single source line."""
+
+    def __init__(self, line: str, lineno: int):
+        self.lineno = lineno
+        self.tokens: list[tuple[str, int]] = []
+        pos = 0
+        for match in _REF_TOKEN_RE.finditer(line):
+            gap = line[pos : match.start()]
+            if gap.strip():
+                raise ParseError(
+                    f"unexpected character {gap.strip()[0]!r}", lineno, pos + 1
+                )
+            self.tokens.append((match.group(), match.start() + 1))
+            pos = match.end()
+        if line[pos:].strip():
+            raise ParseError(
+                f"unexpected character {line[pos:].strip()[0]!r}", lineno, pos + 1
+            )
+        self.index = 0
+        self._line_len = len(line)
+
+    def peek(self) -> str | None:
+        if self.index < len(self.tokens):
+            return self.tokens[self.index][0]
+        return None
+
+    def next(self, what: str = "token") -> tuple[str, int]:
+        if self.index >= len(self.tokens):
+            raise ParseError(f"expected {what}", self.lineno, self._line_len + 1)
+        tok = self.tokens[self.index]
+        self.index += 1
+        return tok
+
+    def expect(self, text: str) -> None:
+        tok, col = self.next(f"'{text}'")
+        if tok != text:
+            raise ParseError(f"expected '{text}', found {tok!r}", self.lineno, col)
+
+    def ident(self, what: str = "name") -> str:
+        tok, col = self.next(what)
+        if not _REF_IDENT_RE.match(tok) or tok in _REF_KEYWORDS:
+            raise ParseError(f"expected {what}, found {tok!r}", self.lineno, col)
+        return tok
+
+    def int_literal(self) -> int:
+        tok, col = self.next("integer")
+        try:
+            value = int(tok)
+        except ValueError:
+            raise ParseError(f"expected integer, found {tok!r}", self.lineno, col)
+        if not INT32_MIN <= value <= INT32_MAX:
+            raise ParseError("integer literal out of int32 range", self.lineno, col)
+        return value
+
+    def operand(self) -> Operand:
+        tok, col = self.next("operand")
+        if re.match(r"-?\d+\Z", tok):
+            value = int(tok)
+            if not INT32_MIN <= value <= INT32_MAX:
+                raise ParseError("integer literal out of int32 range", self.lineno, col)
+            return value
+        if not _REF_IDENT_RE.match(tok) or tok in _REF_KEYWORDS:
+            raise ParseError(f"expected operand, found {tok!r}", self.lineno, col)
+        return tok
+
+    def done(self) -> None:
+        if self.index < len(self.tokens):
+            tok, col = self.tokens[self.index]
+            raise ParseError(f"trailing input {tok!r}", self.lineno, col)
+
+
+def _ref_parse_arg_list(cur: _RefCursor) -> tuple[Operand, ...]:
+    cur.expect("(")
+    args: list[Operand] = []
+    if cur.peek() == ")":
+        cur.expect(")")
+        return ()
+    while True:
+        args.append(cur.operand())
+        tok, col = cur.next("',' or ')'")
+        if tok == ")":
+            return tuple(args)
+        if tok != ",":
+            raise ParseError(f"expected ',' or ')', found {tok!r}", cur.lineno, col)
+
+
+def _ref_parse_param_list(cur: _RefCursor) -> tuple[str, ...]:
+    cur.expect("(")
+    params: list[str] = []
+    if cur.peek() == ")":
+        cur.expect(")")
+        return ()
+    while True:
+        params.append(cur.ident("parameter name"))
+        tok, col = cur.next("',' or ')'")
+        if tok == ")":
+            return tuple(params)
+        if tok != ",":
+            raise ParseError(f"expected ',' or ')', found {tok!r}", cur.lineno, col)
+
+
+def _ref_parse_terminator(cur: _RefCursor) -> Terminator:
+    head, col = cur.next()
+    if head == "jmp":
+        target = cur.ident("block id")
+        cur.done()
+        return Jump(target)
+    if head == "ret":
+        if cur.peek() is None:
+            return Return(None)
+        value = cur.operand()
+        cur.done()
+        return Return(value)
+    if head == "br":
+        cmp_tok, cmp_col = cur.next("comparison")
+        if cmp_tok not in CMP_OPS:
+            raise ParseError(f"expected comparison, found {cmp_tok!r}", cur.lineno, cmp_col)
+        lhs = cur.operand()
+        rhs = cur.operand()
+        cur.expect("->")
+        then_block = cur.ident("block id")
+        cur.expect(",")
+        else_block = cur.ident("block id")
+        cur.done()
+        return Branch(cmp_tok, lhs, rhs, then_block, else_block)
+    raise ParseError(f"unknown terminator {head!r}", cur.lineno, col)
+
+
+def _ref_parse_instruction(cur: _RefCursor) -> Instruction:
+    head = cur.peek()
+    if head == "print":
+        cur.next()
+        operand = cur.operand()
+        cur.done()
+        return Print(operand)
+    if head == "call":
+        cur.next()
+        callee = cur.ident("function name")
+        args = _ref_parse_arg_list(cur)
+        cur.done()
+        return Call(None, callee, args)
+    dest = cur.ident("destination")
+    cur.expect("=")
+    rhs_head = cur.peek()
+    if rhs_head == "const":
+        cur.next()
+        value = cur.int_literal()
+        cur.done()
+        return Const(dest, value)
+    if rhs_head == "input":
+        cur.next()
+        cur.done()
+        return ReadInput(dest)
+    if rhs_head == "call":
+        cur.next()
+        callee = cur.ident("function name")
+        args = _ref_parse_arg_list(cur)
+        cur.done()
+        return Call(dest, callee, args)
+    lhs = cur.operand()
+    op_tok, op_col = cur.next("operator")
+    if op_tok not in BIN_OPS:
+        raise ParseError(f"expected operator, found {op_tok!r}", cur.lineno, op_col)
+    rhs = cur.operand()
+    cur.done()
+    return BinOp(dest, op_tok, lhs, rhs)
+
+
+_REF_TERMINATOR_HEADS = frozenset({"br", "jmp", "ret"})
+
+
+def reference_parse_program(text: str) -> Program:
+    """Parse and validate textual IR.
+
+    Raises ParseError with line/column on syntax errors and
+    ValidationError (with the offending line where known) on semantic
+    errors; a returned Program satisfies every structural invariant.
+    """
+    program_name: str | None = None
+    functions: dict[str, Function] = {}
+    source_map: dict[tuple[str, str, int], int] = {}
+
+    cur_func: str | None = None
+    cur_params: tuple[str, ...] = ()
+    cur_blocks: dict[str, Block] = {}
+    cur_block_id: str | None = None
+    cur_block_line = 0
+    cur_instrs: list[Instruction] = []
+    cur_term: Terminator | None = None
+
+    def flush_block(lineno: int) -> None:
+        nonlocal cur_block_id, cur_instrs, cur_term
+        if cur_block_id is None:
+            return
+        if cur_term is None:
+            raise ParseError(
+                f"block '{cur_block_id}' has no terminator", cur_block_line
+            )
+        if cur_block_id in cur_blocks:
+            raise ParseError(f"duplicate block '{cur_block_id}'", cur_block_line)
+        cur_blocks[cur_block_id] = Block(cur_block_id, tuple(cur_instrs), cur_term)
+        cur_block_id = None
+        cur_instrs = []
+        cur_term = None
+
+    def flush_func(lineno: int) -> None:
+        nonlocal cur_func, cur_blocks
+        if cur_func is None:
+            return
+        flush_block(lineno)
+        if not cur_blocks:
+            raise ParseError(f"function '{cur_func}' has no blocks", lineno)
+        entry_block = next(iter(cur_blocks))
+        if cur_func in functions:
+            raise ParseError(f"duplicate function '{cur_func}'", lineno)
+        functions[cur_func] = Function(cur_func, cur_params, cur_blocks, entry_block)
+        cur_func = None
+        cur_blocks = {}
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        cur = _RefCursor(line, lineno)
+        head = cur.peek()
+        if head == "program":
+            if program_name is not None:
+                raise ParseError("duplicate 'program' header", lineno)
+            if functions or cur_func is not None:
+                raise ParseError("'program' header must come first", lineno)
+            cur.next()
+            program_name = cur.ident("program name")
+            cur.done()
+            continue
+        if program_name is None:
+            raise ParseError("expected 'program <name>' header", lineno)
+        if head == "func":
+            flush_func(lineno)
+            cur.next()
+            cur_func = cur.ident("function name")
+            cur_params = _ref_parse_param_list(cur)
+            cur.done()
+            continue
+        if head == "block":
+            if cur_func is None:
+                raise ParseError("block outside of a function", lineno)
+            flush_block(lineno)
+            cur.next()
+            cur_block_id = cur.ident("block id")
+            cur.expect(":")
+            cur.done()
+            cur_block_line = lineno
+            continue
+        if cur_func is None or cur_block_id is None:
+            raise ParseError("instruction outside of a block", lineno)
+        if cur_term is not None:
+            raise ParseError("instruction after terminator", lineno)
+        if head in _REF_TERMINATOR_HEADS:
+            cur_term = _ref_parse_terminator(cur)
+            source_map[(cur_func, cur_block_id, -1)] = lineno
+        else:
+            source_map[(cur_func, cur_block_id, len(cur_instrs))] = lineno
+            cur_instrs.append(_ref_parse_instruction(cur))
+
+    if program_name is None:
+        raise ParseError("expected 'program <name>' header", max(1, text.count("\n") + 1))
+    flush_func(text.count("\n") + 1)
+
+    program = Program(program_name, functions)
+    reference_validate_program(program, source_map)
+    return program
+
+
+# ---------------------------------------------------------------------------
+# Validation
+# ---------------------------------------------------------------------------
+
+
+def reference_validate_program(
+    program: Program, source_map: dict[tuple[str, str, int], int] | None = None
+) -> list[str]:
+    """Check every structural invariant; return warnings for soft issues.
+
+    Hard violations (missing entry, unknown callee, arity mismatch, bad
+    branch targets, use of never-assigned operands) raise ValidationError.
+    Unreachable blocks only produce warnings.
+    """
+    source_map = source_map or {}
+
+    def line_of(func: str, block: str, index: int) -> int | None:
+        return source_map.get((func, block, index))
+
+    entry = program.functions.get(program.entry)
+    if program.entry != ENTRY_FUNCTION or entry is None:
+        raise ValidationError(f"missing entry function '{ENTRY_FUNCTION}'")
+    if entry.params:
+        raise ValidationError(f"entry function '{ENTRY_FUNCTION}' must take no parameters")
+
+    warnings: list[str] = []
+    for fname, func in program.functions.items():
+        if func.entry_block not in func.blocks:
+            raise ValidationError(
+                f"function '{fname}': entry block '{func.entry_block}' does not exist"
+            )
+        dests_by_block: dict[str, set[str]] = {}
+        for bid, block in func.blocks.items():
+            dests: set[str] = set()
+            for instr in block.instructions:
+                dest = getattr(instr, "dest", None)
+                if dest is not None:
+                    dests.add(dest)
+            dests_by_block[bid] = dests
+
+        for bid, block in func.blocks.items():
+            external = set(func.params)
+            for other, dests in dests_by_block.items():
+                if other != bid:
+                    external |= dests
+
+            def check_operand(op: Operand, assigned: set[str], index: int) -> None:
+                if isinstance(op, str) and op not in assigned and op not in external:
+                    raise ValidationError(
+                        f"function '{fname}': operand '{op}' used before assignment",
+                        line_of(fname, bid, index),
+                    )
+
+            assigned: set[str] = set(func.params)
+            for index, instr in enumerate(block.instructions):
+                if isinstance(instr, BinOp):
+                    check_operand(instr.lhs, assigned, index)
+                    check_operand(instr.rhs, assigned, index)
+                elif isinstance(instr, Print):
+                    check_operand(instr.operand, assigned, index)
+                elif isinstance(instr, Call):
+                    callee = program.functions.get(instr.callee)
+                    if callee is None:
+                        raise ValidationError(
+                            f"unknown callee '{instr.callee}'", line_of(fname, bid, index)
+                        )
+                    if len(instr.args) != len(callee.params):
+                        raise ValidationError(
+                            f"call to '{instr.callee}' passes {len(instr.args)} "
+                            f"arguments, expected {len(callee.params)}",
+                            line_of(fname, bid, index),
+                        )
+                    for arg in instr.args:
+                        check_operand(arg, assigned, index)
+                dest = getattr(instr, "dest", None)
+                if dest is not None:
+                    assigned.add(dest)
+
+            term = block.terminator
+            if isinstance(term, Branch):
+                for target in (term.then_block, term.else_block):
+                    if target not in func.blocks:
+                        raise ValidationError(
+                            f"function '{fname}': branch target '{target}' does not exist",
+                            line_of(fname, bid, -1),
+                        )
+                if term.then_block == term.else_block:
+                    raise ValidationError(
+                        f"function '{fname}': branch targets must be distinct",
+                        line_of(fname, bid, -1),
+                    )
+                check_operand(term.lhs, assigned, -1)
+                check_operand(term.rhs, assigned, -1)
+            elif isinstance(term, Jump):
+                if term.target not in func.blocks:
+                    raise ValidationError(
+                        f"function '{fname}': jump target '{term.target}' does not exist",
+                        line_of(fname, bid, -1),
+                    )
+            elif isinstance(term, Return):
+                if term.value is not None:
+                    check_operand(term.value, assigned, -1)
+
+        # Intra-function reachability: soft check only.
+        seen = {func.entry_block}
+        stack = [func.entry_block]
+        while stack:
+            block = func.blocks[stack.pop()]
+            term = block.terminator
+            targets: tuple[str, ...] = ()
+            if isinstance(term, Branch):
+                targets = (term.then_block, term.else_block)
+            elif isinstance(term, Jump):
+                targets = (term.target,)
+            for target in targets:
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+        for bid in func.blocks:
+            if bid not in seen:
+                warnings.append(f"function '{fname}': block '{bid}' is unreachable")
+
+    return warnings
+
