@@ -27,17 +27,23 @@ as the states it ranks need.
 from __future__ import annotations
 
 from collections.abc import Set
-from dataclasses import dataclass, field
 
 from .executor import OP_BRANCH, OP_CALL, OP_JUMP, OP_RETURN, lowered_form
-from .ir import Program, block_locations
+from .ir import Program, _Record, block_locations
 
 
-@dataclass(frozen=True)
-class CallGraph:
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str]]
-    depths: dict[str, int] = field(default_factory=dict)
+class CallGraph(_Record):
+    __slots__ = _fields = ("nodes", "edges", "depths")
+
+    def __init__(
+        self,
+        nodes: frozenset[str],
+        edges: frozenset[tuple[str, str]],
+        depths: dict[str, int] | None = None,
+    ) -> None:
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "depths", {} if depths is None else depths)
 
     def depth(self, name: str) -> int | None:
         """Call depth of a function, or None when unreachable from entry."""
@@ -98,8 +104,7 @@ class DistanceField:
         return level
 
 
-@dataclass(frozen=True)
-class ProgramIndex:
+class ProgramIndex(_Record):
     """Static facts of one program, computed once and shared by its campaigns.
 
     Read off the lowered form, so locations are numbered by
@@ -112,13 +117,27 @@ class ProgramIndex:
     builds a new field, which settles levels only when asked.
     """
 
-    callgraph: CallGraph
-    reachable: frozenset[str]
-    locations: tuple[Location, ...]
-    entries: dict[str, int]
-    predecessors: tuple[tuple[int, ...], ...]
-    callers: dict[str, tuple[str, ...]]
-    by_depth: tuple[str, ...]
+    __slots__ = _fields = (
+        "callgraph", "reachable", "locations", "entries", "predecessors", "callers", "by_depth"
+    )
+
+    def __init__(
+        self,
+        callgraph: CallGraph,
+        reachable: frozenset[str],
+        locations: tuple[Location, ...],
+        entries: dict[str, int],
+        predecessors: tuple[tuple[int, ...], ...],
+        callers: dict[str, tuple[str, ...]],
+        by_depth: tuple[str, ...],
+    ) -> None:
+        object.__setattr__(self, "callgraph", callgraph)
+        object.__setattr__(self, "reachable", reachable)
+        object.__setattr__(self, "locations", locations)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "predecessors", predecessors)
+        object.__setattr__(self, "callers", callers)
+        object.__setattr__(self, "by_depth", by_depth)
 
     def distances(self, target: str) -> DistanceField:
         """A new distance field for the target, with only its entry settled."""

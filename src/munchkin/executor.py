@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -47,6 +46,7 @@ from .ir import (
     Print,
     Program,
     ReadInput,
+    _Record,
     apply_binop,
     block_locations,
     wrap32,
@@ -81,12 +81,16 @@ class Outcome(enum.Enum):
     STEP_LIMIT_EXCEEDED = "step-limit-exceeded"
 
 
-@dataclass(frozen=True)
-class CoverageMap:
+class CoverageMap(_Record):
     """Function coverage set plus edge bitmap (sparse set-bit indices)."""
 
-    functions: frozenset[str] = frozenset()
-    edge_bits: frozenset[int] = frozenset()
+    __slots__ = _fields = ("functions", "edge_bits")
+
+    def __init__(
+        self, functions: frozenset[str] = frozenset(), edge_bits: frozenset[int] = frozenset()
+    ) -> None:
+        object.__setattr__(self, "functions", functions)
+        object.__setattr__(self, "edge_bits", edge_bits)
 
     @property
     def edge_count(self) -> int:
@@ -101,12 +105,16 @@ def merge_coverage(a: CoverageMap, b: CoverageMap) -> CoverageMap:
     return CoverageMap(a.functions | b.functions, a.edge_bits | b.edge_bits)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    coverage: CoverageMap
-    outcome: Outcome
-    printed: tuple[int, ...]
-    steps: int
+class RunResult(_Record):
+    __slots__ = _fields = ("coverage", "outcome", "printed", "steps")
+
+    def __init__(
+        self, coverage: CoverageMap, outcome: Outcome, printed: tuple[int, ...], steps: int
+    ) -> None:
+        object.__setattr__(self, "coverage", coverage)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "printed", printed)
+        object.__setattr__(self, "steps", steps)
 
 
 # Opcodes of the lowered form, shared by this interpreter and the symbolic

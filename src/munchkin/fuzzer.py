@@ -17,9 +17,9 @@ covered function that the corpus lacks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .ir import INT32_MAX, INT32_MIN, Program, wrap32
+from .ir import INT32_MAX, INT32_MIN, Program, _MutableRecord, _Record, wrap32
 from .executor import CoverageMap, DEFAULT_STEP_LIMIT, InputVector, Outcome, run_concrete
 
 
@@ -43,22 +43,35 @@ class FuzzConfig:
     step_limit: int = DEFAULT_STEP_LIMIT
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    values: InputVector
-    coverage: CoverageMap
-    discovery_iteration: int
+class CorpusEntry(_Record):
+    __slots__ = _fields = ("values", "coverage", "discovery_iteration")
+
+    def __init__(
+        self, values: InputVector, coverage: CoverageMap, discovery_iteration: int
+    ) -> None:
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "coverage", coverage)
+        object.__setattr__(self, "discovery_iteration", discovery_iteration)
 
 
-@dataclass
-class FuzzResult:
-    corpus: list[CorpusEntry]
-    cumulative: CoverageMap
-    executions: int
-    faults: list[tuple[InputVector, Outcome]]
-    # First input observed entering each function; keeps a concrete witness
-    # even when edge-hash collisions block corpus admission.
-    function_witnesses: dict[str, InputVector] = field(default_factory=dict)
+class FuzzResult(_MutableRecord):
+    __slots__ = _fields = ("corpus", "cumulative", "executions", "faults", "function_witnesses")
+
+    def __init__(
+        self,
+        corpus: list[CorpusEntry],
+        cumulative: CoverageMap,
+        executions: int,
+        faults: list[tuple[InputVector, Outcome]],
+        function_witnesses: dict[str, InputVector] | None = None,
+    ) -> None:
+        self.corpus = corpus
+        self.cumulative = cumulative
+        self.executions = executions
+        self.faults = faults
+        # First input observed entering each function; keeps a concrete witness
+        # even when edge-hash collisions block corpus admission.
+        self.function_witnesses = {} if function_witnesses is None else function_witnesses
 
     def test_suite(self) -> list[InputVector]:
         """Corpus inputs in admission order, then witnesses the corpus lacks.

@@ -33,15 +33,23 @@ directly. Every other line, including every line with an error, goes through
 a token cursor. The patterns accept only what the cursor accepts with an
 equal result, and they leave keywords used as names and out-of-range
 literals to it. So the fast path changes no result, and every ParseError
-comes from the cursor with the line and column it has always had.
+comes from the cursor. Its column counts from the start of the source line
+and points at the offending token or character.
 
 Programs are immutable after validation and safe to share across threads.
+
+The IR nodes here, and every other record the library builds for itself,
+are ``_Record`` classes with ``__slots__`` and a hand-written ``__init__``,
+not dataclasses: generating dataclass code took most of the package's
+import time. Only the five types that callers build from keywords or pass
+to ``dataclasses.replace`` stay dataclasses: ``GenParams``, ``FuzzConfig``,
+``SymexLimits``, ``HybridConfig`` and ``CampaignReport``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
@@ -107,92 +115,174 @@ def apply_cmp(cmp: str, lhs: int, rhs: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+class _Record:
+    """Base of the record types the library builds for itself.
+
+    A subclass names its fields in ``_fields``, which are also its
+    ``__slots__``, and writes its own ``__init__``, which sets them with
+    ``object.__setattr__``. Like a frozen dataclass, a record equals only a
+    record of its exact type with equal fields, hashes the tuple of its
+    fields, shows as ``Name(field=value, ...)`` and rejects assignment.
+    Copies and pickles rebuild a record from its fields, so a slot outside
+    ``_fields`` (a cache) is left out.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class _MutableRecord(_Record):
+    """A record whose fields may be assigned; like a mutable dataclass, it has no hash."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+
+# ---------------------------------------------------------------------------
 # IR node types
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
-    dest: str
-    value: int
+class Const(_Record):
+    __slots__ = _fields = ("dest", "value")
+
+    def __init__(self, dest: str, value: int) -> None:
+        object.__setattr__(self, "dest", dest)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class ReadInput:
-    dest: str
+class ReadInput(_Record):
+    __slots__ = _fields = ("dest",)
+
+    def __init__(self, dest: str) -> None:
+        object.__setattr__(self, "dest", dest)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    dest: str
-    op: str
-    lhs: Operand
-    rhs: Operand
+class BinOp(_Record):
+    __slots__ = _fields = ("dest", "op", "lhs", "rhs")
+
+    def __init__(self, dest: str, op: str, lhs: Operand, rhs: Operand) -> None:
+        object.__setattr__(self, "dest", dest)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Call:
-    dest: str | None
-    callee: str
-    args: tuple[Operand, ...]
+class Call(_Record):
+    __slots__ = _fields = ("dest", "callee", "args")
+
+    def __init__(self, dest: str | None, callee: str, args: tuple[Operand, ...]) -> None:
+        object.__setattr__(self, "dest", dest)
+        object.__setattr__(self, "callee", callee)
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
-class Print:
-    operand: Operand
+class Print(_Record):
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand: Operand) -> None:
+        object.__setattr__(self, "operand", operand)
 
 
 Instruction = Const | ReadInput | BinOp | Call | Print
 
 
-@dataclass(frozen=True)
-class Branch:
-    cmp: str
-    lhs: Operand
-    rhs: Operand
-    then_block: str
-    else_block: str
+class Branch(_Record):
+    __slots__ = _fields = ("cmp", "lhs", "rhs", "then_block", "else_block")
+
+    def __init__(
+        self, cmp: str, lhs: Operand, rhs: Operand, then_block: str, else_block: str
+    ) -> None:
+        object.__setattr__(self, "cmp", cmp)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "then_block", then_block)
+        object.__setattr__(self, "else_block", else_block)
 
 
-@dataclass(frozen=True)
-class Jump:
-    target: str
+class Jump(_Record):
+    __slots__ = _fields = ("target",)
+
+    def __init__(self, target: str) -> None:
+        object.__setattr__(self, "target", target)
 
 
-@dataclass(frozen=True)
-class Return:
-    value: Operand | None = None
+class Return(_Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Operand | None = None) -> None:
+        object.__setattr__(self, "value", value)
 
 
 Terminator = Branch | Jump | Return
 
 
-@dataclass(frozen=True)
-class Block:
-    id: str
-    instructions: tuple[Instruction, ...]
-    terminator: Terminator
+class Block(_Record):
+    __slots__ = _fields = ("id", "instructions", "terminator")
+
+    def __init__(
+        self, id: str, instructions: tuple[Instruction, ...], terminator: Terminator
+    ) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "instructions", instructions)
+        object.__setattr__(self, "terminator", terminator)
 
 
-@dataclass(frozen=True)
-class Function:
-    name: str
-    params: tuple[str, ...]
-    blocks: dict[str, Block]
-    entry_block: str
+class Function(_Record):
+    __slots__ = _fields = ("name", "params", "blocks", "entry_block")
+
+    def __init__(
+        self, name: str, params: tuple[str, ...], blocks: dict[str, Block], entry_block: str
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "entry_block", entry_block)
 
 
-@dataclass(frozen=True)
-class Program:
-    name: str
-    functions: dict[str, Function]
-    entry: str = ENTRY_FUNCTION
+class Program(_Record):
+    # ``_lowered`` (executor.lowered_form) and ``_index``
+    # (callgraph.index_program) are caches, unset until first use. They are
+    # not fields, so copies and pickles leave them out and rebuild them.
+    _fields = ("name", "functions", "entry")
+    __slots__ = _fields + ("_lowered", "_index", "__weakref__")
 
-    def __getstate__(self) -> dict:
-        # The lowered form (executor.lowered_form) and the index
-        # (callgraph.index_program) are caches stored on the program; copies
-        # and pickles leave them out and rebuild them on first use.
-        return {k: v for k, v in self.__dict__.items() if k not in ("_lowered", "_index")}
+    def __init__(
+        self, name: str, functions: dict[str, Function], entry: str = ENTRY_FUNCTION
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "functions", functions)
+        object.__setattr__(self, "entry", entry)
 
 
 def block_locations(program: Program) -> tuple[tuple[str, str], ...]:
@@ -241,27 +331,33 @@ _KEYWORDS = frozenset(
 )
 
 
-class _Cursor:
-    """Token cursor over a single source line."""
+def _check_gap(line: str, start: int, end: int, lineno: int, indent: int) -> None:
+    """Reject the first non-blank character of ``line[start:end]``, at its own column."""
+    rest = line[start:end].lstrip()
+    if rest:
+        col = indent + end - len(rest) + 1
+        raise ParseError(f"unexpected character {rest[0]!r}", lineno, col)
 
-    def __init__(self, line: str, lineno: int):
+
+class _Cursor:
+    """Token cursor over a single source line.
+
+    ``line`` is the source line with its comment and outer whitespace gone,
+    and ``indent`` the number of characters stripped before it, so columns
+    count from the start of the source line.
+    """
+
+    def __init__(self, line: str, lineno: int, indent: int = 0):
         self.lineno = lineno
         self.tokens: list[tuple[str, int]] = []
         pos = 0
         for match in _TOKEN_RE.finditer(line):
-            gap = line[pos : match.start()]
-            if gap.strip():
-                raise ParseError(
-                    f"unexpected character {gap.strip()[0]!r}", lineno, pos + 1
-                )
-            self.tokens.append((match.group(), match.start() + 1))
+            _check_gap(line, pos, match.start(), lineno, indent)
+            self.tokens.append((match.group(), indent + match.start() + 1))
             pos = match.end()
-        if line[pos:].strip():
-            raise ParseError(
-                f"unexpected character {line[pos:].strip()[0]!r}", lineno, pos + 1
-            )
+        _check_gap(line, pos, len(line), lineno, indent)
         self.index = 0
-        self._line_len = len(line)
+        self._end_col = indent + len(line) + 1
 
     def peek(self) -> str | None:
         if self.index < len(self.tokens):
@@ -270,7 +366,7 @@ class _Cursor:
 
     def next(self, what: str = "token") -> tuple[str, int]:
         if self.index >= len(self.tokens):
-            raise ParseError(f"expected {what}", self.lineno, self._line_len + 1)
+            raise ParseError(f"expected {what}", self.lineno, self._end_col)
         tok = self.tokens[self.index]
         self.index += 1
         return tok
@@ -573,14 +669,15 @@ def parse_program(text: str) -> Program:
         cur_blocks = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         # ``node`` is None where the cursor must parse the line; it does so
         # after the checks below, so that errors keep the cursor's order.
         canonical = _parse_canonical(line)
         if canonical is None:
-            cur = _Cursor(line, lineno)
+            cur = _Cursor(line, lineno, len(code) - len(code.lstrip()))
             head, node = cur.peek(), None
         else:
             head, node = canonical

@@ -130,7 +130,17 @@ class TestParseErrors:
             err = caught
         assert err is not None
         assert err.line == 4
-        assert err.col >= 1
+        assert err.col == 7
+
+    @pytest.mark.parametrize(
+        "line, col",
+        [("  ret @", 7), ("\t ret @", 7), ("ret @", 5), ("  jmp", 6), ("  x = @ 1", 7), ("  x = const 1 2  # c", 15)],
+    )
+    def test_columns_count_from_the_start_of_the_source_line(self, line, col):
+        with pytest.raises(ParseError) as caught:
+            parse_program(f"program p\nfunc main()\nblock e:\n{line}\n")
+        assert (caught.value.line, caught.value.col) == (4, col)
+        assert str(caught.value).startswith(f"line 4, col {col}: ")
 
 
 class TestValidation:
@@ -574,7 +584,9 @@ def test_every_single_edit_of_a_canonical_line_parses_as_the_cursor_only_parser_
 
 
 # The cursor-only parser and the per-block validator as they were before the
-# canonical fast path, kept verbatim as the reference for the two tests above.
+# canonical fast path, kept as the reference for the two tests above. The one
+# change since: a column counts from the start of the source line, and an
+# unexpected character's column is its own, as ``ir._Cursor`` counts them.
 
 _REF_TOKEN_RE = re.compile(r"->|<=|>=|==|!=|-?\d+|[A-Za-z_][A-Za-z0-9_]*|[=(),:+*/%<>-]")
 _REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -583,27 +595,33 @@ _REF_KEYWORDS = frozenset(
 )
 
 
-class _RefCursor:
-    """Token cursor over a single source line."""
+def _ref_check_gap(line: str, start: int, end: int, lineno: int, indent: int) -> None:
+    """Reject the first non-blank character of ``line[start:end]``, at its own column."""
+    rest = line[start:end].lstrip()
+    if rest:
+        col = indent + end - len(rest) + 1
+        raise ParseError(f"unexpected character {rest[0]!r}", lineno, col)
 
-    def __init__(self, line: str, lineno: int):
+
+class _RefCursor:
+    """Token cursor over a single source line.
+
+    ``line`` is the source line with its comment and outer whitespace gone,
+    and ``indent`` the number of characters stripped before it, so columns
+    count from the start of the source line.
+    """
+
+    def __init__(self, line: str, lineno: int, indent: int = 0):
         self.lineno = lineno
         self.tokens: list[tuple[str, int]] = []
         pos = 0
         for match in _REF_TOKEN_RE.finditer(line):
-            gap = line[pos : match.start()]
-            if gap.strip():
-                raise ParseError(
-                    f"unexpected character {gap.strip()[0]!r}", lineno, pos + 1
-                )
-            self.tokens.append((match.group(), match.start() + 1))
+            _ref_check_gap(line, pos, match.start(), lineno, indent)
+            self.tokens.append((match.group(), indent + match.start() + 1))
             pos = match.end()
-        if line[pos:].strip():
-            raise ParseError(
-                f"unexpected character {line[pos:].strip()[0]!r}", lineno, pos + 1
-            )
+        _ref_check_gap(line, pos, len(line), lineno, indent)
         self.index = 0
-        self._line_len = len(line)
+        self._end_col = indent + len(line) + 1
 
     def peek(self) -> str | None:
         if self.index < len(self.tokens):
@@ -612,7 +630,7 @@ class _RefCursor:
 
     def next(self, what: str = "token") -> tuple[str, int]:
         if self.index >= len(self.tokens):
-            raise ParseError(f"expected {what}", self.lineno, self._line_len + 1)
+            raise ParseError(f"expected {what}", self.lineno, self._end_col)
         tok = self.tokens[self.index]
         self.index += 1
         return tok
@@ -804,10 +822,11 @@ def reference_parse_program(text: str) -> Program:
         cur_blocks = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
-        cur = _RefCursor(line, lineno)
+        cur = _RefCursor(line, lineno, len(code) - len(code.lstrip()))
         head = cur.peek()
         if head == "program":
             if program_name is not None:
