@@ -3,7 +3,11 @@
 Runs are deterministic: identical (program, input, step limit) always
 produce identical results. ``ReadInput`` consumes the next input value and
 yields 0 once the vector is exhausted, so every input vector is a total
-test case. Reading a never-assigned local also yields 0.
+test case. Reading a never-assigned local also yields 0. A run is thus a
+pure function of the values its ``input`` instructions read: two vectors
+whose first ``inputs_read`` values agree, each padded with zeros to that
+length, run identically and read the same number of values. The fuzzer
+relies on this to skip inputs whose consumed prefix has already run.
 
 Edge coverage uses a fixed 65536-slot hash bitmap over block transitions,
 kept here as the sparse set of set bit indices. The hash of a transition
@@ -106,15 +110,28 @@ def merge_coverage(a: CoverageMap, b: CoverageMap) -> CoverageMap:
 
 
 class RunResult(_Record):
-    __slots__ = _fields = ("coverage", "outcome", "printed", "steps")
+    """One run's coverage, outcome, printed values and work.
+
+    ``inputs_read`` counts the ``input`` instructions executed, reads past the
+    end of the vector included; a run stopped by a fault or the step limit
+    counts only the reads before it stopped.
+    """
+
+    __slots__ = _fields = ("coverage", "outcome", "printed", "steps", "inputs_read")
 
     def __init__(
-        self, coverage: CoverageMap, outcome: Outcome, printed: tuple[int, ...], steps: int
+        self,
+        coverage: CoverageMap,
+        outcome: Outcome,
+        printed: tuple[int, ...],
+        steps: int,
+        inputs_read: int,
     ) -> None:
         object.__setattr__(self, "coverage", coverage)
         object.__setattr__(self, "outcome", outcome)
         object.__setattr__(self, "printed", printed)
         object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "inputs_read", inputs_read)
 
 
 # Opcodes of the lowered form, shared by this interpreter and the symbolic
@@ -235,7 +252,7 @@ def run_concrete(
     stack: list[tuple] = []
     env: dict[str, int] = {}
     index = 0
-    input_pos = 0
+    reads = 0
     steps = 0
     outcome = Outcome.COMPLETED
     while True:
@@ -293,11 +310,8 @@ def run_concrete(
         elif op == OP_CONST:
             env[instr[1]] = instr[2]
         elif op == OP_INPUT:
-            if input_pos < len(input_values):
-                env[instr[1]] = wrap32(input_values[input_pos])
-                input_pos += 1
-            else:
-                env[instr[1]] = 0
+            env[instr[1]] = wrap32(input_values[reads]) if reads < len(input_values) else 0
+            reads += 1
         else:
             printed.append(env.get(instr[1], 0) if instr[2] else instr[1])
 
@@ -306,6 +320,7 @@ def run_concrete(
         outcome,
         tuple(printed),
         steps,
+        reads,
     )
 
 

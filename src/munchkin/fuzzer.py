@@ -3,8 +3,14 @@
 Single-threaded by contract: results depend only on (program, seeds,
 config). Seeds run first, then each iteration picks a corpus entry
 round-robin, stacks 1..HAVOC_STACKING integer-level mutations, executes,
-and admits the mutant iff it sets an edge bit unseen so far. Budgets are
-execution counts, not wall-clock, so campaigns replay exactly.
+and admits the mutant iff it sets an edge bit unseen so far. Budgets count
+inputs evaluated, not wall-clock, so campaigns replay exactly.
+
+A run is a pure function of the values it reads (see ``executor``), so an
+input whose consumed prefix (its first ``inputs_read`` values, padded with
+zeros) already ran in this campaign can add no coverage, corpus entry or
+witness. Such an input is not run again: it counts as an execution, and its
+outcome, looked up, is recorded as a fault when the earlier run faulted.
 
 The campaign keeps its cumulative function and edge-bit sets as mutable
 sets, updated in place when an execution adds to them, and builds the
@@ -166,11 +172,27 @@ def fuzz_campaign(
     faults: list[tuple[InputVector, Outcome]] = []
     witnesses: dict[str, InputVector] = {}
     executions = 0
+    # Outcome of each consumed prefix that ran, and the prefix lengths seen.
+    # The prefixes that ran form a prefix-free set (a run that read the
+    # values of a shorter one would have stopped where it did), so at most
+    # one length matches a new input.
+    outcomes: dict[InputVector, Outcome] = {}
+    lengths: list[int] = []
 
     def execute(values: InputVector, iteration: int) -> None:
         nonlocal executions
-        result = run_concrete(program, values, config.step_limit)
         executions += 1
+        for n in lengths:
+            outcome = outcomes.get(values[:n] + (0,) * (n - len(values)))
+            if outcome is not None:
+                if outcome is not Outcome.COMPLETED:
+                    faults.append((values, outcome))
+                return
+        result = run_concrete(program, values, config.step_limit)
+        n = result.inputs_read
+        if n not in lengths:
+            lengths.append(n)
+        outcomes[values[:n] + (0,) * (n - len(values))] = result.outcome
         coverage = result.coverage
         if not coverage.functions <= functions:
             for fn in sorted(coverage.functions - functions):

@@ -153,6 +153,52 @@ class TestRunConcrete:
         assert wrapped.coverage.functions == ground_truth_coverage(params)[0]
 
 
+# Reads a value, divides by it, then reads another.
+DIVIDE_THEN_READ_TEXT = """\
+program p
+
+func main()
+block entry:
+  x = input
+  y = 1 / x
+  z = input
+  ret
+"""
+
+# Reads one value per iteration of an endless loop.
+READ_LOOP_TEXT = """\
+program p
+
+func main()
+block entry:
+  v = input
+  jmp entry
+"""
+
+
+class TestInputsRead:
+    def test_a_program_that_reads_nothing_reads_zero_values(self):
+        assert run_concrete(parse_program(RETVAL_TEXT), (1, 2, 3)).inputs_read == 0
+
+    @pytest.mark.parametrize("values", [(), (5,), (5, 2), (5, 2, 9, 9)])
+    def test_reads_past_the_end_of_the_vector_are_counted(self, values):
+        assert run_concrete(parse_program(PINNED_TEXT), values).inputs_read == 2
+
+    def test_a_fault_stops_the_count(self):
+        program = parse_program(DIVIDE_THEN_READ_TEXT)
+        faulted = run_concrete(program, (0, 5))
+        assert faulted.outcome is Outcome.ARITHMETIC_FAULT
+        assert faulted.inputs_read == 1
+        assert run_concrete(program, (1, 5)).inputs_read == 2
+
+    @pytest.mark.parametrize("step_limit, reads", [(1, 1), (2, 1), (9, 5), (10, 5)])
+    def test_the_step_limit_stops_the_count(self, step_limit, reads):
+        # Each iteration is two steps, a read and a jump.
+        result = run_concrete(parse_program(READ_LOOP_TEXT), (7, 8), step_limit)
+        assert result.outcome is Outcome.STEP_LIMIT_EXCEEDED
+        assert result.inputs_read == reads
+
+
 class TestPinnedResults:
     # sha256 of every result below, computed on the interpreter as it was
     # before programs were lowered; a change here changes what tests see.

@@ -1,19 +1,28 @@
 """Coverage-guided fuzzer: determinism, admission, mutation operators."""
 
+import contextlib
 import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from munchkin import executor
+from munchkin import executor, fuzzer
 from munchkin.callgraph import build_callgraph
-from munchkin.executor import EMPTY_COVERAGE, Outcome, merge_coverage, run_concrete
+from munchkin.executor import (
+    EMPTY_COVERAGE,
+    CoverageMap,
+    Outcome,
+    merge_coverage,
+    run_concrete,
+)
 from munchkin.fuzzer import (
     CorpusEntry,
     FuzzConfig,
     FuzzResult,
     INTERESTING,
+    MAX_INPUT_LENGTH,
     MUTATION_OPS,
     fuzz_campaign,
     mutate,
@@ -160,6 +169,199 @@ class TestCampaign:
         program = generate_program(GenParams(2, 1))
         with pytest.raises(ValueError):
             fuzz_campaign(program, [(0,)], FuzzConfig(budget=-1))
+
+
+def _reference_fuzz_campaign(program, seeds, config):
+    """The fuzzer as it was before it skipped consumed prefixes that ran.
+
+    Runs every input it evaluates. Returns the result and each evaluated
+    input with the number of values its run read.
+    """
+    rng = random.Random(config.rng_seed)
+    seed_list = [tuple(s) for s in seeds] or [(0,)]
+    corpus, functions, edge_bits, faults, witnesses = [], set(), set(), [], {}
+    evaluated = []
+
+    def execute(values, iteration):
+        result = run_concrete(program, values, config.step_limit)
+        evaluated.append((values, result.inputs_read))
+        coverage = result.coverage
+        if not coverage.functions <= functions:
+            for fn in sorted(coverage.functions - functions):
+                witnesses[fn] = values
+            functions.update(coverage.functions)
+        if result.outcome is not Outcome.COMPLETED:
+            faults.append((values, result.outcome))
+        if not coverage.edge_bits <= edge_bits:
+            corpus.append(CorpusEntry(values, coverage, iteration))
+            edge_bits.update(coverage.edge_bits)
+
+    iteration = 0
+    for seed in seed_list:
+        execute(seed, iteration)
+        iteration += 1
+    for round_num in range(config.budget):
+        execute(mutate(corpus[round_num % len(corpus)].values, rng), iteration)
+        iteration += 1
+
+    cumulative = CoverageMap(frozenset(functions), frozenset(edge_bits))
+    return FuzzResult(corpus, cumulative, len(evaluated), faults, witnesses), evaluated
+
+
+def _consumed_prefix(values, inputs_read):
+    return values[:inputs_read] + (0,) * (inputs_read - len(values))
+
+
+@contextlib.contextmanager
+def _fuzzer_runs():
+    """The argument tuples of every ``run_concrete`` call the fuzzer makes."""
+    runs = []
+
+    def spy(*args):
+        runs.append(args)
+        return run_concrete(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fuzzer, "run_concrete", spy)
+        yield runs
+
+
+# Hand programs for the reference property: no read, two reads, a read loop
+# that stops at a 0 (so read counts vary and reads pass the vector's end),
+# a division by a read value, and a loop whose trip count is read.
+_PREFIX_PROGRAMS = {
+    "no-input": """\
+program p
+
+func main()
+block entry:
+  x = const 3
+  call f(x)
+  print x
+  ret
+
+func f(a)
+block entry:
+  ret
+""",
+    "two-inputs": """\
+program p
+
+func main()
+block entry:
+  a = input
+  b = input
+  br < a b -> lt, ge
+block lt:
+  call f()
+  ret
+block ge:
+  br == a b -> eq, done
+block eq:
+  call g()
+  ret
+block done:
+  ret
+
+func f()
+block entry:
+  ret
+
+func g()
+block entry:
+  ret
+""",
+    "read-until-zero": """\
+program p
+
+func main()
+block entry:
+  s = const 0
+  jmp loop
+block loop:
+  v = input
+  br == v 0 -> done, more
+block more:
+  s = s + v
+  br > s 1000 -> big, loop
+block big:
+  call f(s)
+  jmp loop
+block done:
+  print s
+  ret
+
+func f(a)
+block entry:
+  br < a 0 -> neg, pos
+block neg:
+  ret
+block pos:
+  ret
+""",
+    "divide": DIV_TEXT,
+    "counted-loop": """\
+program p
+
+func main()
+block entry:
+  n = input
+  i = const 0
+  jmp head
+block head:
+  br < i n -> body, done
+block body:
+  i = i + 1
+  jmp head
+block done:
+  call f()
+  ret
+
+func f()
+block entry:
+  ret
+""",
+}
+
+_values = st.one_of(st.integers(-3, 3), st.integers(INT32_MIN, INT32_MAX))
+_seed_vectors = st.one_of(
+    st.just(()),
+    st.lists(_values, min_size=1, max_size=3).map(tuple),
+    st.lists(_values, min_size=4, max_size=MAX_INPUT_LENGTH).map(tuple),
+)
+
+
+class TestConsumedPrefixes:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_PREFIX_PROGRAMS)),
+        seeds=st.lists(_seed_vectors, max_size=4),
+        rng_seed=st.integers(0, 2**16),
+        budget=st.integers(0, 200),
+        step_limit=st.integers(1, 300),
+    )
+    def test_campaign_equals_one_that_runs_every_input(
+        self, name, seeds, rng_seed, budget, step_limit
+    ):
+        program = parse_program(_PREFIX_PROGRAMS[name])
+        config = FuzzConfig(rng_seed, budget, step_limit)
+        expected, evaluated = _reference_fuzz_campaign(program, seeds, config)
+        with _fuzzer_runs() as runs:
+            result = fuzz_campaign(program, seeds, config)
+        for field in FuzzResult._fields:
+            assert getattr(result, field) == getattr(expected, field), field
+        # Each distinct consumed prefix runs exactly once.
+        assert len(runs) == len({_consumed_prefix(v, n) for v, n in evaluated})
+
+    def test_repeated_faults_are_each_recorded(self):
+        program = parse_program(DIV_TEXT)
+        with _fuzzer_runs() as runs:
+            result = fuzz_campaign(program, [(0,), (0, 5), (), (0,)], FuzzConfig(budget=0))
+        assert len(runs) == 1
+        assert result.executions == 4
+        assert result.faults == [
+            (seed, Outcome.ARITHMETIC_FAULT) for seed in [(0,), (0, 5), (), (0,)]
+        ]
 
 
 class _ScriptedRng:

@@ -252,21 +252,41 @@ class TestDeterminism:
     ])
     def test_step_limit_reaches_every_concrete_run(self, runner, cfg_factory, monkeypatch):
         program = generate_program(GenParams(2, 3))
+        cfg = cfg_factory(fuzz_budget=8, step_limit=5_000)
         calls = {"fuzzer": [], "symex": []}
+        mutants = []
 
         def spy_into(seen):
             def spy(prog, values, *rest):
-                seen.append(rest)
+                seen.append((values, rest))
                 return run_concrete(prog, values, *rest)
 
             return spy
 
+        real_mutate = fuzzer.mutate
+
+        def mutate_spy(*args, **kwargs):
+            mutants.append(real_mutate(*args, **kwargs))
+            return mutants[-1]
+
         monkeypatch.setattr(fuzzer, "run_concrete", spy_into(calls["fuzzer"]))
         monkeypatch.setattr(symex, "run_concrete", spy_into(calls["symex"]))
-        report = runner(program, cfg_factory(fuzz_budget=8, step_limit=5_000))
+        monkeypatch.setattr(fuzzer, "mutate", mutate_spy)
+        report = runner(program, cfg)
         assert calls["fuzzer"] and calls["symex"]  # both phases ran
-        assert len(calls["fuzzer"]) + len(calls["symex"]) == report.executions
-        assert set(calls["fuzzer"]) | set(calls["symex"]) == {(5_000,)}
+        assert {rest for _, rest in calls["fuzzer"] + calls["symex"]} == {(5_000,)}
+
+        # SF fuzzes from the symex tests, FS from the configured seeds.
+        replays = [values for values, _ in calls["symex"]]
+        seeds = replays if runner is run_sf else list(cfg.seeds)
+        assert len(mutants) == cfg.fuzz_budget
+        # The fuzzer runs each distinct consumed prefix among its inputs once.
+        prefixes = set()
+        for values in seeds + mutants:
+            n = run_concrete(program, values, 5_000).inputs_read
+            prefixes.add(values[:n] + (0,) * (n - len(values)))
+        assert len(calls["fuzzer"]) == len(prefixes)
+        assert report.executions == len(replays) + len(seeds) + cfg.fuzz_budget
 
     def test_run_hybrid_dispatch(self):
         program = generate_program(GenParams(2, 1))

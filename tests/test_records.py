@@ -100,7 +100,7 @@ SAMPLES = {
     CallGraph: (frozenset({"main", "f"}), frozenset({("main", "f")}), {"main": 0, "f": 1}),
     ProgramIndex: tuple(getattr(_INDEX, name) for name in ProgramIndex._fields),
     CoverageMap: (frozenset({"main"}), frozenset({1, 2})),
-    RunResult: (_COVERAGE, Outcome.COMPLETED, (1, -2), 17),
+    RunResult: (_COVERAGE, Outcome.COMPLETED, (1, -2), 17, 2),
     CorpusEntry: ((1, 2), _COVERAGE, 3),
     FuzzResult: (
         [CorpusEntry((0,), _COVERAGE, 0)],
