@@ -6,6 +6,14 @@ round-robin, stacks 1..HAVOC_STACKING integer-level mutations, executes,
 and admits the mutant iff it sets an edge bit unseen so far. Budgets count
 inputs evaluated, not wall-clock, so campaigns replay exactly.
 
+The six mutation ops are bitflip, delta (1..35 either way, wrapping),
+interesting (a value from ``INTERESTING``), duplicate, insert and delete;
+duplicate and insert do nothing on an input of ``MAX_INPUT_LENGTH`` values
+or more. Every draw comes straight from ``rng.getrandbits`` under
+``randrange``'s rejection rule, so the mutants, and the RNG state after
+each, are exactly those of drawing through ``randrange``, ``randint`` and
+``choice``.
+
 A run is a pure function of the values it reads (see ``executor``), so an
 input whose consumed prefix (its first ``inputs_read`` values, padded with
 zeros) already ran in this campaign can add no coverage, corpus entry or
@@ -88,72 +96,74 @@ class FuzzResult(_MutableRecord):
         return list(dict.fromkeys(corpus + list(self.function_witnesses.values())))
 
 
-def _op_bitflip(values: list[int], rng: random.Random) -> None:
-    if not values:
-        return
-    idx = rng.randrange(len(values))
-    bit = rng.randrange(32)
-    values[idx] = wrap32((values[idx] & 0xFFFFFFFF) ^ (1 << bit))
-
-
-def _op_delta(values: list[int], rng: random.Random) -> None:
-    if not values:
-        return
-    idx = rng.randrange(len(values))
-    delta = rng.randint(1, 35)
-    if rng.random() < 0.5:
-        delta = -delta
-    values[idx] = wrap32(values[idx] + delta)
-
-
-def _op_interesting(values: list[int], rng: random.Random) -> None:
-    if not values:
-        return
-    values[rng.randrange(len(values))] = rng.choice(INTERESTING)
-
-
-def _op_duplicate(values: list[int], rng: random.Random) -> None:
-    if not values or len(values) >= MAX_INPUT_LENGTH:
-        return
-    idx = rng.randrange(len(values))
-    values.insert(idx + 1, values[idx])
-
-
-def _op_insert(values: list[int], rng: random.Random) -> None:
-    if len(values) >= MAX_INPUT_LENGTH:
-        return
-    values.insert(rng.randrange(len(values) + 1), rng.randint(INT32_MIN, INT32_MAX))
-
-
-def _op_delete(values: list[int], rng: random.Random) -> None:
-    if not values:
-        return
-    del values[rng.randrange(len(values))]
-
-
-MUTATION_OPS = (
-    ("bitflip", _op_bitflip),
-    ("delta", _op_delta),
-    ("interesting", _op_interesting),
-    ("duplicate", _op_duplicate),
-    ("insert", _op_insert),
-    ("delete", _op_delete),
-)
+# Op names in draw order: a draw of ``i`` applies ``MUTATION_OPS[i]``.
+MUTATION_OPS = ("bitflip", "delta", "interesting", "duplicate", "insert", "delete")
+_INTERESTING_BITS = len(INTERESTING).bit_length()
 
 
 def mutate(
-    values: InputVector,
-    rng: random.Random,
-    stacking: int = HAVOC_STACKING,
-    trace: list[str] | None = None,
+    values: InputVector, rng: random.Random, trace: list[str] | None = None
 ) -> InputVector:
-    """Apply 1..stacking stacked mutations; ``trace`` collects op names."""
+    """Apply 1..HAVOC_STACKING stacked mutations; ``trace`` collects op names.
+
+    Every draw below ``n`` takes ``n.bit_length()`` bits from
+    ``rng.getrandbits`` and draws again while the value is ``>= n``, the rule
+    ``random.Random`` follows for ``randrange(n)``, ``randint`` and
+    ``choice``; the draws come in the order those calls made them.
+    """
+    getrandbits = rng.getrandbits
     out = list(values)
-    for _ in range(rng.randint(1, max(1, stacking))):
-        name, op = MUTATION_OPS[rng.randrange(len(MUTATION_OPS))]
-        op(out, rng)
+    stacked = getrandbits(3)  # randint(1, HAVOC_STACKING) - 1
+    while stacked >= HAVOC_STACKING:
+        stacked = getrandbits(3)
+    for _ in range(stacked + 1):
+        op = getrandbits(3)  # randrange(len(MUTATION_OPS))
+        while op >= 6:
+            op = getrandbits(3)
         if trace is not None:
-            trace.append(name)
+            trace.append(MUTATION_OPS[op])
+        n = len(out)
+        if op == 4:  # insert: a position in 0..n, then any int32 value
+            if n >= MAX_INPUT_LENGTH:
+                continue
+            k = (n + 1).bit_length()
+            idx = getrandbits(k)
+            while idx > n:
+                idx = getrandbits(k)
+            value = getrandbits(33)
+            while value >= 1 << 32:
+                value = getrandbits(33)
+            out.insert(idx, value + INT32_MIN)
+            continue
+        if not n or op == 3 and n >= MAX_INPUT_LENGTH:
+            continue
+        if op == 2:  # interesting: the table value is drawn before the index
+            value = getrandbits(_INTERESTING_BITS)
+            while value >= len(INTERESTING):
+                value = getrandbits(_INTERESTING_BITS)
+        k = n.bit_length()
+        idx = getrandbits(k)
+        while idx >= n:
+            idx = getrandbits(k)
+        if op == 0:  # bitflip
+            bit = getrandbits(6)
+            while bit >= 32:
+                bit = getrandbits(6)
+            out[idx] = wrap32((out[idx] & 0xFFFFFFFF) ^ (1 << bit))
+        elif op == 1:  # delta: 1..35, negated when random() < 0.5
+            delta = getrandbits(6)
+            while delta >= 35:
+                delta = getrandbits(6)
+            delta += 1
+            if rng.random() < 0.5:
+                delta = -delta
+            out[idx] = wrap32(out[idx] + delta)
+        elif op == 2:
+            out[idx] = INTERESTING[value]
+        elif op == 3:  # duplicate
+            out.insert(idx + 1, out[idx])
+        else:  # delete
+            del out[idx]
     return tuple(out)
 
 

@@ -1,4 +1,4 @@
-"""Coverage-guided fuzzer: determinism, admission, mutation operators."""
+"""Coverage-guided fuzzer: determinism, admission, mutation operators and stream."""
 
 import contextlib
 import hashlib
@@ -21,6 +21,7 @@ from munchkin.fuzzer import (
     CorpusEntry,
     FuzzConfig,
     FuzzResult,
+    HAVOC_STACKING,
     INTERESTING,
     MAX_INPUT_LENGTH,
     MUTATION_OPS,
@@ -28,7 +29,7 @@ from munchkin.fuzzer import (
     mutate,
 )
 from munchkin.generator import GenParams, generate_program, ground_truth_coverage
-from munchkin.ir import INT32_MAX, INT32_MIN, parse_program
+from munchkin.ir import INT32_MAX, INT32_MIN, parse_program, wrap32
 
 DIV_TEXT = """\
 program p
@@ -364,53 +365,86 @@ class TestConsumedPrefixes:
         ]
 
 
-class _ScriptedRng:
-    """Duck-typed rng returning scripted values for operator unit tests."""
+def _single_op_mutants(values, name, seeds=3000):
+    """Mutants of ``values`` whose trace is ``[name]`` alone, one per seed."""
+    mutants = []
+    for seed in range(seeds):
+        trace = []
+        mutant = mutate(values, random.Random(seed), trace=trace)
+        if trace == [name]:
+            mutants.append(mutant)
+    assert mutants
+    return mutants
 
-    def __init__(self, randranges=(), randints=(), randoms=(), choices=()):
-        self._randrange = list(randranges)
-        self._randint = list(randints)
-        self._random = list(randoms)
-        self._choice = list(choices)
 
-    def randrange(self, *_):
-        return self._randrange.pop(0)
-
-    def randint(self, *_):
-        return self._randint.pop(0)
-
-    def random(self):
-        return self._random.pop(0)
-
-    def choice(self, seq):
-        return self._choice.pop(0)
+def _changed_positions(values, mutant):
+    assert len(mutant) == len(values)
+    return [i for i, (old, new) in enumerate(zip(values, mutant)) if old != new]
 
 
 class TestMutationOperators:
-    def _op(self, name):
-        return dict(MUTATION_OPS)[name]
-
     def test_delete_on_empty_is_noop(self):
-        values = []
-        self._op("delete")(values, random.Random(0))
-        assert values == []
+        # On an empty input only insert has a value to work from.
+        for name in MUTATION_OPS:
+            for mutant in _single_op_mutants((), name, seeds=500):
+                if name == "insert":
+                    assert len(mutant) == 1 and INT32_MIN <= mutant[0] <= INT32_MAX
+                else:
+                    assert mutant == ()
 
     def test_delta_adds_small_offset(self):
-        values = [5]
-        self._op("delta")(values, _ScriptedRng(randranges=[0], randints=[3], randoms=[0.9]))
-        assert values == [8]
+        values = (INT32_MAX, INT32_MIN, 0, 5)
+        moves = set()
+        for mutant in _single_op_mutants(values, "delta"):
+            assert all(INT32_MIN <= v <= INT32_MAX for v in mutant)
+            [idx] = _changed_positions(values, mutant)
+            step = wrap32(mutant[idx] - values[idx])
+            assert 1 <= abs(step) <= 35
+            moves.add((idx, step > 0))
+        # Both signs at every position, wrap-around at both ends included.
+        assert moves == {(idx, up) for idx in range(4) for up in (False, True)}
+
+    def test_bitflip_changes_exactly_one_bit(self):
+        values = (INT32_MAX, INT32_MIN, -1, 0, 12345)
+        bits = set()
+        for mutant in _single_op_mutants(values, "bitflip"):
+            assert all(INT32_MIN <= v <= INT32_MAX for v in mutant)
+            [idx] = _changed_positions(values, mutant)
+            flipped = (mutant[idx] ^ values[idx]) & 0xFFFFFFFF
+            assert flipped & (flipped - 1) == 0
+            bits.add(flipped.bit_length() - 1)
+        assert 31 in bits and 0 in bits
 
     def test_interesting_replaces_with_table_value(self):
-        values = [5]
-        self._op("interesting")(values, _ScriptedRng(randranges=[0], choices=[INT32_MAX]))
-        assert values == [INT32_MAX]
+        values = (12, 20, 40)  # none of them in the table
+        written = set()
+        for mutant in _single_op_mutants(values, "interesting"):
+            [idx] = _changed_positions(values, mutant)
+            assert mutant[idx] in INTERESTING
+            written.add(mutant[idx])
+        assert {INT32_MIN, INT32_MAX} <= written
 
     def test_duplicate_and_delete_change_length(self):
-        values = [1, 2]
-        self._op("duplicate")(values, _ScriptedRng(randranges=[0]))
-        assert values == [1, 1, 2]
-        self._op("delete")(values, _ScriptedRng(randranges=[1]))
-        assert values == [1, 2]
+        values = (1, 2, 3)
+        duplicated = set()
+        for mutant in _single_op_mutants(values, "duplicate"):
+            [idx] = [i for i in range(3) if mutant == values[: i + 1] + values[i:]]
+            duplicated.add(idx)
+        deleted = set()
+        for mutant in _single_op_mutants(values, "delete"):
+            [idx] = [i for i in range(3) if mutant == values[:i] + values[i + 1:]]
+            deleted.add(idx)
+        assert duplicated == deleted == {0, 1, 2}
+
+    def test_insert_adds_one_int32_value(self):
+        values = (1, 2, 3)
+        positions = set()
+        for mutant in _single_op_mutants(values, "insert"):
+            assert len(mutant) == 4
+            at = [i for i in range(4) if mutant[:i] + mutant[i + 1:] == values]
+            assert at and INT32_MIN <= mutant[at[0]] <= INT32_MAX
+            positions.update(at)
+        assert positions == {0, 1, 2, 3}
 
     def test_results_stay_in_int32_range(self):
         rng = random.Random(99)
@@ -428,4 +462,105 @@ class TestMutationOperators:
         seen: list[str] = []
         for _ in range(100_000):
             mutate((0,), rng, trace=seen)
-        assert set(seen) == {name for name, _ in MUTATION_OPS}
+        assert set(seen) == set(MUTATION_OPS)
+
+    def test_chained_mutants_never_exceed_the_cap(self):
+        rng = random.Random(5)
+        values = tuple(range(MAX_INPUT_LENGTH))
+        grown_at_cap = 0
+        for _ in range(10_000):
+            trace = []
+            mutant = mutate(values, rng, trace=trace)
+            assert len(mutant) <= MAX_INPUT_LENGTH
+            if len(values) == MAX_INPUT_LENGTH and {"duplicate", "insert"} & set(trace):
+                grown_at_cap += 1
+            values = mutant
+        assert grown_at_cap
+
+    def test_a_seed_above_the_cap_is_never_lengthened(self):
+        # Four stacked ops delete at most four values, so every op of every
+        # mutant sees at least 96 values and duplicate and insert do nothing.
+        rng = random.Random(6)
+        values = tuple(range(100))
+        grow_ops = 0
+        for _ in range(2000):
+            trace = []
+            mutant = mutate(values, rng, trace=trace)
+            assert len(mutant) == len(values) - trace.count("delete")
+            grow_ops += trace.count("duplicate") + trace.count("insert")
+        assert grow_ops
+
+
+def _reference_mutate(values, rng, trace):
+    """``mutate`` as a table of op functions drawing through ``randrange``,
+    ``randint``, ``choice`` and ``random``."""
+
+    def bitflip(values):
+        if not values:
+            return
+        idx = rng.randrange(len(values))
+        bit = rng.randrange(32)
+        values[idx] = wrap32((values[idx] & 0xFFFFFFFF) ^ (1 << bit))
+
+    def delta(values):
+        if not values:
+            return
+        idx = rng.randrange(len(values))
+        delta = rng.randint(1, 35)
+        if rng.random() < 0.5:
+            delta = -delta
+        values[idx] = wrap32(values[idx] + delta)
+
+    def interesting(values):
+        if not values:
+            return
+        values[rng.randrange(len(values))] = rng.choice(INTERESTING)
+
+    def duplicate(values):
+        if not values or len(values) >= MAX_INPUT_LENGTH:
+            return
+        idx = rng.randrange(len(values))
+        values.insert(idx + 1, values[idx])
+
+    def insert(values):
+        if len(values) >= MAX_INPUT_LENGTH:
+            return
+        values.insert(rng.randrange(len(values) + 1), rng.randint(INT32_MIN, INT32_MAX))
+
+    def delete(values):
+        if not values:
+            return
+        del values[rng.randrange(len(values))]
+
+    ops = (bitflip, delta, interesting, duplicate, insert, delete)
+    out = list(values)
+    for _ in range(rng.randint(1, HAVOC_STACKING)):
+        op = ops[rng.randrange(len(ops))]
+        op(out)
+        trace.append(op.__name__)
+    return tuple(out)
+
+
+_int32 = st.one_of(
+    st.sampled_from([INT32_MIN, INT32_MIN + 1, -1, 0, 1, INT32_MAX - 1, INT32_MAX]),
+    st.integers(INT32_MIN, INT32_MAX),
+)
+
+
+class TestMutateStream:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rng_seed=st.integers(0, 2**64),
+        values=st.lists(_int32, max_size=MAX_INPUT_LENGTH + 4).map(tuple),
+        chain=st.integers(1, 50),
+    )
+    def test_mutants_equal_those_of_the_randrange_op_table(self, rng_seed, values, chain):
+        rng, reference_rng = random.Random(rng_seed), random.Random(rng_seed)
+        mutant = expected = values
+        for _ in range(chain):
+            trace, expected_trace = [], []
+            mutant = mutate(mutant, rng, trace=trace)
+            expected = _reference_mutate(expected, reference_rng, expected_trace)
+            assert mutant == expected
+            assert trace == expected_trace
+            assert rng.getstate() == reference_rng.getstate()
