@@ -10,7 +10,6 @@ from .ir import (
     ParseError,
     Program,
     ValidationError,
-    count_branches,
     parse_program,
     serialize_program,
 )
@@ -27,7 +26,6 @@ from .executor import (
     InputVector,
     Outcome,
     RunResult,
-    merge_coverage,
     run_concrete,
 )
 from .fuzzer import FuzzConfig, FuzzResult, fuzz_campaign, mutate
@@ -44,8 +42,10 @@ from .orchestrator import (
     HybridConfig,
     run_baselines,
     run_fs,
+    run_fuzz,
     run_hybrid,
     run_sf,
+    run_symex,
 )
 
 __all__ = [
@@ -71,19 +71,19 @@ __all__ = [
     "SymexLimits",
     "ValidationError",
     "build_callgraph",
-    "count_branches",
     "fuzz_campaign",
     "generate_program",
     "ground_truth_coverage",
     "index_program",
-    "merge_coverage",
     "mutate",
     "parse_program",
     "run_baselines",
     "run_concrete",
     "run_fs",
+    "run_fuzz",
     "run_hybrid",
     "run_sf",
+    "run_symex",
     "serialize_program",
     "symex_campaign",
 ]

@@ -45,10 +45,6 @@ class CallGraph(_Record):
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "depths", {} if depths is None else depths)
 
-    def depth(self, name: str) -> int | None:
-        """Call depth of a function, or None when unreachable from entry."""
-        return self.depths.get(name)
-
     def reachable(self) -> frozenset[str]:
         return frozenset(self.depths)
 
@@ -56,9 +52,6 @@ class CallGraph(_Record):
 def build_callgraph(program: Program) -> CallGraph:
     """The call graph of the program's index (see ``index_program``)."""
     return index_program(program).callgraph
-
-
-Location = tuple[str, str]
 
 
 class DistanceField:
@@ -118,14 +111,13 @@ class ProgramIndex(_Record):
     """
 
     __slots__ = _fields = (
-        "callgraph", "reachable", "locations", "entries", "predecessors", "callers", "by_depth"
+        "callgraph", "reachable", "entries", "predecessors", "callers", "by_depth"
     )
 
     def __init__(
         self,
         callgraph: CallGraph,
         reachable: frozenset[str],
-        locations: tuple[Location, ...],
         entries: dict[str, int],
         predecessors: tuple[tuple[int, ...], ...],
         callers: dict[str, tuple[str, ...]],
@@ -133,7 +125,6 @@ class ProgramIndex(_Record):
     ) -> None:
         object.__setattr__(self, "callgraph", callgraph)
         object.__setattr__(self, "reachable", reachable)
-        object.__setattr__(self, "locations", locations)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "predecessors", predecessors)
         object.__setattr__(self, "callers", callers)
@@ -219,7 +210,6 @@ def index_program(program: Program) -> ProgramIndex:
     index = ProgramIndex(
         cg,
         cg.reachable(),
-        locations,
         entries,
         tuple(tuple(sorted(set(preds))) for preds in predecessors),
         {name: tuple(names) for name, names in callers.items()},
@@ -243,11 +233,11 @@ def to_dot(cg: CallGraph) -> str:
 def depths_tsv(cg: CallGraph) -> str:
     """TSV listing ``function<TAB>depth``, unreachable functions last."""
     def key(name: str) -> tuple[int, int, str]:
-        depth = cg.depth(name)
+        depth = cg.depths.get(name)
         return (1 if depth is None else 0, depth if depth is not None else 0, name)
 
     lines = []
     for name in sorted(cg.nodes, key=key):
-        depth = cg.depth(name)
+        depth = cg.depths.get(name)
         lines.append(f"{name}\t{'unreachable' if depth is None else depth}")
     return "\n".join(lines) + "\n"

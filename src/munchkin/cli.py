@@ -8,8 +8,9 @@ in the one table ``CAMPAIGN_KEYS``: config key ``fuzz_budget`` is flag
 flags, then the ``--config`` key = value file, then the ``HybridConfig``
 defaults; a config key outside the table is an input failure. MUNCHKIN_OUT
 sets the default output root. Exit codes: 0 success, 1 usage error, 2
-campaign or input failure. Reports come from the orchestrator's builder,
-and printed percentages from their depth tables.
+campaign or input failure. Integer flags, config values and seed files take
+the ``.mir`` literal spelling (``ir.int_literal``). Each campaign command
+calls its technique's runner; printed percentages come from report tables.
 """
 
 from __future__ import annotations
@@ -20,46 +21,43 @@ import functools
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 from . import generator, report
 from .callgraph import depths_tsv, index_program, to_dot
 from .executor import CoverageMap, read_seed_dir, write_input_file
-from .fuzzer import fuzz_campaign
-from .ir import IRError, parse_program, serialize_program
+from .ir import IRError, int_literal, parse_program, serialize_program
 from .orchestrator import (
     CampaignReport,
     HybridConfig,
-    fuzz_config,
-    fuzz_report,
     run_baselines,
     run_fs,
+    run_fuzz,
     run_hybrid,
     run_sf,
-    symex_report,
+    run_symex,
 )
-from .symex import Strategy, symex_campaign
+from .symex import Strategy
 
 _GRID = [(b, d) for b in (2, 3, 4) for d in (1, 2, 3, 4)]
 
 # Config key (and flag, with "-" for "_") -> (HybridConfig field, value type,
 # help). A dotted field names a field of a nested dataclass.
 CAMPAIGN_KEYS = {
-    "fuzz_budget": ("fuzz_budget", int, "fuzzing executions"),
-    "symex_states": ("symex_limits.max_states", int, "symbolic states"),
-    "symex_queries": ("symex_limits.max_queries", int, "solver queries"),
-    "per_target_queries": ("per_target_query_budget", int, "FS queries per target"),
-    "per_target_states": ("per_target_state_budget", int, "FS states per target"),
-    "step_limit": ("step_limit", int, "interpreter steps per concrete run"),
-    "max_inputs": ("max_inputs", int, "input values one symbolic state may read"),
-    "rng_seed": ("rng_seed", int, "seed of every random choice"),
+    "fuzz_budget": ("fuzz_budget", int_literal, "fuzzing executions"),
+    "symex_states": ("symex_limits.max_states", int_literal, "symbolic states"),
+    "symex_queries": ("symex_limits.max_queries", int_literal, "solver queries"),
+    "per_target_queries": ("per_target_query_budget", int_literal, "FS queries per target"),
+    "per_target_states": ("per_target_state_budget", int_literal, "FS states per target"),
+    "step_limit": ("step_limit", int_literal, "interpreter steps per concrete run"),
+    "max_inputs": ("max_inputs", int_literal, "input values one symbolic state may read"),
+    "rng_seed": ("rng_seed", int_literal, "seed of every random choice"),
     "seeds": ("seeds", str, "directory of seed .txt files, if not empty"),
 }
 _FUZZ_KEYS = ("fuzz_budget", "step_limit", "rng_seed", "seeds")
 _SYMEX_KEYS = ("symex_states", "symex_queries", "step_limit", "max_inputs", "rng_seed")
 # Every key a config file may hold: the table's, and generate's name salt.
-_CONFIG_TYPES = {key: entry[1] for key, entry in CAMPAIGN_KEYS.items()} | {"seed": int}
+_CONFIG_TYPES = {key: entry[1] for key, entry in CAMPAIGN_KEYS.items()} | {"seed": int_literal}
 
 
 class _UsageError(Exception):
@@ -146,7 +144,7 @@ def _read_program(path: str):
 
 
 def _write_report(rep: CampaignReport, out: Path) -> None:
-    report.write_campaign_json(rep, out / f"report-{rep.technique}.json")
+    (out / f"report-{rep.technique}.json").write_bytes(report.campaign_json_bytes(rep))
     (out / f"depth-{rep.technique}.tsv").write_text(
         report.depth_table_tsv(rep.per_depth), encoding="utf-8"
     )
@@ -190,11 +188,7 @@ def _cmd_callgraph(args, config) -> int:
 
 def _cmd_fuzz(args, config) -> int:
     program = _read_program(args.program)
-    cfg = _campaign_config(args, config)
-    cg = index_program(program).callgraph
-    started = time.perf_counter()
-    result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))
-    rep = fuzz_report(cg, result, started)
+    rep, result = run_fuzz(program, _campaign_config(args, config))
     out = _out_dir(args, "fuzz")
     for entry in result.corpus:
         write_input_file(out / f"id-{entry.discovery_iteration}.txt", entry.values)
@@ -202,8 +196,8 @@ def _cmd_fuzz(args, config) -> int:
     print(
         f"{result.executions} executions, corpus {len(result.corpus)}, "
         f"coverage {report.coverage_percent(rep.per_depth)}% "
-        f"({len(result.cumulative.functions)}/{len(cg.reachable())} functions), "
-        f"{len(result.faults)} faults"
+        f"({len(result.cumulative.functions)}/{len(index_program(program).reachable)} "
+        f"functions), {len(result.faults)} faults"
     )
     return 0
 
@@ -211,17 +205,7 @@ def _cmd_fuzz(args, config) -> int:
 def _cmd_symex(args, config) -> int:
     program = _read_program(args.program)
     cfg = _campaign_config(args, config)
-    started = time.perf_counter()
-    result = symex_campaign(
-        program,
-        Strategy(args.search),
-        cfg.symex_limits,
-        cfg.max_inputs,
-        target=args.target,
-        rng_seed=cfg.rng_seed,
-        replay_step_limit=cfg.step_limit,
-    )
-    rep = symex_report(index_program(program).callgraph, result, started)
+    rep, result = run_symex(program, cfg, Strategy(args.search), args.target)
     out = _out_dir(args, "symex")
     for number, tc in enumerate(result.test_cases):
         write_input_file(out / f"test-{number}.txt", tc.values)
@@ -265,7 +249,12 @@ def _cmd_baselines(args, config) -> int:
 
 def _cmd_report(args, config) -> int:
     cg = index_program(_read_program(args.program)).callgraph
-    coverages = dict(_read_report(path) for path in args.reports)
+    coverages, paths = {}, {}
+    for path in args.reports:
+        technique, coverage = _read_report(path)
+        if technique in paths:
+            raise ValueError(f"{paths[technique]} and {path} are both {technique} reports")
+        coverages[technique], paths[technique] = coverage, path
     tables = {t: report.depth_table(cov, cg) for t, cov in coverages.items()}
     out = _out_dir(args, "report")
     for technique, table in tables.items():
@@ -352,9 +341,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("generate", help="emit a range-dispatch tree program")
-    p.add_argument("--branching", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None, help="function-name salt")
+    p.add_argument("--branching", type=int_literal, required=True)
+    p.add_argument("--depth", type=int_literal, required=True)
+    p.add_argument("--seed", type=int_literal, default=None, help="function-name salt")
     p.add_argument("--out", help="output .mir path")
     p.set_defaults(handler=_cmd_generate)
 

@@ -53,6 +53,7 @@ from .ir import (
     _Record,
     apply_binop,
     block_locations,
+    int_literal,
     wrap32,
 )
 
@@ -99,14 +100,6 @@ class CoverageMap(_Record):
     @property
     def edge_count(self) -> int:
         return len(self.edge_bits)
-
-
-EMPTY_COVERAGE = CoverageMap()
-
-
-def merge_coverage(a: CoverageMap, b: CoverageMap) -> CoverageMap:
-    """Union of two coverage maps; commutative, associative, idempotent."""
-    return CoverageMap(a.functions | b.functions, a.edge_bits | b.edge_bits)
 
 
 class RunResult(_Record):
@@ -340,7 +333,7 @@ def read_input_file(path: str | Path) -> InputVector:
         if not line:
             continue
         try:
-            value = int(line)
+            value = int_literal(line)
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: not an integer: {line!r}")
         if not INT32_MIN <= value <= INT32_MAX:

@@ -63,6 +63,13 @@ ENTRY_FUNCTION = "main"
 Operand = int | str
 
 
+def int_literal(text: str) -> int:
+    """A user's integer in ``.mir`` literal spelling, ``-?[0-9]+`` in ASCII digits."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def wrap32(value: int) -> int:
     """Reduce an unbounded integer to int32 two's complement."""
     return ((value + (1 << 31)) & 0xFFFFFFFF) - (1 << 31)
@@ -855,36 +862,32 @@ def validate_program(
 # ---------------------------------------------------------------------------
 
 
-def _fmt_operand(op: Operand) -> str:
-    return str(op)
-
-
 def _fmt_instruction(instr: Instruction) -> str:
     if isinstance(instr, Const):
         return f"{instr.dest} = const {instr.value}"
     if isinstance(instr, ReadInput):
         return f"{instr.dest} = input"
     if isinstance(instr, BinOp):
-        return f"{instr.dest} = {_fmt_operand(instr.lhs)} {instr.op} {_fmt_operand(instr.rhs)}"
+        return f"{instr.dest} = {instr.lhs} {instr.op} {instr.rhs}"
     if isinstance(instr, Call):
-        args = ", ".join(_fmt_operand(a) for a in instr.args)
+        args = ", ".join(map(str, instr.args))
         call = f"call {instr.callee}({args})"
         return f"{instr.dest} = {call}" if instr.dest is not None else call
     if isinstance(instr, Print):
-        return f"print {_fmt_operand(instr.operand)}"
+        return f"print {instr.operand}"
     raise TypeError(f"not an instruction: {instr!r}")
 
 
 def _fmt_terminator(term: Terminator) -> str:
     if isinstance(term, Branch):
         return (
-            f"br {term.cmp} {_fmt_operand(term.lhs)} {_fmt_operand(term.rhs)}"
+            f"br {term.cmp} {term.lhs} {term.rhs}"
             f" -> {term.then_block}, {term.else_block}"
         )
     if isinstance(term, Jump):
         return f"jmp {term.target}"
     if isinstance(term, Return):
-        return "ret" if term.value is None else f"ret {_fmt_operand(term.value)}"
+        return "ret" if term.value is None else f"ret {term.value}"
     raise TypeError(f"not a terminator: {term!r}")
 
 
@@ -905,13 +908,3 @@ def serialize_program(program: Program) -> str:
             lines.append(f"  {_fmt_terminator(block.terminator)}")
         lines.append("")
     return "\n".join(lines[:-1]) + "\n"
-
-
-def count_branches(program: Program) -> int:
-    """Number of two-way branch terminators in the program."""
-    total = 0
-    for func in program.functions.values():
-        for block in func.blocks.values():
-            if isinstance(block.terminator, Branch):
-                total += 1
-    return total

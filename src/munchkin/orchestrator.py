@@ -1,7 +1,9 @@
-"""End-to-end campaigns: the two hybrid modes and both baselines.
+"""End-to-end campaigns: one runner per technique.
 
-FS runs a fuzzing phase first, then directs symbolic execution at each
-still-uncovered function (frontier functions first, by ascending call
+``run_fuzz`` and ``run_symex`` return a report with the campaign's own
+result (the CLI writes its corpus or test cases); ``run_baselines`` returns
+both reports. FS runs a fuzzing phase first, then directs symbolic execution
+at each still-uncovered function (frontier functions first, by ascending call
 depth). Replay-validated coverage goes into one live set of functions and
 edges after every target, so functions covered en route are never
 targeted, and becomes a ``CoverageMap`` once, for the report. All targeted
@@ -12,15 +14,15 @@ target's distance field is settled only as far as its sonar run reads it.
 
 SF runs bounded symbolic execution first to produce one test case per
 newly covered function, then fuzzes from those seeds (falling back to the
-single seed [0] if the first phase emitted nothing).
+single seed [0] if the first phase emitted nothing). The fuzzer runs every
+symex test again under the same step limit, so its coverage is SF's.
 
 ``make_report`` is the one place a campaign result becomes a
-``CampaignReport``; ``fuzz_report`` and ``symex_report`` apply it to a
-single fuzzing or symbolic-execution run, for the baselines and the CLI.
-It reads only the call graph, and ``duration`` is the wall time since the
-campaign started. Reports are deterministic given (program, config)
-except for that field. ``HybridConfig.step_limit`` bounds every concrete
-run of a campaign: fuzzer executions and symex replays alike.
+``CampaignReport``. It reads only the call graph, and ``duration`` is the
+wall time since the runner started. Reports are deterministic given
+(program, config) except for that field. ``HybridConfig.step_limit`` bounds
+every concrete run of a campaign: fuzzer executions and symex replays
+alike.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 from .ir import Program
 from .callgraph import CallGraph, index_program
-from .executor import CoverageMap, DEFAULT_STEP_LIMIT, InputVector, merge_coverage
+from .executor import CoverageMap, DEFAULT_STEP_LIMIT, InputVector
 from .fuzzer import FuzzConfig, FuzzResult, fuzz_campaign
 from .report import TECHNIQUE_FS, TECHNIQUE_FUZZ, TECHNIQUE_SF, TECHNIQUE_SYMEX
 from .report import DepthRow, depth_table
@@ -95,20 +97,6 @@ def make_report(
     )
 
 
-def fuzz_report(cg: CallGraph, result: FuzzResult, started: float) -> CampaignReport:
-    return make_report(
-        TECHNIQUE_FUZZ, cg, result.cumulative, SolverStats(),
-        result.executions, result.test_suite(), started,
-    )
-
-
-def symex_report(cg: CallGraph, result: SymResult, started: float) -> CampaignReport:
-    suite = [tc.values for tc in result.test_cases]
-    return make_report(
-        TECHNIQUE_SYMEX, cg, result.coverage, result.stats, len(suite), suite, started
-    )
-
-
 def fuzz_config(cfg: HybridConfig) -> FuzzConfig:
     """The fuzzing phase's part of ``cfg``: RNG seed, fuzz budget, step limit."""
     return FuzzConfig(cfg.rng_seed, cfg.fuzz_budget, cfg.step_limit)
@@ -168,47 +156,55 @@ def run_sf(program: Program, cfg: HybridConfig) -> CampaignReport:
     if cfg.mode != MODE_SF:
         raise ValueError("config mode must be 'sf'")
     started = time.perf_counter()
-    sym_result = symex_campaign(
-        program,
-        Strategy.BASELINE,
-        cfg.symex_limits,
-        cfg.max_inputs,
-        rng_seed=cfg.rng_seed,
-        replay_step_limit=cfg.step_limit,
-    )
+    sym_result = _symex(program, cfg)
     symex_suite = [tc.values for tc in sym_result.test_cases]
     fuzz_result = fuzz_campaign(program, symex_suite, fuzz_config(cfg))
-    coverage = merge_coverage(sym_result.coverage, fuzz_result.cumulative)
     executions = len(symex_suite) + fuzz_result.executions
     known = set(symex_suite)
     test_suite = symex_suite + [v for v in fuzz_result.test_suite() if v not in known]
 
     return make_report(
-        TECHNIQUE_SF, index_program(program).callgraph, coverage, sym_result.stats,
-        executions, test_suite, started,
+        TECHNIQUE_SF, index_program(program).callgraph, fuzz_result.cumulative,
+        sym_result.stats, executions, test_suite, started,
     )
+
+
+def _symex(program: Program, cfg: HybridConfig, search=Strategy.BASELINE, target=None):
+    """Symbolic execution under ``cfg``'s symex budgets, RNG seed and step limit."""
+    return symex_campaign(
+        program, search, cfg.symex_limits, cfg.max_inputs, target=target,
+        rng_seed=cfg.rng_seed, replay_step_limit=cfg.step_limit,
+    )
+
+
+def run_fuzz(program: Program, cfg: HybridConfig) -> tuple[CampaignReport, FuzzResult]:
+    """Fuzzing alone, from the config's seeds under its fuzz budget."""
+    started = time.perf_counter()
+    result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))
+    return make_report(
+        TECHNIQUE_FUZZ, index_program(program).callgraph, result.cumulative,
+        SolverStats(), result.executions, result.test_suite(), started,
+    ), result
+
+
+def run_symex(
+    program: Program, cfg: HybridConfig, search=Strategy.BASELINE, target: str | None = None
+) -> tuple[CampaignReport, SymResult]:
+    """Symbolic execution alone, under the config's symex budgets."""
+    started = time.perf_counter()
+    result = _symex(program, cfg, search, target)
+    suite = [tc.values for tc in result.test_cases]
+    return make_report(
+        TECHNIQUE_SYMEX, index_program(program).callgraph, result.coverage,
+        result.stats, len(suite), suite, started,
+    ), result
 
 
 def run_baselines(
     program: Program, cfg: HybridConfig
 ) -> tuple[CampaignReport, CampaignReport]:
     """Fuzz-only and symex-only reports under the config's budgets."""
-    cg = index_program(program).callgraph
-
-    started = time.perf_counter()
-    fuzz_result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))
-    fuzz_rep = fuzz_report(cg, fuzz_result, started)
-
-    started = time.perf_counter()
-    sym_result = symex_campaign(
-        program,
-        Strategy.BASELINE,
-        cfg.symex_limits,
-        cfg.max_inputs,
-        rng_seed=cfg.rng_seed,
-        replay_step_limit=cfg.step_limit,
-    )
-    return fuzz_rep, symex_report(cg, sym_result, started)
+    return run_fuzz(program, cfg)[0], run_symex(program, cfg)[0]
 
 
 def run_hybrid(program: Program, cfg: HybridConfig) -> CampaignReport:

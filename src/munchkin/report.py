@@ -195,7 +195,3 @@ def campaign_json_bytes(report) -> bytes:
     return (json.dumps(campaign_to_dict(report), sort_keys=True, indent=2) + "\n").encode(
         "utf-8"
     )
-
-
-def write_campaign_json(report, path: str | Path) -> None:
-    Path(path).write_bytes(campaign_json_bytes(report))

@@ -385,10 +385,6 @@ class SolveResult(_Record):
         object.__setattr__(self, "status", status)  # "sat" | "unsat" | "unknown"
         object.__setattr__(self, "model", model)
 
-    @property
-    def is_sat(self) -> bool:
-        return self.status == "sat"
-
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -857,7 +853,7 @@ def symex_campaign(
 
     def emit(state: SymState) -> bool:
         result = solver.solve(state.pc, state.inputs_read)
-        if not result.is_sat:
+        if result.status != SAT:
             return False
         replay = run_concrete(program, result.model, replay_step_limit)
         test_cases.append(TestCase(result.model, replay.coverage.functions))

@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 
 from munchkin.callgraph import build_callgraph
-from munchkin.executor import EMPTY_COVERAGE, merge_coverage, run_concrete
+from munchkin.executor import run_concrete
 from munchkin.generator import GenParams, generate_program, ground_truth_coverage
 from munchkin.orchestrator import HybridConfig, run_baselines, run_fs, run_sf
 from munchkin.report import campaign_json_bytes, emit_plot_dat, read_plot_dat
@@ -83,12 +83,12 @@ def test_criterion_4_oracle_equivalence():
             params = GenParams(b, d)
             program = generate_program(params)
             truth = ground_truth_coverage(params)
-            union = EMPTY_COVERAGE
+            union = set()
             for value in [-1] + list(range(b**d)):
                 result = run_concrete(program, (value,))
                 assert result.coverage.functions == truth[value], (b, d, value)
-                union = merge_coverage(union, result.coverage)
-            assert union.functions == frozenset(program.functions), (b, d)
+                union |= result.coverage.functions
+            assert union == set(program.functions), (b, d)
 
 
 def test_criterion_5_soundness_of_emitted_tests():

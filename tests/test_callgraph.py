@@ -9,7 +9,7 @@ import pytest
 
 from munchkin.callgraph import build_callgraph, depths_tsv, index_program, to_dot
 from munchkin.generator import GenParams, generate_program
-from munchkin.ir import Branch, Call, Jump, Return, parse_program
+from munchkin.ir import Branch, Call, Jump, Return, block_locations, parse_program
 
 from conftest import UNREACHABLE_TEXT
 
@@ -91,7 +91,7 @@ def frontier_set(cg, covered):
     }
 
     def key(name):
-        depth = cg.depth(name)
+        depth = cg.depths.get(name)
         return (
             0 if name in has_covered_caller else 1,
             1 if depth is None else 0,
@@ -102,12 +102,12 @@ def frontier_set(cg, covered):
     return sorted(uncovered, key=key)
 
 
-def _distance(index, df, loc):
+def _distance(program, df, loc):
     """Hops from ``loc`` once ``df`` is expanded to exhaustion; None if it
     cannot reach the target."""
     while df.expand():
         pass
-    hops = df.hops[index.locations.index(loc)]
+    hops = df.hops[block_locations(program).index(loc)]
     return None if hops < 0 else hops
 
 
@@ -124,8 +124,8 @@ class TestDepths:
 
     def test_uncalled_function_is_unreachable(self):
         cg = build_callgraph(parse_program(UNREACHABLE_TEXT))
-        assert cg.depth("orphan") is None
-        assert cg.depth("f") == 1
+        assert cg.depths.get("orphan") is None
+        assert cg.depths.get("f") == 1
         assert cg.reachable() == {"main", "f"}
 
 
@@ -133,7 +133,7 @@ class TestSonarDistances:
     def test_target_entry_is_zero(self, chain_program):
         index = index_program(chain_program)
         df = index.distances("g")
-        assert _distance(index, df, ("g", "entry")) == 0
+        assert _distance(chain_program, df, ("g", "entry")) == 0
 
     def test_chain_distance_matches_brute_force(self, chain_program):
         # Independent shortest-path check on the hand-built block graph:
@@ -147,14 +147,14 @@ class TestSonarDistances:
         want = _brute_force_distance(edges, ("main", "entry"), ("g", "entry"))
         index = index_program(chain_program)
         df = index.distances("g")
-        assert _distance(index, df, ("main", "entry")) == want == 2
+        assert _distance(chain_program, df, ("main", "entry")) == want == 2
 
     def test_unreachable_target(self):
         program = parse_program(UNREACHABLE_TEXT)
         index = index_program(program)
         df = index.distances("orphan")
-        assert _distance(index, df, ("orphan", "entry")) == 0
-        assert _distance(index, df, ("main", "entry")) is None
+        assert _distance(program, df, ("orphan", "entry")) == 0
+        assert _distance(program, df, ("main", "entry")) is None
 
     def test_unknown_target_rejected(self, chain_program):
         with pytest.raises(ValueError, match="unknown target"):
@@ -165,7 +165,7 @@ class TestSonarDistances:
         index = index_program(program)
         df = index.distances("n_3_3")
         for src, dst in interprocedural_edges(program):
-            d_src, d_dst = _distance(index, df, src), _distance(index, df, dst)
+            d_src, d_dst = _distance(program, df, src), _distance(program, df, dst)
             if d_dst is not None:
                 assert d_src is not None and d_src <= 1 + d_dst
 
@@ -204,16 +204,17 @@ class TestSonarDistances:
         }[name]
         edges = interprocedural_edges(program)
         index = index_program(program)
-        ids = {loc: i for i, loc in enumerate(index.locations)}
-        predecessors = [set() for _ in index.locations]
+        locations = block_locations(program)
+        ids = {loc: i for i, loc in enumerate(locations)}
+        predecessors = [set() for _ in locations]
         for src, dst in edges:
             predecessors[ids[dst]].add(ids[src])
         assert index.predecessors == tuple(tuple(sorted(preds)) for preds in predecessors)
         for target, func in program.functions.items():
             df = index.distances(target)
             goal = (target, func.entry_block)
-            for loc in index.locations:
-                assert _distance(index, df, loc) == _brute_force_distance(edges, loc, goal), (
+            for loc in locations:
+                assert _distance(program, df, loc) == _brute_force_distance(edges, loc, goal), (
                     target, loc,
                 )
 

@@ -12,17 +12,18 @@ from hypothesis import given, settings, strategies as st
 
 from munchkin.callgraph import build_callgraph, index_program
 from munchkin.cli import CAMPAIGN_KEYS, main
-from munchkin.executor import write_input_file
+from munchkin.executor import read_seed_dir, write_input_file
 from munchkin.fuzzer import fuzz_campaign
 from munchkin.generator import GenParams, generate_program
 from munchkin.ir import parse_program, serialize_program
 from munchkin.orchestrator import (
+    TECHNIQUE_FUZZ,
+    TECHNIQUE_SYMEX,
     HybridConfig,
     fuzz_config,
-    fuzz_report,
+    make_report,
     run_baselines,
     run_hybrid,
-    symex_report,
 )
 from munchkin.report import (
     average_plot_rows,
@@ -30,7 +31,7 @@ from munchkin.report import (
     read_plot_dat,
     write_plot_rows,
 )
-from munchkin.symex import Strategy, SymexLimits, symex_campaign
+from munchkin.symex import SolverStats, Strategy, SymexLimits, symex_campaign
 
 from conftest import UNREACHABLE_TEXT
 
@@ -306,6 +307,27 @@ class TestReportCommand:
         assert run_cli("report", str(tree_mir), str(bad), "--out", str(tmp_path / "r")) == 2
         assert f"{bad}: not a campaign report" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("second", ["copy", "same"])
+    def test_two_reports_of_one_technique_are_input_failure(
+        self, tree_mir, tmp_path, second, capsys
+    ):
+        fs = tmp_path / "fs"
+        run_cli("hybrid", str(tree_mir), "--mode", "fs", "--fuzz-budget", "30", "--out", str(fs))
+        first = fs / "report-FS.json"
+        other = first if second == "same" else tmp_path / "copy.json"
+        other.write_bytes(first.read_bytes())
+        base = tmp_path / "base"
+        run_cli("baselines", str(tree_mir), "--fuzz-budget", "30", "--out", str(base))
+        out = tmp_path / "r"
+        capsys.readouterr()
+        code = run_cli(
+            "report", str(tree_mir), str(first), str(base / "report-AFL-like.json"),
+            str(other), "--out", str(out),
+        )
+        assert code == 2
+        assert f"{first} and {other} are both FS reports" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # Non-default values for every campaign key, and the keys each subcommand reads.
 CAMPAIGN_VALUES = {
@@ -336,13 +358,20 @@ def library_reports(command, program, cfg):
     started = time.perf_counter()
     if command == "fuzz":
         result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))
-        reports = [fuzz_report(build_callgraph(program), result, started)]
+        reports = [make_report(
+            TECHNIQUE_FUZZ, build_callgraph(program), result.cumulative, SolverStats(),
+            result.executions, result.test_suite(), started,
+        )]
     elif command == "symex":
         result = symex_campaign(
             program, Strategy.BASELINE, cfg.symex_limits, cfg.max_inputs,
             rng_seed=cfg.rng_seed, replay_step_limit=cfg.step_limit,
         )
-        reports = [symex_report(index_program(program).callgraph, result, started)]
+        suite = [tc.values for tc in result.test_cases]
+        reports = [make_report(
+            TECHNIQUE_SYMEX, index_program(program).callgraph, result.coverage,
+            result.stats, len(suite), suite, started,
+        )]
     elif command == "baselines":
         reports = list(run_baselines(program, cfg))
     else:
@@ -360,6 +389,57 @@ def written_reports(out):
         payload.pop("duration")
         dicts[payload["technique"]] = payload
     return dicts
+
+
+# Integers that are not spelled as `.mir` literals (-?[0-9]+, ASCII digits).
+NOT_LITERALS = ["1_0", "\u0661\u0662", "+1", "1.0", "0x10", "1e3", "- 1", "\uff11"]
+
+
+@pytest.mark.parametrize("text", NOT_LITERALS)
+class TestIntegerSpelling:
+    def test_in_a_seed_file_is_input_failure(self, tree_mir, tmp_path, text, capsys):
+        seeds = tmp_path / "seeds"
+        seeds.mkdir()
+        (seeds / "a.txt").write_text(f"5\n{text}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("fuzz", str(tree_mir), "--seeds", str(seeds), "--out", str(out)) == 2
+        assert f"{seeds / 'a.txt'}: line 2: not an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_in_a_config_value_is_input_failure(self, tree_mir, tmp_path, text, capsys):
+        config = tmp_path / "cfg"
+        config.write_text(f"rng_seed = 1\nfuzz_budget = {text}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("--config", str(config), "fuzz", str(tree_mir), "--out", str(out)) == 2
+        assert f"{config}: line 2: fuzz_budget = {text!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--fuzz-budget", "--rng-seed", "--step-limit"])
+    def test_in_a_flag_is_usage_error(self, tree_mir, tmp_path, text, flag):
+        out = tmp_path / "out"
+        assert run_cli("fuzz", str(tree_mir), flag, text, "--out", str(out)) == 1
+        assert not out.exists()
+
+    def test_in_a_generate_flag_is_usage_error(self, tmp_path, text):
+        out = tmp_path / "p.mir"
+        assert run_cli(
+            "generate", "--branching", "2", "--depth", "2", "--seed", text, "--out", str(out)
+        ) == 1
+        assert not out.exists()
+
+
+def test_literal_spellings_read_as_their_values(tree_mir, tmp_path):
+    seeds = tmp_path / "seeds"
+    seeds.mkdir()
+    (seeds / "a.txt").write_text("007\n-0\n -12 \n", encoding="utf-8")
+    assert read_seed_dir(seeds) == [(7, 0, -12)]
+    config = tmp_path / "cfg"
+    config.write_text("rng_seed = 007\nfuzz_budget = '12'\n", encoding="utf-8")
+    for argv in (["--config", str(config)], []):
+        flags = [] if argv else ["--rng-seed", "7", "--fuzz-budget", "012"]
+        out = tmp_path / f"out{len(argv)}"
+        assert run_cli(*argv, "fuzz", str(tree_mir), *flags, "--out", str(out)) == 0
+        assert json.loads((out / "report-AFL-like.json").read_text())["executions"] == 13
 
 
 class TestConfigAndEnv:

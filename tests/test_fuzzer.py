@@ -11,10 +11,8 @@ from hypothesis import given, settings, strategies as st
 from munchkin import executor, fuzzer
 from munchkin.callgraph import build_callgraph
 from munchkin.executor import (
-    EMPTY_COVERAGE,
     CoverageMap,
     Outcome,
-    merge_coverage,
     run_concrete,
 )
 from munchkin.fuzzer import (
@@ -75,11 +73,11 @@ class TestCampaign:
         # Replaying entries in order: each must set a bit unseen so far.
         program = generate_program(GenParams(2, 2))
         result = fuzz_campaign(program, [(0,)], FuzzConfig(rng_seed=3, budget=400))
-        seen = EMPTY_COVERAGE
+        seen = set()
         for entry in result.corpus:
             replay = run_concrete(program, entry.values)
-            assert replay.coverage.edge_bits - seen.edge_bits
-            seen = merge_coverage(seen, replay.coverage)
+            assert replay.coverage.edge_bits - seen
+            seen |= replay.coverage.edge_bits
 
     def test_cumulative_contains_every_corpus_entry(self):
         program = generate_program(GenParams(3, 2))
@@ -101,9 +99,9 @@ class TestCampaign:
 
     def test_test_suite_is_the_corpus_then_the_witnesses_it_lacks(self):
         # (3,) stands for an input an edge-hash collision kept out of the corpus.
-        corpus = [CorpusEntry((1,), EMPTY_COVERAGE, 0), CorpusEntry((2,), EMPTY_COVERAGE, 4)]
+        corpus = [CorpusEntry((1,), CoverageMap(), 0), CorpusEntry((2,), CoverageMap(), 4)]
         witnesses = {"main": (1,), "f": (3,), "g": (2,), "h": (3,)}
-        result = FuzzResult(corpus, EMPTY_COVERAGE, 5, [], witnesses)
+        result = FuzzResult(corpus, CoverageMap(), 5, [], witnesses)
         assert result.test_suite() == [(1,), (2,), (3,)]
 
     def test_test_suite_covers_the_campaign(self):

@@ -10,8 +10,9 @@ import pytest
 
 from munchkin import callgraph, fuzzer, orchestrator, symex
 from munchkin.callgraph import build_callgraph
-from munchkin.executor import run_concrete
+from munchkin.executor import DEFAULT_STEP_LIMIT, CoverageMap, Outcome, run_concrete
 from munchkin.generator import GenParams, generate_program
+from munchkin.ir import block_locations, parse_program
 from munchkin.orchestrator import (
     HybridConfig,
     TECHNIQUE_FS,
@@ -22,6 +23,7 @@ from munchkin.orchestrator import (
     run_fs,
     run_hybrid,
     run_sf,
+    run_symex,
 )
 from munchkin.report import campaign_json_bytes, campaign_to_dict, coverage_percent
 from munchkin.symex import SolverStats, Strategy, SymexLimits, SymResult
@@ -109,10 +111,9 @@ class TestFS:
 
         monkeypatch.setattr(callgraph.ProgramIndex, "distances", recording_distances)
         run_fs(program, HybridConfig(fuzz_budget=96, rng_seed=0))
-        index = callgraph.index_program(program)
         settled = sum(df.settled for df in fields.values())
         assert len(fields) == 241
-        assert settled < 0.25 * len(fields) * len(index.locations)
+        assert settled < 0.25 * len(fields) * len(block_locations(program))
 
     def test_no_distance_field_outlives_the_campaign(self):
         program = generate_program(GenParams(2, 8, 0))
@@ -147,9 +148,7 @@ class TestSF:
         program = generate_program(GenParams(2, 1))
 
         def empty_symex(*args, **kwargs):
-            from munchkin.executor import EMPTY_COVERAGE
-
-            return SymResult([], EMPTY_COVERAGE, SolverStats(), 0)
+            return SymResult([], CoverageMap(), SolverStats(), 0)
 
         monkeypatch.setattr(orchestrator, "symex_campaign", empty_symex)
         report = run_sf(program, _sf_config(fuzz_budget=32))
@@ -174,6 +173,80 @@ class TestSF:
             assert phase.coverage.functions <= report.coverage.functions
 
 
+# main divides by its second input when the first is 0, and g takes 1 % x,
+# so replays fault at 0; at step limit 3 every run stops at the limit.
+FAULT_TEXT = """\
+program faults
+
+func main()
+block entry:
+  x = input
+  y = input
+  br == x 0 -> zero, other
+block zero:
+  q = 100 / y
+  call f(q)
+  ret
+block other:
+  call g(x)
+  ret
+
+func f(a)
+block entry:
+  br < a 7 -> small, big
+block small:
+  print a
+  ret
+block big:
+  ret
+
+func g(a)
+block entry:
+  r = 1 % a
+  print r
+  ret
+"""
+
+
+def _check_sf_coverage_is_its_fuzz_phase(program, cfg):
+    """SF's coverage is that of fuzzing from the symex tests, and holds every
+    symex replay's coverage; returns the replays' outcomes."""
+    phase = symex.symex_campaign(
+        program, Strategy.BASELINE, cfg.symex_limits, cfg.max_inputs,
+        rng_seed=cfg.rng_seed, replay_step_limit=cfg.step_limit,
+    )
+    suite = [tc.values for tc in phase.test_cases]
+    fuzzed = fuzzer.fuzz_campaign(program, suite, orchestrator.fuzz_config(cfg))
+    coverage = run_sf(program, cfg).coverage
+    assert coverage == fuzzed.cumulative
+    outcomes = set()
+    for values in suite:
+        replay = run_concrete(program, values, cfg.step_limit)
+        assert replay.coverage.functions <= coverage.functions
+        assert replay.coverage.edge_bits <= coverage.edge_bits
+        outcomes.add(replay.outcome)
+    return outcomes
+
+
+class TestSFCoverage:
+    @pytest.mark.parametrize("rng_seed", [0, 7])
+    @pytest.mark.parametrize("fuzz_budget", [0, 24])
+    @pytest.mark.parametrize("params", [(2, 3), (3, 3), (4, 2)], ids=["b2d3", "b3d3", "b4d2"])
+    def test_trees(self, params, fuzz_budget, rng_seed):
+        program = generate_program(GenParams(*params))
+        cfg = _sf_config(fuzz_budget=fuzz_budget, rng_seed=rng_seed)
+        assert _check_sf_coverage_is_its_fuzz_phase(program, cfg)
+
+    @pytest.mark.parametrize("step_limit, outcome", [
+        (3, Outcome.STEP_LIMIT_EXCEEDED),
+        (DEFAULT_STEP_LIMIT, Outcome.ARITHMETIC_FAULT),
+    ])
+    def test_runs_that_fault_or_hit_the_step_limit(self, step_limit, outcome):
+        program = parse_program(FAULT_TEXT)
+        cfg = _sf_config(fuzz_budget=64, step_limit=step_limit)
+        assert outcome in _check_sf_coverage_is_its_fuzz_phase(program, cfg)
+
+
 class TestBaselines:
     def test_four_way_comparison(self):
         program = generate_program(GenParams(2, 3))
@@ -195,6 +268,14 @@ class TestBaselines:
         program = generate_program(GenParams(2, 2))
         fuzz_report, _ = run_baselines(program, _fs_config())
         assert fuzz_report.solver_stats.queries == 0
+
+    def test_run_symex_runs_the_requested_search(self):
+        program = generate_program(GenParams(2, 3))
+        rep, result = run_symex(program, _fs_config(), Strategy.SONAR, "n_2_2")
+        assert result.target_reached and "n_2_2" in rep.coverage.functions
+        assert rep.technique == TECHNIQUE_SYMEX and rep.solver_stats == result.stats
+        assert rep.test_suite == [tc.values for tc in result.test_cases]
+        assert rep.executions == len(result.test_cases)
 
 
 class TestDeterminism:

@@ -14,7 +14,7 @@ from munchkin import symex
 from munchkin.callgraph import build_callgraph, index_program
 from munchkin.executor import lowered_form, run_concrete
 from munchkin.generator import GenParams, generate_program
-from munchkin.ir import INT32_MAX, INT32_MIN, apply_cmp, parse_program
+from munchkin.ir import INT32_MAX, INT32_MIN, apply_cmp, block_locations, parse_program
 from munchkin.orchestrator import HybridConfig, run_fs, run_sf
 from munchkin.symex import (
     Constraint,
@@ -88,7 +88,7 @@ class TestSolver:
              c(">=", X, lin_const(4)), c("<=", X, lin_const(5))],
             1,
         )
-        assert result.is_sat and result.model[0] in (4, 5)
+        assert result.status == "sat" and result.model[0] in (4, 5)
         assert result.model == (4,)
         # Independent enumeration oracle over the outer box.
         feasible = [v for v in range(0, 8) if 4 <= v <= 5]
@@ -113,7 +113,7 @@ class TestSolver:
             c("==", _combine(X, Y, 1), lin_const(10)),
         ]
         result = _solve(Solver(), pc, 2)
-        assert result.is_sat
+        assert result.status == "sat"
         assert result.model[0] + result.model[1] == 10
 
     def test_enumeration_cap_yields_unknown(self):
@@ -140,7 +140,7 @@ class TestSolver:
         solver = Solver()
         pc = [c(">=", X, lin_const(INT32_MAX - 1)), c("<=", X, lin_const(INT32_MAX))]
         result = _solve(solver, pc, 1)
-        assert result.is_sat and result.model[0] >= INT32_MAX - 1
+        assert result.status == "sat" and result.model[0] >= INT32_MAX - 1
 
     def test_unused_variables_are_padded_with_zero(self):
         assert _solve(Solver(), [c("==", X, lin_const(3))], 3).model == (3, 0, 0)
@@ -1031,11 +1031,12 @@ class TestPinnedSonar:
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == self.DIGEST
 
 
-def _full_bfs(index, target):
+def _full_bfs(program, target):
     """Every location's hop count to ``target``'s entry, -1 where it cannot
     reach it, by one whole backward BFS: the reference for lazily settled
     distance fields."""
-    hops = [-1] * len(index.locations)
+    index = index_program(program)
+    hops = [-1] * len(block_locations(program))
     start = index.entries[target]
     hops[start] = 0
     queue = deque([start])
@@ -1073,7 +1074,7 @@ class TestSonarFrontier:
         program = _FRONTIER_PROGRAMS[name]()
         index = index_program(program)
         target = data.draw(st.sampled_from(sorted(program.functions)), label="target")
-        full = _full_bfs(index, target)
+        full = _full_bfs(program, target)
         df = index.distances(target)
         frontier = SonarFrontier(df)
         oracle = []
@@ -1081,7 +1082,7 @@ class TestSonarFrontier:
         ops = data.draw(st.lists(
             st.one_of(
                 st.tuples(
-                    st.integers(0, len(index.locations) - 1), st.integers(0, 4)
+                    st.integers(0, len(block_locations(program)) - 1), st.integers(0, 4)
                 ),
                 st.none(),
             ),
@@ -1107,8 +1108,9 @@ class TestSonarFrontier:
         assert all(h < 0 or h == exact for h, exact in zip(df.hops, full))
         while df.expand():
             pass
-        for i, loc in enumerate(index.locations):
-            assert df.hops[index.locations.index(loc)] == full[i], loc
+        locations = block_locations(program)
+        for i, loc in enumerate(locations):
+            assert df.hops[locations.index(loc)] == full[i], loc
         assert df.hops == full
 
     def test_a_new_field_settles_only_the_target_entry(self):
@@ -1122,5 +1124,5 @@ class TestSonarFrontier:
         while df.expand():
             pass
         assert df.level == [] and df.expand() == []
-        assert df.hops == _full_bfs(index, "goal")
-        assert df.hops[index.locations.index(("main", "stranded"))] == -1
+        assert df.hops == _full_bfs(program, "goal")
+        assert df.hops[block_locations(program).index(("main", "stranded"))] == -1
