@@ -19,6 +19,9 @@ input whose consumed prefix (its first ``inputs_read`` values, padded with
 zeros) already ran in this campaign can add no coverage, corpus entry or
 witness. Such an input is not run again: it counts as an execution, and its
 outcome, looked up, is recorded as a fault when the earlier run faulted.
+For the same reason a seed that arrives with the result of its run under
+the campaign's step limit (SF hands over its symex replays) is admitted
+from that result, exactly as if the campaign had run it.
 
 The campaign keeps its cumulative function and edge-bit sets as mutable
 sets, updated in place when an execution adds to them, and builds the
@@ -32,9 +35,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .ir import INT32_MAX, INT32_MIN, Program, _MutableRecord, _Record, wrap32
-from .executor import CoverageMap, DEFAULT_STEP_LIMIT, InputVector, Outcome, run_concrete
+from .executor import (
+    CoverageMap,
+    DEFAULT_STEP_LIMIT,
+    InputVector,
+    Outcome,
+    RunResult,
+    run_concrete,
+)
 
 
 def _interesting_values() -> tuple[int, ...]:
@@ -168,11 +179,21 @@ def mutate(
 
 
 def fuzz_campaign(
-    program: Program, seeds: list[InputVector], config: FuzzConfig
+    program: Program,
+    seeds: list[InputVector],
+    config: FuzzConfig,
+    seed_runs: Sequence[RunResult] | None = None,
 ) -> FuzzResult:
-    """Run a coverage-guided campaign; fully deterministic per config."""
+    """Run a coverage-guided campaign; fully deterministic per config.
+
+    ``seed_runs``, if given, holds for each seed the result of
+    ``run_concrete(program, seed, config.step_limit)``; the seeds are then
+    not run again, and the result is the one running them would give.
+    """
     if config.budget < 0:
         raise ValueError("budget must be >= 0")
+    if seed_runs is not None and len(seed_runs) != len(seeds):
+        raise ValueError("seed_runs must hold one result per seed")
     rng = random.Random(config.rng_seed)
     seed_list = [tuple(s) for s in seeds] or [(0,)]
 
@@ -189,7 +210,7 @@ def fuzz_campaign(
     outcomes: dict[InputVector, Outcome] = {}
     lengths: list[int] = []
 
-    def execute(values: InputVector, iteration: int) -> None:
+    def execute(values: InputVector, iteration: int, result: RunResult | None = None) -> None:
         nonlocal executions
         executions += 1
         for n in lengths:
@@ -198,7 +219,8 @@ def fuzz_campaign(
                 if outcome is not Outcome.COMPLETED:
                     faults.append((values, outcome))
                 return
-        result = run_concrete(program, values, config.step_limit)
+        if result is None:
+            result = run_concrete(program, values, config.step_limit)
         n = result.inputs_read
         if n not in lengths:
             lengths.append(n)
@@ -215,8 +237,8 @@ def fuzz_campaign(
             edge_bits.update(coverage.edge_bits)
 
     iteration = 0
-    for seed in seed_list:
-        execute(seed, iteration)
+    for seed, run in zip(seed_list, seed_runs or [None] * len(seed_list)):
+        execute(seed, iteration, run)
         iteration += 1
 
     # The first seed always enters the corpus: the virtual start edge sets a

@@ -331,7 +331,7 @@ class ValidationError(IRError):
 # ---------------------------------------------------------------------------
 
 # Order matters: multi-char operators and signed integers before single chars.
-_TOKEN_RE = re.compile(r"->|<=|>=|==|!=|-?\d+|[A-Za-z_][A-Za-z0-9_]*|[=(),:+*/%<>-]")
+_TOKEN_RE = re.compile(r"->|<=|>=|==|!=|-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[=(),:+*/%<>-]")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _KEYWORDS = frozenset(
     {"program", "func", "block", "const", "input", "call", "print", "br", "jmp", "ret"}
@@ -401,7 +401,7 @@ class _Cursor:
 
     def operand(self) -> Operand:
         tok, col = self.next("operand")
-        if re.match(r"-?\d+\Z", tok):
+        if re.match(r"-?[0-9]+\Z", tok):
             value = int(tok)
             if not INT32_MIN <= value <= INT32_MAX:
                 raise ParseError("integer literal out of int32 range", self.lineno, col)

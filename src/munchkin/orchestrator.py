@@ -14,8 +14,12 @@ target's distance field is settled only as far as its sonar run reads it.
 
 SF runs bounded symbolic execution first to produce one test case per
 newly covered function, then fuzzes from those seeds (falling back to the
-single seed [0] if the first phase emitted nothing). The fuzzer runs every
-symex test again under the same step limit, so its coverage is SF's.
+single seed [0] if the first phase emitted nothing). Each test case keeps
+the result of its replay, which ran under the campaign's step limit, and
+the fuzz phase admits every seed from that result instead of running it
+again, so its coverage, which holds every replay's, is SF's. The report's
+``executions`` still counts every seed twice, once per phase, as when the
+fuzzer ran each again.
 
 ``make_report`` is the one place a campaign result becomes a
 ``CampaignReport``. It reads only the call graph, and ``duration`` is the
@@ -157,8 +161,11 @@ def run_sf(program: Program, cfg: HybridConfig) -> CampaignReport:
         raise ValueError("config mode must be 'sf'")
     started = time.perf_counter()
     sym_result = _symex(program, cfg)
-    symex_suite = [tc.values for tc in sym_result.test_cases]
-    fuzz_result = fuzz_campaign(program, symex_suite, fuzz_config(cfg))
+    tests = sym_result.test_cases
+    symex_suite = [tc.values for tc in tests]
+    fuzz_result = fuzz_campaign(
+        program, symex_suite, fuzz_config(cfg), [tc.replay for tc in tests]
+    )
     executions = len(symex_suite) + fuzz_result.executions
     known = set(symex_suite)
     test_suite = symex_suite + [v for v in fuzz_result.test_suite() if v not in known]

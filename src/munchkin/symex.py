@@ -30,9 +30,20 @@ rounds plus its own bound the rounds that run would take. Where that bound
 reaches the round cap, the node is propagated from scratch, so the cap
 stops it where it always did. A candidate model that agrees with its
 parent's passing candidate is checked against the new constraint only.
-Verdicts, models and query counts are those of solving each path condition
-from scratch. Results are cached by a path condition's set of constraints
-and the number of variables; cache hits are not charged as queries.
+
+Where propagation has nothing to rerun, a constraint that bounds one
+variable takes the bound path: its interval, computed once with its normal
+form, is intersected with that variable's domain. That holds while the
+path has no inequality over two or more variables and no disequality, and
+two rounds remain under the cap; any other constraint, or a path with
+either kind of propagator, is propagated as above. Generated trees
+compare one input with a constant at every branch, so their solves take
+the bound path.
+
+Verdicts, models and query counts are those of solving each path
+condition from scratch. Results are cached by a path condition's set of
+constraints and the number of variables; cache hits are not charged as
+queries.
 
 Sonar search picks the state nearest to its target function, by the hop
 count at its top frame's location in the target's distance field, then
@@ -44,7 +55,8 @@ settled so far. States on settled locations sit in a heap; the others wait
 in per-location buckets until their level is settled, or enter at
 distance infinity once the field is exhausted. The picks are those of a
 scan of the whole frontier over a fully settled field. Baseline search picks
-uniformly from a list with the campaign's seeded RNG. A campaign keeps its
+uniformly from a list with an RNG seeded from ``rng_seed``, the campaign's
+only RNG, which sonar search does not build. A campaign keeps its
 own solver unless the caller passes one; FS shares one across all its
 targeted runs.
 
@@ -85,6 +97,7 @@ from .executor import (
     CoverageMap,
     DEFAULT_STEP_LIMIT,
     InputVector,
+    RunResult,
     lowered_form,
     run_concrete,
 )
@@ -214,6 +227,11 @@ class _Normal(NamedTuple):
     # (comparison, lhs constant, lhs terms, rhs constant, rhs terms), both
     # constants offset by 2**31, for ``_holds``.
     check: tuple
+    # (variable, lowest, highest) that the inequalities allow their one
+    # variable, if they bound exactly one, in exact arithmetic; an end they
+    # leave open is the int32 limit, and lowest > highest means no value.
+    # None for ``!=`` and for constraints over no or several variables.
+    interval: tuple[int, int, int] | None
 
 
 class Constraint(_Record):
@@ -285,9 +303,18 @@ class Constraint(_Record):
                 (var, coeff), = terms
                 if (-const) % coeff == 0:
                     excluded = (var, (-const) // coeff)
+        interval = None
+        if len(terms) == 1 and ineqs:
+            low, high = INT32_MIN, INT32_MAX
+            for ((var, coeff),), bound in ineqs:
+                if coeff > 0:
+                    high = min(high, bound // coeff)
+                else:
+                    low = max(low, -(bound // -coeff))
+            interval = (var, low, high)
         variables = frozenset(v for side in (lhs, rhs) for v, _ in side.terms)
         check = (_COMPARE[cmp], lhs.const + _HALF, lhs.terms, rhs.const + _HALF, rhs.terms)
-        return _Normal(ineqs, excluded, variables, check)
+        return _Normal(ineqs, excluded, variables, check, interval)
 
 
 _NEGATION = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
@@ -492,6 +519,13 @@ def _extend_fixpoint(parent: _Fixpoint, node: PathCondition) -> _Fixpoint:
     inside its fixpoint, so they are not rerun. When that bound reaches
     the round cap, or the parent's own run never converged, the node is
     propagated from scratch, as the cap then decides its domains.
+
+    A one-variable constraint on a path with no other propagator to rerun
+    (no multi-variable inequality, no disequality) is the bound path: its
+    interval is intersected with the variable's domain. Propagation would
+    take one round that changes the domain, or none, and a second that
+    finds nothing to do, so the bound path needs two rounds left under
+    the cap to give what propagation gives.
     """
     c = node.constraint
     if parent.verdict == UNKNOWN or c.is_opaque:
@@ -502,28 +536,47 @@ def _extend_fixpoint(parent: _Fixpoint, node: PathCondition) -> _Fixpoint:
         return parent if apply_cmp(c.cmp, c.lhs.const, c.rhs.const) else _INFEASIBLE
 
     normal = c.normal
-    ineqs = parent.ineqs + tuple(i for i in normal.ineqs if len(i[0]) > 1)
-    excluded = parent.excluded + (normal.excluded,) if normal.excluded else parent.excluded
     grow = max(normal.variables) + 1 - len(parent.lo)
     lo = [*parent.lo, *[INT32_MIN] * grow]
     hi = [*parent.hi, *[INT32_MAX] * grow]
-    rounds = None
-    if parent.rounds is not None:
-        budget = _PROPAGATION_ROUNDS - parent.rounds
-        changed = _propagate(parent.ineqs + normal.ineqs, excluded, lo, hi, budget)
-        if changed is None:
+    interval = normal.interval
+    if (
+        interval is not None
+        and not parent.ineqs
+        and not parent.excluded
+        and parent.rounds is not None
+        and parent.rounds <= _PROPAGATION_ROUNDS - 2
+    ):
+        var, low, high = interval
+        low = max(low, lo[var])
+        high = min(high, hi[var])
+        if low > high:
             return _INFEASIBLE
-        if changed < budget:
-            rounds = parent.rounds + changed
-    if rounds is None:
-        lo = [INT32_MIN] * len(lo)
-        hi = [INT32_MAX] * len(hi)
-        every_ineq = [i for live in _live(node) for i in live.ineqs]
-        changed = _propagate(every_ineq, excluded, lo, hi, _PROPAGATION_ROUNDS)
-        if changed is None:
-            return _INFEASIBLE
-        if changed < _PROPAGATION_ROUNDS:
-            rounds = changed
+        rounds = parent.rounds
+        if low != lo[var] or high != hi[var]:
+            lo[var], hi[var] = low, high
+            rounds += 1
+        ineqs, excluded = parent.ineqs, parent.excluded
+    else:
+        ineqs = parent.ineqs + tuple(i for i in normal.ineqs if len(i[0]) > 1)
+        excluded = parent.excluded + (normal.excluded,) if normal.excluded else parent.excluded
+        rounds = None
+        if parent.rounds is not None:
+            budget = _PROPAGATION_ROUNDS - parent.rounds
+            changed = _propagate(parent.ineqs + normal.ineqs, excluded, lo, hi, budget)
+            if changed is None:
+                return _INFEASIBLE
+            if changed < budget:
+                rounds = parent.rounds + changed
+        if rounds is None:
+            lo = [INT32_MIN] * len(lo)
+            hi = [INT32_MAX] * len(hi)
+            every_ineq = [i for live in _live(node) for i in live.ineqs]
+            changed = _propagate(every_ineq, excluded, lo, hi, _PROPAGATION_ROUNDS)
+            if changed is None:
+                return _INFEASIBLE
+            if changed < _PROPAGATION_ROUNDS:
+                rounds = changed
 
     candidate = list(map(_nearest_zero, lo, hi))
     if parent.candidate_ok and candidate[: len(parent.lo)] == list(
@@ -781,11 +834,18 @@ class SymexLimits:
 
 
 class TestCase(_Record):
-    __slots__ = _fields = ("values", "covering")
+    """An emitted input vector and the result of its concrete replay."""
 
-    def __init__(self, values: InputVector, covering: frozenset[str]) -> None:
+    __slots__ = _fields = ("values", "replay")
+
+    def __init__(self, values: InputVector, replay: RunResult) -> None:
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "covering", covering)
+        object.__setattr__(self, "replay", replay)
+
+    @property
+    def covering(self) -> frozenset[str]:
+        """The functions the replay entered."""
+        return self.replay.coverage.functions
 
 
 class SymResult(_MutableRecord):
@@ -842,7 +902,6 @@ def symex_campaign(
 
     solver = solver if solver is not None else Solver()
     stats_start = solver.stats.copy()
-    rng = random.Random(rng_seed)
     index = index_program(program)
     reachable = index.reachable
     emitted_covered = set(already_covered)
@@ -856,7 +915,7 @@ def symex_campaign(
         if result.status != SAT:
             return False
         replay = run_concrete(program, result.model, replay_step_limit)
-        test_cases.append(TestCase(result.model, replay.coverage.functions))
+        test_cases.append(TestCase(result.model, replay))
         emitted_covered.update(replay.coverage.functions)
         functions.update(replay.coverage.functions)
         edge_bits.update(replay.coverage.edge_bits)
@@ -876,7 +935,7 @@ def symex_campaign(
     if search is Strategy.SONAR:
         frontier: SonarFrontier | _RandomFrontier = SonarFrontier(index.distances(target))
     else:
-        frontier = _RandomFrontier(rng)
+        frontier = _RandomFrontier(random.Random(rng_seed))
     frontier.push(initial)
     states_explored = 0
 
@@ -956,10 +1015,11 @@ def symex_campaign(
                 code, index, loc, ret_dest = entry, 0, callee_id, dest
                 on_entry(state, callee)
             elif op == OP_RETURN:
-                value = store.get(instr[1], zero) if instr[2] else lin_const(instr[1])
                 if not frames:
                     return []  # entry function returned
                 dest = ret_dest
+                if dest is not None:  # only a caller that stores it reads the value
+                    value = store.get(instr[1], zero) if instr[2] else lin_const(instr[1])
                 code, index, loc, store, ret_dest = frames.pop()
                 if dest is not None:
                     store[dest] = value

@@ -169,6 +169,12 @@ class TestCampaign:
         with pytest.raises(ValueError):
             fuzz_campaign(program, [(0,)], FuzzConfig(budget=-1))
 
+    def test_seed_runs_must_match_the_seeds(self):
+        program = generate_program(GenParams(2, 1))
+        run = run_concrete(program, (0,))
+        with pytest.raises(ValueError, match="one result per seed"):
+            fuzz_campaign(program, [(0,), (1,)], FuzzConfig(budget=0), [run])
+
 
 def _reference_fuzz_campaign(program, seeds, config):
     """The fuzzer as it was before it skipped consumed prefixes that ran.
@@ -338,19 +344,25 @@ class TestConsumedPrefixes:
         rng_seed=st.integers(0, 2**16),
         budget=st.integers(0, 200),
         step_limit=st.integers(1, 300),
+        handed=st.booleans(),
     )
     def test_campaign_equals_one_that_runs_every_input(
-        self, name, seeds, rng_seed, budget, step_limit
+        self, name, seeds, rng_seed, budget, step_limit, handed
     ):
         program = parse_program(_PREFIX_PROGRAMS[name])
         config = FuzzConfig(rng_seed, budget, step_limit)
         expected, evaluated = _reference_fuzz_campaign(program, seeds, config)
+        # Seeds may arrive with their runs, as SF hands over its replays.
+        seed_runs = [run_concrete(program, s, step_limit) for s in seeds] if handed else None
         with _fuzzer_runs() as runs:
-            result = fuzz_campaign(program, seeds, config)
+            result = fuzz_campaign(program, seeds, config, seed_runs)
         for field in FuzzResult._fields:
             assert getattr(result, field) == getattr(expected, field), field
-        # Each distinct consumed prefix runs exactly once.
-        assert len(runs) == len({_consumed_prefix(v, n) for v, n in evaluated})
+        # Each distinct consumed prefix runs exactly once, a handed-over
+        # seed's not at all.
+        ran = {_consumed_prefix(v, n) for v, n in evaluated}
+        ran -= {_consumed_prefix(s, r.inputs_read) for s, r in zip(seeds, seed_runs or ())}
+        assert len(runs) == len(ran)
 
     def test_repeated_faults_are_each_recorded(self):
         program = parse_program(DIV_TEXT)

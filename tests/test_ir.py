@@ -126,7 +126,11 @@ class TestParseErrors:
 
     @pytest.mark.parametrize(
         "line, col",
-        [("  ret @", 7), ("\t ret @", 7), ("ret @", 5), ("  jmp", 6), ("  x = @ 1", 7), ("  x = const 1 2  # c", 15)],
+        [
+            ("  ret @", 7), ("\t ret @", 7), ("ret @", 5), ("  jmp", 6), ("  x = @ 1", 7),
+            ("  x = const 1 2  # c", 15),
+            ("  x = const \u0661\u0662", 13),  # Arabic-Indic digits are not a literal
+        ],
     )
     def test_columns_count_from_the_start_of_the_source_line(self, line, col):
         with pytest.raises(ParseError) as caught:
@@ -576,11 +580,13 @@ def test_every_single_edit_of_a_canonical_line_parses_as_the_cursor_only_parser_
 
 
 # The cursor-only parser and the per-block validator as they were before the
-# canonical fast path, kept as the reference for the two tests above. The one
-# change since: a column counts from the start of the source line, and an
-# unexpected character's column is its own, as ``ir._Cursor`` counts them.
+# canonical fast path, kept as the reference for the two tests above. The
+# changes since: a column counts from the start of the source line, and an
+# unexpected character's column is its own, as ``ir._Cursor`` counts them;
+# and a literal's digits are ASCII (``[0-9]``, not ``\d``), as ``ir._Cursor``
+# and the canonical patterns read them.
 
-_REF_TOKEN_RE = re.compile(r"->|<=|>=|==|!=|-?\d+|[A-Za-z_][A-Za-z0-9_]*|[=(),:+*/%<>-]")
+_REF_TOKEN_RE = re.compile(r"->|<=|>=|==|!=|-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[=(),:+*/%<>-]")
 _REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _REF_KEYWORDS = frozenset(
     {"program", "func", "block", "const", "input", "call", "print", "br", "jmp", "ret"}
@@ -650,7 +656,7 @@ class _RefCursor:
 
     def operand(self) -> Operand:
         tok, col = self.next("operand")
-        if re.match(r"-?\d+\Z", tok):
+        if re.match(r"-?[0-9]+\Z", tok):
             value = int(tok)
             if not INT32_MIN <= value <= INT32_MAX:
                 raise ParseError("integer literal out of int32 range", self.lineno, col)

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import inspect
 import random
+from unittest.mock import patch
 
 import pytest
 
@@ -209,19 +210,35 @@ block entry:
 
 
 def _check_sf_coverage_is_its_fuzz_phase(program, cfg):
-    """SF's coverage is that of fuzzing from the symex tests, and holds every
-    symex replay's coverage; returns the replays' outcomes."""
+    """SF's fuzz phase, which admits the symex tests from their replays, is
+    the fuzz campaign that runs them again, and its coverage is SF's; returns
+    the replays' outcomes."""
     phase = symex.symex_campaign(
         program, Strategy.BASELINE, cfg.symex_limits, cfg.max_inputs,
         rng_seed=cfg.rng_seed, replay_step_limit=cfg.step_limit,
     )
     suite = [tc.values for tc in phase.test_cases]
-    fuzzed = fuzzer.fuzz_campaign(program, suite, orchestrator.fuzz_config(cfg))
-    coverage = run_sf(program, cfg).coverage
-    assert coverage == fuzzed.cumulative
+    rerun = fuzzer.fuzz_campaign(program, suite, orchestrator.fuzz_config(cfg))
+    handed = []
+
+    def recording(*args):
+        handed.append(fuzzer.fuzz_campaign(*args))
+        return handed[-1]
+
+    with patch.object(orchestrator, "fuzz_campaign", recording):
+        coverage = run_sf(program, cfg).coverage
+    (fuzzed,) = handed
+    assert [(e.values, e.coverage, e.discovery_iteration) for e in fuzzed.corpus] == [
+        (e.values, e.coverage, e.discovery_iteration) for e in rerun.corpus
+    ]
+    assert fuzzed.executions == rerun.executions
+    assert fuzzed.faults == rerun.faults
+    assert list(fuzzed.function_witnesses.items()) == list(rerun.function_witnesses.items())
+    assert coverage == fuzzed.cumulative == rerun.cumulative
     outcomes = set()
-    for values in suite:
-        replay = run_concrete(program, values, cfg.step_limit)
+    for tc in phase.test_cases:
+        replay = run_concrete(program, tc.values, cfg.step_limit)
+        assert tc.replay == replay
         assert replay.coverage.functions <= coverage.functions
         assert replay.coverage.edge_bits <= coverage.edge_bits
         outcomes.add(replay.outcome)
@@ -361,12 +378,16 @@ class TestDeterminism:
         replays = [values for values, _ in calls["symex"]]
         seeds = replays if runner is run_sf else list(cfg.seeds)
         assert len(mutants) == cfg.fuzz_budget
-        # The fuzzer runs each distinct consumed prefix among its inputs once.
+        # Each distinct consumed prefix among the seeds and mutants runs once
+        # per campaign. SF's fuzz phase admits the replays from the symex
+        # phase's runs, so across both phases SF runs each such prefix once;
+        # FS's sonar replays are not its fuzz seeds.
         prefixes = set()
         for values in seeds + mutants:
             n = run_concrete(program, values, 5_000).inputs_read
             prefixes.add(values[:n] + (0,) * (n - len(values)))
-        assert len(calls["fuzzer"]) == len(prefixes)
+        runs = calls["fuzzer"] + (calls["symex"] if runner is run_sf else [])
+        assert len(runs) == len(prefixes)
         assert report.executions == len(replays) + len(seeds) + cfg.fuzz_budget
 
     def test_run_hybrid_dispatch(self):

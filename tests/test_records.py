@@ -73,6 +73,7 @@ def test_importing_the_package_loads_neither_the_cli_nor_argparse():
 
 
 _COVERAGE = CoverageMap(frozenset({"main", "f"}), frozenset({3, 40000}))
+_RUN = RunResult(_COVERAGE, Outcome.COMPLETED, (1, -2), 17, 2)
 _RETURN_BLOCK = Block("e", (), Return(None))
 _INDEX = index_program(generate_program(GenParams(2, 1)))
 
@@ -95,8 +96,8 @@ SAMPLES = {
     SolverStats: (5, 3, 1, 1, 2),
     SolveResult: ("sat", (1, 2)),
     SymState: ([([(0, "x", 1)], 0, 1, {"a": LinExpr(1, ())}, None)], "pc", 1, 2, 3, 4),
-    SymTestCase: ((1, 2), frozenset({"main", "f"})),
-    SymResult: ([SymTestCase((1,), frozenset({"main"}))], _COVERAGE, SolverStats(1, 1), 4, True),
+    SymTestCase: ((1, 2), _RUN),
+    SymResult: ([SymTestCase((1,), _RUN)], _COVERAGE, SolverStats(1, 1), 4, True),
     CallGraph: (frozenset({"main", "f"}), frozenset({("main", "f")}), {"main": 0, "f": 1}),
     ProgramIndex: tuple(getattr(_INDEX, name) for name in ProgramIndex._fields),
     CoverageMap: (frozenset({"main"}), frozenset({1, 2})),

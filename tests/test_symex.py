@@ -8,7 +8,7 @@ from collections import deque
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from munchkin import symex
 from munchkin.callgraph import build_callgraph, index_program
@@ -467,6 +467,114 @@ class TestIncrementalSolving:
                     node, prefix = solver.extend(node, constraint), prefix + [constraint]
                     assert solver.solve(node, num_vars) == reference.solve(prefix, num_vars)
         assert solver.stats == reference.stats
+
+
+def _reference_extend_fixpoint(parent, node):
+    """``symex._extend_fixpoint`` as it was before the bound path: every
+    constraint goes through ``_propagate``."""
+    c = node.constraint
+    if parent.verdict == "unknown" or c.is_opaque:
+        return symex._OPAQUE_PATH
+    if parent.verdict == "unsat":
+        return symex._INFEASIBLE
+    if c.is_const:
+        return parent if apply_cmp(c.cmp, c.lhs.const, c.rhs.const) else symex._INFEASIBLE
+
+    normal = c.normal
+    ineqs = parent.ineqs + tuple(i for i in normal.ineqs if len(i[0]) > 1)
+    excluded = parent.excluded + (normal.excluded,) if normal.excluded else parent.excluded
+    grow = max(normal.variables) + 1 - len(parent.lo)
+    lo = [*parent.lo, *[INT32_MIN] * grow]
+    hi = [*parent.hi, *[INT32_MAX] * grow]
+    cap = symex._PROPAGATION_ROUNDS
+    rounds = None
+    if parent.rounds is not None:
+        budget = cap - parent.rounds
+        changed = symex._propagate(parent.ineqs + normal.ineqs, excluded, lo, hi, budget)
+        if changed is None:
+            return symex._INFEASIBLE
+        if changed < budget:
+            rounds = parent.rounds + changed
+    if rounds is None:
+        lo = [INT32_MIN] * len(lo)
+        hi = [INT32_MAX] * len(hi)
+        every_ineq = [i for live in symex._live(node) for i in live.ineqs]
+        changed = symex._propagate(every_ineq, excluded, lo, hi, cap)
+        if changed is None:
+            return symex._INFEASIBLE
+        if changed < cap:
+            rounds = changed
+
+    candidate = list(map(symex._nearest_zero, lo, hi))
+    if parent.candidate_ok and candidate[: len(parent.lo)] == list(
+        map(symex._nearest_zero, parent.lo, parent.hi)
+    ):
+        candidate_ok = symex._holds(normal.check, candidate)
+    else:
+        candidate_ok = symex._check_all([live.check for live in symex._live(node)], candidate)
+    return symex._Fixpoint(None, tuple(lo), tuple(hi), rounds, candidate_ok, ineqs, excluded)
+
+
+_NEAR_LIMITS = st.one_of(
+    st.integers(-4, 4),
+    st.integers(INT32_MIN, INT32_MIN + 8),
+    st.integers(INT32_MAX - 8, INT32_MAX),
+)
+_BOUND_COEFFS = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
+
+
+@st.composite
+def _fixpoint_constraints(draw):
+    """One-variable bounds, bounds whose second variable cancels (``-3x - 3y
+    < -3y``), and constraints over up to three variables, in all six comparisons.
+    Small constants make bounds meet each other and excluded values."""
+    cmp = draw(st.sampled_from(["<", "<=", "==", "!=", ">=", ">"]))
+    kind = draw(st.sampled_from(["bound", "bound", "cancelling", "linear"]))
+    x = draw(st.integers(0, 2))
+    if kind == "linear":
+        return c(cmp, draw(_linear(3)), draw(_linear(3)))
+    if kind == "cancelling":
+        y = draw(st.integers(0, 2).filter(lambda v: v != x))
+        k = draw(_BOUND_COEFFS)
+        lhs = _lin(draw(_NEAR_LIMITS), (x, draw(_BOUND_COEFFS)), (y, k))
+        return c(cmp, lhs, _lin(draw(_NEAR_LIMITS), (y, k)))
+    sides = [_lin(draw(_NEAR_LIMITS), (x, draw(_BOUND_COEFFS))), lin_const(draw(_NEAR_LIMITS))]
+    if draw(st.booleans()):
+        sides.reverse()
+    return c(cmp, *sides)
+
+
+class TestBoundPath:
+    """A one-variable constraint's bound gives the fixpoint propagation gives."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        path=st.lists(_fixpoint_constraints(), max_size=4),
+        last=_fixpoint_constraints(),
+        rounds=st.sampled_from(["kept", None, 0, 1, 50, 97, 98, 99]),
+    )
+    # The domain grows to the cancelled variable too; a disequality or a
+    # two-variable inequality on the path must be rerun; with one round left
+    # under the cap, propagation starts from scratch.
+    @example(path=[], last=c("<", _lin(0, (0, -3), (1, -3)), _lin(0, (1, -3))), rounds="kept")
+    @example(path=[c("!=", X, lin_const(5))], last=c(">=", X, lin_const(5)), rounds="kept")
+    @example(path=[c("<", X, Y)], last=c("<=", Y, lin_const(3)), rounds="kept")
+    @example(path=[], last=c("<", X, lin_const(3)), rounds=98)
+    @example(path=[], last=c("<", X, lin_const(3)), rounds=99)
+    def test_extend_fixpoint_equals_the_reference_in_every_field(self, path, last, rounds):
+        assert symex._PROPAGATION_ROUNDS == 100  # the drawn rounds reach the cap less one
+        solver = Solver()
+        node, parent = solver.root, solver.root.fixpoint
+        for constraint in path:
+            node = solver.extend(node, constraint)
+            parent = _reference_extend_fixpoint(parent, node)
+        if rounds != "kept" and parent.verdict is None:
+            parent = parent._replace(rounds=rounds)
+        child = solver.extend(node, last)
+        got = symex._extend_fixpoint(parent, child)
+        want = _reference_extend_fixpoint(parent, child)
+        for field in symex._Fixpoint._fields:
+            assert getattr(got, field) == getattr(want, field), field
 
 
 class TestSelectNextState:
