@@ -675,7 +675,7 @@ def parse_program(text: str) -> Program:
         cur_func = None
         cur_blocks = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         code = raw.split("#", 1)[0]
         line = code.strip()
         if not line:

@@ -18,27 +18,25 @@ tuples). Propagation reasons in exact integer arithmetic, so paths that
 are feasible only through int32 wrap-around may be pruned; every model it
 does return is verified against wrap-around semantics by evaluation.
 
-Solving is incremental along each path. Path conditions are nodes of a
-per-solver trie: ``solver.extend(pc, c)`` returns the node for ``c`` on top
-of ``pc``, made on first use, so a path walked again (each FS sonar run
-walks down from ``main``) reuses its nodes. Nodes point only up; the
-solver's child table points down. A node keeps its propagated domains. A
-child starts from its parent's fixpoint and reruns only the propagators
-that can still tighten it; since propagators are monotone and run in path
-order, it reaches the domains a run from scratch would, and the parent's
-rounds plus its own bound the rounds that run would take. Where that bound
-reaches the round cap, the node is propagated from scratch, so the cap
-stops it where it always did. A candidate model that agrees with its
-parent's passing candidate is checked against the new constraint only.
+Path conditions are nodes of a per-solver trie: ``solver.extend(pc, c)``
+returns the node for ``c`` on top of ``pc``, made on first use, so a path
+walked again (each FS sonar run walks down from ``main``) reuses its nodes.
+Nodes point only up; the solver's child table points down. A node keeps
+its propagated domains, reached in one of two ways:
 
-Where propagation has nothing to rerun, a constraint that bounds one
-variable takes the bound path: its interval, computed once with its normal
-form, is intersected with that variable's domain. That holds while the
-path has no inequality over two or more variables and no disequality, and
-two rounds remain under the cap; any other constraint, or a path with
-either kind of propagator, is propagated as above. Generated trees
-compare one input with a constant at every branch, so their solves take
-the bound path.
+- On a bound-only path, where every inequality bounds one variable and no
+  disequality excludes an integral value of one variable, each constraint
+  is one interval, computed once with its normal form. A node's domains
+  are its parent's intersected with its own interval, since propagation
+  from scratch applies each bound once in its first round and changes
+  nothing in its second. Generated trees compare one input with a
+  constant at every branch, so all their solves take this way.
+- Any other path is general, as is every path below it. Its propagators
+  can feed each other for many rounds, so each of its nodes is propagated
+  from scratch, under the round cap.
+
+A candidate model that agrees with its parent's passing candidate is
+checked against the new constraint only.
 
 Verdicts, models and query counts are those of solving each path
 condition from scratch. Results are cached by a path condition's set of
@@ -434,22 +432,18 @@ class _Fixpoint(NamedTuple):
     None, and then:
 
     - ``lo``, ``hi``: each variable's domain after propagation, by index;
-    - ``rounds``: an upper bound on the rounds in which propagation from
-      scratch changes a domain, or None if that run stops at the round cap;
     - ``candidate_ok``: the domains' points nearest zero satisfy every
       constraint;
-    - ``ineqs``: the path's inequalities over two or more variables, and
-      ``excluded`` its single-variable disequalities, in path order: the
-      propagators a child reruns.
+    - ``general``: the path has an inequality over two or more variables
+      or a disequality that excludes an integral value of one variable,
+      so its nodes are propagated from scratch.
     """
 
     verdict: str | None
     lo: tuple[int, ...] = ()
     hi: tuple[int, ...] = ()
-    rounds: int | None = 0
     candidate_ok: bool = True
-    ineqs: tuple = ()
-    excluded: tuple[tuple[int, int], ...] = ()
+    general: bool = False
 
 
 _TRUE = _Fixpoint(None)
@@ -465,14 +459,14 @@ def _nearest_zero(lo: int, hi: int) -> int:
     return 0
 
 
-def _propagate(ineqs, excluded, lo: list[int], hi: list[int], rounds: int) -> int | None:
-    """Tighten ``lo``/``hi`` in place for at most ``rounds`` rounds.
+def _propagate(ineqs, excluded, lo: list[int], hi: list[int]) -> bool:
+    """Tighten ``lo``/``hi`` in place; False once a domain is empty.
 
-    Returns the number of rounds that changed a domain (``rounds`` itself
-    if the last one still did), or None once a domain is empty. A round
-    runs every inequality, then every disequality, in the given order.
+    A round runs every inequality, then every disequality, in the given
+    order. Rounds stop after one that changes no domain, or after
+    ``_PROPAGATION_ROUNDS``.
     """
-    for done in range(rounds):
+    for _ in range(_PROPAGATION_ROUNDS):
         changed = False
         for terms, bound in ineqs:
             mins = [k * lo[v] if k > 0 else k * hi[v] for v, k in terms]
@@ -485,47 +479,41 @@ def _propagate(ineqs, excluded, lo: list[int], hi: list[int], rounds: int) -> in
                         hi[var] = new_hi
                         changed = True
                         if lo[var] > new_hi:
-                            return None
+                            return False
                 else:
                     new_lo = -(rest // -coeff)
                     if new_lo > lo[var]:
                         lo[var] = new_lo
                         changed = True
                         if new_lo > hi[var]:
-                            return None
+                            return False
         for var, value in excluded:
             if value == lo[var]:
                 if value == hi[var]:
-                    return None
+                    return False
                 lo[var] += 1
                 changed = True
             elif value == hi[var]:
                 hi[var] -= 1
                 changed = True
         if not changed:
-            return done
-    return rounds
+            break
+    return True
 
 
 def _extend_fixpoint(parent: _Fixpoint, node: PathCondition) -> _Fixpoint:
-    """A path's fixpoint from its parent's.
+    """A path's fixpoint from its parent's, in one of two ways.
 
-    Propagators are monotone and a round runs them in path order, so a
-    from-scratch run on the node's path is, round for round, inside the
-    run on its parent's path. Started from the parent's fixpoint, the
-    node's propagators therefore reach the node's fixpoint, and a run from
-    scratch reaches it within the parent's rounds plus the ones taken
-    here. The parent's single-variable inequalities hold on any domain
-    inside its fixpoint, so they are not rerun. When that bound reaches
-    the round cap, or the parent's own run never converged, the node is
-    propagated from scratch, as the cap then decides its domains.
+    On a bound-only path (``general`` unset), the node's domains are its
+    parent's intersected with its constraint's interval, and UNSAT when
+    that is empty. Propagation from scratch gives the same for any round
+    cap: its first round applies each bound once, its second changes
+    nothing. A constraint with no interval (``x < x``, ``2x != 3``,
+    ``x != y``) gives propagation nothing to tighten.
 
-    A one-variable constraint on a path with no other propagator to rerun
-    (no multi-variable inequality, no disequality) is the bound path: its
-    interval is intersected with the variable's domain. Propagation would
-    take one round that changes the domain, or none, and a second that
-    finds nothing to do, so the bound path needs two rounds left under
-    the cap to give what propagation gives.
+    On a general path, the domains start at the int32 limits and
+    ``_propagate`` runs every inequality and disequality on the path, in
+    path order: the computation from scratch itself.
     """
     c = node.constraint
     if parent.verdict == UNKNOWN or c.is_opaque:
@@ -540,43 +528,25 @@ def _extend_fixpoint(parent: _Fixpoint, node: PathCondition) -> _Fixpoint:
     lo = [*parent.lo, *[INT32_MIN] * grow]
     hi = [*parent.hi, *[INT32_MAX] * grow]
     interval = normal.interval
-    if (
-        interval is not None
-        and not parent.ineqs
-        and not parent.excluded
-        and parent.rounds is not None
-        and parent.rounds <= _PROPAGATION_ROUNDS - 2
-    ):
+    general = parent.general or (
+        interval is None
+        and (normal.excluded is not None or any(len(terms) > 1 for terms, _ in normal.ineqs))
+    )
+    if general:
+        lo = [INT32_MIN] * len(lo)
+        hi = [INT32_MAX] * len(hi)
+        path = _live(node)
+        ineqs = [i for live in path for i in live.ineqs]
+        excluded = [live.excluded for live in path if live.excluded is not None]
+        if not _propagate(ineqs, excluded, lo, hi):
+            return _INFEASIBLE
+    elif interval is not None:
         var, low, high = interval
         low = max(low, lo[var])
         high = min(high, hi[var])
         if low > high:
             return _INFEASIBLE
-        rounds = parent.rounds
-        if low != lo[var] or high != hi[var]:
-            lo[var], hi[var] = low, high
-            rounds += 1
-        ineqs, excluded = parent.ineqs, parent.excluded
-    else:
-        ineqs = parent.ineqs + tuple(i for i in normal.ineqs if len(i[0]) > 1)
-        excluded = parent.excluded + (normal.excluded,) if normal.excluded else parent.excluded
-        rounds = None
-        if parent.rounds is not None:
-            budget = _PROPAGATION_ROUNDS - parent.rounds
-            changed = _propagate(parent.ineqs + normal.ineqs, excluded, lo, hi, budget)
-            if changed is None:
-                return _INFEASIBLE
-            if changed < budget:
-                rounds = parent.rounds + changed
-        if rounds is None:
-            lo = [INT32_MIN] * len(lo)
-            hi = [INT32_MAX] * len(hi)
-            every_ineq = [i for live in _live(node) for i in live.ineqs]
-            changed = _propagate(every_ineq, excluded, lo, hi, _PROPAGATION_ROUNDS)
-            if changed is None:
-                return _INFEASIBLE
-            if changed < _PROPAGATION_ROUNDS:
-                rounds = changed
+        lo[var], hi[var] = low, high
 
     candidate = list(map(_nearest_zero, lo, hi))
     if parent.candidate_ok and candidate[: len(parent.lo)] == list(
@@ -585,7 +555,7 @@ def _extend_fixpoint(parent: _Fixpoint, node: PathCondition) -> _Fixpoint:
         candidate_ok = _holds(normal.check, candidate)
     else:
         candidate_ok = _check_all([live.check for live in _live(node)], candidate)
-    return _Fixpoint(None, tuple(lo), tuple(hi), rounds, candidate_ok, ineqs, excluded)
+    return _Fixpoint(None, tuple(lo), tuple(hi), candidate_ok, general)
 
 
 def _live(node: PathCondition) -> list[_Normal]:
@@ -888,8 +858,11 @@ def symex_campaign(
     phase has witnessed; the reported coverage contains only what this
     campaign's replays entered. With a sonar target the campaign stops as
     soon as the target is entered and a test case for it was produced.
-    Limit checks run between state slices, so tight query budgets may be
-    overshot by one fork.
+    Limit checks run between state slices. A slice charges two queries at
+    every symbolic branch up to its next two-way fork, and one for each test
+    it emits, so a tight query budget can be overshot by far more than one
+    fork: a chain of 12 branches with one feasible side each charges 25
+    queries under a budget of 8.
     """
     if limits.max_states <= 0 or limits.max_queries <= 0:
         raise ValueError("limits must be positive")

@@ -138,6 +138,25 @@ class TestParseErrors:
         assert (caught.value.line, caught.value.col) == (4, col)
         assert str(caught.value).startswith(f"line 4, col {col}: ")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "program p\n\nfunc main()\nblock entry:  # tail\u2028 of comment\n  ret\n",
+            "program p\nfunc main()\nblock e:\n  ret  # ok\x0c more\n",
+            "program p\r\nfunc main()\r\nblock e:\r\n  ret\r\n",
+        ],
+    )
+    def test_only_a_newline_ends_a_line(self, text):
+        # str.splitlines() would also split at \f, \v, \x1c-\x1e, \x85,
+        # U+2028 and U+2029, ending a comment early.
+        assert list(parse_program(text).functions) == ["main"]
+
+    def test_a_form_feed_shifts_no_line_number(self):
+        text = "program p\x0c\n\nfunc main()\nblock e:\n  ret\n\nfunc f(\n"
+        with pytest.raises(ParseError) as caught:
+            parse_program(text)
+        assert caught.value.line == 7
+
 
 class TestValidation:
     def test_missing_main(self):
@@ -819,7 +838,7 @@ def reference_parse_program(text: str) -> Program:
         cur_func = None
         cur_blocks = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         code = raw.split("#", 1)[0]
         line = code.strip()
         if not line:

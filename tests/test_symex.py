@@ -273,19 +273,10 @@ def _reference_key(pc):
     return tuple(sorted({(c.cmp, expr_key(c.lhs), expr_key(c.rhs)) for c in pc}))
 
 
-def _reference_solve(constraints, num_vars, rounds, cap):
-    for c in constraints:
-        if c.lhs is OPAQUE or c.rhs is OPAQUE:
-            return SolveResult("unknown")
-
-    live = []
-    for c in constraints:
-        if c.lhs.is_const and c.rhs.is_const:
-            if not apply_cmp(c.cmp, c.lhs.const, c.rhs.const):
-                return SolveResult("unsat")
-        else:
-            live.append(c)
-
+def _reference_propagate(live, num_vars, rounds):
+    """Each variable's ``[lo, hi]`` after propagating the non-constant
+    linear constraints ``live`` from int32 domains for at most ``rounds``
+    rounds, or None once a domain is empty."""
     ineqs, diseqs = [], []
     for c in live:
         coeffs = dict(c.lhs.terms)
@@ -328,7 +319,7 @@ def _reference_solve(constraints, num_vars, rounds, cap):
                         domains[var][0] = lo = new_lo
                         changed = True
                 if lo > hi:
-                    return SolveResult("unsat")
+                    return None
         for coeffs, const in diseqs:
             if len(coeffs) != 1:
                 continue
@@ -337,7 +328,7 @@ def _reference_solve(constraints, num_vars, rounds, cap):
                 excluded = (-const) // coeff
                 lo, hi = domains[var]
                 if lo == hi == excluded:
-                    return SolveResult("unsat")
+                    return None
                 if excluded == lo:
                     domains[var][0] += 1
                     changed = True
@@ -346,6 +337,25 @@ def _reference_solve(constraints, num_vars, rounds, cap):
                     changed = True
         if not changed:
             break
+    return domains
+
+
+def _reference_solve(constraints, num_vars, rounds, cap):
+    for c in constraints:
+        if c.lhs is OPAQUE or c.rhs is OPAQUE:
+            return SolveResult("unknown")
+
+    live = []
+    for c in constraints:
+        if c.lhs.is_const and c.rhs.is_const:
+            if not apply_cmp(c.cmp, c.lhs.const, c.rhs.const):
+                return SolveResult("unsat")
+        else:
+            live.append(c)
+
+    domains = _reference_propagate(live, num_vars, rounds)
+    if domains is None:
+        return SolveResult("unsat")
 
     def check_all(model):
         return all(
@@ -433,11 +443,15 @@ def _chains(draw):
 
 
 class TestIncrementalSolving:
-    """Incremental solving agrees with solving every path condition from scratch.
+    """The solver's results and counts equal those of solving every path
+    condition from scratch.
 
-    The round cap is drawn as low as 2, so many chains run past it and take
-    the from-scratch fallback, and the enumeration cap is lowered to 2**10,
-    so chains reach it in milliseconds; both caps are the reference's too.
+    Nodes of bound-only paths intersect intervals and nodes of general
+    paths are propagated from scratch (``_extend_fixpoint``); a solve
+    settles the nodes above it that no solve has asked for yet. The round
+    cap is drawn as low as 1, so propagation on many general paths stops at
+    it, and the enumeration cap is lowered to 2**10, so chains reach it in
+    milliseconds; both caps are the reference's too.
     """
 
     @settings(max_examples=150, deadline=None)
@@ -445,7 +459,7 @@ class TestIncrementalSolving:
         first=_chains(),
         shared=st.integers(0, 10),
         second=_chains(),
-        rounds=st.sampled_from([2, 5, 100]),
+        rounds=st.sampled_from([1, 2, 5, 100]),
     )
     def test_every_result_and_count_equals_the_reference(self, first, shared, second, rounds):
         cap = 1 << 10
@@ -469,52 +483,6 @@ class TestIncrementalSolving:
         assert solver.stats == reference.stats
 
 
-def _reference_extend_fixpoint(parent, node):
-    """``symex._extend_fixpoint`` as it was before the bound path: every
-    constraint goes through ``_propagate``."""
-    c = node.constraint
-    if parent.verdict == "unknown" or c.is_opaque:
-        return symex._OPAQUE_PATH
-    if parent.verdict == "unsat":
-        return symex._INFEASIBLE
-    if c.is_const:
-        return parent if apply_cmp(c.cmp, c.lhs.const, c.rhs.const) else symex._INFEASIBLE
-
-    normal = c.normal
-    ineqs = parent.ineqs + tuple(i for i in normal.ineqs if len(i[0]) > 1)
-    excluded = parent.excluded + (normal.excluded,) if normal.excluded else parent.excluded
-    grow = max(normal.variables) + 1 - len(parent.lo)
-    lo = [*parent.lo, *[INT32_MIN] * grow]
-    hi = [*parent.hi, *[INT32_MAX] * grow]
-    cap = symex._PROPAGATION_ROUNDS
-    rounds = None
-    if parent.rounds is not None:
-        budget = cap - parent.rounds
-        changed = symex._propagate(parent.ineqs + normal.ineqs, excluded, lo, hi, budget)
-        if changed is None:
-            return symex._INFEASIBLE
-        if changed < budget:
-            rounds = parent.rounds + changed
-    if rounds is None:
-        lo = [INT32_MIN] * len(lo)
-        hi = [INT32_MAX] * len(hi)
-        every_ineq = [i for live in symex._live(node) for i in live.ineqs]
-        changed = symex._propagate(every_ineq, excluded, lo, hi, cap)
-        if changed is None:
-            return symex._INFEASIBLE
-        if changed < cap:
-            rounds = changed
-
-    candidate = list(map(symex._nearest_zero, lo, hi))
-    if parent.candidate_ok and candidate[: len(parent.lo)] == list(
-        map(symex._nearest_zero, parent.lo, parent.hi)
-    ):
-        candidate_ok = symex._holds(normal.check, candidate)
-    else:
-        candidate_ok = symex._check_all([live.check for live in symex._live(node)], candidate)
-    return symex._Fixpoint(None, tuple(lo), tuple(hi), rounds, candidate_ok, ineqs, excluded)
-
-
 _NEAR_LIMITS = st.one_of(
     st.integers(-4, 4),
     st.integers(INT32_MIN, INT32_MIN + 8),
@@ -526,13 +494,24 @@ _BOUND_COEFFS = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
 @st.composite
 def _fixpoint_constraints(draw):
     """One-variable bounds, bounds whose second variable cancels (``-3x - 3y
-    < -3y``), and constraints over up to three variables, in all six comparisons.
-    Small constants make bounds meet each other and excluded values."""
+    < -3y``), constraints whose variables all cancel (``2x + 1 < 2x``), and
+    constraints over up to three variables, in all six comparisons; now and
+    then a constant or opaque one. Small constants make bounds meet each
+    other and excluded values."""
     cmp = draw(st.sampled_from(["<", "<=", "==", "!=", ">=", ">"]))
-    kind = draw(st.sampled_from(["bound", "bound", "cancelling", "linear"]))
+    kind = draw(st.sampled_from(
+        ["bound"] * 4 + ["cancelling"] * 2 + ["linear"] * 2 + ["vanishing", "constant", "opaque"]
+    ))
     x = draw(st.integers(0, 2))
     if kind == "linear":
         return c(cmp, draw(_linear(3)), draw(_linear(3)))
+    if kind == "constant":
+        return c(cmp, lin_const(draw(_NEAR_LIMITS)), lin_const(draw(_NEAR_LIMITS)))
+    if kind == "opaque":
+        return c(cmp, OPAQUE, draw(_linear(3)))
+    if kind == "vanishing":
+        k = draw(_BOUND_COEFFS)
+        return c(cmp, _lin(draw(_NEAR_LIMITS), (x, k)), _lin(draw(_NEAR_LIMITS), (x, k)))
     if kind == "cancelling":
         y = draw(st.integers(0, 2).filter(lambda v: v != x))
         k = draw(_BOUND_COEFFS)
@@ -544,37 +523,71 @@ def _fixpoint_constraints(draw):
     return c(cmp, *sides)
 
 
-class TestBoundPath:
-    """A one-variable constraint's bound gives the fixpoint propagation gives."""
+def _is_general(constraint):
+    """An inequality over two or more variables, or a disequality that
+    excludes an integral value of one variable: what makes a path general."""
+    coeffs = dict(constraint.lhs.terms)
+    for var, coeff in constraint.rhs.terms:
+        coeffs[var] = coeffs.get(var, 0) - coeff
+    coeffs = [k for k in coeffs.values() if k != 0]
+    if constraint.cmp != "!=":
+        return len(coeffs) > 1
+    return len(coeffs) == 1 and (constraint.rhs.const - constraint.lhs.const) % coeffs[0] == 0
+
+
+class TestFixpoint:
+    """Each node's fixpoint is that of propagating its whole path from scratch."""
 
     @settings(max_examples=600, deadline=None)
     @given(
-        path=st.lists(_fixpoint_constraints(), max_size=4),
-        last=_fixpoint_constraints(),
-        rounds=st.sampled_from(["kept", None, 0, 1, 50, 97, 98, 99]),
+        path=st.lists(_fixpoint_constraints(), min_size=1, max_size=8),
+        cap=st.sampled_from([1, 2, 5, 100]),
     )
     # The domain grows to the cancelled variable too; a disequality or a
-    # two-variable inequality on the path must be rerun; with one round left
-    # under the cap, propagation starts from scratch.
-    @example(path=[], last=c("<", _lin(0, (0, -3), (1, -3)), _lin(0, (1, -3))), rounds="kept")
-    @example(path=[c("!=", X, lin_const(5))], last=c(">=", X, lin_const(5)), rounds="kept")
-    @example(path=[c("<", X, Y)], last=c("<=", Y, lin_const(3)), rounds="kept")
-    @example(path=[], last=c("<", X, lin_const(3)), rounds=98)
-    @example(path=[], last=c("<", X, lin_const(3)), rounds=99)
-    def test_extend_fixpoint_equals_the_reference_in_every_field(self, path, last, rounds):
-        assert symex._PROPAGATION_ROUNDS == 100  # the drawn rounds reach the cap less one
+    # two-variable inequality makes the rest of the path general; bound-only
+    # paths equal propagation at the lowest caps; none of ``x < x``,
+    # ``2x != 3`` and ``x != y`` makes a path general.
+    @example(path=[c("<", _lin(0, (0, -3), (1, -3)), _lin(0, (1, -3)))], cap=100)
+    @example(path=[c("!=", X, lin_const(5)), c(">=", X, lin_const(5))], cap=100)
+    @example(path=[c("<", X, Y), c("<=", Y, lin_const(3))], cap=100)
+    @example(path=[c("<", X, lin_const(3))], cap=2)
+    @example(path=[c("<", X, lin_const(3))], cap=1)
+    @example(path=[c(">=", X, lin_const(3)), c("<", X, X)], cap=100)
+    @example(path=[c("!=", _lin(0, (0, 2)), lin_const(3)), c("<=", X, lin_const(1))], cap=100)
+    @example(path=[c("!=", X, Y), c("<", Y, lin_const(0)), c(">", X, lin_const(-2))], cap=100)
+    @example(
+        path=[c(">", X, lin_const(2)), c("<=", Y, lin_const(7)),
+              c("==", _lin(0, (0, 2)), lin_const(8)), c("<", Y, lin_const(-1))],
+        cap=1,
+    )
+    def test_every_node_equals_propagation_from_scratch(self, path, cap):
         solver = Solver()
-        node, parent = solver.root, solver.root.fixpoint
-        for constraint in path:
-            node = solver.extend(node, constraint)
-            parent = _reference_extend_fixpoint(parent, node)
-        if rounds != "kept" and parent.verdict is None:
-            parent = parent._replace(rounds=rounds)
-        child = solver.extend(node, last)
-        got = symex._extend_fixpoint(parent, child)
-        want = _reference_extend_fixpoint(parent, child)
-        for field in symex._Fixpoint._fields:
-            assert getattr(got, field) == getattr(want, field), field
+        node = solver.root
+        with patch.object(symex, "_PROPAGATION_ROUNDS", cap):
+            for end in range(1, len(path) + 1):
+                prefix = path[:end]
+                node = solver.extend(node, prefix[-1])
+                got = symex._settle(node)
+                live = [c for c in prefix if not c.is_const]
+                if any(c.is_opaque for c in prefix):
+                    assert got.verdict == "unknown"
+                    continue
+                domains = None
+                if all(apply_cmp(c.cmp, c.lhs.const, c.rhs.const) for c in prefix if c.is_const):
+                    domains = _reference_propagate(live, 3, cap)
+                if domains is None:
+                    assert got.verdict == "unsat"
+                    continue
+                assert got.verdict is None
+                size = len(got.lo)
+                assert [[lo, hi] for lo, hi in zip(got.lo, got.hi)] == domains[:size]
+                assert all(d == [INT32_MIN, INT32_MAX] for d in domains[size:])
+                assert got.general == any(_is_general(c) for c in live)
+                candidate = list(map(symex._nearest_zero, got.lo, got.hi))
+                assert got.candidate_ok == all(
+                    apply_cmp(c.cmp, c.lhs.evaluate(candidate), c.rhs.evaluate(candidate))
+                    for c in live
+                )
 
 
 class TestSelectNextState:
