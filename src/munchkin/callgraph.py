@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Set
 
 from .executor import OP_BRANCH, OP_CALL, OP_JUMP, OP_RETURN, lowered_form
-from .ir import Program, _Record, block_locations
+from .ir import ENTRY_FUNCTION, Program, _Record, block_locations
 
 
 class CallGraph(_Record):
@@ -174,9 +174,8 @@ def index_program(program: Program) -> ProgramIndex:
     returns: dict[str, list[int]] = {name: [] for name in functions}
     predecessors: list[list[int]] = [[] for _ in locations]
     for here, code in enumerate(codes):
-        fname, bid = locations[here]
-        if bid == functions[fname].entry_block:
-            entries[fname] = here
+        fname = locations[here][0]
+        entries.setdefault(fname, here)
         for instr in code:
             op = instr[0]
             if op == OP_CALL:
@@ -198,8 +197,8 @@ def index_program(program: Program) -> ProgramIndex:
     for caller, callee in sorted(edges):
         callees[caller].append(callee)
         callers[callee].append(caller)
-    depths = {program.entry: 0}
-    queue = [program.entry]
+    depths = {ENTRY_FUNCTION: 0}
+    queue = [ENTRY_FUNCTION]
     while queue:
         fname = queue.pop(0)
         for callee in callees[fname]:

@@ -77,7 +77,7 @@ def _load_config(path: str | None) -> dict[str, int | str]:
     if not path:
         return {}
     config: dict[str, int | str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -43,6 +43,7 @@ from .ir import (
     Branch,
     Call,
     Const,
+    ENTRY_FUNCTION,
     INT32_MAX,
     INT32_MIN,
     Jump,
@@ -189,8 +190,9 @@ def _lower(program: Program) -> Lowered:
                 args = tuple(
                     (param, *_operand(arg)) for param, arg in zip(callee.params, instr.args)
                 )
+                entry = (instr.callee, next(iter(callee.blocks)))
                 code.append((
-                    OP_CALL, instr.callee, *transfer(here, (instr.callee, callee.entry_block)),
+                    OP_CALL, instr.callee, *transfer(here, entry),
                     args, instr.dest, hashes[here] & _MASK,
                 ))
         term = block.terminator
@@ -206,7 +208,7 @@ def _lower(program: Program) -> Lowered:
             value = 0 if term.value is None else term.value
             code.append((OP_RETURN, *_operand(value), (hashes[here] >> 1) & _MASK))
 
-    entry = ids[(program.entry, functions[program.entry].entry_block)]
+    entry = ids[(ENTRY_FUNCTION, next(iter(functions[ENTRY_FUNCTION].blocks)))]
     start = ((_location_hash(_START_LOCATION) >> 1) ^ hashes[entry]) & _MASK
     return codes, entry, start
 
@@ -238,7 +240,7 @@ def run_concrete(
     codes, entry_id, start_edge = lowered_form(program)
     code = codes[entry_id]
 
-    covered = {program.entry}
+    covered = {ENTRY_FUNCTION}
     edges = {start_edge}
     printed: list[int] = []
     # Callers' (code, index, locals, result local, block hash) while a callee runs.
@@ -328,7 +330,7 @@ def write_input_file(path: str | Path, values: Iterable[int]) -> None:
 
 def read_input_file(path: str | Path) -> InputVector:
     values = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         line = raw.strip()
         if not line:
             continue

@@ -104,12 +104,12 @@ def _node_name(params: GenParams, lo: int, hi: int) -> str:
     return f"n_{lo}_{hi}_{_mix(params.seed, lo, hi):04x}"
 
 
-def _leaf_function(name: str) -> Function:
-    blocks = {"entry": Block("entry", (Print("x"),), Return(None))}
-    return Function(name, ("x",), blocks, "entry")
+def _leaf_function() -> Function:
+    blocks = {"entry": Block((Print("x"),), Return(None))}
+    return Function(("x",), blocks)
 
 
-def _internal_function(params: GenParams, name: str, lo: int, hi: int) -> Function:
+def _internal_function(params: GenParams, lo: int, hi: int) -> Function:
     children = split_range(lo, hi, params.branching)
     call_blocks = [f"c{k}" for k in range(len(children))]
     blocks: dict[str, Block] = {}
@@ -118,26 +118,24 @@ def _internal_function(params: GenParams, name: str, lo: int, hi: int) -> Functi
         bid = "entry" if k == 0 else f"t{k}"
         next_bid = call_blocks[k + 1] if k == len(children) - 2 else f"t{k + 1}"
         bound = children[k + 1][0]
-        blocks[bid] = Block(bid, (), Branch("<", "x", bound, call_blocks[k], next_bid))
+        blocks[bid] = Block((), Branch("<", "x", bound, call_blocks[k], next_bid))
     for k, (clo, chi) in enumerate(children):
         bid = call_blocks[k]
         callee = _node_name(params, clo, chi)
-        blocks[bid] = Block(bid, (Call(None, callee, ("x",)),), Return(None))
-    return Function(name, ("x",), blocks, "entry")
+        blocks[bid] = Block((Call(None, callee, ("x",)),), Return(None))
+    return Function(("x",), blocks)
 
 
 def _main_function(params: GenParams) -> Function:
     lo, hi = input_range(params)
     root = _node_name(params, lo, hi)
     blocks = {
-        "entry": Block(
-            "entry", (ReadInput("x"),), Branch("<", "x", 0, "reject", "lo_ok")
-        ),
-        "lo_ok": Block("lo_ok", (), Branch(">", "x", hi, "reject", "accept")),
-        "accept": Block("accept", (Call(None, root, ("x",)),), Return(None)),
-        "reject": Block("reject", (Print(INVALID_MARKER),), Return(None)),
+        "entry": Block((ReadInput("x"),), Branch("<", "x", 0, "reject", "lo_ok")),
+        "lo_ok": Block((), Branch(">", "x", hi, "reject", "accept")),
+        "accept": Block((Call(None, root, ("x",)),), Return(None)),
+        "reject": Block((Print(INVALID_MARKER),), Return(None)),
     }
-    return Function("main", (), blocks, "entry")
+    return Function((), blocks)
 
 
 def generate_program(params: GenParams) -> Program:
@@ -150,9 +148,9 @@ def generate_program(params: GenParams) -> Program:
         nlo, nhi = queue.pop(0)
         name = _node_name(params, nlo, nhi)
         if nlo == nhi:
-            functions[name] = _leaf_function(name)
+            functions[name] = _leaf_function()
             continue
-        functions[name] = _internal_function(params, name, nlo, nhi)
+        functions[name] = _internal_function(params, nlo, nhi)
         queue.extend(split_range(nlo, nhi, params.branching))
     program = Program(f"b{params.branching}_d{params.depth}", functions)
     validate_program(program)

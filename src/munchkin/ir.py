@@ -36,6 +36,12 @@ literals to it. So the fast path changes no result, and every ParseError
 comes from the cursor. Its column counts from the start of the source line
 and points at the offending token or character.
 
+A program runs from its function ``main`` (``ENTRY_FUNCTION``), which takes
+no parameters, and a function runs from its first block. In the records, a
+``Program`` keys its functions by name and a ``Function`` its blocks by id,
+in text order; no record holds its own name or an entry, so each of these
+facts is stated once, as in the text.
+
 Programs are immutable after validation and safe to share across threads.
 
 The IR nodes here, and every other record the library builds for itself,
@@ -255,41 +261,31 @@ Terminator = Branch | Jump | Return
 
 
 class Block(_Record):
-    __slots__ = _fields = ("id", "instructions", "terminator")
+    __slots__ = _fields = ("instructions", "terminator")
 
-    def __init__(
-        self, id: str, instructions: tuple[Instruction, ...], terminator: Terminator
-    ) -> None:
-        object.__setattr__(self, "id", id)
+    def __init__(self, instructions: tuple[Instruction, ...], terminator: Terminator) -> None:
         object.__setattr__(self, "instructions", instructions)
         object.__setattr__(self, "terminator", terminator)
 
 
 class Function(_Record):
-    __slots__ = _fields = ("name", "params", "blocks", "entry_block")
+    __slots__ = _fields = ("params", "blocks")
 
-    def __init__(
-        self, name: str, params: tuple[str, ...], blocks: dict[str, Block], entry_block: str
-    ) -> None:
-        object.__setattr__(self, "name", name)
+    def __init__(self, params: tuple[str, ...], blocks: dict[str, Block]) -> None:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "entry_block", entry_block)
 
 
 class Program(_Record):
     # ``_lowered`` (executor.lowered_form) and ``_index``
     # (callgraph.index_program) are caches, unset until first use. They are
     # not fields, so copies and pickles leave them out and rebuild them.
-    _fields = ("name", "functions", "entry")
+    _fields = ("name", "functions")
     __slots__ = _fields + ("_lowered", "_index", "__weakref__")
 
-    def __init__(
-        self, name: str, functions: dict[str, Function], entry: str = ENTRY_FUNCTION
-    ) -> None:
+    def __init__(self, name: str, functions: dict[str, Function]) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "functions", functions)
-        object.__setattr__(self, "entry", entry)
 
 
 def block_locations(program: Program) -> tuple[tuple[str, str], ...]:
@@ -656,7 +652,7 @@ def parse_program(text: str) -> Program:
             )
         if cur_block_id in cur_blocks:
             raise ParseError(f"duplicate block '{cur_block_id}'", cur_block_line)
-        cur_blocks[cur_block_id] = Block(cur_block_id, tuple(cur_instrs), cur_term)
+        cur_blocks[cur_block_id] = Block(tuple(cur_instrs), cur_term)
         cur_block_id = None
         cur_instrs = []
         cur_term = None
@@ -668,10 +664,9 @@ def parse_program(text: str) -> Program:
         flush_block(lineno)
         if not cur_blocks:
             raise ParseError(f"function '{cur_func}' has no blocks", lineno)
-        entry_block = next(iter(cur_blocks))
         if cur_func in functions:
             raise ParseError(f"duplicate function '{cur_func}'", lineno)
-        functions[cur_func] = Function(cur_func, cur_params, cur_blocks, entry_block)
+        functions[cur_func] = Function(cur_params, cur_blocks)
         cur_func = None
         cur_blocks = {}
 
@@ -747,18 +742,16 @@ def validate_program(
     def line_of(func: str, block: str, index: int) -> int | None:
         return source_map.get((func, block, index))
 
-    entry = program.functions.get(program.entry)
-    if program.entry != ENTRY_FUNCTION or entry is None:
+    entry = program.functions.get(ENTRY_FUNCTION)
+    if entry is None:
         raise ValidationError(f"missing entry function '{ENTRY_FUNCTION}'")
     if entry.params:
         raise ValidationError(f"entry function '{ENTRY_FUNCTION}' must take no parameters")
 
     warnings: list[str] = []
     for fname, func in program.functions.items():
-        if func.entry_block not in func.blocks:
-            raise ValidationError(
-                f"function '{fname}': entry block '{func.entry_block}' does not exist"
-            )
+        if not func.blocks:
+            raise ValidationError(f"function '{fname}' has no blocks")
         # A name defined in another block of the function counts as assigned
         # (control flow is not tracked); one defined only later in its own
         # block does not. ``defining[name]`` counts the blocks defining it.
@@ -836,8 +829,9 @@ def validate_program(
                     check_operand(term.value, assigned, -1)
 
         # Intra-function reachability: soft check only.
-        seen = {func.entry_block}
-        stack = [func.entry_block]
+        first = next(iter(func.blocks))
+        seen = {first}
+        stack = [first]
         while stack:
             block = func.blocks[stack.pop()]
             term = block.terminator
@@ -899,10 +893,10 @@ def serialize_program(program: Program) -> str:
     byte-identical.
     """
     lines = [f"program {program.name}", ""]
-    for func in program.functions.values():
-        lines.append(f"func {func.name}({', '.join(func.params)})")
-        for block in func.blocks.values():
-            lines.append(f"block {block.id}:")
+    for fname, func in program.functions.items():
+        lines.append(f"func {fname}({', '.join(func.params)})")
+        for bid, block in func.blocks.items():
+            lines.append(f"block {bid}:")
             for instr in block.instructions:
                 lines.append(f"  {_fmt_instruction(instr)}")
             lines.append(f"  {_fmt_terminator(block.terminator)}")

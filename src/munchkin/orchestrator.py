@@ -114,6 +114,8 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
         raise ValueError("per-target query budget must be positive")
     if cfg.per_target_state_budget <= 0:
         raise ValueError("per-target state budget must be positive")
+    if cfg.max_inputs < 0:
+        raise ValueError("max_inputs must not be negative")
     started = time.perf_counter()
 
     fuzz_result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))

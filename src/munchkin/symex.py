@@ -73,6 +73,7 @@ from heapq import heappop, heappush
 from typing import Iterable, NamedTuple, Sequence
 
 from .ir import (
+    ENTRY_FUNCTION,
     INT32_MAX,
     INT32_MIN,
     Program,
@@ -1020,7 +1021,7 @@ def symex_campaign(
             # A print has no symbolic effect; it only takes its step.
 
     try:
-        on_entry(initial, program.entry)
+        on_entry(initial, ENTRY_FUNCTION)
         while frontier:
             if states_explored >= limits.max_states:
                 break

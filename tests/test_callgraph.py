@@ -66,7 +66,7 @@ def interprocedural_edges(program):
             for instr in block.instructions:
                 if isinstance(instr, Call):
                     callee = program.functions[instr.callee]
-                    edges.add((src, (instr.callee, callee.entry_block)))
+                    edges.add((src, (instr.callee, next(iter(callee.blocks)))))
                     for exit_bid, exit_block in callee.blocks.items():
                         if isinstance(exit_block.terminator, Return):
                             edges.add(((instr.callee, exit_bid), src))
@@ -212,7 +212,7 @@ class TestSonarDistances:
         assert index.predecessors == tuple(tuple(sorted(preds)) for preds in predecessors)
         for target, func in program.functions.items():
             df = index.distances(target)
-            goal = (target, func.entry_block)
+            goal = (target, next(iter(func.blocks)))
             for loc in locations:
                 assert _distance(program, df, loc) == _brute_force_distance(edges, loc, goal), (
                     target, loc,

@@ -442,6 +442,24 @@ def test_literal_spellings_read_as_their_values(tree_mir, tmp_path):
         assert json.loads((out / "report-AFL-like.json").read_text())["executions"] == 13
 
 
+def test_only_a_newline_ends_a_config_line(tree_mir, tmp_path):
+    config = tmp_path / "cfg"
+    config.write_text("rng_seed = 7\nfuzz_budget = 12  # note\u2028 more\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("--config", str(config), "fuzz", str(tree_mir), "--out", str(out)) == 0
+    assert json.loads((out / "report-AFL-like.json").read_text())["executions"] == 13
+
+
+def test_only_a_newline_ends_a_seed_file_line(tree_mir, tmp_path, capsys):
+    seeds = tmp_path / "seeds"
+    seeds.mkdir()
+    (seeds / "a.txt").write_text("5\x0c7\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("fuzz", str(tree_mir), "--seeds", str(seeds), "--out", str(out)) == 2
+    assert f"{seeds / 'a.txt'}: line 1: not an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestConfigAndEnv:
     @pytest.mark.parametrize("source", ["flags", "config"])
     @pytest.mark.parametrize("command", list(COMMANDS))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from munchkin import ir
+from munchkin.executor import run_concrete
 from munchkin.generator import GenParams, generate_program
 from munchkin.ir import (
     BIN_OPS,
@@ -51,7 +52,7 @@ block entry:
 def test_parse_minimal_program():
     program = parse_program(MINIMAL)
     assert len(program.functions) == 1
-    assert program.entry == "main"
+    assert list(program.functions) == [ENTRY_FUNCTION]
     assert program.functions["main"].blocks["entry"].terminator == Return(None)
 
 
@@ -81,6 +82,55 @@ class TestRoundTrip:
         program = generate_program(GenParams(3, 2))
         once = serialize_program(program)
         assert serialize_program(parse_program(once)) == once
+
+    @pytest.mark.parametrize(
+        "program, inputs, printed",
+        [
+            # A function is named by its key only.
+            (
+                Program("t", {
+                    "main": Function((), {"go": Block((Call(None, "f", (7,)),), Return(None))}),
+                    "f": Function(("v",), {"body": Block((Print("v"),), Return(None))}),
+                }),
+                [()],
+                [(7,)],
+            ),
+            # Blocks are named by their keys only.
+            (
+                Program("t", {
+                    "main": Function((), {
+                        "start": Block((ReadInput("x"),), Branch("<", "x", 0, "neg", "pos")),
+                        "neg": Block((Print(-1),), Return(None)),
+                        "pos": Block((Print("x"),), Return(None)),
+                    }),
+                }),
+                [(-5,), (4,)],
+                [(-1,), (4,)],
+            ),
+            # A function runs from its first block, here one that jumps forward.
+            (
+                Program("t", {
+                    "main": Function((), {
+                        "top": Block((Print(2),), Jump("bottom")),
+                        "middle": Block((Print(3),), Return(None)),
+                        "bottom": Block((Print(1),), Return(None)),
+                    }),
+                }),
+                [()],
+                [(2, 1)],
+            ),
+        ],
+        ids=["function-key", "block-keys", "first-block-entry"],
+    )
+    def test_a_program_built_from_records_round_trips_and_runs_alike(
+        self, program, inputs, printed
+    ):
+        validate_program(program)
+        reparsed = parse_program(serialize_program(program))
+        assert reparsed == program
+        for values, want in zip(inputs, printed):
+            assert run_concrete(program, values).printed == want
+            assert run_concrete(reparsed, values) == run_concrete(program, values)
 
 
 class TestCountBranches:
@@ -162,6 +212,10 @@ class TestValidation:
     def test_missing_main(self):
         with pytest.raises(ValidationError, match="main"):
             parse_program("program p\n\nfunc helper()\nblock entry:\n  ret\n")
+
+    def test_a_function_without_blocks_is_rejected(self):
+        with pytest.raises(ValidationError, match="^function 'main' has no blocks$"):
+            validate_program(Program("t", {"main": Function((), {})}))
 
     def test_main_must_take_no_parameters(self):
         with pytest.raises(ValidationError, match="no parameters"):
@@ -344,8 +398,8 @@ def _programs(draw):
                 term = Branch(cmp, operand(), operand(), then_b, else_b)
             else:
                 term = Return(None)
-            blocks[bid] = Block(bid, tuple(instrs), term)
-        functions[name] = Function(name, params[name], blocks, block_ids[0])
+            blocks[bid] = Block(tuple(instrs), term)
+        functions[name] = Function(params[name], blocks)
     return Program("t", functions)
 
 
@@ -819,7 +873,7 @@ def reference_parse_program(text: str) -> Program:
             )
         if cur_block_id in cur_blocks:
             raise ParseError(f"duplicate block '{cur_block_id}'", cur_block_line)
-        cur_blocks[cur_block_id] = Block(cur_block_id, tuple(cur_instrs), cur_term)
+        cur_blocks[cur_block_id] = Block(tuple(cur_instrs), cur_term)
         cur_block_id = None
         cur_instrs = []
         cur_term = None
@@ -831,10 +885,9 @@ def reference_parse_program(text: str) -> Program:
         flush_block(lineno)
         if not cur_blocks:
             raise ParseError(f"function '{cur_func}' has no blocks", lineno)
-        entry_block = next(iter(cur_blocks))
         if cur_func in functions:
             raise ParseError(f"duplicate function '{cur_func}'", lineno)
-        functions[cur_func] = Function(cur_func, cur_params, cur_blocks, entry_block)
+        functions[cur_func] = Function(cur_params, cur_blocks)
         cur_func = None
         cur_blocks = {}
 
@@ -912,18 +965,16 @@ def reference_validate_program(
     def line_of(func: str, block: str, index: int) -> int | None:
         return source_map.get((func, block, index))
 
-    entry = program.functions.get(program.entry)
-    if program.entry != ENTRY_FUNCTION or entry is None:
+    entry = program.functions.get(ENTRY_FUNCTION)
+    if entry is None:
         raise ValidationError(f"missing entry function '{ENTRY_FUNCTION}'")
     if entry.params:
         raise ValidationError(f"entry function '{ENTRY_FUNCTION}' must take no parameters")
 
     warnings: list[str] = []
     for fname, func in program.functions.items():
-        if func.entry_block not in func.blocks:
-            raise ValidationError(
-                f"function '{fname}': entry block '{func.entry_block}' does not exist"
-            )
+        if not func.blocks:
+            raise ValidationError(f"function '{fname}' has no blocks")
         dests_by_block: dict[str, set[str]] = {}
         for bid, block in func.blocks.items():
             dests: set[str] = set()
@@ -997,8 +1048,9 @@ def reference_validate_program(
                     check_operand(term.value, assigned, -1)
 
         # Intra-function reachability: soft check only.
-        seen = {func.entry_block}
-        stack = [func.entry_block]
+        first = next(iter(func.blocks))
+        seen = {first}
+        stack = [first]
         while stack:
             block = func.blocks[stack.pop()]
             term = block.terminator

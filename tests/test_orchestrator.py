@@ -137,6 +137,13 @@ class TestFS:
         with pytest.raises(ValueError, match="state budget"):
             run_fs(program, _fs_config(fuzz_budget=10, per_target_state_budget=0))
 
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_a_negative_max_inputs_is_rejected_before_fuzzing(self, depth):
+        # On b2d1 fuzzing covers every function, so no symbolic run would check it.
+        program = generate_program(GenParams(2, depth))
+        with pytest.raises(ValueError, match="max_inputs"):
+            run_fs(program, _fs_config(fuzz_budget=10, max_inputs=-1))
+
 
 class TestSF:
     def test_symex_phase_alone_already_full(self):

@@ -74,7 +74,7 @@ def test_importing_the_package_loads_neither_the_cli_nor_argparse():
 
 _COVERAGE = CoverageMap(frozenset({"main", "f"}), frozenset({3, 40000}))
 _RUN = RunResult(_COVERAGE, Outcome.COMPLETED, (1, -2), 17, 2)
-_RETURN_BLOCK = Block("e", (), Return(None))
+_RETURN_BLOCK = Block((), Return(None))
 _INDEX = index_program(generate_program(GenParams(2, 1)))
 
 # One value per field, for each of the 24 record types. A path condition
@@ -88,9 +88,9 @@ SAMPLES = {
     Branch: ("<", "a", 3, "t", "e"),
     Jump: ("t",),
     Return: (None,),
-    Block: ("e", (Const("x", 5), Print("x")), Return("x")),
-    Function: ("f", ("a",), {"e": _RETURN_BLOCK}, "e"),
-    Program: ("p", {"main": Function("main", (), {"e": _RETURN_BLOCK}, "e")}, "main"),
+    Block: ((Const("x", 5), Print("x")), Return("x")),
+    Function: (("a",), {"e": _RETURN_BLOCK}),
+    Program: ("p", {"main": Function((), {"e": _RETURN_BLOCK})}),
     LinExpr: (3, ((0, 1), (2, -4))),
     Constraint: ("<=", LinExpr(0, ((0, 1),)), LinExpr(7, ())),
     SolverStats: (5, 3, 1, 1, 2),
@@ -196,7 +196,6 @@ class TestRecordParity:
 
 def test_the_records_keep_their_defaults():
     assert Return() == Return(None)
-    assert Program("p", {}).entry == "main"
     assert LinExpr() == LinExpr(0, ())
     assert CoverageMap() == CoverageMap(frozenset(), frozenset())
     assert SolveResult("unsat").model is None
@@ -208,6 +207,14 @@ def test_the_records_keep_their_defaults():
     first, second = FuzzResult([], _COVERAGE, 0, []), FuzzResult([], _COVERAGE, 0, [])
     assert first.function_witnesses == {}
     assert first.function_witnesses is not second.function_witnesses
+
+
+def test_the_ir_records_hold_no_name_or_entry_of_their_own():
+    # A function's name and a block's id are their dict keys, a function's
+    # entry is its first block, and the program's entry is ENTRY_FUNCTION.
+    assert Block._fields == ("instructions", "terminator")
+    assert Function._fields == ("params", "blocks")
+    assert Program._fields == ("name", "functions")
 
 
 def test_copies_of_a_program_and_a_constraint_leave_their_caches_out():
