@@ -114,22 +114,6 @@ class ProgramIndex(_Record):
         "callgraph", "reachable", "entries", "predecessors", "callers", "by_depth"
     )
 
-    def __init__(
-        self,
-        callgraph: CallGraph,
-        reachable: frozenset[str],
-        entries: dict[str, int],
-        predecessors: tuple[tuple[int, ...], ...],
-        callers: dict[str, tuple[str, ...]],
-        by_depth: tuple[str, ...],
-    ) -> None:
-        object.__setattr__(self, "callgraph", callgraph)
-        object.__setattr__(self, "reachable", reachable)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "predecessors", predecessors)
-        object.__setattr__(self, "callers", callers)
-        object.__setattr__(self, "by_depth", by_depth)
-
     def distances(self, target: str) -> DistanceField:
         """A new distance field for the target, with only its entry settled."""
         start = self.entries.get(target)

@@ -91,12 +91,7 @@ class CoverageMap(_Record):
     """Function coverage set plus edge bitmap (sparse set-bit indices)."""
 
     __slots__ = _fields = ("functions", "edge_bits")
-
-    def __init__(
-        self, functions: frozenset[str] = frozenset(), edge_bits: frozenset[int] = frozenset()
-    ) -> None:
-        object.__setattr__(self, "functions", functions)
-        object.__setattr__(self, "edge_bits", edge_bits)
+    _defaults = (frozenset(), frozenset())
 
     @property
     def edge_count(self) -> int:
@@ -112,20 +107,6 @@ class RunResult(_Record):
     """
 
     __slots__ = _fields = ("coverage", "outcome", "printed", "steps", "inputs_read")
-
-    def __init__(
-        self,
-        coverage: CoverageMap,
-        outcome: Outcome,
-        printed: tuple[int, ...],
-        steps: int,
-        inputs_read: int,
-    ) -> None:
-        object.__setattr__(self, "coverage", coverage)
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "printed", printed)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "inputs_read", inputs_read)
 
 
 # Opcodes of the lowered form, shared by this interpreter and the symbolic

@@ -71,13 +71,6 @@ class FuzzConfig:
 class CorpusEntry(_Record):
     __slots__ = _fields = ("values", "coverage", "discovery_iteration")
 
-    def __init__(
-        self, values: InputVector, coverage: CoverageMap, discovery_iteration: int
-    ) -> None:
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "coverage", coverage)
-        object.__setattr__(self, "discovery_iteration", discovery_iteration)
-
 
 class FuzzResult(_MutableRecord):
     __slots__ = _fields = ("corpus", "cumulative", "executions", "faults", "function_witnesses")

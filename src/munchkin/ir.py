@@ -45,11 +45,16 @@ facts is stated once, as in the text.
 Programs are immutable after validation and safe to share across threads.
 
 The IR nodes here, and every other record the library builds for itself,
-are ``_Record`` classes with ``__slots__`` and a hand-written ``__init__``,
-not dataclasses: generating dataclass code took most of the package's
-import time. Only the five types that callers build from keywords or pass
-to ``dataclasses.replace`` stay dataclasses: ``GenParams``, ``FuzzConfig``,
-``SymexLimits``, ``HybridConfig`` and ``CampaignReport``.
+are ``_Record`` classes with ``__slots__``, not dataclasses. A record states
+its fields once, in ``_fields``, and ``_Record.__init_subclass__`` builds the
+``__init__`` that stores them. That is one small ``exec`` per class, and
+equality, hash and repr are the base class's, shared by every record.
+Generating dataclass code took most of the package's import time, because
+a dataclass generates several methods per class, each by its own ``exec``,
+after inspecting the class's annotations. Only the five types that callers
+build from keywords or pass to ``dataclasses.replace`` stay dataclasses:
+``GenParams``, ``FuzzConfig``, ``SymexLimits``, ``HybridConfig`` and
+``CampaignReport``.
 """
 
 from __future__ import annotations
@@ -135,17 +140,39 @@ def apply_cmp(cmp: str, lhs: int, rhs: int) -> bool:
 class _Record:
     """Base of the record types the library builds for itself.
 
-    A subclass names its fields in ``_fields``, which are also its
-    ``__slots__``, and writes its own ``__init__``, which sets them with
-    ``object.__setattr__``. Like a frozen dataclass, a record equals only a
-    record of its exact type with equal fields, hashes the tuple of its
-    fields, shows as ``Name(field=value, ...)`` and rejects assignment.
-    Copies and pickles rebuild a record from its fields, so a slot outside
-    ``_fields`` (a cache) is left out.
+    A subclass names its fields once, in ``_fields``, which are also its
+    ``__slots__``, and the values of its trailing fields' defaults in
+    ``_defaults`` (immutable values only: every instance shares them).
+    ``__init_subclass__`` builds the ``__init__`` that takes the fields in
+    order and stores them, unless the class writes its own. Like a frozen
+    dataclass, a record equals only a record of its exact type with equal
+    fields, hashes the tuple of its fields, shows as
+    ``Name(field=value, ...)`` and rejects assignment. Copies and pickles
+    rebuild a record from its fields, so a slot outside ``_fields`` (a
+    cache) is left out.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "__init__" in cls.__dict__:
+            return
+        # A frozen record stores through ``object.__setattr__``, bound once as
+        # the function's global ``_set``. A mutable one assigns, about three
+        # times as fast per field, because symex builds a SymState per fork.
+        mutable = cls.__setattr__ is object.__setattr__
+        store = "self.{0} = {0}" if mutable else "_set(self, {0!r}, {0})"
+        body = "".join(f"\n    {store.format(name)}" for name in cls._fields) or "\n    pass"
+        source = f"def __init__(self, {', '.join(cls._fields)}):{body}\n"
+        namespace = {"_set": object.__setattr__}
+        exec(compile(source, f"<{cls.__qualname__}.__init__>", "exec"), namespace)
+        init = namespace["__init__"]
+        init.__defaults__ = cls._defaults
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -189,42 +216,21 @@ class _MutableRecord(_Record):
 class Const(_Record):
     __slots__ = _fields = ("dest", "value")
 
-    def __init__(self, dest: str, value: int) -> None:
-        object.__setattr__(self, "dest", dest)
-        object.__setattr__(self, "value", value)
-
 
 class ReadInput(_Record):
     __slots__ = _fields = ("dest",)
-
-    def __init__(self, dest: str) -> None:
-        object.__setattr__(self, "dest", dest)
 
 
 class BinOp(_Record):
     __slots__ = _fields = ("dest", "op", "lhs", "rhs")
 
-    def __init__(self, dest: str, op: str, lhs: Operand, rhs: Operand) -> None:
-        object.__setattr__(self, "dest", dest)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
 
 class Call(_Record):
-    __slots__ = _fields = ("dest", "callee", "args")
-
-    def __init__(self, dest: str | None, callee: str, args: tuple[Operand, ...]) -> None:
-        object.__setattr__(self, "dest", dest)
-        object.__setattr__(self, "callee", callee)
-        object.__setattr__(self, "args", args)
+    __slots__ = _fields = ("dest", "callee", "args")  # dest is None for a bare call
 
 
 class Print(_Record):
     __slots__ = _fields = ("operand",)
-
-    def __init__(self, operand: Operand) -> None:
-        object.__setattr__(self, "operand", operand)
 
 
 Instruction = Const | ReadInput | BinOp | Call | Print
@@ -233,28 +239,14 @@ Instruction = Const | ReadInput | BinOp | Call | Print
 class Branch(_Record):
     __slots__ = _fields = ("cmp", "lhs", "rhs", "then_block", "else_block")
 
-    def __init__(
-        self, cmp: str, lhs: Operand, rhs: Operand, then_block: str, else_block: str
-    ) -> None:
-        object.__setattr__(self, "cmp", cmp)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "then_block", then_block)
-        object.__setattr__(self, "else_block", else_block)
-
 
 class Jump(_Record):
     __slots__ = _fields = ("target",)
 
-    def __init__(self, target: str) -> None:
-        object.__setattr__(self, "target", target)
-
 
 class Return(_Record):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: Operand | None = None) -> None:
-        object.__setattr__(self, "value", value)
+    __slots__ = _fields = ("value",)  # an operand, or None
+    _defaults = (None,)
 
 
 Terminator = Branch | Jump | Return
@@ -263,17 +255,9 @@ Terminator = Branch | Jump | Return
 class Block(_Record):
     __slots__ = _fields = ("instructions", "terminator")
 
-    def __init__(self, instructions: tuple[Instruction, ...], terminator: Terminator) -> None:
-        object.__setattr__(self, "instructions", instructions)
-        object.__setattr__(self, "terminator", terminator)
-
 
 class Function(_Record):
     __slots__ = _fields = ("params", "blocks")
-
-    def __init__(self, params: tuple[str, ...], blocks: dict[str, Block]) -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "blocks", blocks)
 
 
 class Program(_Record):
@@ -282,10 +266,6 @@ class Program(_Record):
     # not fields, so copies and pickles leave them out and rebuild them.
     _fields = ("name", "functions")
     __slots__ = _fields + ("_lowered", "_index", "__weakref__")
-
-    def __init__(self, name: str, functions: dict[str, Function]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "functions", functions)
 
 
 def block_locations(program: Program) -> tuple[tuple[str, str], ...]:
@@ -328,10 +308,15 @@ class ValidationError(IRError):
 
 # Order matters: multi-char operators and signed integers before single chars.
 _TOKEN_RE = re.compile(r"->|<=|>=|==|!=|-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[=(),:+*/%<>-]")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _KEYWORDS = frozenset(
     {"program", "func", "block", "const", "input", "call", "print", "br", "jmp", "ret"}
 )
+
+
+def _is_name(text: object) -> bool:
+    """An ASCII identifier other than a keyword: a name ``.mir`` can spell."""
+    ascii_identifier = isinstance(text, str) and text.isascii() and text.isidentifier()
+    return ascii_identifier and text not in _KEYWORDS
 
 
 def _check_gap(line: str, start: int, end: int, lineno: int, indent: int) -> None:
@@ -381,7 +366,7 @@ class _Cursor:
 
     def ident(self, what: str = "name") -> str:
         tok, col = self.next(what)
-        if not _IDENT_RE.match(tok) or tok in _KEYWORDS:
+        if not _is_name(tok):
             raise ParseError(f"expected {what}, found {tok!r}", self.lineno, col)
         return tok
 
@@ -402,7 +387,7 @@ class _Cursor:
             if not INT32_MIN <= value <= INT32_MAX:
                 raise ParseError("integer literal out of int32 range", self.lineno, col)
             return value
-        if not _IDENT_RE.match(tok) or tok in _KEYWORDS:
+        if not _is_name(tok):
             raise ParseError(f"expected operand, found {tok!r}", self.lineno, col)
         return tok
 
@@ -734,8 +719,9 @@ def validate_program(
     """Check every structural invariant; return warnings for soft issues.
 
     Hard violations (missing entry, unknown callee, arity mismatch, bad
-    branch targets, use of never-assigned operands) raise ValidationError.
-    Unreachable blocks only produce warnings.
+    branch targets, use of never-assigned operands, a name that ``.mir``
+    cannot spell) raise ValidationError. Unreachable blocks only produce
+    warnings.
     """
     source_map = source_map or {}
 
@@ -748,8 +734,15 @@ def validate_program(
     if entry.params:
         raise ValidationError(f"entry function '{ENTRY_FUNCTION}' must take no parameters")
 
+    # The distinct names the functions define; operands, callees and targets
+    # must name one of these or a function to validate.
+    params: set[str] = set()
+    block_ids: set[str] = set()
+    destinations: set[str] = set()
     warnings: list[str] = []
     for fname, func in program.functions.items():
+        params.update(func.params)
+        block_ids.update(func.blocks)
         if not func.blocks:
             raise ValidationError(f"function '{fname}' has no blocks")
         # A name defined in another block of the function counts as assigned
@@ -763,6 +756,7 @@ def validate_program(
             dests_by_block[bid] = dests
             for dest in dests:
                 defining[dest] = defining.get(dest, 0) + 1
+        destinations.update(defining)
 
         for bid, block in func.blocks.items():
             own = dests_by_block[bid]
@@ -848,6 +842,17 @@ def validate_program(
             if bid not in seen:
                 warnings.append(f"function '{fname}': block '{bid}' is unreachable")
 
+    # Each name once, so that a parse pays little for names it already checked.
+    for what, names in (
+        ("program name", (program.name,)),
+        ("function name", program.functions),
+        ("parameter name", params),
+        ("block id", block_ids),
+        ("destination", destinations),
+    ):
+        bad = [name for name in names if not _is_name(name)]
+        if bad:
+            raise ValidationError(f"{what} {min(bad, key=str)!r} is a keyword or not an identifier")
     return warnings
 
 

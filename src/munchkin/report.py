@@ -114,7 +114,7 @@ def emit_plot_dat(tables: Sequence[list[DepthRow]], path: str | Path) -> None:
 def read_plot_dat(path: str | Path) -> list[tuple[float, ...]]:
     """Parse a plot data file back into numeric rows."""
     rows = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").split("\n"):
         line = raw.strip()
         if not line:
             continue

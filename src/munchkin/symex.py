@@ -95,8 +95,6 @@ from .executor import (
     _COMPARE,
     CoverageMap,
     DEFAULT_STEP_LIMIT,
-    InputVector,
-    RunResult,
     lowered_form,
     run_concrete,
 )
@@ -136,11 +134,8 @@ OPAQUE = Opaque()
 class LinExpr(_Record):
     """Linear int32 expression in canonical sorted-variable form."""
 
-    __slots__ = _fields = ("const", "terms")
-
-    def __init__(self, const: int = 0, terms: tuple[tuple[int, int], ...] = ()) -> None:
-        object.__setattr__(self, "const", const)
-        object.__setattr__(self, "terms", terms)  # (variable index, coefficient)
+    __slots__ = _fields = ("const", "terms")  # terms: (variable index, coefficient)
+    _defaults = (0, ())
 
     # Written out rather than inherited: the solver's child table compares
     # and hashes constraints, and so their expressions, at every fork. The
@@ -241,13 +236,19 @@ class Constraint(_Record):
     # and pickles recompute them (string hashes differ between processes).
     # Slots rather than an instance ``__dict__``: with them sf-b3d6's bench
     # campaign took 0.158 s against 0.170 s (medians of ten runs each).
+    # ``is_const``: no input can change the verdict, because both sides are
+    # constants or both are the same linear expression (``x < x``). Two
+    # opaque sides are the one ``OPAQUE`` but need not be equal values.
     _fields = ("cmp", "lhs", "rhs")
-    __slots__ = _fields + ("_hash", "_normal")
+    __slots__ = _fields + ("is_const", "_hash", "_normal")
 
     def __init__(self, cmp: str, lhs: SymValue, rhs: SymValue) -> None:
         object.__setattr__(self, "cmp", cmp)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
+        linear = lhs.__class__ is LinExpr and rhs.__class__ is LinExpr
+        is_const = linear and lhs.terms == rhs.terms and (not lhs.terms or lhs.const == rhs.const)
+        object.__setattr__(self, "is_const", is_const)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_normal", None)
 
@@ -266,10 +267,6 @@ class Constraint(_Record):
     @property
     def is_opaque(self) -> bool:
         return isinstance(self.lhs, Opaque) or isinstance(self.rhs, Opaque)
-
-    @property
-    def is_const(self) -> bool:
-        return self.lhs.is_const and self.rhs.is_const
 
     @property
     def normal(self) -> _Normal:
@@ -381,15 +378,7 @@ class PathCondition:
 
 class SolverStats(_MutableRecord):
     __slots__ = _fields = ("queries", "sat", "unsat", "unknown", "cache_hits")
-
-    def __init__(
-        self, queries: int = 0, sat: int = 0, unsat: int = 0, unknown: int = 0, cache_hits: int = 0
-    ) -> None:
-        self.queries = queries
-        self.sat = sat
-        self.unsat = unsat
-        self.unknown = unknown
-        self.cache_hits = cache_hits
+    _defaults = (0, 0, 0, 0, 0)
 
     def copy(self) -> "SolverStats":
         return SolverStats(*self._values())
@@ -405,11 +394,8 @@ class SolverStats(_MutableRecord):
 
 
 class SolveResult(_Record):
-    __slots__ = _fields = ("status", "model")
-
-    def __init__(self, status: str, model: InputVector | None = None) -> None:
-        object.__setattr__(self, "status", status)  # "sat" | "unsat" | "unknown"
-        object.__setattr__(self, "model", model)
+    __slots__ = _fields = ("status", "model")  # status: "sat" | "unsat" | "unknown"
+    _defaults = (None,)
 
 
 SAT = "sat"
@@ -509,7 +495,7 @@ def _extend_fixpoint(parent: _Fixpoint, node: PathCondition) -> _Fixpoint:
     parent's intersected with its constraint's interval, and UNSAT when
     that is empty. Propagation from scratch gives the same for any round
     cap: its first round applies each bound once, its second changes
-    nothing. A constraint with no interval (``x < x``, ``2x != 3``,
+    nothing. A constraint with no interval (``x + 1 < x``, ``2x != 3``,
     ``x != y``) gives propagation nothing to tighten.
 
     On a general path, the domains start at the int32 limits and
@@ -681,29 +667,12 @@ class Strategy(Enum):
     SONAR = "sonar"
 
 
-# (lowered block, index of its next instruction, the block's location id,
-#  local store, the caller's local that receives the return value)
-Frame = tuple[list[tuple], int, int, dict[str, SymValue], str | None]
-
-
 class SymState(_MutableRecord):
+    # A frame is (lowered block, index of its next instruction, the block's
+    # location id, local store, the caller's local that receives the return
+    # value); ``pc`` is the state's node of the solver's trie.
     __slots__ = _fields = ("frames", "pc", "inputs_read", "queries_charged", "steps", "seq")
-
-    def __init__(
-        self,
-        frames: list[Frame],
-        pc: PathCondition,
-        inputs_read: int = 0,
-        queries_charged: int = 0,
-        steps: int = 0,
-        seq: int = 0,
-    ) -> None:
-        self.frames = frames
-        self.pc = pc
-        self.inputs_read = inputs_read
-        self.queries_charged = queries_charged
-        self.steps = steps
-        self.seq = seq
+    _defaults = (0, 0, 0, 0)
 
 
 class SonarFrontier:
@@ -809,10 +778,6 @@ class TestCase(_Record):
 
     __slots__ = _fields = ("values", "replay")
 
-    def __init__(self, values: InputVector, replay: RunResult) -> None:
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "replay", replay)
-
     @property
     def covering(self) -> frozenset[str]:
         """The functions the replay entered."""
@@ -821,20 +786,7 @@ class TestCase(_Record):
 
 class SymResult(_MutableRecord):
     __slots__ = _fields = ("test_cases", "coverage", "stats", "states_explored", "target_reached")
-
-    def __init__(
-        self,
-        test_cases: list[TestCase],
-        coverage: CoverageMap,
-        stats: SolverStats,
-        states_explored: int,
-        target_reached: bool = False,
-    ) -> None:
-        self.test_cases = test_cases
-        self.coverage = coverage
-        self.stats = stats
-        self.states_explored = states_explored
-        self.target_reached = target_reached
+    _defaults = (False,)
 
 
 class _TargetReached(Exception):

@@ -208,6 +208,10 @@ class TestParseErrors:
         assert caught.value.line == 7
 
 
+_RET = Block((), Return(None))
+_MAIN = Function((), {"e": _RET})
+
+
 class TestValidation:
     def test_missing_main(self):
         with pytest.raises(ValidationError, match="main"):
@@ -216,6 +220,33 @@ class TestValidation:
     def test_a_function_without_blocks_is_rejected(self):
         with pytest.raises(ValidationError, match="^function 'main' has no blocks$"):
             validate_program(Program("t", {"main": Function((), {})}))
+
+    @pytest.mark.parametrize(
+        "program, message",
+        [
+            (Program("t", {"main": Function((), {"ret": _RET})}), "block id 'ret'"),
+            (
+                Program("t", {"main": _MAIN, "f-1": Function((), {"e": _RET})}),
+                "function name 'f-1'",
+            ),
+            (
+                Program("t", {"main": _MAIN, "f": Function(("input",), {"e": _RET})}),
+                "parameter name 'input'",
+            ),
+            (Program("9t", {"main": _MAIN}), "program name '9t'"),
+            (
+                Program("t", {"main": Function((), {"e": Block((Const("x y", 1),), Return())})}),
+                "destination 'x y'",
+            ),
+        ],
+        ids=["block-id", "function-name", "parameter-name", "program-name", "destination"],
+    )
+    def test_a_name_that_mir_cannot_spell_is_rejected(self, program, message):
+        # Else the program would serialize to text that does not parse.
+        with pytest.raises(ParseError):
+            parse_program(serialize_program(program))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)} is a keyword or not"):
+            validate_program(program)
 
     def test_main_must_take_no_parameters(self):
         with pytest.raises(ValidationError, match="no parameters"):

@@ -113,6 +113,9 @@ SAMPLES = {
 }
 MUTABLE = {SolverStats, SymState, SymResult, FuzzResult}
 RECORDS = sorted(SAMPLES, key=lambda cls: cls.__name__)
+# Each does more than store its arguments: Constraint starts its caches,
+# CallGraph and FuzzResult give each instance a fresh {}.
+WRITTEN_INIT = {Constraint, CallGraph, FuzzResult}
 
 
 def _twin(cls):
@@ -192,6 +195,18 @@ class TestRecordParity:
         ):
             assert type(clone) is cls
             assert clone == record
+
+
+def test_exactly_three_records_write_init_in_their_class_body():
+    written = {cls for cls in RECORDS if "def __init__" in inspect.getsource(cls)}
+    assert written == WRITTEN_INIT
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_every_other_record_has_the_generated_init(cls):
+    generated = cls.__init__.__code__.co_filename == f"<{cls.__qualname__}.__init__>"
+    assert generated == (cls not in WRITTEN_INIT)
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
 
 
 def test_the_records_keep_their_defaults():

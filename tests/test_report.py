@@ -171,6 +171,12 @@ class TestPlotData:
         assert rows == [(0, 100, 100, 100, 100), (1, 50, 0, 100, 50)]
         assert all(len(row) == 5 for row in rows)
 
+    def test_rows_end_only_at_newlines(self, tmp_path):
+        # Like parse_program: str.splitlines() would also end a row at \f.
+        path = tmp_path / "plot.dat"
+        path.write_text("1 2\x0c3 4 5\n", encoding="utf-8")
+        assert read_plot_dat(path) == [(1, 2, 3, 4, 5)]
+
     def test_misaligned_tables_rejected(self, tmp_path):
         good = [(0, 1, 1, 100)]
         bad = [(1, 1, 1, 100)]

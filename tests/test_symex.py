@@ -129,6 +129,16 @@ class TestSolver:
         result = _solve(Solver(), [c("<", _combine(X, lin_const(1), 1), X)], 1)
         assert result.status == "unknown"
 
+    def test_equal_sides_are_decided_like_constants(self):
+        # x < x is false and x <= x true under every model, with no
+        # enumeration; two opaque sides need not be equal values.
+        assert c("<", X, X).is_const and not c("<", _combine(X, lin_const(1), 1), X).is_const
+        assert not c("<", OPAQUE, OPAQUE).is_const
+        solver = Solver()
+        assert _solve(solver, [c("<", X, X)], 1).status == "unsat"
+        assert _solve(solver, [c("<=", _combine(X, Y, 1), _combine(Y, X, 1))], 2).status == "sat"
+        assert solver.stats.unknown == 0
+
     def test_wrap_only_paths_may_be_pruned(self):
         # Documented approximation: exact-arithmetic propagation prunes
         # conditions satisfiable only through overflow.
@@ -345,9 +355,10 @@ def _reference_solve(constraints, num_vars, rounds, cap):
         if c.lhs is OPAQUE or c.rhs is OPAQUE:
             return SolveResult("unknown")
 
+    # Equal sides (``x < x``) compare equal under every model, like constants.
     live = []
     for c in constraints:
-        if c.lhs.is_const and c.rhs.is_const:
+        if c.lhs == c.rhs or (c.lhs.is_const and c.rhs.is_const):
             if not apply_cmp(c.cmp, c.lhs.const, c.rhs.const):
                 return SolveResult("unsat")
         else:
@@ -704,6 +715,25 @@ block entry:
 """
 
 
+EQUAL_SIDES_TEXT = """\
+program same
+
+func main()
+block entry:
+  x = input
+  br < x x -> never, done
+block never:
+  call f()
+  ret
+block done:
+  ret
+
+func f()
+block entry:
+  ret
+"""
+
+
 # At each two-way fork the child on the then side writes a local that the
 # other child reads without writing: in main's store, which is a caller's
 # frame while ``pick`` forks, and in the running frame's store at the fork
@@ -815,6 +845,11 @@ class TestCampaigns:
         # The single query is the entry-event emission for main itself.
         assert result.stats.queries == 1
         assert result.stats.sat == 1
+
+    def test_a_branch_on_equal_sides_follows_its_one_side(self):
+        result = symex_campaign(parse_program(EQUAL_SIDES_TEXT))
+        assert (result.stats.unsat, result.stats.unknown) == (1, 0)
+        assert result.coverage.functions == {"main"}
 
     def test_opaque_branches_fork_both_and_stay_sound(self):
         result = symex_campaign(parse_program(OPAQUE_TEXT))
