@@ -2,11 +2,16 @@
 
 Function depth is the minimum number of call edges from the entry function,
 via BFS over the static call graph. Distance fields support the directed
-("sonar") search strategy: for a target function they give every
-(function, block) location its shortest hop count to the target's entry
-block over the interprocedural block graph, whose edges are intra-function
-CFG edges, call edges from call-site blocks to callee entries, and return
-edges from callee exit blocks back to the call-site block.
+("sonar") search strategy: for a target function they give every location
+its shortest hop count to the target's entry block over the
+interprocedural control-flow graph. Its locations are the blocks and, for
+each call instruction, an after-call point: where the caller resumes once
+the callee returns. Its edges are intra-function CFG edges, call edges from
+the point before each call to the callee's entry, and return edges from the
+callee's return points to the call's after-call point. Code after a call
+leaves from that call's after-call point, so a return reaches only what
+follows its own call, and a backward search from a target settles the
+target's ancestors, not the subtrees that hang off them.
 
 ``index_program`` analyses a program once and stores the ``ProgramIndex``
 on the program object, so every campaign on that program shares it. The
@@ -14,9 +19,10 @@ index is read off the program's lowered form (``executor.lowered_form``),
 the one decoding of its instructions that both interpreters run: its
 location ids, each call's callee and entry id, each branch's and jump's
 target ids, and its returns. The index holds the call graph, the reachable
-set and the reverse block graph over those location ids; it keeps nothing
-per target. ``ProgramIndex.distances`` creates a new distance field on each
-call, which its caller owns. A distance field is a resumable backward BFS
+set and the reverse graph over those location ids and one after-call id
+per call instruction, numbered after the blocks in program order; it
+keeps nothing per target. ``ProgramIndex.distances`` creates a new
+distance field on each call, which its caller owns. A distance field is a resumable backward BFS
 from the target's entry: a hop list indexed by location id, -1 where no
 distance is settled yet, and the BFS's current level and its depth.
 Creating one settles only the target's entry, and ``expand`` settles one
@@ -55,11 +61,12 @@ def build_callgraph(program: Program) -> CallGraph:
 
 
 class DistanceField:
-    """Shortest hop counts from block locations to one target's entry,
-    settled one BFS level at a time.
+    """Shortest hop counts from locations to one target's entry, settled
+    one BFS level at a time.
 
-    ``hops[i]`` is the distance from location id ``i`` (see
-    ``ir.block_locations``) once it is settled, else -1. ``level`` lists
+    ``hops[i]`` is the distance from location id ``i`` (a block's id in
+    ``ir.block_locations``, or an after-call id after those; see
+    ``index_program``) once it is settled, else -1. ``level`` lists
     the locations settled last, all at distance ``depth``, and ``expand``
     settles the next level. Once the BFS is exhausted (``level`` is
     empty), no location without a distance can reach the target.
@@ -100,8 +107,9 @@ class DistanceField:
 class ProgramIndex(_Record):
     """Static facts of one program, computed once and shared by its campaigns.
 
-    Read off the lowered form, so locations are numbered by
-    ``ir.block_locations``; ``entries`` maps each function to its entry
+    Read off the lowered form, so blocks are numbered by
+    ``ir.block_locations``, and each call's after-call point has an id after
+    them (see ``index_program``); ``entries`` maps each function to its entry
     block's location id, and ``predecessors[i]`` lists, ascending and
     without repeats, the locations with an edge into location ``i``.
     ``callers`` maps each function to the functions that call it, by name;
@@ -140,10 +148,16 @@ class ProgramIndex(_Record):
 def index_program(program: Program) -> ProgramIndex:
     """The program's index, built on first use and stored on the program.
 
-    One pass over the lowered form collects the call edges, the block
-    graph's predecessors and each function's return locations; the return
-    edges, from every return location of a callee back to each of its call
-    sites, follow from those. Like the lowered form, the index lives and
+    One pass over the lowered form collects the call edges, the predecessors
+    and each function's return points. While it scans a block, the current
+    point starts at the block's id and, after each call, becomes that call's
+    after-call id, the next id after the blocks and the after-call points
+    numbered so far. Call, branch and jump edges leave from the current
+    point, and a return makes it one of its function's return points. The
+    return edges, from every return point of a callee to the after-call
+    point of each call to it, follow from those. Only the index numbers
+    after-call points: ``ir.block_locations``, the lowered form and the edge
+    hashes number blocks alone. Like the lowered form, the index lives and
     dies with its program, so every campaign on one program shares it.
     """
     index = getattr(program, "_index", None)
@@ -154,27 +168,30 @@ def index_program(program: Program) -> ProgramIndex:
     locations = block_locations(program)
     entries: dict[str, int] = {}
     edges: set[tuple[str, str]] = set()
-    calls: list[tuple[int, str]] = []
+    after_calls: list[tuple[int, str]] = []
     returns: dict[str, list[int]] = {name: [] for name in functions}
     predecessors: list[list[int]] = [[] for _ in locations]
     for here, code in enumerate(codes):
         fname = locations[here][0]
         entries.setdefault(fname, here)
+        point = here
         for instr in code:
             op = instr[0]
             if op == OP_CALL:
                 edges.add((fname, instr[1]))
-                calls.append((here, instr[1]))
-                predecessors[instr[4]].append(here)
+                predecessors[instr[4]].append(point)
+                point = len(predecessors)
+                predecessors.append([])
+                after_calls.append((point, instr[1]))
             elif op == OP_BRANCH:
-                predecessors[instr[8]].append(here)
-                predecessors[instr[11]].append(here)
+                predecessors[instr[8]].append(point)
+                predecessors[instr[11]].append(point)
             elif op == OP_JUMP:
-                predecessors[instr[3]].append(here)
+                predecessors[instr[3]].append(point)
             elif op == OP_RETURN:
-                returns[fname].append(here)
-    for site, callee in calls:
-        predecessors[site] += returns[callee]
+                returns[fname].append(point)
+    for point, callee in after_calls:
+        predecessors[point] += returns[callee]
 
     callees: dict[str, list[str]] = {name: [] for name in functions}
     callers: dict[str, list[str]] = {name: [] for name in functions}

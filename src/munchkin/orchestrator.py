@@ -11,6 +11,10 @@ runs share one solver with its query cache, mirroring what a single long
 symbolic-execution run gets for free, and the program's ``ProgramIndex``,
 which is built once per program and shared by every campaign on it. Each
 target's distance field is settled only as far as its sonar run reads it.
+``run_fs`` also creates a slice memo and hands it to every targeted run
+beside the solver, so a slice that an earlier target ran is replayed, not
+run again (see ``symex``); the memo dies when ``run_fs`` returns. SF and
+the symex baseline run without one.
 
 SF runs bounded symbolic execution first to produce one test case per
 newly covered function, then fuzzes from those seeds (falling back to the
@@ -126,6 +130,7 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
 
     index = index_program(program)
     solver = Solver()
+    slices: dict = {}  # the slice memo, valid with this solver only
     limits = SymexLimits(cfg.per_target_state_budget, cfg.per_target_query_budget)
     failed: set[str] = set()
 
@@ -141,6 +146,7 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
             target=target,
             rng_seed=cfg.rng_seed,
             solver=solver,
+            slices=slices,
             already_covered=functions,
             replay_step_limit=cfg.step_limit,
         )

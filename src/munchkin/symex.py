@@ -7,8 +7,10 @@ decoded once, for both interpreters.
 Values are linear expressions ``c0 + sum(ci * xi)`` over the symbolic
 input variables (one fresh variable per ``input`` read, up to a cap), or
 Opaque when a nonlinear operation mixes symbolic operands. States fork at
-branches; each successor not decided by constant folding costs one
-satisfiability check, and infeasible successors are discarded eagerly.
+branches; a branch that no input can decide otherwise (two constants, or
+one expression on both sides) follows its one side without the solver,
+each successor of any other costs one satisfiability check, and
+infeasible successors are discarded eagerly.
 Unknown verdicts (opaque constraints or enumeration cap) fork both
 successors, leaving validation to concrete replay.
 
@@ -57,6 +59,23 @@ uniformly from a list with an RNG seeded from ``rng_seed``, the campaign's
 only RNG, which sonar search does not build. A campaign keeps its
 own solver unless the caller passes one; FS shares one across all its
 targeted runs.
+
+A popped state runs one slice: up to its next two-way fork, or to the end
+of its path. With one solver, and so one trie, the state's node fixes the
+slice, since the program and the solver's answers are deterministic. A
+caller that shares a solver across campaigns may also pass a slice memo,
+a dict that it creates and owns, keyed by node. FS passes one, alive only
+during ``run_fs``; symbolic execution alone and SF pass none and record
+nothing. The first run of a node's slice stores its branch solves, its
+function entries with their nodes, and its fork: the forking frames and
+each side's node, with the counters. A later pop of the node replays
+those. It asks each solve again, which the cache answers, and passes each
+entry to the emission logic, which reads the live covered set and may end
+the campaign there. It then makes the fork's successors with fresh
+``seq`` numbers, in order. They share the kept stores, and a state copies
+them only when its own slice runs afresh. So results, queries and cache
+hits are those of running the slice afresh. A slice cut short by
+reaching the target is not stored.
 
 A test case is emitted whenever a state enters a function not covered by
 previously emitted test cases. Every emitted input vector is validated by
@@ -802,6 +821,7 @@ def symex_campaign(
     *,
     rng_seed: int = 0,
     solver: Solver | None = None,
+    slices: dict | None = None,
     already_covered: Iterable[str] = (),
     replay_step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> SymResult:
@@ -809,8 +829,11 @@ def symex_campaign(
 
     ``already_covered`` suppresses test emission for functions some earlier
     phase has witnessed; the reported coverage contains only what this
-    campaign's replays entered. With a sonar target the campaign stops as
-    soon as the target is entered and a test case for it was produced.
+    campaign's replays entered. ``slices`` is a slice memo (see the module
+    docstring), valid only with the one ``solver`` it was filled with and
+    for one program and ``max_inputs``. With a sonar target the campaign
+    stops as soon as the target is entered and a test case for it was
+    produced.
     Limit checks run between state slices. A slice charges two queries at
     every symbolic branch up to its next two-way fork, and one for each test
     it emits, so a tight query budget can be overshot by far more than one
@@ -836,8 +859,8 @@ def symex_campaign(
     edge_bits: set[int] = set()
     target_reached = False
 
-    def emit(state: SymState) -> bool:
-        result = solver.solve(state.pc, state.inputs_read)
+    def emit(pc: PathCondition, inputs_read: int) -> bool:
+        result = solver.solve(pc, inputs_read)
         if result.status != SAT:
             return False
         replay = run_concrete(program, result.model, replay_step_limit)
@@ -847,12 +870,12 @@ def symex_campaign(
         edge_bits.update(replay.coverage.edge_bits)
         return True
 
-    def on_entry(state: SymState, function: str) -> None:
+    def on_entry(function: str, pc: PathCondition, inputs_read: int) -> None:
         if target is not None and function == target:
-            if emit(state):
+            if emit(pc, inputs_read):
                 raise _TargetReached
         elif function not in emitted_covered:
-            emit(state)
+            emit(pc, inputs_read)
 
     codes, entry_id, _ = lowered_form(program)
     zero = lin_const(0)
@@ -865,19 +888,24 @@ def symex_campaign(
     frontier.push(initial)
     states_explored = 0
 
-    def run_slice(state: SymState) -> list[SymState]:
-        """Run a state up to its next two-way fork or its end; return its successors.
+    def run_slice(state: SymState, events: list | None) -> tuple | None:
+        """Run a state up to its next two-way fork and return the fork, or
+        None where its path ends.
 
         This is ``run_concrete``'s loop over the same lowered blocks, with
         symbolic values. While it runs, the running frame lives in locals
-        and ``state.frames`` holds its callers.
+        and ``state.frames`` holds its callers. A fork takes both over: it
+        is ``(callers, store, ret_dest, sides, inputs_read, queries_charged,
+        steps)``, with each side's ``(node, block, location id)`` and the
+        successors' counters. ``events``, when given, receives each branch
+        solve as ``(None, node, inputs_read)`` and each function entry as
+        ``(function, node, inputs_read)``, in order.
         """
-        nonlocal seq
         frames = state.frames
         code, index, loc, store, ret_dest = frames.pop()
         while True:
             if state.steps >= MAX_STEPS_PER_STATE:
-                return []
+                return None
             state.steps += 1
             instr = code[index]
             index += 1
@@ -887,7 +915,10 @@ def symex_campaign(
                  then, _, then_id, other, _, other_id, cmp) = instr
                 lhs = store.get(lhs, zero) if lhs_name else lin_const(lhs)
                 rhs = store.get(rhs, zero) if rhs_name else lin_const(rhs)
-                if lhs.is_const and rhs.is_const:
+                then_c = None if lhs.is_const and rhs.is_const else Constraint(cmp, lhs, rhs)
+                if then_c is None or then_c.is_const:
+                    # Two constants, or one expression on both sides: no
+                    # input changes the outcome, so no solve.
                     if compare(lhs.const, rhs.const):
                         code, loc = then, then_id
                     else:
@@ -895,42 +926,27 @@ def symex_campaign(
                     index = 0
                     continue
 
-                then_c = Constraint(cmp, lhs, rhs)
                 feasible = []
                 for constraint, target_code, target_id in (
                     (then_c, then, then_id),
                     (negate_constraint(then_c), other, other_id),
                 ):
                     pc = solver.extend(state.pc, constraint)
+                    if events is not None:
+                        events.append((None, pc, state.inputs_read))
                     if solver.solve(pc, state.inputs_read).status != UNSAT:
                         feasible.append((pc, target_code, target_id))
                 if not feasible:
-                    return []
+                    return None
                 if len(feasible) == 1:
                     state.pc, code, loc = feasible[0]
                     index = 0
                     state.queries_charged += 1
                     continue
-                # The forking state is discarded: the first child gets copies
-                # of its frames' stores, the second takes over the originals.
-                children = []
-                for pc, target_code, target_id in feasible:
-                    seq += 1
-                    if children:
-                        callers, top = frames, store
-                    else:
-                        callers = [(c, i, l, dict(s), r) for c, i, l, s, r in frames]
-                        top = dict(store)
-                    callers.append((target_code, 0, target_id, top, ret_dest))
-                    children.append(SymState(
-                        callers,
-                        pc,
-                        state.inputs_read,
-                        state.queries_charged + 1,
-                        state.steps,
-                        seq,
-                    ))
-                return children
+                return (
+                    frames, store, ret_dest, feasible,
+                    state.inputs_read, state.queries_charged + 1, state.steps,
+                )
             elif op == OP_CALL:
                 _, callee, entry, _, callee_id, args, dest, _ = instr
                 frames.append((code, index, loc, store, ret_dest))
@@ -939,10 +955,12 @@ def symex_campaign(
                 for param, arg, name in args:
                     store[param] = caller_store.get(arg, zero) if name else lin_const(arg)
                 code, index, loc, ret_dest = entry, 0, callee_id, dest
-                on_entry(state, callee)
+                if events is not None:
+                    events.append((callee, state.pc, state.inputs_read))
+                on_entry(callee, state.pc, state.inputs_read)
             elif op == OP_RETURN:
                 if not frames:
-                    return []  # entry function returned
+                    return None  # entry function returned
                 dest = ret_dest
                 if dest is not None:  # only a caller that stores it reads the value
                     value = store.get(instr[1], zero) if instr[2] else lin_const(instr[1])
@@ -960,7 +978,7 @@ def symex_campaign(
                     store.get(rhs, zero) if rhs_name else lin_const(rhs),
                 )
                 if value is None:
-                    return []  # definite fault ends the path
+                    return None  # definite fault ends the path
                 store[dest] = value
             elif op == OP_CONST:
                 store[instr[1]] = lin_const(instr[2])
@@ -972,8 +990,35 @@ def symex_campaign(
                     store[instr[1]] = zero
             # A print has no symbolic effect; it only takes its step.
 
+    def spawn(fork: tuple | None, shared: bool) -> list[SymState]:
+        """A fork's successors, in order, each with the next ``seq`` number.
+
+        With ``shared``, every successor shares the fork's stores, which the
+        memo keeps, until a fresh run copies them. Otherwise the forking
+        state is gone: the last successor takes over its stores, and the
+        others get copies.
+        """
+        nonlocal seq
+        if fork is None:
+            return []
+        callers, store, ret_dest, sides, inputs_read, queries_charged, steps = fork
+        children = []
+        last = len(sides) - 1
+        for k, (pc, code, loc) in enumerate(sides):
+            seq += 1
+            if shared:
+                frames, top = callers[:], store
+            elif k == last:
+                frames, top = callers, store
+            else:
+                frames = [(c, i, l, dict(s), r) for c, i, l, s, r in callers]
+                top = dict(store)
+            frames.append((code, 0, loc, top, ret_dest))
+            children.append(SymState(frames, pc, inputs_read, queries_charged, steps, seq))
+        return children
+
     try:
-        on_entry(initial, ENTRY_FUNCTION)
+        on_entry(ENTRY_FUNCTION, initial.pc, initial.inputs_read)
         while frontier:
             if states_explored >= limits.max_states:
                 break
@@ -983,7 +1028,25 @@ def symex_campaign(
                 break
             state = frontier.pop()
             states_explored += 1
-            for child in run_slice(state):
+            if slices is None:
+                fork = run_slice(state, None)
+            else:
+                done = slices.get(state.pc)  # (events, fork) of its first run
+                if done is None:
+                    # Its stores are a kept fork's: run on copies.
+                    state.frames = [(c, i, l, dict(s), r) for c, i, l, s, r in state.frames]
+                    node, events = state.pc, []
+                    done = slices[node] = (events, run_slice(state, events))
+                else:
+                    # A fresh run would make the same events: its solves
+                    # are cache hits, and its entries emit as these do.
+                    for function, pc, inputs_read in done[0]:
+                        if function is None:
+                            solver.solve(pc, inputs_read)
+                        else:
+                            on_entry(function, pc, inputs_read)
+                fork = done[1]
+            for child in spawn(fork, slices is not None):
                 frontier.push(child)
     except _TargetReached:
         target_reached = True

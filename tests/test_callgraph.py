@@ -9,12 +9,13 @@ import pytest
 
 from munchkin.callgraph import build_callgraph, depths_tsv, index_program, to_dot
 from munchkin.generator import GenParams, generate_program
-from munchkin.ir import Branch, Call, Jump, Return, block_locations, parse_program
+from munchkin.ir import Branch, Call, Jump, block_locations, parse_program
 
 from conftest import UNREACHABLE_TEXT
 
-# What trees never have: two calls of one function in one block, a block
-# that loops to itself, recursion into main, and a callee with two returns.
+# What trees never have: two calls of one function in one block, a branch
+# after a call, a block that loops to itself, recursion into main, and a
+# callee with two returns.
 HAND_TEXT = """\
 program hand
 
@@ -47,30 +48,58 @@ block high:
 
 
 def interprocedural_edges(program):
-    """Forward edges of the interprocedural block graph, read off the IR.
+    """Forward edges of the interprocedural control-flow graph, read off the IR.
 
     The reference that the index, read off the lowered form, is checked
-    against: CFG edges, an edge from each call site to its callee's entry,
-    and one from each of the callee's return blocks back to the call site.
+    against. Its nodes are the blocks, ``(function, block)``, and each
+    call's after-call point, ``(function, block, k)`` for the block's k-th
+    call. Within a block, the current point is the block until its first
+    call and then the after-call point of the call before it: each call has
+    an edge from it to the callee's entry, CFG edges leave from it, and a
+    return makes it one of its function's return points. Each of a callee's
+    return points has an edge to the after-call point of every call to it.
     """
     edges = set()
+    returns = {name: [] for name in program.functions}
+    calls = []
     for fname, func in program.functions.items():
         for bid, block in func.blocks.items():
-            src = (fname, bid)
-            term = block.terminator
-            if isinstance(term, Branch):
-                edges.add((src, (fname, term.then_block)))
-                edges.add((src, (fname, term.else_block)))
-            elif isinstance(term, Jump):
-                edges.add((src, (fname, term.target)))
+            point, k = (fname, bid), 0
             for instr in block.instructions:
                 if isinstance(instr, Call):
                     callee = program.functions[instr.callee]
-                    edges.add((src, (instr.callee, next(iter(callee.blocks)))))
-                    for exit_bid, exit_block in callee.blocks.items():
-                        if isinstance(exit_block.terminator, Return):
-                            edges.add(((instr.callee, exit_bid), src))
+                    edges.add((point, (instr.callee, next(iter(callee.blocks)))))
+                    k += 1
+                    point = (fname, bid, k)
+                    calls.append((point, instr.callee))
+            term = block.terminator
+            if isinstance(term, Branch):
+                edges.add((point, (fname, term.then_block)))
+                edges.add((point, (fname, term.else_block)))
+            elif isinstance(term, Jump):
+                edges.add((point, (fname, term.target)))
+            else:
+                returns[fname].append(point)
+    for point, callee in calls:
+        for exit_point in returns[callee]:
+            edges.add((exit_point, point))
     return edges
+
+
+def icfg_locations(program):
+    """The nodes of ``interprocedural_edges`` in the index's id order: the
+    blocks as ``ir.block_locations`` numbers them, then every after-call
+    point in program order."""
+    blocks = block_locations(program)
+    points = [
+        (fname, bid, k)
+        for fname, bid in blocks
+        for k in range(1, 1 + sum(
+            isinstance(instr, Call)
+            for instr in program.functions[fname].blocks[bid].instructions
+        ))
+    ]
+    return list(blocks) + points
 
 
 def frontier_set(cg, covered):
@@ -107,7 +136,7 @@ def _distance(program, df, loc):
     cannot reach the target."""
     while df.expand():
         pass
-    hops = df.hops[block_locations(program).index(loc)]
+    hops = df.hops[icfg_locations(program).index(loc)]
     return None if hops < 0 else hops
 
 
@@ -136,13 +165,14 @@ class TestSonarDistances:
         assert _distance(chain_program, df, ("g", "entry")) == 0
 
     def test_chain_distance_matches_brute_force(self, chain_program):
-        # Independent shortest-path check on the hand-built block graph:
-        # call edges (main->f, f->g), return edges (f->main, g->f).
+        # Independent shortest-path check on the hand-built graph: call
+        # edges (main->f, f->g), and return edges from g to the point after
+        # f's call and from there, f's return, to the point after main's.
         edges = {
             (("main", "entry"), ("f", "entry")),
-            (("f", "entry"), ("main", "entry")),
+            (("f", "entry", 1), ("main", "entry", 1)),
             (("f", "entry"), ("g", "entry")),
-            (("g", "entry"), ("f", "entry")),
+            (("g", "entry"), ("f", "entry", 1)),
         }
         want = _brute_force_distance(edges, ("main", "entry"), ("g", "entry"))
         index = index_program(chain_program)
@@ -204,7 +234,7 @@ class TestSonarDistances:
         }[name]
         edges = interprocedural_edges(program)
         index = index_program(program)
-        locations = block_locations(program)
+        locations = icfg_locations(program)
         ids = {loc: i for i, loc in enumerate(locations)}
         predecessors = [set() for _ in locations]
         for src, dst in edges:

@@ -13,7 +13,7 @@ from munchkin import callgraph, fuzzer, orchestrator, symex
 from munchkin.callgraph import build_callgraph
 from munchkin.executor import DEFAULT_STEP_LIMIT, CoverageMap, Outcome, run_concrete
 from munchkin.generator import GenParams, generate_program
-from munchkin.ir import block_locations, parse_program
+from munchkin.ir import parse_program
 from munchkin.orchestrator import (
     HybridConfig,
     TECHNIQUE_FS,
@@ -28,6 +28,8 @@ from munchkin.orchestrator import (
 )
 from munchkin.report import campaign_json_bytes, campaign_to_dict, coverage_percent
 from munchkin.symex import SolverStats, Strategy, SymexLimits, SymResult
+
+from test_symex import PINNED_TEXT
 
 
 def _fs_config(**overrides):
@@ -98,9 +100,13 @@ class TestFS:
         callgraph.index_program(generate_program(GenParams(2, 3)))
         assert len(builds) == 2  # an equal but distinct program gets its own
 
-    def test_sonar_settles_under_a_quarter_of_the_distances(self, monkeypatch):
+    def test_sonar_settles_ancestors_and_fresh_slices_are_few(self, monkeypatch):
         # The bench's fs-b2d8 campaign at seed 0: 241 targets over 1,025
-        # locations. Sonar reads only the levels up to its nearest states.
+        # blocks. With return edges into call-site blocks, each field walked
+        # its target's subtree and settled 56,105 locations in all; from
+        # after-call points it settles the target's ancestors. Every one of
+        # the 2,443 popped states ran its slice then; now a slice runs afresh
+        # once per node, and again only where reaching a target cut it short.
         program = generate_program(GenParams(2, 8, 0))
         fields = {}
         distances = callgraph.ProgramIndex.distances
@@ -110,17 +116,40 @@ class TestFS:
             fields[target] = distances(index, target)
             return fields[target]
 
+        memos, pops = [], []
+        campaign = orchestrator.symex_campaign
+
+        def recording_campaign(*args, slices, **kwargs):
+            memos.append(slices)
+            result = campaign(*args, slices=slices, **kwargs)
+            pops.append(result.states_explored)
+            return result
+
         monkeypatch.setattr(callgraph.ProgramIndex, "distances", recording_distances)
+        monkeypatch.setattr(orchestrator, "symex_campaign", recording_campaign)
         run_fs(program, HybridConfig(fuzz_budget=96, rng_seed=0))
         settled = sum(df.settled for df in fields.values())
         assert len(fields) == 241
-        assert settled < 0.25 * len(fields) * len(block_locations(program))
+        assert settled <= 56_105 // 10
+        assert all(memo is memos[0] for memo in memos)  # one memo per campaign
+        assert sum(pops) == 2_443
+        assert 3 * (len(memos[0]) + len(fields)) <= sum(pops)
 
     def test_no_distance_field_outlives_the_campaign(self):
         program = generate_program(GenParams(2, 8, 0))
         run_fs(program, HybridConfig(fuzz_budget=96, rng_seed=0))
         gc.collect()
         assert not [o for o in gc.get_objects() if isinstance(o, callgraph.DistanceField)]
+
+    def test_no_slice_memo_outlives_run_fs(self):
+        # A slice memo is a dict keyed by path-condition nodes.
+        program = generate_program(GenParams(2, 8, 0))
+        run_fs(program, HybridConfig(fuzz_budget=96, rng_seed=0))
+        gc.collect()
+        assert not [
+            o for o in gc.get_objects()
+            if isinstance(o, dict) and any(isinstance(k, symex.PathCondition) for k in o)
+        ]
 
     def test_mode_and_budget_validation(self):
         program = generate_program(GenParams(2, 1))
@@ -336,6 +365,74 @@ class TestDeterminism:
         program = generate_program(GenParams(3, 3, 0))
         report = dataclasses.replace(runner(program, cfg), duration=0.0)
         assert hashlib.sha256(campaign_json_bytes(report)).hexdigest() == digest
+
+    # b3d4 trees, and the opcode program, where replayed slices enter
+    # functions whose emission fails (opaque paths) and so solve again.
+    @pytest.mark.parametrize("name, cfg", [
+        ("b3d4", HybridConfig(fuzz_budget=96, rng_seed=0)),
+        ("b3d4", HybridConfig(fuzz_budget=96, rng_seed=7)),
+        ("opcodes", HybridConfig(fuzz_budget=1, max_inputs=2)),
+    ])
+    def test_slice_memo_replays_what_fresh_slices_do(self, name, cfg, monkeypatch):
+        # FS with its slice memo, against FS whose every popped state runs
+        # its slice afresh: each pushed successor (seq, node, counters,
+        # frames and stores), each solve and its result, and each replayed
+        # test must come in the same order.
+        if name == "opcodes":
+            program = parse_program(PINNED_TEXT)
+        else:
+            program = generate_program(GenParams(3, 4, cfg.rng_seed))
+        push, solve, replay = symex.SonarFrontier.push, symex.Solver.solve, symex.run_concrete
+        campaign = orchestrator.symex_campaign
+
+        def path(node):
+            constraints = []
+            while node.parent is not None:
+                constraints.append(node.constraint)
+                node = node.parent
+            return tuple(constraints)
+
+        def fs_log(memo):
+            log, memos = [], []
+
+            def logged_push(frontier, state):
+                frames = [
+                    (loc, index, sorted(store.items()), dest)
+                    for _, index, loc, store, dest in state.frames
+                ]
+                log.append((
+                    "push", state.seq, path(state.pc), state.inputs_read,
+                    state.queries_charged, state.steps, frames,
+                ))
+                push(frontier, state)
+
+            def logged_solve(solver, pc, num_vars):
+                result = solve(solver, pc, num_vars)
+                log.append(("solve", path(pc), num_vars, result))
+                return result
+
+            def logged_replay(prog, values, *rest):
+                log.append(("replay", values))
+                return replay(prog, values, *rest)
+
+            def memo_campaign(*args, slices, **kwargs):
+                memos.append(slices)
+                return campaign(*args, slices=slices if memo else None, **kwargs)
+
+            with monkeypatch.context() as patches:
+                patches.setattr(symex.SonarFrontier, "push", logged_push)
+                patches.setattr(symex.Solver, "solve", logged_solve)
+                patches.setattr(symex, "run_concrete", logged_replay)
+                patches.setattr(orchestrator, "symex_campaign", memo_campaign)
+                report = run_fs(program, cfg)
+            return log, memos[0], dataclasses.replace(report, duration=0.0)
+
+        memo_log, memo, memo_report = fs_log(True)
+        fresh_log, unused, fresh_report = fs_log(False)
+        pushes = sum(1 for entry in fresh_log if entry[0] == "push")
+        assert unused == {} and 0 < 2 * len(memo) < pushes  # slices were replayed
+        assert memo_log == fresh_log
+        assert campaign_json_bytes(memo_report) == campaign_json_bytes(fresh_report)
 
     @pytest.mark.parametrize("runner, cfg_factory", [
         (run_fs, _fs_config),
