@@ -16,7 +16,6 @@ from .ir import (
 from .generator import GenParams, generate_program, ground_truth_coverage
 from .callgraph import (
     CallGraph,
-    DistanceField,
     ProgramIndex,
     build_callgraph,
     index_program,
@@ -52,7 +51,6 @@ __all__ = [
     "CallGraph",
     "CampaignReport",
     "CoverageMap",
-    "DistanceField",
     "FuzzConfig",
     "FuzzResult",
     "GenParams",

@@ -1,7 +1,7 @@
 """Static call graph, function depths, and interprocedural block distances.
 
 Function depth is the minimum number of call edges from the entry function,
-via BFS over the static call graph. Distance fields support the directed
+via BFS over the static call graph. Sonar distances support the directed
 ("sonar") search strategy: for a target function they give every location
 its shortest hop count to the target's entry block over the
 interprocedural control-flow graph. Its locations are the blocks and, for
@@ -10,7 +10,7 @@ the callee returns. Its edges are intra-function CFG edges, call edges from
 the point before each call to the callee's entry, and return edges from the
 callee's return points to the call's after-call point. Code after a call
 leaves from that call's after-call point, so a return reaches only what
-follows its own call, and a backward search from a target settles the
+follows its own call, and a backward search from a target reaches the
 target's ancestors, not the subtrees that hang off them.
 
 ``index_program`` analyses a program once and stores the ``ProgramIndex``
@@ -21,13 +21,10 @@ location ids, each call's callee and entry id, each branch's and jump's
 target ids, and its returns. The index holds the call graph, the reachable
 set and the reverse graph over those location ids and one after-call id
 per call instruction, numbered after the blocks in program order; it
-keeps nothing per target. ``ProgramIndex.distances`` creates a new
-distance field on each call, which its caller owns. A distance field is a resumable backward BFS
-from the target's entry: a hop list indexed by location id, -1 where no
-distance is settled yet, and the BFS's current level and its depth.
-Creating one settles only the target's entry, and ``expand`` settles one
-more level. A sonar run owns its target's field and expands it only as far
-as the states it ranks need.
+keeps nothing per target. ``ProgramIndex.distances`` runs one backward BFS
+from a target's entry on each call and returns a new hop list, indexed by
+location id, -1 where the target cannot be reached; a sonar run asks for
+its target's list once and owns it.
 """
 
 from __future__ import annotations
@@ -60,50 +57,6 @@ def build_callgraph(program: Program) -> CallGraph:
     return index_program(program).callgraph
 
 
-class DistanceField:
-    """Shortest hop counts from locations to one target's entry, settled
-    one BFS level at a time.
-
-    ``hops[i]`` is the distance from location id ``i`` (a block's id in
-    ``ir.block_locations``, or an after-call id after those; see
-    ``index_program``) once it is settled, else -1. ``level`` lists
-    the locations settled last, all at distance ``depth``, and ``expand``
-    settles the next level. Once the BFS is exhausted (``level`` is
-    empty), no location without a distance can reach the target.
-    """
-
-    __slots__ = ("hops", "level", "depth", "_settled", "_predecessors")
-
-    def __init__(self, start: int, predecessors: tuple[tuple[int, ...], ...]) -> None:
-        self.hops = [-1] * len(predecessors)
-        self.hops[start] = 0
-        self.level = [start]
-        self.depth = 0
-        self._settled = 1
-        self._predecessors = predecessors
-
-    @property
-    def settled(self) -> int:
-        """How many locations have a distance so far."""
-        return self._settled
-
-    def expand(self) -> list[int]:
-        """Settle the next level and return its location ids; [] once exhausted."""
-        hops, predecessors = self.hops, self._predecessors
-        step = self.depth + 1
-        level = []
-        for loc in self.level:
-            for pred in predecessors[loc]:
-                if hops[pred] < 0:
-                    hops[pred] = step
-                    level.append(pred)
-        self.level = level
-        if level:
-            self.depth = step
-            self._settled += len(level)
-        return level
-
-
 class ProgramIndex(_Record):
     """Static facts of one program, computed once and shared by its campaigns.
 
@@ -115,19 +68,30 @@ class ProgramIndex(_Record):
     ``callers`` maps each function to the functions that call it, by name;
     ``by_depth`` lists the reachable functions by ascending depth, then
     name. The index holds no per-target state: each ``distances`` call
-    builds a new field, which settles levels only when asked.
+    builds a new hop list.
     """
 
     __slots__ = _fields = (
         "callgraph", "reachable", "entries", "predecessors", "callers", "by_depth"
     )
 
-    def distances(self, target: str) -> DistanceField:
-        """A new distance field for the target, with only its entry settled."""
+    def distances(self, target: str) -> list[int]:
+        """Each location's hop count to the target's entry, -1 where it
+        cannot reach it: one backward BFS over ``predecessors``."""
         start = self.entries.get(target)
         if start is None:
             raise ValueError(f"unknown target '{target}'")
-        return DistanceField(start, self.predecessors)
+        predecessors = self.predecessors
+        hops = [-1] * len(predecessors)
+        hops[start] = 0
+        queue = [start]
+        for loc in queue:
+            step = hops[loc] + 1
+            for pred in predecessors[loc]:
+                if hops[pred] < 0:
+                    hops[pred] = step
+                    queue.append(pred)
+        return hops
 
     def next_target(self, covered: Set[str], skip: Set[str]) -> str | None:
         """FS's next target: the first reachable function, in ``by_depth``

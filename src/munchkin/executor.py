@@ -328,8 +328,11 @@ def read_input_file(path: str | Path) -> InputVector:
 def read_seed_dir(path: str | Path) -> list[InputVector]:
     """Load every ``*.txt`` test case in a directory, sorted by filename.
 
-    A path that is not an existing directory raises ``NotADirectoryError``.
+    A path that is empty (``Path("")`` would read the working directory) or
+    not an existing directory raises ``NotADirectoryError``.
     """
+    if path == "":
+        raise NotADirectoryError("seed path is empty")
     directory = Path(path)
     if not directory.is_dir():
         raise NotADirectoryError(f"seed path {directory} is not a directory")

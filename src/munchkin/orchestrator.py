@@ -10,7 +10,7 @@ targeted, and becomes a ``CoverageMap`` once, for the report. All targeted
 runs share one solver with its query cache, mirroring what a single long
 symbolic-execution run gets for free, and the program's ``ProgramIndex``,
 which is built once per program and shared by every campaign on it. Each
-target's distance field is settled only as far as its sonar run reads it.
+targeted run computes its target's hop list once, by one backward BFS.
 ``run_fs`` also creates a slice memo and hands it to every targeted run
 beside the solver, so a slice that an earlier target ran is replayed, not
 run again (see ``symex``); the memo dies when ``run_fs`` returns. SF and

@@ -46,18 +46,14 @@ constraints and the number of variables; cache hits are not charged as
 queries.
 
 Sonar search picks the state nearest to its target function, by the hop
-count at its top frame's location in the target's distance field, then
-fewer charged queries, then admission order. Each sonar run creates its own
-field (``ProgramIndex.distances``) and hands it to its ``SonarFrontier``,
-the field's only user, which settles it lazily, one BFS level at a time
-(``DistanceField.expand``), and only when it holds no state on the levels
-settled so far. States on settled locations sit in a heap; the others wait
-in per-location buckets until their level is settled, or enter at
-distance infinity once the field is exhausted. The picks are those of a
-scan of the whole frontier over a fully settled field. Baseline search picks
-uniformly from a list with an RNG seeded from ``rng_seed``, the campaign's
-only RNG, which sonar search does not build. A campaign keeps its
-own solver unless the caller passes one; FS shares one across all its
+count at its top frame's location in the target's hop list, then fewer
+charged queries, then admission order. Each sonar run computes its
+target's list once (``ProgramIndex.distances``, one backward BFS) and hands
+it to its ``SonarFrontier``, one heap on those three keys, where a state
+that cannot reach the target ranks at distance infinity. Baseline search
+picks uniformly from a list with an RNG seeded from ``rng_seed``, the
+campaign's only RNG, which sonar search does not build. A campaign keeps
+its own solver unless the caller passes one; FS shares one across all its
 targeted runs.
 
 A popped state runs one slice: up to its next two-way fork, or to the end
@@ -102,7 +98,7 @@ from .ir import (
     apply_cmp,
     wrap32,
 )
-from .callgraph import DistanceField, index_program
+from .callgraph import index_program
 from .executor import (
     OP_BINOP,
     OP_BRANCH,
@@ -695,72 +691,29 @@ class SymState(_MutableRecord):
 
 
 class SonarFrontier:
-    """Sonar's frontier: the state nearest the target comes out first, ties
-    broken by fewer charged queries, then by admission order (``seq``,
-    unique per state).
-
-    The frontier is its distance field's only user, so the field has
-    settled exactly the levels the frontier has taken in. A state whose
-    location is settled sits in a heap on ``(distance, queries_charged,
-    seq)``; any other state waits in its location's bucket. Only when the
-    heap is empty does ``pop`` settle the next level and move that level's
-    buckets into the heap. Every state in the heap is then no farther than
-    the last level settled and every waiting one is farther, so the heap's
-    minimum is the frontier's. Once the field is exhausted, the states
-    still waiting cannot reach the target: they enter the heap at distance
-    infinity, as does every later state on a location without a distance.
+    """Sonar's frontier: one heap on ``(hops, queries_charged, seq)``, so
+    the state nearest the target comes out first, ties broken by fewer
+    charged queries, then by admission order (``seq``, unique per state).
+    A state on a location that cannot reach the target ranks at infinity.
     """
 
-    def __init__(self, df: DistanceField) -> None:
-        self._df = df
+    def __init__(self, hops: list[int]) -> None:
+        self._hops = hops
         self._heap: list[tuple[float, int, int, SymState]] = []
-        self._waiting: dict[int, list[SymState]] = {}
-        self._drained = False  # the field is exhausted
 
     def __bool__(self) -> bool:
-        return bool(self._heap or self._waiting)
+        return bool(self._heap)
 
     def push(self, state: SymState) -> None:
-        loc = state.frames[-1][2]
-        hops = self._df.hops[loc]
-        if hops >= 0:
-            heappush(self._heap, (hops, state.queries_charged, state.seq, state))
-        elif self._drained:
-            heappush(self._heap, (_INF, state.queries_charged, state.seq, state))
-        else:
-            bucket = self._waiting.get(loc)
-            if bucket is None:
-                self._waiting[loc] = [state]
-            else:
-                bucket.append(state)
+        hops = self._hops[state.frames[-1][2]]
+        heappush(self._heap, (
+            hops if hops >= 0 else _INF, state.queries_charged, state.seq, state
+        ))
 
     def pop(self) -> SymState:
-        heap = self._heap
-        while not heap:
-            if not self._waiting:
-                raise ValueError("empty frontier")
-            self._take_level()
-        return heappop(heap)[3]
-
-    def _take_level(self) -> None:
-        df, heap, waiting = self._df, self._heap, self._waiting
-        level = df.expand()
-        if not level:
-            self._drained = True
-            for bucket in waiting.values():
-                for state in bucket:
-                    heappush(heap, (_INF, state.queries_charged, state.seq, state))
-            waiting.clear()
-            return
-        depth = df.depth
-        if len(waiting) < len(level):
-            hops = df.hops
-            level = [loc for loc in waiting if hops[loc] == depth]
-        for loc in level:
-            bucket = waiting.pop(loc, None)
-            if bucket is not None:
-                for state in bucket:
-                    heappush(heap, (depth, state.queries_charged, state.seq, state))
+        if not self._heap:
+            raise ValueError("empty frontier")
+        return heappop(self._heap)[3]
 
 
 class _RandomFrontier:

@@ -1,4 +1,4 @@
-"""Call-graph depths, sonar distance fields, frontier ordering."""
+"""Call-graph depths, sonar distances, frontier ordering."""
 
 import copy
 import pickle
@@ -131,13 +131,11 @@ def frontier_set(cg, covered):
     return sorted(uncovered, key=key)
 
 
-def _distance(program, df, loc):
-    """Hops from ``loc`` once ``df`` is expanded to exhaustion; None if it
-    cannot reach the target."""
-    while df.expand():
-        pass
-    hops = df.hops[icfg_locations(program).index(loc)]
-    return None if hops < 0 else hops
+def _distance(program, hops, loc):
+    """Hops from ``loc`` in a target's hop list; None if it cannot reach
+    the target."""
+    hop = hops[icfg_locations(program).index(loc)]
+    return None if hop < 0 else hop
 
 
 class TestDepths:
@@ -161,8 +159,8 @@ class TestDepths:
 class TestSonarDistances:
     def test_target_entry_is_zero(self, chain_program):
         index = index_program(chain_program)
-        df = index.distances("g")
-        assert _distance(chain_program, df, ("g", "entry")) == 0
+        hops = index.distances("g")
+        assert _distance(chain_program, hops, ("g", "entry")) == 0
 
     def test_chain_distance_matches_brute_force(self, chain_program):
         # Independent shortest-path check on the hand-built graph: call
@@ -176,15 +174,15 @@ class TestSonarDistances:
         }
         want = _brute_force_distance(edges, ("main", "entry"), ("g", "entry"))
         index = index_program(chain_program)
-        df = index.distances("g")
-        assert _distance(chain_program, df, ("main", "entry")) == want == 2
+        hops = index.distances("g")
+        assert _distance(chain_program, hops, ("main", "entry")) == want == 2
 
     def test_unreachable_target(self):
         program = parse_program(UNREACHABLE_TEXT)
         index = index_program(program)
-        df = index.distances("orphan")
-        assert _distance(program, df, ("orphan", "entry")) == 0
-        assert _distance(program, df, ("main", "entry")) is None
+        hops = index.distances("orphan")
+        assert _distance(program, hops, ("orphan", "entry")) == 0
+        assert _distance(program, hops, ("main", "entry")) is None
 
     def test_unknown_target_rejected(self, chain_program):
         with pytest.raises(ValueError, match="unknown target"):
@@ -193,22 +191,22 @@ class TestSonarDistances:
     def test_triangle_inequality_over_generated_program(self):
         program = generate_program(GenParams(2, 2))
         index = index_program(program)
-        df = index.distances("n_3_3")
+        hops = index.distances("n_3_3")
         for src, dst in interprocedural_edges(program):
-            d_src, d_dst = _distance(program, df, src), _distance(program, df, dst)
+            d_src, d_dst = _distance(program, hops, src), _distance(program, hops, dst)
             if d_dst is not None:
                 assert d_src is not None and d_src <= 1 + d_dst
 
-    def test_each_call_returns_a_new_field(self):
-        # A field belongs to the caller that asked for it; expanding one
-        # leaves the next caller's field at the target's entry.
+    def test_each_call_returns_a_new_list(self):
+        # A hop list belongs to the caller that asked for it; changing one
+        # leaves the next caller's list whole.
         index = index_program(generate_program(GenParams(2, 2)))
         first = index.distances("n_0_0")
-        while first.expand():
-            pass
+        want = list(first)
+        first[:] = [0] * len(first)
         second = index.distances("n_0_0")
         assert second is not first
-        assert second.settled == 1 and second.level == [index.entries["n_0_0"]]
+        assert second == want
 
     def test_the_index_lives_on_its_program_but_not_in_its_copies(self):
         program = generate_program(GenParams(2, 2))
@@ -241,10 +239,10 @@ class TestSonarDistances:
             predecessors[ids[dst]].add(ids[src])
         assert index.predecessors == tuple(tuple(sorted(preds)) for preds in predecessors)
         for target, func in program.functions.items():
-            df = index.distances(target)
+            hops = index.distances(target)
             goal = (target, next(iter(func.blocks)))
             for loc in locations:
-                assert _distance(program, df, loc) == _brute_force_distance(edges, loc, goal), (
+                assert _distance(program, hops, loc) == _brute_force_distance(edges, loc, goal), (
                     target, loc,
                 )
 

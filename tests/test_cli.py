@@ -243,6 +243,24 @@ class TestCampaignCommands:
         assert "1 executions" in capsys.readouterr().out
         assert json.loads((out / "report-AFL-like.json").read_text())["test_suite"] == [[0]]
 
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_an_empty_seed_path_is_an_input_failure(
+        self, tree_mir, tmp_path, monkeypatch, capsys, spelling
+    ):
+        # An empty path is not the working directory: a stray test case
+        # there must not become the fuzz seed.
+        monkeypatch.chdir(tmp_path)
+        write_input_file(tmp_path / "notes.txt", (5,))
+        out = tmp_path / "fz"
+        if spelling == "flag":
+            argv = ("fuzz", str(tree_mir), "--seeds", "", "--out", str(out))
+        else:
+            (tmp_path / "campaign.cfg").write_text("seeds =\n", encoding="utf-8")
+            argv = ("--config", "campaign.cfg", "fuzz", str(tree_mir), "--out", str(out))
+        assert run_cli(*argv) == 2
+        assert "seed path is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fuzz_and_symex_reports_equal_the_baselines(self, tmp_path, capsys):
         # Held already before `fuzz` and `symex` shared the campaign report
         # builder with `baselines` (checked on the code as it was then).

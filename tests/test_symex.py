@@ -1195,8 +1195,8 @@ class TestPinnedSonar:
 
 def _full_bfs(program, target):
     """Every location's hop count to ``target``'s entry, -1 where it cannot
-    reach it, by one whole backward BFS: the reference for lazily settled
-    distance fields."""
+    reach it, by one whole backward BFS: the reference for
+    ``ProgramIndex.distances``."""
     index = index_program(program)
     hops = [-1] * len(index.predecessors)
     start = index.entries[target]
@@ -1237,8 +1237,9 @@ class TestSonarFrontier:
         index = index_program(program)
         target = data.draw(st.sampled_from(sorted(program.functions)), label="target")
         full = _full_bfs(program, target)
-        df = index.distances(target)
-        frontier = SonarFrontier(df)
+        hops = index.distances(target)
+        assert hops == full
+        frontier = SonarFrontier(hops)
         oracle = []
         # A push (location, charged queries) or a pop (None).
         ops = data.draw(st.lists(
@@ -1266,25 +1267,9 @@ class TestSonarFrontier:
                 oracle.append(state)
             assert bool(frontier) == bool(oracle)
 
-        assert df.settled == sum(h >= 0 for h in df.hops)
-        assert all(h < 0 or h == exact for h, exact in zip(df.hops, full))
-        while df.expand():
-            pass
-        locations = block_locations(program)
-        for i, loc in enumerate(locations):
-            assert df.hops[locations.index(loc)] == full[i], loc
-        assert df.hops == full
-
-    def test_a_new_field_settles_only_the_target_entry(self):
+    def test_a_location_that_cannot_reach_the_target_has_no_distance(self):
         program = parse_program(SONAR_TEXT)
         index = index_program(program)
-        df = index.distances("goal")
-        assert df.settled == 1 and df.level == [index.entries["goal"]]
-        level = df.expand()
-        assert level == list(index.predecessors[index.entries["goal"]]) == df.level
-        assert df.depth == 1 and df.settled == 1 + len(level)
-        while df.expand():
-            pass
-        assert df.level == [] and df.expand() == []
-        assert df.hops == _full_bfs(program, "goal")
-        assert df.hops[block_locations(program).index(("main", "stranded"))] == -1
+        hops = index.distances("goal")
+        assert hops == _full_bfs(program, "goal")
+        assert hops[block_locations(program).index(("main", "stranded"))] == -1
