@@ -93,13 +93,16 @@ class ProgramIndex(_Record):
                     queue.append(pred)
         return hops
 
-    def next_target(self, covered: Set[str], skip: Set[str]) -> str | None:
+    def next_target(self, covered: Set[str], skip: Set[str], start: int = 0) -> str | None:
         """FS's next target: the first reachable function, in ``by_depth``
         order, that is in neither ``covered`` nor ``skip`` and has a covered
         caller; without one, the first that is in neither; else None.
+
+        The scan begins at ``by_depth[start]``; every function before it
+        must be in ``covered`` or ``skip``.
         """
         first = None
-        for name in self.by_depth:
+        for name in self.by_depth[start:]:
             if name in covered or name in skip:
                 continue
             if not covered.isdisjoint(self.callers[name]):

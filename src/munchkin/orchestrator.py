@@ -133,9 +133,15 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
     slices: dict = {}  # the slice memo, valid with this solver only
     limits = SymexLimits(cfg.per_target_state_budget, cfg.per_target_query_budget)
     failed: set[str] = set()
+    # The first function of ``by_depth`` in neither set; both sets only grow.
+    by_depth, cursor = index.by_depth, 0
 
     while True:
-        target = index.next_target(functions, failed)
+        while cursor < len(by_depth) and (
+            by_depth[cursor] in functions or by_depth[cursor] in failed
+        ):
+            cursor += 1
+        target = index.next_target(functions, failed, cursor)
         if target is None:
             break
         result = symex_campaign(

@@ -37,8 +37,14 @@ its propagated domains, reached in one of two ways:
   can feed each other for many rounds, so each of its nodes is propagated
   from scratch, under the round cap.
 
-A candidate model that agrees with its parent's passing candidate is
-checked against the new constraint only.
+Either way a node's domains lie inside every interval on its path. A
+constraint is implied when neither side can leave int32 (``x < 5``, not
+``2x > 0``): it then holds under wrap-around across its interval. So the
+candidate model, each domain's point nearest zero, is checked only against
+the path's other constraints, and against the new one alone when it agrees
+with its parent's passing candidate. On generated trees every constraint
+is implied: a bound-only solve does constant work per node and checks no
+model.
 
 Verdicts, models and query counts are those of solving each path
 condition from scratch. Results are cached by a path condition's set of
@@ -241,6 +247,23 @@ class _Normal(NamedTuple):
     # leave open is the int32 limit, and lowest > highest means no value.
     # None for ``!=`` and for constraints over no or several variables.
     interval: tuple[int, int, int] | None
+    # The constraint has an interval and neither side can leave int32 for
+    # any int32 values of its variables, so it holds under wrap-around at
+    # every point of its interval: a candidate inside it needs no check.
+    implied: bool
+
+
+def _cannot_wrap(side: LinExpr) -> bool:
+    """No int32 values of its variables take ``side`` out of int32."""
+    low = high = side.const
+    for _, coeff in side.terms:
+        if coeff > 0:
+            low += coeff * INT32_MIN
+            high += coeff * INT32_MAX
+        else:
+            low += coeff * INT32_MAX
+            high += coeff * INT32_MIN
+    return INT32_MIN <= low and high <= INT32_MAX
 
 
 class Constraint(_Record):
@@ -294,26 +317,33 @@ class Constraint(_Record):
 
     def _normalise(self) -> _Normal:
         lhs, rhs, cmp = self.lhs, self.rhs, self.cmp
-        coeffs, const = _diff(lhs, rhs)
-        terms = tuple(coeffs.items())
-        neg = tuple((v, -k) for v, k in terms)
+        # Canonical terms are sorted and nonzero: with one side constant, the
+        # difference's terms are the other side's, negated on the right.
+        if not lhs.terms or not rhs.terms:
+            const = lhs.const - rhs.const
+            terms = lhs.terms or tuple([(v, -k) for v, k in rhs.terms])
+        else:
+            coeffs, const = _diff(lhs, rhs)
+            terms = tuple(coeffs.items())
         excluded = None
         if cmp == "<":
             ineqs = ((terms, -const - 1),)
         elif cmp == "<=":
             ineqs = ((terms, -const),)
-        elif cmp == ">":
-            ineqs = ((neg, const - 1),)
-        elif cmp == ">=":
-            ineqs = ((neg, const),)
-        elif cmp == "==":
-            ineqs = ((terms, -const), (neg, const))
-        else:
+        elif cmp == "!=":
             ineqs = ()
             if len(terms) == 1:
                 (var, coeff), = terms
                 if (-const) % coeff == 0:
                     excluded = (var, (-const) // coeff)
+        else:
+            neg = tuple([(v, -k) for v, k in terms])
+            if cmp == ">":
+                ineqs = ((neg, const - 1),)
+            elif cmp == ">=":
+                ineqs = ((neg, const),)
+            else:
+                ineqs = ((terms, -const), (neg, const))
         interval = None
         if len(terms) == 1 and ineqs:
             low, high = INT32_MIN, INT32_MAX
@@ -323,9 +353,10 @@ class Constraint(_Record):
                 else:
                     low = max(low, -(bound // -coeff))
             interval = (var, low, high)
-        variables = frozenset(v for side in (lhs, rhs) for v, _ in side.terms)
+        variables = frozenset([v for v, _ in lhs.terms + rhs.terms])
         check = (_COMPARE[cmp], lhs.const + _HALF, lhs.terms, rhs.const + _HALF, rhs.terms)
-        return _Normal(ineqs, excluded, variables, check, interval)
+        implied = interval is not None and _cannot_wrap(lhs) and _cannot_wrap(rhs)
+        return _Normal(ineqs, excluded, variables, check, interval, implied)
 
 
 _NEGATION = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
@@ -438,7 +469,15 @@ class _Fixpoint(NamedTuple):
       constraint;
     - ``general``: the path has an inequality over two or more variables
       or a disequality that excludes an integral value of one variable,
-      so its nodes are propagated from scratch.
+      so its nodes are propagated from scratch;
+    - ``checks``: the ``check`` of each of the path's non-constant
+      constraints that is not ``implied``, in path order.
+
+    The domains lie inside every interval on the path: a bound-only node
+    intersects its parent's domains with its own interval, and on a general
+    path ``_propagate``'s first round applies every bound, after which
+    domains only shrink. So the candidate satisfies every implied
+    constraint, and ``candidate_ok`` is decided by ``checks`` alone.
     """
 
     verdict: str | None
@@ -446,6 +485,7 @@ class _Fixpoint(NamedTuple):
     hi: tuple[int, ...] = ()
     candidate_ok: bool = True
     general: bool = False
+    checks: tuple[tuple, ...] = ()
 
 
 _TRUE = _Fixpoint(None)
@@ -516,6 +556,10 @@ def _extend_fixpoint(parent: _Fixpoint, node: PathCondition) -> _Fixpoint:
     On a general path, the domains start at the int32 limits and
     ``_propagate`` runs every inequality and disequality on the path, in
     path order: the computation from scratch itself.
+
+    A candidate that agrees with its parent's passing one is checked
+    against the new constraint only, unless that is implied; any other is
+    checked against ``checks``.
     """
     c = node.constraint
     if parent.verdict == UNKNOWN or c.is_opaque:
@@ -526,38 +570,55 @@ def _extend_fixpoint(parent: _Fixpoint, node: PathCondition) -> _Fixpoint:
         return parent if apply_cmp(c.cmp, c.lhs.const, c.rhs.const) else _INFEASIBLE
 
     normal = c.normal
-    grow = max(normal.variables) + 1 - len(parent.lo)
-    lo = [*parent.lo, *[INT32_MIN] * grow]
-    hi = [*parent.hi, *[INT32_MAX] * grow]
+    lo, hi, general = parent.lo, parent.hi, parent.general
+    grow = max(normal.variables) + 1 - len(lo)
+    if grow > 0:
+        lo += (INT32_MIN,) * grow
+        hi += (INT32_MAX,) * grow
     interval = normal.interval
-    general = parent.general or (
-        interval is None
-        and (normal.excluded is not None or any(len(terms) > 1 for terms, _ in normal.ineqs))
-    )
-    if general:
-        lo = [INT32_MIN] * len(lo)
-        hi = [INT32_MAX] * len(hi)
+    # The candidate agrees with its parent's, which passed its checks.
+    agrees = parent.candidate_ok
+    if general or interval is None and (
+        normal.excluded is not None or any(len(terms) > 1 for terms, _ in normal.ineqs)
+    ):
+        general = True
         path = _live(node)
         ineqs = [i for live in path for i in live.ineqs]
         excluded = [live.excluded for live in path if live.excluded is not None]
+        lo, hi = [INT32_MIN] * len(lo), [INT32_MAX] * len(hi)
         if not _propagate(ineqs, excluded, lo, hi):
             return _INFEASIBLE
+        lo, hi = tuple(lo), tuple(hi)
+        agrees = agrees and (
+            _candidate(lo, hi)[: len(parent.lo)] == _candidate(parent.lo, parent.hi)
+        )
     elif interval is not None:
         var, low, high = interval
-        low = max(low, lo[var])
-        high = min(high, hi[var])
+        was_lo, was_hi = lo[var], hi[var]
+        low, high = max(low, was_lo), min(high, was_hi)
         if low > high:
             return _INFEASIBLE
-        lo[var], hi[var] = low, high
+        if var < len(parent.lo) and _nearest_zero(low, high) != _nearest_zero(was_lo, was_hi):
+            agrees = False
+        lo = (*lo[:var], low, *lo[var + 1:])
+        hi = (*hi[:var], high, *hi[var + 1:])
 
-    candidate = list(map(_nearest_zero, lo, hi))
-    if parent.candidate_ok and candidate[: len(parent.lo)] == list(
-        map(_nearest_zero, parent.lo, parent.hi)
-    ):
-        candidate_ok = _holds(normal.check, candidate)
+    checks = parent.checks
+    if normal.implied:
+        candidate_ok = agrees or not checks or _check_all(checks, _candidate(lo, hi))
     else:
-        candidate_ok = _check_all([live.check for live in _live(node)], candidate)
-    return _Fixpoint(None, tuple(lo), tuple(hi), candidate_ok, general)
+        checks += (normal.check,)
+        candidate = _candidate(lo, hi)
+        if agrees:
+            candidate_ok = _holds(normal.check, candidate)
+        else:
+            candidate_ok = _check_all(checks, candidate)
+    return _Fixpoint(None, lo, hi, candidate_ok, general, checks)
+
+
+def _candidate(lo: Sequence[int], hi: Sequence[int]) -> list[int]:
+    """The domains' points nearest zero."""
+    return list(map(_nearest_zero, lo, hi))
 
 
 def _live(node: PathCondition) -> list[_Normal]:
@@ -595,9 +656,9 @@ def _materialise(node: PathCondition, num_vars: int) -> SolveResult:
     if fixpoint.verdict is not None:
         return SolveResult(fixpoint.verdict)
     lo, hi = fixpoint.lo, fixpoint.hi
-    candidate = list(map(_nearest_zero, lo, hi)) + [0] * (num_vars - len(lo))
+    candidate = (*map(_nearest_zero, lo, hi), *(0,) * (num_vars - len(lo)))
     if fixpoint.candidate_ok:
-        return SolveResult(SAT, tuple(candidate))
+        return SolveResult(SAT, candidate)
 
     live = _live(node)
     checks = [normal.check for normal in live]
@@ -608,7 +669,7 @@ def _materialise(node: PathCondition, num_vars: int) -> SolveResult:
         if space > ENUMERATION_CAP:
             break
 
-    model = candidate
+    model = list(candidate)
     odometer = [lo[v] for v in used]
     tried = 0
     while tried < ENUMERATION_CAP:

@@ -522,6 +522,38 @@ class TestPinnedFSTrees:
         assert hashlib.sha256(campaign_json_bytes(report)).hexdigest() == digest
 
 
+class TestFSTargetCursor:
+    """``run_fs`` starts each target scan at its cursor, the first function
+    of ``by_depth`` that is neither covered nor failed, and picks what a
+    scan from the start picks."""
+
+    @pytest.mark.parametrize("params", [(3, 4, 0), (4, 4, 0)])
+    # Two states per target leave some targets failed.
+    @pytest.mark.parametrize("state_budget", [HybridConfig().per_target_state_budget, 2])
+    def test_cursor_scan_equals_full_scan(self, params, state_budget):
+        full_scan = callgraph.ProgramIndex.next_target
+        starts, skipped = [], set()
+
+        def next_target(index, covered, skip, start=0):
+            first_open = next(
+                (i for i, name in enumerate(index.by_depth) if name not in covered | skip),
+                len(index.by_depth),
+            )
+            assert start == first_open
+            got = full_scan(index, covered, skip, start)
+            assert got == full_scan(index, covered, skip)
+            starts.append(start)
+            skipped.update(skip)
+            return got
+
+        program = generate_program(GenParams(*params))
+        cfg = HybridConfig(fuzz_budget=96, per_target_state_budget=state_budget)
+        with patch.object(callgraph.ProgramIndex, "next_target", next_target):
+            run_fs(program, cfg)
+        assert len(starts) > 10 and starts[-1] == len(program.functions)
+        assert bool(skipped) == (state_budget == 2)
+
+
 class TestDefaults:
     def test_library_defaults_are_the_campaign_defaults(self):
         cfg = HybridConfig()

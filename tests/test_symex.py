@@ -4,7 +4,7 @@ import gc
 import hashlib
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 from unittest.mock import patch
 
 import pytest
@@ -504,16 +504,21 @@ _BOUND_COEFFS = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
 
 @st.composite
 def _fixpoint_constraints(draw):
-    """One-variable bounds, bounds whose second variable cancels (``-3x - 3y
+    """One-variable bounds, among them a bare variable against a constant
+    as on generated trees, bounds whose second variable cancels (``-3x - 3y
     < -3y``), constraints whose variables all cancel (``2x + 1 < 2x``), and
     constraints over up to three variables, in all six comparisons; now and
     then a constant or opaque one. Small constants make bounds meet each
     other and excluded values."""
     cmp = draw(st.sampled_from(["<", "<=", "==", "!=", ">=", ">"]))
     kind = draw(st.sampled_from(
-        ["bound"] * 4 + ["cancelling"] * 2 + ["linear"] * 2 + ["vanishing", "constant", "opaque"]
+        ["bound"] * 4 + ["plain"] * 2 + ["cancelling"] * 2 + ["linear"] * 2
+        + ["vanishing", "constant", "opaque"]
     ))
     x = draw(st.integers(0, 2))
+    if kind == "plain":
+        sides = [lin_var(x), lin_const(draw(_NEAR_LIMITS))]
+        return c(cmp, *(reversed(sides) if draw(st.booleans()) else sides))
     if kind == "linear":
         return c(cmp, draw(_linear(3)), draw(_linear(3)))
     if kind == "constant":
@@ -547,7 +552,9 @@ def _is_general(constraint):
 
 
 class TestFixpoint:
-    """Each node's fixpoint is that of propagating its whole path from scratch."""
+    """Each node's fixpoint is that of propagating its whole path from
+    scratch, and its ``checks`` are those of the path's non-constant
+    constraints that are not implied, in path order."""
 
     @settings(max_examples=600, deadline=None)
     @given(
@@ -557,7 +564,10 @@ class TestFixpoint:
     # The domain grows to the cancelled variable too; a disequality or a
     # two-variable inequality makes the rest of the path general; bound-only
     # paths equal propagation at the lowest caps; none of ``x < x``,
-    # ``2x != 3`` and ``x != y`` makes a path general.
+    # ``2x != 3`` and ``x != y`` makes a path general; ``2x > 0`` is not
+    # implied, and the candidate 2**30, inside both intervals, fails it
+    # under wrap-around.
+    @example(path=[c(">=", X, lin_const(2**30)), c(">", _lin(0, (0, 2)), lin_const(0))], cap=100)
     @example(path=[c("<", _lin(0, (0, -3), (1, -3)), _lin(0, (1, -3)))], cap=100)
     @example(path=[c("!=", X, lin_const(5)), c(">=", X, lin_const(5))], cap=100)
     @example(path=[c("<", X, Y), c("<=", Y, lin_const(3))], cap=100)
@@ -594,11 +604,139 @@ class TestFixpoint:
                 assert [[lo, hi] for lo, hi in zip(got.lo, got.hi)] == domains[:size]
                 assert all(d == [INT32_MIN, INT32_MAX] for d in domains[size:])
                 assert got.general == any(_is_general(c) for c in live)
+                assert got.checks == tuple(
+                    c.normal.check for c in live if not c.normal.implied
+                )
                 candidate = list(map(symex._nearest_zero, got.lo, got.hi))
                 assert got.candidate_ok == all(
                     apply_cmp(c.cmp, c.lhs.evaluate(candidate), c.rhs.evaluate(candidate))
                     for c in live
                 )
+
+
+_WIDE_COEFFS = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4, -(2**30), 2**30])
+
+
+@st.composite
+def _one_variable_constraints(draw):
+    """``k*x + a <cmp> b`` either way round, or ``k*x + a <cmp> j*x + b``,
+    with constants near zero and the int32 limits. The variable side is
+    ``x`` itself half the time, the shape a generated tree compares."""
+    cmp = draw(st.sampled_from(["<", "<=", "==", "!=", ">=", ">"]))
+    if draw(st.booleans()):
+        side = X
+    else:
+        side = _lin(draw(_NEAR_LIMITS), (0, draw(_WIDE_COEFFS)))
+    if draw(st.booleans()):
+        other = lin_const(draw(_NEAR_LIMITS))
+    else:
+        other = _lin(draw(_NEAR_LIMITS), (0, draw(_WIDE_COEFFS)))
+    return c(cmp, side, other) if draw(st.booleans()) else c(cmp, other, side)
+
+
+class TestImplied:
+    """An implied constraint holds under wrap-around at every point of its
+    interval, so a candidate inside the interval needs no check. The drawn
+    constraints include sides that wrap (``2x``, ``-x``, ``x - 5``,
+    ``2**30 * x``); the listed ones do at a point of their interval."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(constraint=_one_variable_constraints(), data=st.data())
+    def test_an_implied_constraint_holds_across_its_interval(self, constraint, data):
+        if constraint.is_const or constraint.normal.interval is None:
+            return
+        normal = constraint.normal
+        _, low, high = normal.interval
+        if low > high:
+            return
+        for x in {low, high, data.draw(st.integers(low, high))}:
+            if not symex._holds(normal.check, [x]):
+                assert not normal.implied
+
+    @pytest.mark.parametrize("constraint, x", [
+        (c(">", _lin(0, (0, 2)), lin_const(0)), 2**30),
+        (c("<", _lin(-5, (0, 1)), lin_const(0)), INT32_MIN),
+        (c(">", _lin(0, (0, -1)), lin_const(0)), INT32_MIN),
+        (c(">=", _lin(0, (0, 2**30)), lin_const(0)), 2),
+        (c("<=", lin_const(INT32_MAX - 1), _lin(1, (0, 1))), INT32_MAX),
+    ])
+    def test_a_side_that_wraps_is_not_implied(self, constraint, x):
+        normal = constraint.normal
+        _, low, high = normal.interval
+        assert low <= x <= high
+        assert not symex._holds(normal.check, [x])
+        assert not normal.implied
+
+    @pytest.mark.parametrize("cmp", ["<", "<=", "==", ">=", ">"])
+    @pytest.mark.parametrize("bound", [INT32_MIN, -3, 0, 5, INT32_MAX])
+    def test_a_bare_variable_against_a_constant_is_implied(self, cmp, bound):
+        assert c(cmp, X, lin_const(bound)).normal.implied
+        assert c(cmp, lin_const(bound), X).normal.implied
+        assert not c("!=", X, lin_const(bound)).normal.implied
+
+
+GENERAL_TEXT = """\
+program general
+
+func main()
+block entry:
+  x = input
+  y = input
+  br < x y -> less, out
+block less:
+  s = x + y
+  br > s 10 -> big, out
+block big:
+  call leaf()
+  ret
+block out:
+  ret
+
+func leaf()
+block entry:
+  ret
+"""
+
+
+class TestCandidateWork:
+    """Calls of ``_holds``, ``_check_all`` and ``_live``. Generated trees
+    compare a bare input with a constant at every branch, so every
+    constraint is implied and no solve checks a model or walks its path;
+    a program with two-variable inequalities still does both."""
+
+    def _counted(self, run):
+        counts = Counter()
+
+        def counting(name):
+            original = getattr(symex, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return original(*args)
+
+            return counted
+
+        with patch.object(symex, "_holds", counting("_holds")), \
+                patch.object(symex, "_check_all", counting("_check_all")), \
+                patch.object(symex, "_live", counting("_live")):
+            result = run()
+        return counts, result
+
+    @pytest.mark.parametrize("mode", ["sf", "fs"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_generated_trees_check_no_candidate(self, mode, seed):
+        program = generate_program(GenParams(3, 4, seed))
+        cfg = HybridConfig(mode=mode, fuzz_budget=96, rng_seed=seed)
+        counts, report = self._counted(
+            lambda: (run_sf if mode == "sf" else run_fs)(program, cfg)
+        )
+        assert report.solver_stats.queries > 0
+        assert counts == {}
+
+    def test_general_paths_still_check_their_candidates(self):
+        counts, result = self._counted(lambda: symex_campaign(parse_program(GENERAL_TEXT)))
+        assert result.coverage.functions == {"main", "leaf"}
+        assert counts["_holds"] and counts["_check_all"] and counts["_live"]
 
 
 class TestSelectNextState:
