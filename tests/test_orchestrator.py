@@ -563,3 +563,145 @@ class TestDefaults:
         assert params["max_inputs"].default == cfg.max_inputs
         assert params["rng_seed"].default == cfg.rng_seed
         assert params["replay_step_limit"].default == cfg.step_limit
+
+
+# ``pick`` and ``split`` fork inside a callee and return into ``main``, whose
+# store the successors then write (``y``, ``t``) or fork on without writing
+# (after ``split``). ``low`` reads ``t``, which only ``high`` writes, and
+# ``pick`` adds ``m``, which only its ``one`` side writes: a write that
+# reached another path's store would call ``corrupted``, which no input
+# reaches, and add a test to the suite.
+STORE_SHARING_TEXT = """\
+program cow
+
+func main()
+block entry:
+  x = input
+  y = call pick(x)
+  call show(y)
+  call split(x)
+  br < x 100 -> low, high
+block low:
+  jmp low2
+block low2:
+  jmp low3
+block low3:
+  jmp low4
+block low4:
+  call expect0(t)
+  ret
+block high:
+  t = const 7
+  call show(t)
+  z = input
+  br == z 9 -> hz, lz
+block hz:
+  call show(z)
+  ret
+block lz:
+  ret
+
+func pick(a)
+block entry:
+  b = call side(a)
+  br < b 5 -> one, two
+block one:
+  m = const 3
+  jmp done
+block two:
+  jmp done
+block done:
+  c = b + m
+  ret c
+
+func side(a)
+block entry:
+  br < a 10 -> lo, hi
+block lo:
+  ret 1
+block hi:
+  ret 9
+
+func split(a)
+block entry:
+  br < a 50 -> neg, pos
+block neg:
+  ret
+block pos:
+  ret
+
+func show(v)
+block entry:
+  br == v 4 -> four, notfour
+block four:
+  call s4()
+  ret
+block notfour:
+  br == v 9 -> nine, notnine
+block nine:
+  call s9()
+  ret
+block notnine:
+  br == v 7 -> seven, other
+block seven:
+  call s7()
+  ret
+block other:
+  call corrupted()
+  ret
+
+func expect0(v)
+block entry:
+  br == v 0 -> zero, nonzero
+block zero:
+  ret
+block nonzero:
+  call corrupted()
+  ret
+
+func s4()
+block entry:
+  print 4
+  ret
+
+func s9()
+block entry:
+  print 9
+  ret
+
+func s7()
+block entry:
+  print 7
+  ret
+
+func corrupted()
+block entry:
+  print -1
+  ret
+"""
+
+
+class TestStoreSharing:
+    """Callers' stores written after a forking callee returns."""
+
+    # sha256 of the report bytes with duration 0, recorded while every fork
+    # still copied every caller's store.
+    @pytest.mark.parametrize("runner, digest", [
+        (
+            lambda p: run_sf(p, HybridConfig(mode="sf", fuzz_budget=8, rng_seed=0)),
+            "68af655c4b73bfa8e3f27d5e93a19bdc6513c4181a356dc2d74a85f8a67a31b6",
+        ),
+        (
+            lambda p: run_symex(p, HybridConfig(rng_seed=3))[0],
+            "17b16f2502580d83976a50d2dcefb01984af5aefd0e9acc05cfb65c93819d34d",
+        ),
+        (
+            lambda p: run_fs(p, HybridConfig(fuzz_budget=0, rng_seed=0)),
+            "64715abf3e6f9156cc6dc1d3d0db0b83414c7619116be842b326a42e4e9bda24",
+        ),
+    ], ids=["sf", "symex", "fs"])
+    def test_reports_equal_the_recorded_ones(self, runner, digest):
+        program = parse_program(STORE_SHARING_TEXT)
+        report = dataclasses.replace(runner(program), duration=0.0)
+        assert "corrupted" not in report.coverage.functions
+        assert hashlib.sha256(campaign_json_bytes(report)).hexdigest() == digest
