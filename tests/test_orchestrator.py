@@ -681,8 +681,78 @@ block entry:
 """
 
 
+# ``fork2`` forks inside ``relay``'s call and both sides return into
+# ``relay``, which reads ``u`` before it writes it: a side that wrote ``u``
+# into a store the other side also holds would make it call ``corrupted``.
+RELAY_TEXT = """\
+program relay
+
+func main()
+block entry:
+  x = input
+  call relay(x)
+  ret
+
+func relay(a)
+block entry:
+  call fork2(a)
+  jmp use
+block use:
+  r = u + 1
+  jmp set
+block set:
+  u = const 7
+  call check(r)
+  ret
+
+func fork2(a)
+block entry:
+  br < a 10 -> lo, hi
+block lo:
+  ret
+block hi:
+  ret
+
+func check(v)
+block entry:
+  br == v 1 -> fine, bad
+block fine:
+  ret
+block bad:
+  call corrupted()
+  ret
+
+func corrupted()
+block entry:
+  print -1
+  ret
+"""
+
+
 class TestStoreSharing:
     """Callers' stores written after a forking callee returns."""
+
+    # sha256 of the report bytes with duration 0, recorded while every fork
+    # still copied every caller's store.
+    @pytest.mark.parametrize("runner, digest", [
+        (
+            lambda p: run_sf(p, HybridConfig(mode="sf", fuzz_budget=8, rng_seed=0)),
+            "4f91130929a76a01f88f5b78c479ea3425c8d1487d2a3b83be2cfa5d07dfddf5",
+        ),
+        (
+            lambda p: run_symex(p, HybridConfig(rng_seed=3))[0],
+            "29a6adaed668ae42ca5d139a8308f62e9e3b7cf487e3c78bf15f1a36c9511b5d",
+        ),
+        (
+            lambda p: run_fs(p, HybridConfig(fuzz_budget=0, rng_seed=0)),
+            "7ffaa02d3ac4ce7e937bef23862df82b300e4d4c4c6b9f4ed3512feb497f8f42",
+        ),
+    ], ids=["sf", "symex", "fs"])
+    def test_relay_reports_equal_the_recorded_ones(self, runner, digest):
+        program = parse_program(RELAY_TEXT)
+        report = dataclasses.replace(runner(program), duration=0.0)
+        assert "corrupted" not in report.coverage.functions
+        assert hashlib.sha256(campaign_json_bytes(report)).hexdigest() == digest
 
     # sha256 of the report bytes with duration 0, recorded while every fork
     # still copied every caller's store.
