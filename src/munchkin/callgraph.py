@@ -19,12 +19,13 @@ index is read off the program's lowered form (``executor.lowered_form``),
 the one decoding of its instructions that both interpreters run: its
 location ids, each call's callee and entry id, each branch's and jump's
 target ids, and its returns. The index holds the call graph, the reachable
-set and the reverse graph over those location ids and one after-call id
-per call instruction, numbered after the blocks in program order; it
-keeps nothing per target. ``ProgramIndex.distances`` runs one backward BFS
-from a target's entry on each call and returns a new hop list, indexed by
-location id, -1 where the target cannot be reached; a sonar run asks for
-its target's list once and owns it.
+set and, from the first ``distances`` call, the reverse graph over those
+location ids and one after-call id per call instruction, numbered after
+the blocks in program order; it keeps nothing per target.
+``ProgramIndex.distances`` runs one backward BFS from a target's entry on
+each call and returns a new hop list, indexed by location id, -1 where
+the target cannot be reached; a sonar run asks for its target's list once
+and owns it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Set
 
 from .executor import OP_BRANCH, OP_CALL, OP_JUMP, OP_RETURN, lowered_form
-from .ir import ENTRY_FUNCTION, Program, _Record, block_locations
+from .ir import ENTRY_FUNCTION, Program, _Record
 
 
 class CallGraph(_Record):
@@ -60,20 +61,28 @@ def build_callgraph(program: Program) -> CallGraph:
 class ProgramIndex(_Record):
     """Static facts of one program, computed once and shared by its campaigns.
 
-    Read off the lowered form, so blocks are numbered by
-    ``ir.block_locations``, and each call's after-call point has an id after
-    them (see ``index_program``); ``entries`` maps each function to its entry
-    block's location id, and ``predecessors[i]`` lists, ascending and
-    without repeats, the locations with an edge into location ``i``.
-    ``callers`` maps each function to the functions that call it, by name;
-    ``by_depth`` lists the reachable functions by ascending depth, then
-    name. The index holds no per-target state: each ``distances`` call
-    builds a new hop list.
+    Read off the lowered form, so blocks have its location ids. ``entries``
+    maps each function to its entry block's id, ``callers`` each function
+    to its callers' names, and ``by_depth`` lists the reachable functions
+    by ascending depth, then name. ``predecessors[i]`` lists, ascending and
+    without repeats, the locations with an edge into location ``i``, built
+    on first use from the lowered blocks, which a slot that is not a field
+    keeps: the index holds no reference to its program.
     """
 
-    __slots__ = _fields = (
-        "callgraph", "reachable", "entries", "predecessors", "callers", "by_depth"
-    )
+    _fields = ("callgraph", "reachable", "entries", "callers", "by_depth")
+    __slots__ = _fields + ("_codes", "_predecessors")
+
+    def __reduce__(self) -> tuple:  # copies keep the blocks the graph is built from
+        return _index_of, (getattr(self, "_codes", None), self._values())
+
+    @property
+    def predecessors(self) -> tuple[tuple[int, ...], ...]:
+        predecessors = getattr(self, "_predecessors", None)
+        if predecessors is None:
+            predecessors = _reverse_graph(self._codes, self.entries)
+            object.__setattr__(self, "_predecessors", predecessors)
+        return predecessors
 
     def distances(self, target: str) -> list[int]:
         """Each location's hop count to the target's entry, -1 where it
@@ -115,50 +124,24 @@ class ProgramIndex(_Record):
 def index_program(program: Program) -> ProgramIndex:
     """The program's index, built on first use and stored on the program.
 
-    One pass over the lowered form collects the call edges, the predecessors
-    and each function's return points. While it scans a block, the current
-    point starts at the block's id and, after each call, becomes that call's
-    after-call id, the next id after the blocks and the after-call points
-    numbered so far. Call, branch and jump edges leave from the current
-    point, and a return makes it one of its function's return points. The
-    return edges, from every return point of a callee to the after-call
-    point of each call to it, follow from those. Only the index numbers
-    after-call points: ``ir.block_locations``, the lowered form and the edge
-    hashes number blocks alone. Like the lowered form, the index lives and
-    dies with its program, so every campaign on one program shares it.
+    Like the lowered form, the index lives and dies with its program, so
+    every campaign on one program shares it.
     """
     index = getattr(program, "_index", None)
     if index is not None:
         return index
     functions = program.functions
     codes = lowered_form(program)[0]
-    locations = block_locations(program)
     entries: dict[str, int] = {}
     edges: set[tuple[str, str]] = set()
-    after_calls: list[tuple[int, str]] = []
-    returns: dict[str, list[int]] = {name: [] for name in functions}
-    predecessors: list[list[int]] = [[] for _ in locations]
-    for here, code in enumerate(codes):
-        fname = locations[here][0]
-        entries.setdefault(fname, here)
-        point = here
-        for instr in code:
-            op = instr[0]
-            if op == OP_CALL:
-                edges.add((fname, instr[1]))
-                predecessors[instr[4]].append(point)
-                point = len(predecessors)
-                predecessors.append([])
-                after_calls.append((point, instr[1]))
-            elif op == OP_BRANCH:
-                predecessors[instr[8]].append(point)
-                predecessors[instr[11]].append(point)
-            elif op == OP_JUMP:
-                predecessors[instr[3]].append(point)
-            elif op == OP_RETURN:
-                returns[fname].append(point)
-    for point, callee in after_calls:
-        predecessors[point] += returns[callee]
+    here = 0
+    for fname, func in functions.items():
+        entries[fname] = here
+        for code in codes[here:here + len(func.blocks)]:
+            for instr in code:
+                if instr[0] == OP_CALL:
+                    edges.add((fname, instr[1]))
+        here += len(func.blocks)
 
     callees: dict[str, list[str]] = {name: [] for name in functions}
     callers: dict[str, list[str]] = {name: [] for name in functions}
@@ -174,16 +157,53 @@ def index_program(program: Program) -> ProgramIndex:
                 depths[callee] = depths[fname] + 1
                 queue.append(callee)
     cg = CallGraph(frozenset(functions), frozenset(edges), depths)
-    index = ProgramIndex(
+    index = _index_of(codes, (
         cg,
         cg.reachable(),
         entries,
-        tuple(tuple(sorted(set(preds))) for preds in predecessors),
         {name: tuple(names) for name, names in callers.items()},
         tuple(sorted(depths, key=lambda name: (depths[name], name))),
-    )
+    ))
     object.__setattr__(program, "_index", index)
     return index
+
+
+def _index_of(codes: list[list[tuple]], fields: tuple) -> ProgramIndex:
+    index = ProgramIndex(*fields)
+    object.__setattr__(index, "_codes", codes)
+    return index
+
+
+def _reverse_graph(codes: list[list[tuple]], entries: dict[str, int]) -> tuple:
+    """Every location's predecessors. In a block, edges leave from the
+    current point: the block's id, then after each call that call's
+    after-call id, the next free one. Return edges run from a callee's
+    return points to its calls' after-call points."""
+    predecessors: list[list[int]] = [[] for _ in codes]
+    after_calls: list[tuple[int, str]] = []
+    returns: dict[str, list[int]] = {}
+    ends = [*list(entries.values())[1:], len(codes)]
+    for (fname, first), end in zip(entries.items(), ends):
+        returns[fname] = points = []
+        for here in range(first, end):
+            point = here
+            for instr in codes[here]:
+                op = instr[0]
+                if op == OP_CALL:
+                    predecessors[instr[4]].append(point)
+                    point = len(predecessors)
+                    predecessors.append([])
+                    after_calls.append((point, instr[1]))
+                elif op == OP_BRANCH:
+                    predecessors[instr[8]].append(point)
+                    predecessors[instr[11]].append(point)
+                elif op == OP_JUMP:
+                    predecessors[instr[3]].append(point)
+                elif op == OP_RETURN:
+                    points.append(point)
+    for point, callee in after_calls:
+        predecessors[point] += returns[callee]
+    return tuple(tuple(sorted(set(preds))) for preds in predecessors)
 
 
 def to_dot(cg: CallGraph) -> str:

@@ -264,9 +264,7 @@ def _cmd_report(args, config) -> int:
     if len(coverages) >= 2:
         inter = report.intersection_report(coverages, len(cg.reachable()))
         payload = {" & ".join(names): pct for names, pct in sorted(inter.items())}
-        (out / "intersections.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        (out / "intersections.json").write_text(report.json_text(payload), encoding="utf-8")
     if all(t in tables for t in report.PLOT_TECHNIQUE_ORDER):
         report.emit_plot_dat(
             [tables[t] for t in report.PLOT_TECHNIQUE_ORDER], out / "plot.dat"

@@ -23,7 +23,7 @@ bitmaps comparable across runs and processes; collisions are accepted.
 The first run of a program lowers it (``lowered_form``): each location is
 hashed once, every block becomes a list of small opcode tuples, and
 branches, jumps and calls hold their targets' blocks, edge indexes and
-location ids (the numbering of ``ir.block_locations``). The lowered form is
+location ids (blocks numbered in program order). The lowered form is
 stored on the program object, built once per program (never by
 ``parse_program``) and freed with it. The symbolic interpreter runs the same
 tuples, and ``callgraph.index_program`` reads the call graph and the block
@@ -41,19 +41,16 @@ from typing import Iterable, Sequence
 from .ir import (
     BinOp,
     Branch,
-    Call,
     Const,
     ENTRY_FUNCTION,
     INT32_MAX,
     INT32_MIN,
     Jump,
-    Operand,
     Print,
     Program,
     ReadInput,
     _Record,
     apply_binop,
-    block_locations,
     int_literal,
     wrap32,
 )
@@ -132,64 +129,80 @@ _MASK = MAP_SIZE - 1
 Lowered = tuple[list[list[tuple]], int, int]
 
 
-def _operand(op: Operand) -> tuple[Operand, bool]:
-    return op, isinstance(op, str)
-
-
 def _lower(program: Program) -> Lowered:
     """Each block as a list of opcode tuples, terminator last.
 
-    Every location is hashed exactly once here.
+    ``fnv1a32`` inlined: a location's hash continues the FNV state of its
+    function's ``name:`` prefix, hashed once.
     """
     functions = program.functions
-    locations = block_locations(program)
-    ids = {loc: i for i, loc in enumerate(locations)}
-    hashes = [_location_hash(loc) for loc in locations]
-    codes: list[list[tuple]] = [[] for _ in locations]
+    ids = {}  # function -> block -> location id
+    hashes = []
+    for fname, func in functions.items():
+        prefix = 0x811C9DC5
+        for byte in f"{fname}:".encode("utf-8"):
+            prefix = ((prefix ^ byte) * 0x01000193) & 0xFFFFFFFF
+        ids[fname] = {bid: len(hashes) + k for k, bid in enumerate(func.blocks)}
+        for bid in func.blocks:
+            h = prefix
+            for byte in bid.encode("utf-8"):
+                h = ((h ^ byte) * 0x01000193) & 0xFFFFFFFF
+            hashes.append(h)
+    codes: list[list[tuple]] = [[] for _ in hashes]
+    entries = {fname: next(iter(local.values())) for fname, local in ids.items()}
 
-    def transfer(src: int, dst: tuple[str, str]) -> tuple[list[tuple], int, int]:
-        """Target code, edge index and target location id of ``src -> dst``."""
-        i = ids[dst]
-        return codes[i], ((hashes[src] >> 1) ^ hashes[i]) & _MASK, i
-
-    for here, (fname, bid) in enumerate(locations):
-        code = codes[here]
-        block = functions[fname].blocks[bid]
-        for instr in block.instructions:
-            if isinstance(instr, Const):
-                code.append((OP_CONST, instr.dest, instr.value))
-            elif isinstance(instr, ReadInput):
-                code.append((OP_INPUT, instr.dest))
-            elif isinstance(instr, BinOp):
-                code.append(
-                    (OP_BINOP, instr.dest, instr.op, *_operand(instr.lhs), *_operand(instr.rhs))
-                )
-            elif isinstance(instr, Print):
-                code.append((OP_PRINT, *_operand(instr.operand)))
-            elif isinstance(instr, Call):
-                callee = functions[instr.callee]
-                args = tuple(
-                    (param, *_operand(arg)) for param, arg in zip(callee.params, instr.args)
-                )
-                entry = (instr.callee, next(iter(callee.blocks)))
+    here = 0
+    for fname, func in functions.items():
+        local = ids[fname]
+        for block in func.blocks.values():
+            code = codes[here]
+            shifted = hashes[here] >> 1
+            for instr in block.instructions:
+                kind = instr.__class__
+                if kind is Const:
+                    code.append((OP_CONST, instr.dest, instr.value))
+                elif kind is ReadInput:
+                    code.append((OP_INPUT, instr.dest))
+                elif kind is BinOp:
+                    lhs, rhs = instr.lhs, instr.rhs
+                    code.append((
+                        OP_BINOP, instr.dest, instr.op,
+                        lhs, lhs.__class__ is str, rhs, rhs.__class__ is str,
+                    ))
+                elif kind is Print:
+                    value = instr.operand
+                    code.append((OP_PRINT, value, value.__class__ is str))
+                else:
+                    name = instr.callee
+                    i = entries[name]
+                    args = tuple([
+                        (param, arg, arg.__class__ is str)
+                        for param, arg in zip(functions[name].params, instr.args)
+                    ])
+                    code.append((
+                        OP_CALL, name, codes[i], (shifted ^ hashes[i]) & _MASK, i,
+                        args, instr.dest, hashes[here] & _MASK,
+                    ))
+            term = block.terminator
+            kind = term.__class__
+            if kind is Branch:
+                lhs, rhs = term.lhs, term.rhs
+                i, j = local[term.then_block], local[term.else_block]
                 code.append((
-                    OP_CALL, instr.callee, *transfer(here, entry),
-                    args, instr.dest, hashes[here] & _MASK,
+                    OP_BRANCH, _COMPARE[term.cmp],
+                    lhs, lhs.__class__ is str, rhs, rhs.__class__ is str,
+                    codes[i], (shifted ^ hashes[i]) & _MASK, i,
+                    codes[j], (shifted ^ hashes[j]) & _MASK, j, term.cmp,
                 ))
-        term = block.terminator
-        if isinstance(term, Branch):
-            code.append((
-                OP_BRANCH, _COMPARE[term.cmp], *_operand(term.lhs), *_operand(term.rhs),
-                *transfer(here, (fname, term.then_block)),
-                *transfer(here, (fname, term.else_block)), term.cmp,
-            ))
-        elif isinstance(term, Jump):
-            code.append((OP_JUMP, *transfer(here, (fname, term.target))))
-        else:
-            value = 0 if term.value is None else term.value
-            code.append((OP_RETURN, *_operand(value), (hashes[here] >> 1) & _MASK))
+            elif kind is Jump:
+                i = local[term.target]
+                code.append((OP_JUMP, codes[i], (shifted ^ hashes[i]) & _MASK, i))
+            else:
+                value = 0 if term.value is None else term.value
+                code.append((OP_RETURN, value, value.__class__ is str, shifted & _MASK))
+            here += 1
 
-    entry = ids[(ENTRY_FUNCTION, next(iter(functions[ENTRY_FUNCTION].blocks)))]
+    entry = entries[ENTRY_FUNCTION]
     start = ((_location_hash(_START_LOCATION) >> 1) ^ hashes[entry]) & _MASK
     return codes, entry, start
 

@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ir import INT32_MAX, INT32_MIN, Program, _MutableRecord, _Record, wrap32
+from .ir import INT32_MAX, INT32_MIN, Program, _MutableRecord, _Record
 from .executor import (
     CoverageMap,
     DEFAULT_STEP_LIMIT,
@@ -117,6 +117,7 @@ def mutate(
     """
     getrandbits = rng.getrandbits
     out = list(values)
+    n = len(out)
     stacked = getrandbits(3)  # randint(1, HAVOC_STACKING) - 1
     while stacked >= HAVOC_STACKING:
         stacked = getrandbits(3)
@@ -126,7 +127,6 @@ def mutate(
             op = getrandbits(3)
         if trace is not None:
             trace.append(MUTATION_OPS[op])
-        n = len(out)
         if op == 4:  # insert: a position in 0..n, then any int32 value
             if n >= MAX_INPUT_LENGTH:
                 continue
@@ -138,6 +138,7 @@ def mutate(
             while value >= 1 << 32:
                 value = getrandbits(33)
             out.insert(idx, value + INT32_MIN)
+            n += 1
             continue
         if not n or op == 3 and n >= MAX_INPUT_LENGTH:
             continue
@@ -149,11 +150,13 @@ def mutate(
         idx = getrandbits(k)
         while idx >= n:
             idx = getrandbits(k)
+        # ``ir.wrap32`` inlined: ``((v - INT32_MIN) & 0xFFFFFFFF) + INT32_MIN``.
         if op == 0:  # bitflip
             bit = getrandbits(6)
             while bit >= 32:
                 bit = getrandbits(6)
-            out[idx] = wrap32((out[idx] & 0xFFFFFFFF) ^ (1 << bit))
+            flipped = (out[idx] & 0xFFFFFFFF) ^ (1 << bit)
+            out[idx] = (flipped - INT32_MIN & 0xFFFFFFFF) + INT32_MIN
         elif op == 1:  # delta: 1..35, negated when random() < 0.5
             delta = getrandbits(6)
             while delta >= 35:
@@ -161,13 +164,15 @@ def mutate(
             delta += 1
             if rng.random() < 0.5:
                 delta = -delta
-            out[idx] = wrap32(out[idx] + delta)
+            out[idx] = (out[idx] + delta - INT32_MIN & 0xFFFFFFFF) + INT32_MIN
         elif op == 2:
             out[idx] = INTERESTING[value]
         elif op == 3:  # duplicate
             out.insert(idx + 1, out[idx])
+            n += 1
         else:  # delete
             del out[idx]
+            n -= 1
     return tuple(out)
 
 
@@ -195,7 +200,6 @@ def fuzz_campaign(
     edge_bits: set[int] = set()
     faults: list[tuple[InputVector, Outcome]] = []
     witnesses: dict[str, InputVector] = {}
-    executions = 0
     # Outcome of each consumed prefix that ran, and the prefix lengths seen.
     # The prefixes that ran form a prefix-free set (a run that read the
     # values of a shorter one would have stopped where it did), so at most
@@ -203,17 +207,18 @@ def fuzz_campaign(
     outcomes: dict[InputVector, Outcome] = {}
     lengths: list[int] = []
 
-    def execute(values: InputVector, iteration: int, result: RunResult | None = None) -> None:
-        nonlocal executions
-        executions += 1
+    def ran(values: InputVector) -> bool:
+        """Whether the input's consumed prefix ran; if that faulted, so did this."""
+        size = len(values)
         for n in lengths:
-            outcome = outcomes.get(values[:n] + (0,) * (n - len(values)))
+            outcome = outcomes.get(values[:n] if size >= n else values + (0,) * (n - size))
             if outcome is not None:
                 if outcome is not Outcome.COMPLETED:
                     faults.append((values, outcome))
-                return
-        if result is None:
-            result = run_concrete(program, values, config.step_limit)
+                return True
+        return False
+
+    def admit(values: InputVector, iteration: int, result: RunResult) -> None:
         n = result.inputs_read
         if n not in lengths:
             lengths.append(n)
@@ -229,18 +234,21 @@ def fuzz_campaign(
             corpus.append(CorpusEntry(values, coverage, iteration))
             edge_bits.update(coverage.edge_bits)
 
-    iteration = 0
-    for seed, run in zip(seed_list, seed_runs or [None] * len(seed_list)):
-        execute(seed, iteration, run)
-        iteration += 1
+    step_limit = config.step_limit
+    for iteration, (seed, run) in enumerate(zip(seed_list, seed_runs or [None] * len(seed_list))):
+        if not ran(seed):
+            if run is None:
+                run = run_concrete(program, seed, step_limit)
+            admit(seed, iteration, run)
 
     # The first seed always enters the corpus: the virtual start edge sets a
     # bit and the cumulative map begins empty.
     for round_num in range(config.budget):
-        parent = corpus[round_num % len(corpus)]
-        mutant = mutate(parent.values, rng)
-        execute(mutant, iteration)
-        iteration += 1
+        mutant = mutate(corpus[round_num % len(corpus)].values, rng)
+        if not ran(mutant):
+            admit(mutant, len(seed_list) + round_num, run_concrete(program, mutant, step_limit))
 
+    # Every input counts as an execution, run or looked up.
+    executions = len(seed_list) + config.budget
     cumulative = CoverageMap(frozenset(functions), frozenset(edge_bits))
     return FuzzResult(corpus, cumulative, executions, faults, witnesses)

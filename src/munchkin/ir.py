@@ -268,17 +268,6 @@ class Program(_Record):
     __slots__ = _fields + ("_lowered", "_index", "__weakref__")
 
 
-def block_locations(program: Program) -> tuple[tuple[str, str], ...]:
-    """Every (function, block) location in program order.
-
-    A location's position in this tuple is its location id, the one
-    numbering that the lowered form and the program index share.
-    """
-    return tuple(
-        (fname, bid) for fname, func in program.functions.items() for bid in func.blocks
-    )
-
-
 # ---------------------------------------------------------------------------
 # Errors
 # ---------------------------------------------------------------------------

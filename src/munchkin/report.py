@@ -6,12 +6,13 @@ functions only; unreachable functions are excluded from denominators and
 reported as a separate count in the JSON schema, and a campaign's overall
 percentage is read back from its depth table. Plot data files hold five
 whitespace-separated columns, depth first, then one coverage percent per
-technique in the fixed order symex-only, fuzz-only, FS, SF.
+technique in the fixed order symex-only, fuzz-only, FS, SF. JSON files are
+written by ``json_text``, byte for byte as ``json`` writes them.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -192,6 +193,32 @@ def campaign_to_dict(report) -> dict:
 
 
 def campaign_json_bytes(report) -> bytes:
-    return (json.dumps(campaign_to_dict(report), sort_keys=True, indent=2) + "\n").encode(
-        "utf-8"
-    )
+    return json_text(campaign_to_dict(report)).encode("ascii")
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2) + "\\n"`` for dicts with
+    string keys, lists, strings, ints and finite floats (not bools), joined
+    directly rather than by ``json``'s pure-Python indent encoder."""
+    return _json(value, "\n") + "\n"
+
+
+_SCALARS = {int: int.__repr__, str: encode_basestring_ascii, float: float.__repr__}
+
+
+def _json(value, newline: str) -> str:
+    kind, inner = value.__class__, newline + "  "
+    if kind is dict:
+        items = [
+            f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(value.items())
+        ]
+    elif kind is list:
+        kinds = set(map(type, value))  # one scalar type: no call per item
+        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(write, value) if write else [_json(v, inner) for v in value]
+    elif kind in _SCALARS:
+        return _SCALARS[kind](value)
+    else:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
+    ends = "{}" if kind is dict else "[]"
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{newline}{ends[1]}" if value else ends

@@ -75,9 +75,12 @@ those. It asks each solve again, which the cache answers, and passes each
 entry to the emission logic, which reads the live covered set and may end
 the campaign there. It then makes the fork's successors with fresh
 ``seq`` numbers, in order. They share the kept stores, and a state copies
-them only when its own slice runs afresh. So results, queries and cache
-hits are those of running the slice afresh. A slice cut short by
+the running one when its own slice runs afresh. So results, queries and
+cache hits are those of running the slice afresh. A slice cut short by
 reaching the target is not stored.
+
+Callers' stores are shared between states and copied on their first
+write after a return: a fork copies only the running store.
 
 A test case is emitted whenever a state enters a function not covered by
 previously emitted test cases. Every emitted input vector is validated by
@@ -112,6 +115,7 @@ from .executor import (
     OP_CONST,
     OP_INPUT,
     OP_JUMP,
+    OP_PRINT,
     OP_RETURN,
     _COMPARE,
     CoverageMap,
@@ -311,20 +315,29 @@ class Constraint(_Record):
         """Normal form of a linear constraint that depends on some input."""
         normal = self._normal
         if normal is None:
-            normal = self._normalise()
+            normal = _normalise((self.cmp,), self.lhs, self.rhs)[0]
             object.__setattr__(self, "_normal", normal)
         return normal
 
-    def _normalise(self) -> _Normal:
-        lhs, rhs, cmp = self.lhs, self.rhs, self.cmp
-        # Canonical terms are sorted and nonzero: with one side constant, the
-        # difference's terms are the other side's, negated on the right.
-        if not lhs.terms or not rhs.terms:
-            const = lhs.const - rhs.const
-            terms = lhs.terms or tuple([(v, -k) for v, k in rhs.terms])
-        else:
-            coeffs, const = _diff(lhs, rhs)
-            terms = tuple(coeffs.items())
+
+def _normalise(cmps: Sequence[str], lhs: LinExpr, rhs: LinExpr) -> list[_Normal]:
+    """Normal forms of ``lhs <cmp> rhs`` for each of ``cmps``: a branch
+    normalises its constraint and the negation in one call."""
+    # Canonical terms are sorted and nonzero: with one side constant, the
+    # difference's terms are the other side's, negated on the right.
+    const = lhs.const - rhs.const
+    if not lhs.terms or not rhs.terms:
+        terms = lhs.terms or tuple([(v, -k) for v, k in rhs.terms])
+    else:
+        coeffs = dict(lhs.terms)
+        for var, coeff in rhs.terms:
+            coeffs[var] = coeffs.get(var, 0) - coeff
+        terms = tuple([(v, k) for v, k in coeffs.items() if k])
+    variables = frozenset([v for v, _ in lhs.terms + rhs.terms])
+    operands = (lhs.const + _HALF, lhs.terms, rhs.const + _HALF, rhs.terms)
+    cannot_wrap = _cannot_wrap(lhs) and _cannot_wrap(rhs)
+    normals = []
+    for cmp in cmps:
         excluded = None
         if cmp == "<":
             ineqs = ((terms, -const - 1),)
@@ -353,10 +366,11 @@ class Constraint(_Record):
                 else:
                     low = max(low, -(bound // -coeff))
             interval = (var, low, high)
-        variables = frozenset([v for v, _ in lhs.terms + rhs.terms])
-        check = (_COMPARE[cmp], lhs.const + _HALF, lhs.terms, rhs.const + _HALF, rhs.terms)
-        implied = interval is not None and _cannot_wrap(lhs) and _cannot_wrap(rhs)
-        return _Normal(ineqs, excluded, variables, check, interval, implied)
+        normals.append(_Normal(
+            ineqs, excluded, variables, (_COMPARE[cmp], *operands), interval,
+            interval is not None and cannot_wrap,
+        ))
+    return normals
 
 
 _NEGATION = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
@@ -447,14 +461,6 @@ class SolveResult(_Record):
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
-
-
-def _diff(lhs: LinExpr, rhs: LinExpr) -> tuple[dict[int, int], int]:
-    """Exact-arithmetic lhs - rhs as (coefficients, constant)."""
-    coeffs = dict(lhs.terms)
-    for var, coeff in rhs.terms:
-        coeffs[var] = coeffs.get(var, 0) - coeff
-    return {v: c for v, c in coeffs.items() if c != 0}, lhs.const - rhs.const
 
 
 class _Fixpoint(NamedTuple):
@@ -914,9 +920,12 @@ def symex_campaign(
         successors' counters. ``events``, when given, receives each branch
         solve as ``(None, node, inputs_read)`` and each function entry as
         ``(function, node, inputs_read)``, in order.
+
+        A store is ``owned`` until a return makes it a shared caller's.
         """
         frames = state.frames
         code, index, loc, store, ret_dest = frames.pop()
+        owned = True
         while True:
             if state.steps >= MAX_STEPS_PER_STATE:
                 return None
@@ -940,16 +949,22 @@ def symex_campaign(
                     index = 0
                     continue
 
+                negation = negate_constraint(then_c)
+                sides = (
+                    (solver.extend(state.pc, then_c), then, then_id),
+                    (solver.extend(state.pc, negation), other, other_id),
+                )
+                if sides[0][0].constraint is then_c and not then_c.is_opaque:
+                    # New nodes: one call normalises both sides.
+                    normals = _normalise((cmp, negation.cmp), lhs, rhs)
+                    object.__setattr__(then_c, "_normal", normals[0])
+                    object.__setattr__(negation, "_normal", normals[1])
                 feasible = []
-                for constraint, target_code, target_id in (
-                    (then_c, then, then_id),
-                    (negate_constraint(then_c), other, other_id),
-                ):
-                    pc = solver.extend(state.pc, constraint)
+                for side in sides:
                     if events is not None:
-                        events.append((None, pc, state.inputs_read))
-                    if solver.solve(pc, state.inputs_read).status != UNSAT:
-                        feasible.append((pc, target_code, target_id))
+                        events.append((None, side[0], state.inputs_read))
+                    if solver.solve(side[0], state.inputs_read).status != UNSAT:
+                        feasible.append(side)
                 if not feasible:
                     return None
                 if len(feasible) == 1:
@@ -958,14 +973,14 @@ def symex_campaign(
                     state.queries_charged += 1
                     continue
                 return (
-                    frames, store, ret_dest, feasible,
+                    frames, store if owned else dict(store), ret_dest, feasible,
                     state.inputs_read, state.queries_charged + 1, state.steps,
                 )
             elif op == OP_CALL:
                 _, callee, entry, _, callee_id, args, dest, _ = instr
                 frames.append((code, index, loc, store, ret_dest))
                 caller_store = store
-                store = {}
+                store, owned = {}, True
                 for param, arg, name in args:
                     store[param] = caller_store.get(arg, zero) if name else lin_const(arg)
                 code, index, loc, ret_dest = entry, 0, callee_id, dest
@@ -976,41 +991,46 @@ def symex_campaign(
                 if not frames:
                     return None  # entry function returned
                 dest = ret_dest
+                code, index, loc, caller_store, ret_dest = frames.pop()
                 if dest is not None:  # only a caller that stores it reads the value
                     value = store.get(instr[1], zero) if instr[2] else lin_const(instr[1])
-                code, index, loc, store, ret_dest = frames.pop()
-                if dest is not None:
+                    store, owned = dict(caller_store), True
                     store[dest] = value
+                else:
+                    store, owned = caller_store, False
             elif op == OP_JUMP:
                 code, loc = instr[1], instr[3]
                 index = 0
-            elif op == OP_BINOP:
-                _, dest, binop, lhs, lhs_name, rhs, rhs_name = instr
-                value = sym_binop(
-                    binop,
-                    store.get(lhs, zero) if lhs_name else lin_const(lhs),
-                    store.get(rhs, zero) if rhs_name else lin_const(rhs),
-                )
-                if value is None:
-                    return None  # definite fault ends the path
-                store[dest] = value
-            elif op == OP_CONST:
-                store[instr[1]] = lin_const(instr[2])
-            elif op == OP_INPUT:
-                if state.inputs_read < max_inputs:
-                    store[instr[1]] = lin_var(state.inputs_read)
-                    state.inputs_read += 1
-                else:
-                    store[instr[1]] = zero
-            # A print has no symbolic effect; it only takes its step.
+            elif op != OP_PRINT:  # a print has no symbolic effect; it only takes its step
+                # The rest write the store: copy a caller's on its first write.
+                if not owned:
+                    store, owned = dict(store), True
+                if op == OP_BINOP:
+                    _, dest, binop, lhs, lhs_name, rhs, rhs_name = instr
+                    value = sym_binop(
+                        binop,
+                        store.get(lhs, zero) if lhs_name else lin_const(lhs),
+                        store.get(rhs, zero) if rhs_name else lin_const(rhs),
+                    )
+                    if value is None:
+                        return None  # definite fault ends the path
+                    store[dest] = value
+                elif op == OP_CONST:
+                    store[instr[1]] = lin_const(instr[2])
+                elif op == OP_INPUT:
+                    if state.inputs_read < max_inputs:
+                        store[instr[1]] = lin_var(state.inputs_read)
+                        state.inputs_read += 1
+                    else:
+                        store[instr[1]] = zero
 
     def spawn(fork: tuple | None, shared: bool) -> list[SymState]:
         """A fork's successors, in order, each with the next ``seq`` number.
 
-        With ``shared``, every successor shares the fork's stores, which the
-        memo keeps, until a fresh run copies them. Otherwise the forking
-        state is gone: the last successor takes over its stores, and the
-        others get copies.
+        Successors share the callers' stores. With ``shared``, they also
+        share the running store, which the memo keeps, until a fresh run
+        copies it. Otherwise the last successor takes over the running
+        store, and the others get copies.
         """
         nonlocal seq
         if fork is None:
@@ -1020,13 +1040,10 @@ def symex_campaign(
         last = len(sides) - 1
         for k, (pc, code, loc) in enumerate(sides):
             seq += 1
-            if shared:
-                frames, top = callers[:], store
-            elif k == last:
+            if k == last and not shared:
                 frames, top = callers, store
             else:
-                frames = [(c, i, l, dict(s), r) for c, i, l, s, r in callers]
-                top = dict(store)
+                frames, top = callers[:], store if shared else dict(store)
             frames.append((code, 0, loc, top, ret_dest))
             children.append(SymState(frames, pc, inputs_read, queries_charged, steps, seq))
         return children
@@ -1047,8 +1064,9 @@ def symex_campaign(
             else:
                 done = slices.get(state.pc)  # (events, fork) of its first run
                 if done is None:
-                    # Its stores are a kept fork's: run on copies.
-                    state.frames = [(c, i, l, dict(s), r) for c, i, l, s, r in state.frames]
+                    # Its running store is a kept fork's: run on a copy.
+                    c, i, l, s, r = state.frames[-1]
+                    state.frames[-1] = (c, i, l, dict(s), r)
                     node, events = state.pc, []
                     done = slices[node] = (events, run_slice(state, events))
                 else:

@@ -2,6 +2,14 @@ import pytest
 
 from munchkin.ir import parse_program
 
+
+def block_locations(program):
+    """Every (function, block) location in program order: a location's
+    position here is its location id in the lowered form and the index."""
+    return tuple(
+        (fname, bid) for fname, func in program.functions.items() for bid in func.blocks
+    )
+
 CHAIN_TEXT = """\
 program chain
 

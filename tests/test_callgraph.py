@@ -1,17 +1,21 @@
 """Call-graph depths, sonar distances, frontier ordering."""
 
 import copy
+import gc
 import pickle
 import random
+import weakref
 from collections import Counter
 
 import pytest
 
+from munchkin import callgraph
 from munchkin.callgraph import build_callgraph, depths_tsv, index_program, to_dot
 from munchkin.generator import GenParams, generate_program
-from munchkin.ir import Branch, Call, Jump, block_locations, parse_program
+from munchkin.ir import Branch, Call, Jump, parse_program
+from munchkin.orchestrator import HybridConfig, run_fs, run_fuzz, run_sf, run_symex
 
-from conftest import UNREACHABLE_TEXT
+from conftest import UNREACHABLE_TEXT, block_locations
 
 # What trees never have: two calls of one function in one block, a branch
 # after a call, a block that loops to itself, recursion into main, and a
@@ -88,8 +92,7 @@ def interprocedural_edges(program):
 
 def icfg_locations(program):
     """The nodes of ``interprocedural_edges`` in the index's id order: the
-    blocks as ``ir.block_locations`` numbers them, then every after-call
-    point in program order."""
+    blocks in program order, then every after-call point in program order."""
     blocks = block_locations(program)
     points = [
         (fname, bid, k)
@@ -259,6 +262,63 @@ def _brute_force_distance(edges, start, goal):
                 seen.add(dst)
                 frontier.append((dst, dist + 1))
     return None
+
+
+class TestReverseGraphOnDemand:
+    """Only sonar reads the reverse graph: it is built on the first
+    ``distances`` call, once per program, and the index keeps no reference
+    to its program."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        builds = []
+        build = callgraph._reverse_graph
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(callgraph, "_reverse_graph", counting)
+        return builds
+
+    def test_sf_symex_and_fuzz_never_build_it(self, monkeypatch):
+        builds = self._counting(monkeypatch)
+        program = generate_program(GenParams(2, 4))
+        run_sf(program, HybridConfig(mode="sf", fuzz_budget=32))
+        run_symex(program, HybridConfig())
+        run_fuzz(program, HybridConfig(fuzz_budget=32))
+        index = index_program(program)
+        assert builds == [] and getattr(index, "_predecessors", None) is None
+
+    def test_fs_builds_it_once(self, monkeypatch):
+        builds = self._counting(monkeypatch)
+        program = generate_program(GenParams(2, 4))
+        report = run_fs(program, HybridConfig(fuzz_budget=8))
+        assert report.solver_stats.queries > 0  # sonar runs happened
+        assert len(builds) == 1
+        predecessors = index_program(program).predecessors
+        run_fs(program, HybridConfig(fuzz_budget=8, rng_seed=1))
+        assert len(builds) == 1 and index_program(program).predecessors is predecessors
+
+    def test_copies_build_their_own_reverse_graph(self):
+        index = index_program(generate_program(GenParams(2, 3)))
+        hops = index.distances("n_0_0")
+        for clone in (copy.copy(index), copy.deepcopy(index), pickle.loads(pickle.dumps(index))):
+            assert clone == index and getattr(clone, "_predecessors", None) is None
+            assert clone.distances("n_0_0") == hops
+
+    def test_an_indexed_program_is_freed_without_a_collection(self):
+        program = generate_program(GenParams(2, 3))
+        index = index_program(program)
+        index.distances("n_0_0")
+        ref = weakref.ref(program)
+        gc.disable()
+        try:
+            del program
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert index.distances("n_0_0")[index.entries["n_0_0"]] == 0
 
 
 class TestFrontier:

@@ -8,10 +8,24 @@ import pickle
 import weakref
 
 import pytest
+from hypothesis import given, settings
 
 from munchkin.executor import (
+    _COMPARE,
+    _MASK,
+    _START_LOCATION,
+    OP_BINOP,
+    OP_BRANCH,
+    OP_CALL,
+    OP_CONST,
+    OP_INPUT,
+    OP_JUMP,
+    OP_PRINT,
+    OP_RETURN,
     CoverageMap,
     Outcome,
+    _location_hash,
+    _lower,
     edge_index,
     read_input_file,
     read_seed_dir,
@@ -19,8 +33,22 @@ from munchkin.executor import (
     write_input_file,
 )
 from munchkin.generator import GenParams, generate_program, ground_truth_coverage
-from munchkin.ir import parse_program
+from munchkin.ir import (
+    BinOp,
+    Branch,
+    Call,
+    Const,
+    ENTRY_FUNCTION,
+    Jump,
+    Print,
+    ReadInput,
+    parse_program,
+)
 from munchkin.orchestrator import HybridConfig, run_fs
+
+from conftest import block_locations
+from test_ir import _programs
+from test_symex import PINNED_TEXT
 
 FAULT_TEXT = """\
 program p
@@ -306,3 +334,94 @@ class TestInputFiles:
             read_seed_dir(tmp_path / "a.txt")
         (tmp_path / "empty").mkdir()
         assert read_seed_dir(tmp_path / "empty") == []
+
+
+def _operand(op):
+    return op, isinstance(op, str)
+
+
+def _reference_lower(program):
+    """The lowering as it was written before the one-pass version: every
+    location hashed by ``_location_hash``, instructions told apart by
+    ``isinstance``, transfers built by a helper."""
+    functions = program.functions
+    locations = block_locations(program)
+    ids = {loc: i for i, loc in enumerate(locations)}
+    hashes = [_location_hash(loc) for loc in locations]
+    codes = [[] for _ in locations]
+
+    def transfer(src, dst):
+        i = ids[dst]
+        return codes[i], ((hashes[src] >> 1) ^ hashes[i]) & _MASK, i
+
+    for here, (fname, bid) in enumerate(locations):
+        code = codes[here]
+        block = functions[fname].blocks[bid]
+        for instr in block.instructions:
+            if isinstance(instr, Const):
+                code.append((OP_CONST, instr.dest, instr.value))
+            elif isinstance(instr, ReadInput):
+                code.append((OP_INPUT, instr.dest))
+            elif isinstance(instr, BinOp):
+                code.append(
+                    (OP_BINOP, instr.dest, instr.op, *_operand(instr.lhs), *_operand(instr.rhs))
+                )
+            elif isinstance(instr, Print):
+                code.append((OP_PRINT, *_operand(instr.operand)))
+            elif isinstance(instr, Call):
+                callee = functions[instr.callee]
+                args = tuple(
+                    (param, *_operand(arg)) for param, arg in zip(callee.params, instr.args)
+                )
+                entry = (instr.callee, next(iter(callee.blocks)))
+                code.append((
+                    OP_CALL, instr.callee, *transfer(here, entry),
+                    args, instr.dest, hashes[here] & _MASK,
+                ))
+        term = block.terminator
+        if isinstance(term, Branch):
+            code.append((
+                OP_BRANCH, _COMPARE[term.cmp], *_operand(term.lhs), *_operand(term.rhs),
+                *transfer(here, (fname, term.then_block)),
+                *transfer(here, (fname, term.else_block)), term.cmp,
+            ))
+        elif isinstance(term, Jump):
+            code.append((OP_JUMP, *transfer(here, (fname, term.target))))
+        else:
+            value = 0 if term.value is None else term.value
+            code.append((OP_RETURN, *_operand(value), (hashes[here] >> 1) & _MASK))
+
+    entry = ids[(ENTRY_FUNCTION, next(iter(functions[ENTRY_FUNCTION].blocks)))]
+    start = ((_location_hash(_START_LOCATION) >> 1) ^ hashes[entry]) & _MASK
+    return codes, entry, start
+
+
+def _by_location_id(lowered):
+    """A lowered form with each target block's code list replaced by its
+    location id, so forms compare without walking the block graph."""
+    codes, entry, start = lowered
+    ids = {id(code): i for i, code in enumerate(codes)}
+    assert len(ids) == len(codes)
+    return [
+        [tuple(ids[id(x)] if isinstance(x, list) else x for x in instr) for instr in code]
+        for code in codes
+    ], entry, start
+
+
+class TestLowering:
+    """The one-pass lowering equals the reference, tuple for tuple."""
+
+    @pytest.mark.parametrize("branching, depth", [(2, 8), (3, 6), (2, 9)])
+    def test_bench_trees(self, branching, depth):
+        program = generate_program(GenParams(branching, depth, 0))
+        assert _by_location_id(_lower(program)) == _by_location_id(_reference_lower(program))
+
+    def test_hand_programs(self):
+        for text in (PINNED_TEXT, LOOP_TEXT, FAULT_TEXT):
+            program = parse_program(text)
+            assert _by_location_id(_lower(program)) == _by_location_id(_reference_lower(program))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_programs())
+    def test_random_programs(self, program):
+        assert _by_location_id(_lower(program)) == _by_location_id(_reference_lower(program))

@@ -775,3 +775,44 @@ class TestStoreSharing:
         report = dataclasses.replace(runner(program), duration=0.0)
         assert "corrupted" not in report.coverage.functions
         assert hashlib.sha256(campaign_json_bytes(report)).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", ["store-sharing", "b3d4"])
+    def test_successors_share_callers_stores_and_own_the_running_one(self, name, monkeypatch):
+        # A fork copies only the running store, for every successor but the
+        # last; callers' stores are copied on their first write after a
+        # return. A tree never writes after a return (calls have no
+        # destination and ``ret`` follows each call), so it copies no
+        # caller's store at all: one copy per fork.
+        if name == "b3d4":
+            program = generate_program(GenParams(3, 4))
+        else:
+            program = parse_program(STORE_SHARING_TEXT)
+        forks: dict[int, list] = {}
+        copies = []
+        push = symex._RandomFrontier.push
+
+        def grouping_push(frontier, state):
+            if state.pc.parent is not None:  # a fork's successor, by its parent node
+                forks.setdefault(id(state.pc.parent), []).append(
+                    [store for _, _, _, store, _ in state.frames]
+                )
+            push(frontier, state)
+
+        def counting_dict(*args):  # symex copies a store with ``dict(store)``
+            if args and isinstance(args[0], dict):
+                copies.append(args[0])
+            return dict(*args)
+
+        monkeypatch.setattr(symex._RandomFrontier, "push", grouping_push)
+        monkeypatch.setattr(symex, "dict", counting_dict, raising=False)
+        symex.symex_campaign(program)
+        assert len(forks) > 2
+        for first, *others in forks.values():
+            for stores in others:
+                assert len(stores) == len(first)
+                assert all(a is b for a, b in zip(first[:-1], stores[:-1]))
+                assert first[-1] is not stores[-1]
+        if name == "b3d4":
+            assert len(copies) == len(forks)
+        else:
+            assert len(copies) > len(forks)  # some callers wrote after a return

@@ -99,7 +99,9 @@ SAMPLES = {
     SymTestCase: ((1, 2), _RUN),
     SymResult: ([SymTestCase((1,), _RUN)], _COVERAGE, SolverStats(1, 1), 4, True),
     CallGraph: (frozenset({"main", "f"}), frozenset({("main", "f")}), {"main": 0, "f": 1}),
-    ProgramIndex: tuple(getattr(_INDEX, name) for name in ProgramIndex._fields),
+    ProgramIndex: (
+        _INDEX.callgraph, _INDEX.reachable, _INDEX.entries, _INDEX.callers, _INDEX.by_depth
+    ),
     CoverageMap: (frozenset({"main"}), frozenset({1, 2})),
     RunResult: (_COVERAGE, Outcome.COMPLETED, (1, -2), 17, 2),
     CorpusEntry: ((1, 2), _COVERAGE, 3),
@@ -230,6 +232,15 @@ def test_the_ir_records_hold_no_name_or_entry_of_their_own():
     assert Block._fields == ("instructions", "terminator")
     assert Function._fields == ("params", "blocks")
     assert Program._fields == ("name", "functions")
+
+
+def test_the_reverse_graph_is_not_a_field_of_the_program_index():
+    # Built on the first ``distances`` call, it is a cache: equality ignores it.
+    assert ProgramIndex._fields == ("callgraph", "reachable", "entries", "callers", "by_depth")
+    index = index_program(generate_program(GenParams(2, 2)))
+    before = copy.copy(index)
+    index.distances("n_0_0")
+    assert index == before and index.predecessors
 
 
 def test_copies_of_a_program_and_a_constraint_leave_their_caches_out():

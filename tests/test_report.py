@@ -1,15 +1,30 @@
 """Depth tables, intersections, plot files, JSON serialization."""
 
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from munchkin.callgraph import build_callgraph
 from munchkin.executor import CoverageMap
 from munchkin.generator import GenParams, generate_program
-from munchkin.ir import parse_program
+from munchkin.ir import INT32_MAX, INT32_MIN, parse_program
+from munchkin.orchestrator import (
+    CampaignReport,
+    HybridConfig,
+    run_fs,
+    run_fuzz,
+    run_sf,
+    run_symex,
+)
 from munchkin.report import (
+    TECHNIQUE_FS,
+    TECHNIQUE_FUZZ,
+    TECHNIQUE_SF,
+    TECHNIQUE_SYMEX,
     average_plot_rows,
+    campaign_json_bytes,
     campaign_to_dict,
     coverage_percent,
     depth_table,
@@ -17,10 +32,12 @@ from munchkin.report import (
     emit_plot_dat,
     format_percent_table,
     intersection_report,
+    json_text,
     percent_round,
     read_plot_dat,
     write_plot_rows,
 )
+from munchkin.symex import SolverStats
 
 
 class TestPercentRound:
@@ -195,8 +212,6 @@ class TestPlotData:
 
 class TestCampaignJson:
     def test_schema_fields_present(self):
-        from munchkin.orchestrator import HybridConfig, run_fs
-
         program = generate_program(GenParams(2, 1))
         report = run_fs(program, HybridConfig(mode="fs", fuzz_budget=8, rng_seed=1))
         payload = campaign_to_dict(report)
@@ -212,3 +227,71 @@ class TestCampaignJson:
         }
         assert payload["coverage"]["functions"] == sorted(payload["coverage"]["functions"])
         assert payload["coverage"]["edge_count"] == len(payload["coverage"]["edges"])
+
+
+def _json_dumps_bytes(report) -> bytes:
+    """The report bytes as ``json`` writes them: the reference."""
+    return (json.dumps(campaign_to_dict(report), sort_keys=True, indent=2) + "\n").encode()
+
+
+_INT32 = st.one_of(
+    st.sampled_from([INT32_MIN, INT32_MIN + 1, -1, 0, 1, INT32_MAX - 1, INT32_MAX]),
+    st.integers(INT32_MIN, INT32_MAX),
+)
+
+
+@st.composite
+def _reports(draw):
+    """Campaign reports with empty and one-element suite vectors, empty
+    lists and sets, int32 limits, names that need escaping, and durations
+    such as 0.0, 1e-07 and 123456.789."""
+    counts = st.integers(0, 2**40)
+    return CampaignReport(
+        draw(st.sampled_from([TECHNIQUE_FS, TECHNIQUE_SF, TECHNIQUE_FUZZ, TECHNIQUE_SYMEX])
+             | st.text(max_size=6)),
+        CoverageMap(
+            draw(st.frozensets(st.text(max_size=6), max_size=6)),
+            draw(st.frozensets(st.integers(0, (1 << 16) - 1), max_size=8)),
+        ),
+        draw(st.lists(st.tuples(counts, counts, counts, st.integers(0, 100)), max_size=3)),
+        SolverStats(*draw(st.tuples(counts, counts, counts, counts, counts))),
+        draw(counts),
+        draw(st.lists(
+            st.one_of(st.just(()), st.tuples(_INT32), st.lists(_INT32, max_size=4).map(tuple)),
+            max_size=5,
+        )),
+        draw(st.sampled_from([0.0, 1e-07, 123456.789, 0.1])
+             | st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)),
+        unreachable=draw(counts),
+    )
+
+
+class TestJsonWriter:
+    """``campaign_json_bytes`` writes what ``json.dumps(..., sort_keys=True,
+    indent=2)`` writes, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(report=_reports())
+    def test_drawn_reports(self, report):
+        assert campaign_json_bytes(report) == _json_dumps_bytes(report)
+
+    @pytest.mark.parametrize("branching, depth", [(2, 3), (3, 4)])
+    def test_real_reports(self, branching, depth):
+        program = generate_program(GenParams(branching, depth))
+        cfg = HybridConfig(fuzz_budget=48, rng_seed=0)
+        reports = [
+            run_fs(program, cfg),
+            run_sf(program, HybridConfig(mode="sf", fuzz_budget=48, rng_seed=0)),
+            run_fuzz(program, cfg)[0],
+            run_symex(program, cfg)[0],
+        ]
+        assert [] in [list(v) for r in reports for v in r.test_suite]  # SF's seed-0 suite
+        for report in reports:
+            assert campaign_json_bytes(report) == _json_dumps_bytes(report)
+
+    def test_other_values(self):
+        payload = {"b & a": 50, "a": [], "c": {}, "d": [1.5, "x"], "e": ["\u00e9", -0.0, [[]]]}
+        assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        for value in (True, None, (1,), {1: 2}):
+            with pytest.raises(TypeError):
+                json_text([value])

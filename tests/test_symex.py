@@ -14,7 +14,7 @@ from munchkin import symex
 from munchkin.callgraph import build_callgraph, index_program
 from munchkin.executor import lowered_form, run_concrete
 from munchkin.generator import GenParams, generate_program
-from munchkin.ir import INT32_MAX, INT32_MIN, apply_cmp, block_locations, parse_program
+from munchkin.ir import INT32_MAX, INT32_MIN, apply_cmp, parse_program
 from munchkin.orchestrator import HybridConfig, run_fs, run_sf
 from munchkin.symex import (
     Constraint,
@@ -35,6 +35,8 @@ from munchkin.symex import (
     sym_binop,
     symex_campaign,
 )
+
+from conftest import block_locations
 
 X = lin_var(0)
 Y = lin_var(1)
@@ -632,6 +634,47 @@ def _one_variable_constraints(draw):
     else:
         other = _lin(draw(_NEAR_LIMITS), (0, draw(_WIDE_COEFFS)))
     return c(cmp, side, other) if draw(st.booleans()) else c(cmp, other, side)
+
+
+class TestBranchNormalForms:
+    """``run_slice`` normalises a branch's constraint and its negation in one
+    call, and gets the normal forms of two separate calls."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(constraint=_fixpoint_constraints().filter(lambda c: not c.is_opaque))
+    def test_both_sides_equal_separate_calls(self, constraint):
+        negation = negate_constraint(constraint)
+        lhs, rhs = constraint.lhs, constraint.rhs
+        assert symex._normalise((constraint.cmp, negation.cmp), lhs, rhs) == [
+            symex._normalise((constraint.cmp,), lhs, rhs)[0],
+            symex._normalise((negation.cmp,), lhs, rhs)[0],
+        ]
+
+    @pytest.mark.parametrize("name", ["b3d4", "opcodes"])
+    def test_a_campaign_stores_the_separate_normal_forms(self, name, monkeypatch):
+        if name == "opcodes":
+            program, max_inputs = parse_program(PINNED_TEXT), 2
+        else:
+            program, max_inputs = generate_program(GenParams(3, 4)), 4
+        calls = []
+        normalise = symex._normalise
+
+        def counting(cmps, lhs, rhs):
+            calls.append(cmps)
+            return normalise(cmps, lhs, rhs)
+
+        monkeypatch.setattr(symex, "_normalise", counting)
+        solver = Solver()
+        symex_campaign(program, max_inputs=max_inputs, solver=solver)
+        nodes = list(solver._children.values())
+        branches = [cmps for cmps in calls if len(cmps) == 2]
+        assert branches
+        if name == "b3d4":  # every branch is new and normalised once, in one call
+            assert calls == branches and 2 * len(branches) == len(nodes)
+        for node in nodes:
+            c = node.constraint
+            if c._normal is not None:
+                assert c._normal == normalise((c.cmp,), c.lhs, c.rhs)[0]
 
 
 class TestImplied:
