@@ -29,6 +29,14 @@ result's ``CoverageMap`` once at the end.
 
 A campaign's test suite is its corpus plus the first witness of each
 covered function that the corpus lacks.
+
+``fuzz_campaign`` runs with automatic cyclic garbage collection paused
+(``ir._collector_paused``) and restores the caller's setting when it
+returns or raises. That is safe because a campaign makes no reference
+cycles: corpus entries, coverage maps and run results point at nothing that
+points back, so reference counting frees whatever the campaign drops, and a
+collection during it would free nothing. The collector is global to the
+process, so this relies on the package being single-threaded by contract.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ir import INT32_MAX, INT32_MIN, Program, _MutableRecord, _Record
+from .ir import INT32_MAX, INT32_MIN, Program, _MutableRecord, _Record, _collector_paused
 from .executor import (
     CoverageMap,
     DEFAULT_STEP_LIMIT,
@@ -176,6 +184,7 @@ def mutate(
     return tuple(out)
 
 
+@_collector_paused
 def fuzz_campaign(
     program: Program,
     seeds: list[InputVector],

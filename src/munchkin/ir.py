@@ -59,6 +59,8 @@ build from keywords or pass to ``dataclasses.replace`` stay dataclasses:
 
 from __future__ import annotations
 
+import functools
+import gc
 import re
 from dataclasses import FrozenInstanceError
 
@@ -206,6 +208,37 @@ class _MutableRecord(_Record):
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
+
+
+def _collector_paused(fn):
+    """``fn`` run with automatic cyclic garbage collection paused.
+
+    A campaign makes no reference cycles while its program is alive: trie
+    nodes point only up, and the index holds no reference back to its
+    program. So reference counting frees all of a campaign's garbage, and an
+    automatic collection during one scans the survivors and frees nothing.
+    Only the lowered form of a program with a loop or recursion is cyclic (a
+    block's code reaches itself); it is built once per program, and the
+    first collection after the program dies frees it.
+
+    If the collector is on, the call turns it off and turns it on again when
+    the call returns or raises; if it is off, the call only runs ``fn``. So
+    nested campaigns change nothing and the outermost one restores the
+    caller's state. The collector is global to the process, so this assumes
+    what the package promises: one campaign at a time, in one thread.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 # ---------------------------------------------------------------------------

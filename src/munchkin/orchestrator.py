@@ -31,6 +31,17 @@ wall time since the runner started. Reports are deterministic given
 (program, config) except for that field. ``HybridConfig.step_limit`` bounds
 every concrete run of a campaign: fuzzer executions and symex replays
 alike.
+
+Each runner, like ``fuzz_campaign`` and ``symex_campaign``, runs with
+automatic cyclic garbage collection paused (``ir._collector_paused``): the
+campaigns make no reference cycles, so a collection during one scans the
+survivors and frees nothing. A nested call leaves the collector as it
+finds it, so FS's targeted runs do not turn it back on between targets,
+and the outermost call restores the caller's setting when it returns or
+raises. The first collection after a runner returns scans the campaign's
+survivors once. Campaigns are single-threaded by contract: the collector
+is global to the process, so a campaign in another thread would have its
+setting changed under it.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .ir import Program
+from .ir import Program, _collector_paused
 from .callgraph import CallGraph, index_program
 from .executor import CoverageMap, DEFAULT_STEP_LIMIT, InputVector
 from .fuzzer import FuzzConfig, FuzzResult, fuzz_campaign
@@ -110,6 +121,7 @@ def fuzz_config(cfg: HybridConfig) -> FuzzConfig:
     return FuzzConfig(cfg.rng_seed, cfg.fuzz_budget, cfg.step_limit)
 
 
+@_collector_paused
 def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
     """Fuzz first, then target every remaining uncovered function."""
     if cfg.mode != MODE_FS:
@@ -169,6 +181,7 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
     )
 
 
+@_collector_paused
 def run_sf(program: Program, cfg: HybridConfig) -> CampaignReport:
     """Symbolic execution for diverse seeds, then fuzz from them."""
     if cfg.mode != MODE_SF:
@@ -198,6 +211,7 @@ def _symex(program: Program, cfg: HybridConfig, search=Strategy.BASELINE, target
     )
 
 
+@_collector_paused
 def run_fuzz(program: Program, cfg: HybridConfig) -> tuple[CampaignReport, FuzzResult]:
     """Fuzzing alone, from the config's seeds under its fuzz budget."""
     started = time.perf_counter()
@@ -208,6 +222,7 @@ def run_fuzz(program: Program, cfg: HybridConfig) -> tuple[CampaignReport, FuzzR
     ), result
 
 
+@_collector_paused
 def run_symex(
     program: Program, cfg: HybridConfig, search=Strategy.BASELINE, target: str | None = None
 ) -> tuple[CampaignReport, SymResult]:

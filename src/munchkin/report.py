@@ -112,17 +112,6 @@ def emit_plot_dat(tables: Sequence[list[DepthRow]], path: str | Path) -> None:
     write_plot_rows(plot_rows(tables), path)
 
 
-def read_plot_dat(path: str | Path) -> list[tuple[float, ...]]:
-    """Parse a plot data file back into numeric rows."""
-    rows = []
-    for raw in Path(path).read_text(encoding="utf-8").split("\n"):
-        line = raw.strip()
-        if not line:
-            continue
-        rows.append(tuple(float(cell) for cell in line.split()))
-    return rows
-
-
 def average_plot_rows(
     tables: Sequence[Sequence[tuple[float, ...]]],
 ) -> list[tuple[float, ...]]:

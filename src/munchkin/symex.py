@@ -86,6 +86,16 @@ A test case is emitted whenever a state enters a function not covered by
 previously emitted test cases. Every emitted input vector is validated by
 concrete replay, and only replay coverage is reported; it is gathered in
 place and becomes one ``CoverageMap`` when the campaign ends.
+
+``symex_campaign`` runs with automatic cyclic garbage collection paused
+(``ir._collector_paused``) and restores the caller's setting when it
+returns or raises. That is safe because a campaign makes no reference
+cycles while its program is alive: trie nodes point only up, a state's
+frames point at stores and at the program's lowered blocks, none of which
+points back, and a slice memo is a dict that its caller owns. So reference
+counting frees whatever the campaign drops, and a collection during it
+would free nothing. The package is single-threaded by contract,
+which the process-wide collector switch relies on.
 """
 
 from __future__ import annotations
@@ -103,6 +113,7 @@ from .ir import (
     Program,
     _MutableRecord,
     _Record,
+    _collector_paused,
     apply_binop,
     apply_cmp,
     wrap32,
@@ -817,11 +828,6 @@ class TestCase(_Record):
 
     __slots__ = _fields = ("values", "replay")
 
-    @property
-    def covering(self) -> frozenset[str]:
-        """The functions the replay entered."""
-        return self.replay.coverage.functions
-
 
 class SymResult(_MutableRecord):
     __slots__ = _fields = ("test_cases", "coverage", "stats", "states_explored", "target_reached")
@@ -832,6 +838,7 @@ class _TargetReached(Exception):
     pass
 
 
+@_collector_paused
 def symex_campaign(
     program: Program,
     search: Strategy = Strategy.BASELINE,

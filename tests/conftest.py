@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from munchkin.ir import parse_program
@@ -9,6 +11,17 @@ def block_locations(program):
     return tuple(
         (fname, bid) for fname, func in program.functions.items() for bid in func.blocks
     )
+
+
+def read_plot_dat(path):
+    """A plot data file's rows as tuples of floats; rows end only at ``\\n``."""
+    rows = []
+    for raw in Path(path).read_text(encoding="utf-8").split("\n"):
+        line = raw.strip()
+        if line:
+            rows.append(tuple(float(cell) for cell in line.split()))
+    return rows
+
 
 CHAIN_TEXT = """\
 program chain

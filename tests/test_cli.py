@@ -28,12 +28,11 @@ from munchkin.orchestrator import (
 from munchkin.report import (
     average_plot_rows,
     campaign_to_dict,
-    read_plot_dat,
     write_plot_rows,
 )
 from munchkin.symex import SolverStats, Strategy, SymexLimits, symex_campaign
 
-from conftest import UNREACHABLE_TEXT
+from conftest import UNREACHABLE_TEXT, read_plot_dat
 
 
 def run_cli(*argv):

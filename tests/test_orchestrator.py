@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import gc
 import hashlib
+import importlib
 import inspect
 import random
 from unittest.mock import patch
@@ -12,7 +13,7 @@ import pytest
 
 from munchkin import callgraph, fuzzer, orchestrator, symex
 from munchkin.callgraph import build_callgraph
-from munchkin.executor import DEFAULT_STEP_LIMIT, CoverageMap, Outcome, run_concrete
+from munchkin.executor import DEFAULT_STEP_LIMIT, CoverageMap, Outcome, lowered_form, run_concrete
 from munchkin.generator import GenParams, generate_program
 from munchkin.ir import parse_program
 from munchkin.orchestrator import (
@@ -30,7 +31,7 @@ from munchkin.orchestrator import (
 from munchkin.report import campaign_json_bytes, campaign_to_dict, coverage_percent
 from munchkin.symex import SolverStats, Strategy, SymexLimits, SymResult
 
-from test_symex import PINNED_TEXT
+from test_symex import EQUAL_SIDES_TEXT, MULTI_INPUT_TEXT, OPAQUE_TEXT, PINNED_TEXT, SONAR_TEXT
 
 
 def _fs_config(**overrides):
@@ -816,3 +817,273 @@ class TestStoreSharing:
             assert len(copies) == len(forks)
         else:
             assert len(copies) > len(forks)  # some callers wrote after a return
+
+
+# A loop bounded by the first input, and a recursion as deep as it: each
+# program's lowered form is cyclic, and a run of a large input stops at a
+# small step limit.
+LOOP_TEXT = """\
+program loop
+
+func main()
+block entry:
+  n = input
+  i = const 0
+  jmp head
+block head:
+  br < i n -> body, done
+block body:
+  i = i + 1
+  jmp head
+block done:
+  br > i 3 -> many, few
+block many:
+  call f()
+  ret
+block few:
+  ret
+
+func f()
+block entry:
+  ret
+"""
+
+RECURSION_TEXT = """\
+program recursion
+
+func main()
+block entry:
+  x = input
+  d = call down(x)
+  br > d 2 -> deep, shallow
+block deep:
+  call f()
+  ret
+block shallow:
+  ret
+
+func down(a)
+block entry:
+  br <= a 0 -> base, step
+block base:
+  ret 0
+block step:
+  b = a - 1
+  c = call down(b)
+  e = c + 1
+  ret e
+
+func f()
+block entry:
+  ret
+"""
+
+# name -> (program text, or None for the b3d4 tree; step limit)
+CYCLE_PROGRAMS = {
+    "b3d4": (None, DEFAULT_STEP_LIMIT),
+    "fault": (FAULT_TEXT, DEFAULT_STEP_LIMIT),
+    "store_sharing": (STORE_SHARING_TEXT, DEFAULT_STEP_LIMIT),
+    "relay": (RELAY_TEXT, DEFAULT_STEP_LIMIT),
+    "opaque": (OPAQUE_TEXT, DEFAULT_STEP_LIMIT),
+    "multi_input": (MULTI_INPUT_TEXT, DEFAULT_STEP_LIMIT),
+    "equal_sides": (EQUAL_SIDES_TEXT, DEFAULT_STEP_LIMIT),
+    "sonar": (SONAR_TEXT, 40),
+    "loop": (LOOP_TEXT, 16),
+    "recursion": (RECURSION_TEXT, 24),
+}
+
+
+def _cycle_program(name):
+    text, step_limit = CYCLE_PROGRAMS[name]
+    program = generate_program(GenParams(3, 4)) if text is None else parse_program(text)
+    cfg = HybridConfig(
+        fuzz_budget=32, symex_limits=SymexLimits(300, 300), rng_seed=0, step_limit=step_limit
+    )
+    return program, cfg
+
+
+# Every runner, and both campaigns called directly: name -> runner(program, cfg).
+CYCLE_RUNNERS = {
+    "fs": run_fs,
+    "fs_tight": lambda p, cfg: run_fs(p, dataclasses.replace(
+        cfg, fuzz_budget=0, per_target_query_budget=1, per_target_state_budget=1,
+    )),
+    "sf": lambda p, cfg: run_sf(p, dataclasses.replace(cfg, mode="sf")),
+    "fuzz": orchestrator.run_fuzz,
+    "symex": run_symex,
+    "fuzz_campaign": lambda p, cfg: fuzzer.fuzz_campaign(
+        p, list(cfg.seeds), orchestrator.fuzz_config(cfg)
+    ),
+    "symex_campaign": lambda p, cfg: symex.symex_campaign(
+        p, Strategy.BASELINE, cfg.symex_limits, rng_seed=cfg.rng_seed,
+        replay_step_limit=cfg.step_limit,
+    ),
+}
+
+
+def _blocks_reaching_themselves(program):
+    """Location ids of the blocks whose lowered code reaches itself through
+    the code lists that its jumps, branches and calls hold."""
+    codes = lowered_form(program)[0]
+    ids = {id(code): i for i, code in enumerate(codes)}
+    successors = [
+        {ids[id(part)] for instr in code for part in instr if id(part) in ids}
+        for code in codes
+    ]
+    cyclic = set()
+    for start in range(len(codes)):
+        seen, todo = set(), list(successors[start])
+        while todo:
+            i = todo.pop()
+            if i not in seen:
+                seen.add(i)
+                todo.extend(successors[i])
+        if start in seen:
+            cyclic.add(start)
+    return cyclic
+
+
+class TestCycleFree:
+    """Campaigns make no reference cycles while their program is alive.
+
+    So reference counting frees everything a campaign drops, and pausing
+    the cyclic collector during a campaign leaves no garbage behind.
+    """
+
+    @pytest.mark.parametrize("runner", sorted(CYCLE_RUNNERS))
+    @pytest.mark.parametrize("name", sorted(CYCLE_PROGRAMS))
+    def test_a_campaign_leaves_no_cyclic_garbage(self, name, runner):
+        program, cfg = _cycle_program(name)
+        gc.collect()
+        result = CYCLE_RUNNERS[runner](program, cfg)
+        assert gc.collect() == 0
+        del result
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("name, target, reached", [
+        ("sonar", "goal", True),
+        ("sonar", "ghost", False),
+        ("b3d4", "n_40_40", True),
+        ("loop", "f", True),
+        ("recursion", "f", True),
+    ])
+    def test_a_sonar_run_leaves_no_cyclic_garbage(self, name, target, reached):
+        program, cfg = _cycle_program(name)
+        gc.collect()
+        _, result = run_symex(program, cfg, Strategy.SONAR, target)
+        assert result.target_reached is reached
+        assert gc.collect() == 0
+
+    def test_a_tight_fs_budget_fails_targets(self):
+        program, cfg = _cycle_program("b3d4")
+        report = CYCLE_RUNNERS["fs_tight"](program, cfg)
+        assert report.coverage.functions < build_callgraph(program).reachable()
+
+    @pytest.mark.parametrize("name", ["loop", "recursion", "sonar"])
+    def test_only_the_collector_frees_a_cyclic_lowered_form(self, name):
+        # The documented exception: a program with a loop or recursion has a
+        # lowered form in which a block's code reaches itself, so once the
+        # program dies only a collection frees it. A tree's does not.
+        program, cfg = _cycle_program(name)
+        tree, tree_cfg = _cycle_program("b3d4")
+        CYCLE_RUNNERS["sf"](program, cfg)
+        CYCLE_RUNNERS["sf"](tree, tree_cfg)
+        assert _blocks_reaching_themselves(program)
+        assert not _blocks_reaching_themselves(tree)
+        gc.collect()
+        del tree
+        assert gc.collect() == 0
+        del program
+        assert gc.collect() > 0
+
+
+class TestCollectorState:
+    """Campaigns pause automatic collection and restore the caller's state."""
+
+    RETURNING = [
+        lambda p: run_fs(p, _fs_config(fuzz_budget=4)),
+        lambda p: run_sf(p, _sf_config(fuzz_budget=4)),
+        lambda p: run_baselines(p, _fs_config(fuzz_budget=4)),
+        lambda p: run_symex(p, HybridConfig(), Strategy.SONAR, "n_1_1"),
+        lambda p: fuzzer.fuzz_campaign(p, [(0,)], fuzzer.FuzzConfig(budget=4)),
+        lambda p: symex.symex_campaign(p),
+    ]
+    RAISING = [
+        lambda p: symex.symex_campaign(p, target="nowhere"),
+        lambda p: fuzzer.fuzz_campaign(p, [(0,)], fuzzer.FuzzConfig(budget=-1)),
+        lambda p: run_fs(p, _sf_config()),
+    ]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_the_callers_state_comes_back(self, enabled):
+        program = generate_program(GenParams(2, 3))
+        threshold = gc.get_threshold()
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for runner in self.RETURNING:
+                runner(program)
+                assert gc.isenabled() is enabled
+            for runner in self.RAISING:
+                with pytest.raises(ValueError):
+                    runner(program)
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert gc.get_threshold() == threshold
+
+    def test_a_nested_campaign_leaves_the_collector_paused(self):
+        program = generate_program(GenParams(2, 3))
+        states = []
+
+        def recording(*args):
+            states.append(gc.isenabled())
+            result = fuzzer.fuzz_campaign(*args)
+            states.append(gc.isenabled())
+            return result
+
+        assert gc.isenabled()
+        with patch.object(orchestrator, "fuzz_campaign", recording):
+            run_sf(program, _sf_config(fuzz_budget=4))
+        assert states == [False, False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("runner, params", [
+        (lambda p: run_sf(p, HybridConfig(mode="sf", fuzz_budget=2000, rng_seed=0)), (3, 6)),
+        (lambda p: run_fs(p, HybridConfig(fuzz_budget=96, rng_seed=0)), (2, 8)),
+    ], ids=["sf-b3d6", "fs-b2d8"])
+    def test_no_collection_runs_inside_a_campaign(self, runner, params):
+        program = generate_program(GenParams(*params, 0))
+        started, inside = [], []
+        make_report = orchestrator.make_report
+
+        def count(phase, info):  # a gc.callbacks entry
+            if phase == "start":
+                started.append(info["generation"])
+
+        def last_step(*args):  # a runner's last step, still inside the campaign
+            inside.append(len(started))
+            return make_report(*args)
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            with patch.object(orchestrator, "make_report", last_step):
+                runner(program)
+        finally:
+            gc.callbacks.remove(count)
+        assert inside == [0]
+
+    @pytest.mark.parametrize("fn", [
+        fuzzer.fuzz_campaign, symex.symex_campaign, run_fs, run_sf,
+        orchestrator.run_fuzz, run_symex,
+    ], ids=lambda fn: fn.__name__)
+    def test_a_paused_function_keeps_its_name_doc_and_signature(self, fn):
+        inner = fn.__wrapped__
+        assert (fn.__name__, fn.__qualname__, fn.__module__) == (
+            inner.__name__, inner.__qualname__, inner.__module__
+        )
+        assert getattr(importlib.import_module(fn.__module__), fn.__name__) is fn
+        assert fn.__doc__ and fn.__doc__ == inner.__doc__
+        assert inspect.signature(fn) == inspect.signature(inner)
+        assert next(iter(inspect.signature(fn).parameters)) == "program"

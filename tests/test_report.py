@@ -34,10 +34,11 @@ from munchkin.report import (
     intersection_report,
     json_text,
     percent_round,
-    read_plot_dat,
     write_plot_rows,
 )
 from munchkin.symex import SolverStats
+
+from conftest import read_plot_dat
 
 
 class TestPercentRound:

@@ -983,7 +983,7 @@ class TestCampaigns:
         result = symex_campaign(program)
         assert len(result.coverage.functions) == 16
         leaves = {f"n_{v}_{v}" for v in range(8)}
-        leaf_tests = [tc for tc in result.test_cases if tc.covering & leaves]
+        leaf_tests = [tc for tc in result.test_cases if tc.replay.coverage.functions & leaves]
         assert len(leaf_tests) >= 8
         # An empty vector reads as input 0 once exhausted.
         effective = {tc.values[0] if tc.values else 0 for tc in leaf_tests}
@@ -994,14 +994,14 @@ class TestCampaigns:
         result = symex_campaign(program)
         for tc in result.test_cases:
             replay = run_concrete(program, tc.values)
-            assert replay.coverage.functions == tc.covering
+            assert replay.coverage.functions == tc.replay.coverage.functions
 
     def test_sonar_on_already_entered_target_stops_immediately(self):
         program = generate_program(GenParams(2, 2))
         result = symex_campaign(program, Strategy.SONAR, target="main")
         assert result.target_reached
         assert result.states_explored == 0
-        assert any("main" in tc.covering for tc in result.test_cases)
+        assert any("main" in tc.replay.coverage.functions for tc in result.test_cases)
 
     def test_sonar_charges_at_most_what_baseline_needs(self):
         # Fresh solvers both sides; baseline budget is grown until the
@@ -1041,7 +1041,8 @@ class TestCampaigns:
         # replays of what was emittable.
         assert result.coverage.functions == {"main"}
         for tc in result.test_cases:
-            assert run_concrete(parse_program(OPAQUE_TEXT), tc.values).coverage.functions == tc.covering
+            replay = run_concrete(parse_program(OPAQUE_TEXT), tc.values)
+            assert replay.coverage.functions == tc.replay.coverage.functions
 
     @pytest.mark.parametrize("target", ["caller_store", "top_store"])
     def test_fork_children_keep_their_own_stores(self, target):
@@ -1248,7 +1249,10 @@ class TestPinnedCampaigns:
             )
             stats = result.stats
             doc.append([
-                [[list(tc.values), sorted(tc.covering)] for tc in result.test_cases],
+                [
+                    [list(tc.values), sorted(tc.replay.coverage.functions)]
+                    for tc in result.test_cases
+                ],
                 sorted(result.coverage.functions), sorted(result.coverage.edge_bits),
                 [stats.queries, stats.sat, stats.unsat, stats.unknown, stats.cache_hits],
                 result.states_explored, result.target_reached,
@@ -1366,7 +1370,10 @@ class TestPinnedSonar:
             )
             stats = result.stats
             doc.append([
-                [[list(tc.values), sorted(tc.covering)] for tc in result.test_cases],
+                [
+                    [list(tc.values), sorted(tc.replay.coverage.functions)]
+                    for tc in result.test_cases
+                ],
                 sorted(result.coverage.functions), sorted(result.coverage.edge_bits),
                 [stats.queries, stats.sat, stats.unsat, stats.unknown, stats.cache_hits],
                 result.states_explored, result.target_reached,
