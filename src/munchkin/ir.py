@@ -164,7 +164,7 @@ class _Record:
             return
         # A frozen record stores through ``object.__setattr__``, bound once as
         # the function's global ``_set``. A mutable one assigns, about three
-        # times as fast per field, because symex builds a SymState per fork.
+        # times as fast per field.
         mutable = cls.__setattr__ is object.__setattr__
         store = "self.{0} = {0}" if mutable else "_set(self, {0!r}, {0})"
         body = "".join(f"\n    {store.format(name)}" for name in cls._fields) or "\n    pass"

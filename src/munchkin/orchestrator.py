@@ -14,7 +14,11 @@ targeted run computes its target's hop list once, by one backward BFS.
 ``run_fs`` also creates a slice memo and hands it to every targeted run
 beside the solver, so a slice that an earlier target ran is replayed, not
 run again (see ``symex``); the memo dies when ``run_fs`` returns. SF and
-the symex baseline run without one.
+the symex baseline run without one. A targeted run's state is a fork and a
+side, whose frames are built only when its slice runs afresh; a replay
+builds none, and its solves are answered by the cache.
+Each targeted run reads the live set of covered functions in place, as
+``already_covered``, and ``run_fs`` adds the run's coverage to it after.
 
 SF runs bounded symbolic execution first to produce one test case per
 newly covered function, then fuzzes from those seeds (falling back to the

@@ -51,50 +51,56 @@ condition from scratch. Results are cached by a path condition's set of
 constraints and the number of variables; cache hits are not charged as
 queries.
 
-Sonar search picks the state nearest to its target function, by the hop
-count at its top frame's location in the target's hop list, then fewer
+A symbolic state is a fork and a side: the frontier holds handles
+``(fork, side, seq)``, and a state's frames are built only when its slice
+runs. Sonar search picks the handle nearest to its target function, by the
+hop count at its side's location in the target's hop list, then fewer
 charged queries, then admission order. Each sonar run computes its
 target's list once (``ProgramIndex.distances``, one backward BFS) and hands
-it to its ``SonarFrontier``, one heap on those three keys, where a state
+it to its ``SonarFrontier``, one heap on those three keys, where a location
 that cannot reach the target ranks at distance infinity. Baseline search
 picks uniformly from a list with an RNG seeded from ``rng_seed``, the
 campaign's only RNG, which sonar search does not build. A campaign keeps
 its own solver unless the caller passes one; FS shares one across all its
 targeted runs.
 
-A popped state runs one slice: up to its next two-way fork, or to the end
-of its path. With one solver, and so one trie, the state's node fixes the
+A popped handle runs one slice: up to its next two-way fork, or to the end
+of its path. With one solver, and so one trie, the side's node fixes the
 slice, since the program and the solver's answers are deterministic. A
 caller that shares a solver across campaigns may also pass a slice memo,
 a dict that it creates and owns, keyed by node. FS passes one, alive only
 during ``run_fs``; symbolic execution alone and SF pass none and record
 nothing. The first run of a node's slice stores its branch solves, its
 function entries with their nodes, and its fork: the forking frames and
-each side's node, with the counters. A later pop of the node replays
-those. It asks each solve again, which the cache answers, and passes each
-entry to the emission logic, which reads the live covered set and may end
-the campaign there. It then makes the fork's successors with fresh
-``seq`` numbers, in order. They share the kept stores, and a state copies
-the running one when its own slice runs afresh. So results, queries and
-cache hits are those of running the slice afresh. A slice cut short by
-reaching the target is not stored.
+each side's node, with the counters. A later pop of the node builds no
+frames and replays those. It asks each solve again, which the cache
+answers, and passes each entry to the emission logic, which reads the live
+covered set and may end the campaign there. (Charging a replayed solve
+as a cache hit without asking would be cheaper, but ``bench/run.py``'s
+traced check counts every cache hit as a ``Solver.solve`` call.) It then
+pushes the fork's handles with fresh ``seq`` numbers, in order. So
+results, queries and cache hits are those of running the slice afresh. A
+slice cut short by reaching the target is not stored.
 
-Callers' stores are shared between states and copied on their first
-write after a return: a fork copies only the running store.
+Callers' stores are shared between states and copied on their first write
+after a return. Of a fork's successors, the last to run takes over its
+callers and running store, and the others copy them; with a memo, which
+keeps the fork, every fresh run copies.
 
-A test case is emitted whenever a state enters a function not covered by
-previously emitted test cases. Every emitted input vector is validated by
-concrete replay, and only replay coverage is reported; it is gathered in
-place and becomes one ``CoverageMap`` when the campaign ends.
+A test case is emitted whenever a state enters a function that neither
+``already_covered`` (a set or frozenset is read in place, never written)
+nor the campaign's earlier replays cover. Every emitted input vector is
+validated by concrete replay, and only replay coverage is reported; it is
+gathered in place and becomes one ``CoverageMap`` when the campaign ends.
 
 ``symex_campaign`` runs with automatic cyclic garbage collection paused
 (``ir._collector_paused``) and restores the caller's setting when it
 returns or raises. That is safe because a campaign makes no reference
-cycles while its program is alive: trie nodes point only up, a state's
-frames point at stores and at the program's lowered blocks, none of which
-points back, and a slice memo is a dict that its caller owns. So reference
-counting frees whatever the campaign drops, and a collection during it
-would free nothing. The package is single-threaded by contract,
+cycles while its program is alive: trie nodes point only up, a handle's
+fork points at frames, stores, nodes and the program's lowered blocks,
+none of which points back, and a slice memo is a dict that its caller
+owns. So reference counting frees whatever the campaign drops, and a
+collection during it would free nothing. The package is single-threaded by contract,
 which the process-wide collector switch relies on.
 """
 
@@ -751,7 +757,7 @@ class Solver:
 
 
 # ---------------------------------------------------------------------------
-# States and search strategies
+# Frontier handles and search strategies
 # ---------------------------------------------------------------------------
 
 
@@ -760,56 +766,57 @@ class Strategy(Enum):
     SONAR = "sonar"
 
 
-class SymState(_MutableRecord):
-    # A frame is (lowered block, index of its next instruction, the block's
-    # location id, local store, the caller's local that receives the return
-    # value); ``pc`` is the state's node of the solver's trie.
-    __slots__ = _fields = ("frames", "pc", "inputs_read", "queries_charged", "steps", "seq")
-    _defaults = (0, 0, 0, 0)
+def _resume(fork: list, kept: bool) -> tuple[list, dict]:
+    """The callers and running store that a successor of ``fork`` starts
+    from: the fork's last successor to run takes over its own, and the
+    others copy them, as does every successor of a fork ``kept`` by a memo."""
+    fork[7] -= 1
+    if fork[7] or kept:
+        return fork[0][:], dict(fork[1])
+    return fork[0], fork[1]
 
 
 class SonarFrontier:
-    """Sonar's frontier: one heap on ``(hops, queries_charged, seq)``, so
-    the state nearest the target comes out first, ties broken by fewer
-    charged queries, then by admission order (``seq``, unique per state).
-    A state on a location that cannot reach the target ranks at infinity.
+    """Sonar's frontier: one heap of handles on ``(hops, queries_charged,
+    seq)``: the hop count at the handle's side's location, the fork's charged
+    queries, then admission order (unique per handle). A location that
+    cannot reach the target ranks at infinity.
     """
 
     def __init__(self, hops: list[int]) -> None:
         self._hops = hops
-        self._heap: list[tuple[float, int, int, SymState]] = []
+        self._heap: list[tuple[float, int, int, tuple]] = []
 
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def push(self, state: SymState) -> None:
-        hops = self._hops[state.frames[-1][2]]
-        heappush(self._heap, (
-            hops if hops >= 0 else _INF, state.queries_charged, state.seq, state
-        ))
+    def push(self, handle: tuple) -> None:
+        fork, side, seq = handle
+        hops = self._hops[fork[3][side][2]]
+        heappush(self._heap, (hops if hops >= 0 else _INF, fork[5], seq, handle))
 
-    def pop(self) -> SymState:
+    def pop(self) -> tuple:
         if not self._heap:
             raise ValueError("empty frontier")
         return heappop(self._heap)[3]
 
 
 class _RandomFrontier:
-    """Baseline's frontier: a seeded-uniform pick among the states, kept in
+    """Baseline's frontier: a seeded-uniform pick among the handles, kept in
     admission order."""
 
     def __init__(self, rng: random.Random) -> None:
-        self._states: list[SymState] = []
+        self._handles: list[tuple] = []
         self._rng = rng
 
     def __bool__(self) -> bool:
-        return bool(self._states)
+        return bool(self._handles)
 
-    def push(self, state: SymState) -> None:
-        self._states.append(state)
+    def push(self, handle: tuple) -> None:
+        self._handles.append(handle)
 
-    def pop(self) -> SymState:
-        return self._states.pop(self._rng.randrange(len(self._states)))
+    def pop(self) -> tuple:
+        return self._handles.pop(self._rng.randrange(len(self._handles)))
 
 
 # ---------------------------------------------------------------------------
@@ -880,20 +887,28 @@ def symex_campaign(
     stats_start = solver.stats.copy()
     index = index_program(program)
     reachable = index.reachable
-    emitted_covered = set(already_covered)
+    covered = already_covered  # read in place, never written
+    if not isinstance(covered, (set, frozenset)):
+        covered = set(covered)
     test_cases: list[TestCase] = []
     functions: set[str] = set()
     edge_bits: set[int] = set()
     target_reached = False
+    # Reachable functions in neither ``covered`` nor ``functions``. When
+    # ``covered`` names other functions too, the difference of lengths is
+    # too low, so a count that reaches 0 is made again by a scan.
+    uncovered = len(reachable) - len(covered)
 
     def emit(pc: PathCondition, inputs_read: int) -> bool:
+        nonlocal uncovered
         result = solver.solve(pc, inputs_read)
         if result.status != SAT:
             return False
         replay = run_concrete(program, result.model, replay_step_limit)
         test_cases.append(TestCase(result.model, replay))
-        emitted_covered.update(replay.coverage.functions)
-        functions.update(replay.coverage.functions)
+        entered = replay.coverage.functions
+        uncovered -= len(entered - functions - covered)
+        functions.update(entered)
         edge_bits.update(replay.coverage.edge_bits)
         return True
 
@@ -901,42 +916,46 @@ def symex_campaign(
         if target is not None and function == target:
             if emit(pc, inputs_read):
                 raise _TargetReached
-        elif function not in emitted_covered:
+        elif function not in covered and function not in functions:
             emit(pc, inputs_read)
 
     codes, entry_id, _ = lowered_form(program)
     zero = lin_const(0)
-    seq = 0
-    initial = SymState([(codes[entry_id], 0, entry_id, {}, None)], solver.root)
     if search is Strategy.SONAR:
         frontier: SonarFrontier | _RandomFrontier = SonarFrontier(index.distances(target))
     else:
         frontier = _RandomFrontier(random.Random(rng_seed))
-    frontier.push(initial)
+    # The entry's handle: a fork of one side that nothing ran to.
+    frontier.push(([[], {}, None, [(solver.root, codes[entry_id], entry_id)], 0, 0, 0, 1], 0, 0))
+    seq = 0
     states_explored = 0
 
-    def run_slice(state: SymState, events: list | None) -> tuple | None:
-        """Run a state up to its next two-way fork and return the fork, or
-        None where its path ends.
+    def run_slice(fork: list, side: int, events: list | None) -> list | None:
+        """Run the successor of ``fork`` on ``side`` up to its next two-way
+        fork and return that fork, or None where its path ends.
 
         This is ``run_concrete``'s loop over the same lowered blocks, with
-        symbolic values. While it runs, the running frame lives in locals
-        and ``state.frames`` holds its callers. A fork takes both over: it
-        is ``(callers, store, ret_dest, sides, inputs_read, queries_charged,
-        steps)``, with each side's ``(node, block, location id)`` and the
-        successors' counters. ``events``, when given, receives each branch
-        solve as ``(None, node, inputs_read)`` and each function entry as
-        ``(function, node, inputs_read)``, in order.
+        symbolic values, the running frame, the node ``pc`` and the counters
+        in locals; ``frames`` holds the callers, each ``(block, index of its
+        next instruction, location id, store, ret_dest)``, where ``ret_dest``
+        is the caller's local that receives the return value. A fork is
+        ``[callers, store, ret_dest, sides, inputs_read, queries_charged,
+        steps, waiting]``, with each side's ``(node, block, location id)``
+        and the successors' counters (``waiting``: see ``_resume``).
+        ``events``, when given, receives each branch solve as ``(None,
+        node, inputs_read)`` and each function entry as ``(function, node,
+        inputs_read)``, in order.
 
         A store is ``owned`` until a return makes it a shared caller's.
         """
-        frames = state.frames
-        code, index, loc, store, ret_dest = frames.pop()
-        owned = True
+        frames, store = _resume(fork, slices is not None)
+        _, _, ret_dest, _, inputs_read, queries, steps, _ = fork
+        pc, code, loc = fork[3][side]
+        index, owned = 0, True
         while True:
-            if state.steps >= MAX_STEPS_PER_STATE:
+            if steps >= MAX_STEPS_PER_STATE:
                 return None
-            state.steps += 1
+            steps += 1
             instr = code[index]
             index += 1
             op = instr[0]
@@ -958,8 +977,8 @@ def symex_campaign(
 
                 negation = negate_constraint(then_c)
                 sides = (
-                    (solver.extend(state.pc, then_c), then, then_id),
-                    (solver.extend(state.pc, negation), other, other_id),
+                    (solver.extend(pc, then_c), then, then_id),
+                    (solver.extend(pc, negation), other, other_id),
                 )
                 if sides[0][0].constraint is then_c and not then_c.is_opaque:
                     # New nodes: one call normalises both sides.
@@ -967,22 +986,20 @@ def symex_campaign(
                     object.__setattr__(then_c, "_normal", normals[0])
                     object.__setattr__(negation, "_normal", normals[1])
                 feasible = []
-                for side in sides:
+                for succ in sides:
                     if events is not None:
-                        events.append((None, side[0], state.inputs_read))
-                    if solver.solve(side[0], state.inputs_read).status != UNSAT:
-                        feasible.append(side)
+                        events.append((None, succ[0], inputs_read))
+                    if solver.solve(succ[0], inputs_read).status != UNSAT:
+                        feasible.append(succ)
                 if not feasible:
                     return None
                 if len(feasible) == 1:
-                    state.pc, code, loc = feasible[0]
+                    pc, code, loc = feasible[0]
                     index = 0
-                    state.queries_charged += 1
+                    queries += 1
                     continue
-                return (
-                    frames, store if owned else dict(store), ret_dest, feasible,
-                    state.inputs_read, state.queries_charged + 1, state.steps,
-                )
+                return [frames, store if owned else dict(store), ret_dest, feasible,
+                        inputs_read, queries + 1, steps, 2]
             elif op == OP_CALL:
                 _, callee, entry, _, callee_id, args, dest, _ = instr
                 frames.append((code, index, loc, store, ret_dest))
@@ -992,8 +1009,8 @@ def symex_campaign(
                     store[param] = caller_store.get(arg, zero) if name else lin_const(arg)
                 code, index, loc, ret_dest = entry, 0, callee_id, dest
                 if events is not None:
-                    events.append((callee, state.pc, state.inputs_read))
-                on_entry(callee, state.pc, state.inputs_read)
+                    events.append((callee, pc, inputs_read))
+                on_entry(callee, pc, inputs_read)
             elif op == OP_RETURN:
                 if not frames:
                     return None  # entry function returned
@@ -1025,57 +1042,33 @@ def symex_campaign(
                 elif op == OP_CONST:
                     store[instr[1]] = lin_const(instr[2])
                 elif op == OP_INPUT:
-                    if state.inputs_read < max_inputs:
-                        store[instr[1]] = lin_var(state.inputs_read)
-                        state.inputs_read += 1
+                    if inputs_read < max_inputs:
+                        store[instr[1]] = lin_var(inputs_read)
+                        inputs_read += 1
                     else:
                         store[instr[1]] = zero
 
-    def spawn(fork: tuple | None, shared: bool) -> list[SymState]:
-        """A fork's successors, in order, each with the next ``seq`` number.
-
-        Successors share the callers' stores. With ``shared``, they also
-        share the running store, which the memo keeps, until a fresh run
-        copies it. Otherwise the last successor takes over the running
-        store, and the others get copies.
-        """
-        nonlocal seq
-        if fork is None:
-            return []
-        callers, store, ret_dest, sides, inputs_read, queries_charged, steps = fork
-        children = []
-        last = len(sides) - 1
-        for k, (pc, code, loc) in enumerate(sides):
-            seq += 1
-            if k == last and not shared:
-                frames, top = callers, store
-            else:
-                frames, top = callers[:], store if shared else dict(store)
-            frames.append((code, 0, loc, top, ret_dest))
-            children.append(SymState(frames, pc, inputs_read, queries_charged, steps, seq))
-        return children
-
     try:
-        on_entry(ENTRY_FUNCTION, initial.pc, initial.inputs_read)
+        on_entry(ENTRY_FUNCTION, solver.root, 0)
         while frontier:
             if states_explored >= limits.max_states:
                 break
             if solver.stats.queries - stats_start.queries >= limits.max_queries:
                 break
-            if reachable <= emitted_covered:
-                break
-            state = frontier.pop()
+            if uncovered <= 0:
+                uncovered = len(reachable - functions - covered)
+                if not uncovered:
+                    break
+            fork, side, _ = frontier.pop()
             states_explored += 1
             if slices is None:
-                fork = run_slice(state, None)
+                fork = run_slice(fork, side, None)
             else:
-                done = slices.get(state.pc)  # (events, fork) of its first run
+                node = fork[3][side][0]
+                done = slices.get(node)  # (events, fork) of its first run
                 if done is None:
-                    # Its running store is a kept fork's: run on a copy.
-                    c, i, l, s, r = state.frames[-1]
-                    state.frames[-1] = (c, i, l, dict(s), r)
-                    node, events = state.pc, []
-                    done = slices[node] = (events, run_slice(state, events))
+                    events = []
+                    done = slices[node] = (events, run_slice(fork, side, events))
                 else:
                     # A fresh run would make the same events: its solves
                     # are cache hits, and its entries emit as these do.
@@ -1085,8 +1078,10 @@ def symex_campaign(
                         else:
                             on_entry(function, pc, inputs_read)
                 fork = done[1]
-            for child in spawn(fork, slices is not None):
-                frontier.push(child)
+            if fork is not None:
+                for side in range(len(fork[3])):
+                    seq += 1
+                    frontier.push((fork, side, seq))
     except _TargetReached:
         target_reached = True
 

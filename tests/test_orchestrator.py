@@ -109,6 +109,8 @@ class TestFS:
         # after-call points it settles the target's ancestors. Every one of
         # the 2,443 popped states ran its slice then; now a slice runs afresh
         # once per node, and again only where reaching a target cut it short.
+        # A handle's frames are built only when its slice runs afresh: of the
+        # 4,645 handles pushed, 495 build any.
         program = generate_program(GenParams(2, 8, 0))
         fields = {}
         distances = callgraph.ProgramIndex.distances
@@ -127,15 +129,38 @@ class TestFS:
             pops.append(result.states_explored)
             return result
 
+        pushes, popped, resumed = [0], [], []
+        push, pop, resume = symex.SonarFrontier.push, symex.SonarFrontier.pop, symex._resume
+
+        def counting_push(frontier, handle):
+            pushes[0] += 1
+            push(frontier, handle)
+
+        def noting_pop(frontier):
+            fork, side, seq = handle = pop(frontier)
+            popped.append(fork[3][side][0] not in memos[-1])  # runs afresh
+            return handle
+
+        def noting_resume(fork, kept):
+            resumed.append(len(popped) - 1)  # the pop whose frames these are
+            return resume(fork, kept)
+
         monkeypatch.setattr(callgraph.ProgramIndex, "distances", recording_distances)
         monkeypatch.setattr(orchestrator, "symex_campaign", recording_campaign)
+        monkeypatch.setattr(symex.SonarFrontier, "push", counting_push)
+        monkeypatch.setattr(symex.SonarFrontier, "pop", noting_pop)
+        monkeypatch.setattr(symex, "_resume", noting_resume)
         run_fs(program, HybridConfig(fuzz_budget=96, rng_seed=0))
         settled = sum(h >= 0 for hops in fields.values() for h in hops)
         assert len(fields) == 241
         assert settled == 4_404
         assert all(memo is memos[0] for memo in memos)  # one memo per campaign
-        assert sum(pops) == 2_443
+        assert pushes[0] == 4_645
+        assert sum(pops) == len(popped) == 2_443
+        assert sum(popped) == 495
         assert 3 * (len(memos[0]) + len(fields)) <= sum(pops)
+        # Frames are built once for each fresh pop, and for no replayed one.
+        assert resumed == [n for n, fresh in enumerate(popped) if fresh]
 
     def test_no_hop_list_outlives_the_campaign_in_the_index(self):
         # Each targeted run owns the hop list it asked for: FS leaves the
@@ -339,6 +364,58 @@ class TestBaselines:
         assert rep.executions == len(result.test_cases)
 
 
+# FS covers main, f and k by fuzzing, then targets g and h. The slice from
+# ``low`` solves a one-sided branch, enters f, solves another and forks; the
+# run aimed at g records it, and the run aimed at h replays it.
+SOLVES_AROUND_ENTRY_TEXT = """\
+program replays
+
+func main()
+block entry:
+  a = input
+  b = input
+  br < a 10 -> low, high
+block low:
+  br < a 20 -> low2, never
+block low2:
+  call f()
+  br < a 30 -> low3, never
+block low3:
+  br == b 1 -> g1, g2
+block g1:
+  call g()
+  ret
+block g2:
+  br == b 2 -> h1, h2
+block h1:
+  call h()
+  ret
+block h2:
+  call k()
+  ret
+block never:
+  ret
+block high:
+  ret
+
+func f()
+block entry:
+  ret
+
+func g()
+block entry:
+  ret
+
+func h()
+block entry:
+  ret
+
+func k()
+block entry:
+  ret
+"""
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("runner, cfg_factory", [
         (run_fs, _fs_config),
@@ -374,23 +451,32 @@ class TestDeterminism:
         report = dataclasses.replace(runner(program, cfg), duration=0.0)
         assert hashlib.sha256(campaign_json_bytes(report)).hexdigest() == digest
 
-    # b3d4 trees, and the opcode program, where replayed slices enter
-    # functions whose emission fails (opaque paths) and so solve again.
+    # b3d4 trees; the opcode program, where replayed slices enter
+    # functions whose emission fails (opaque paths) and so solve again; and
+    # a program whose replayed slice solves both before and after an entry.
     @pytest.mark.parametrize("name, cfg", [
         ("b3d4", HybridConfig(fuzz_budget=96, rng_seed=0)),
         ("b3d4", HybridConfig(fuzz_budget=96, rng_seed=7)),
         ("opcodes", HybridConfig(fuzz_budget=1, max_inputs=2)),
+        ("solves-around-entry", HybridConfig(fuzz_budget=1, rng_seed=0)),
     ])
     def test_slice_memo_replays_what_fresh_slices_do(self, name, cfg, monkeypatch):
-        # FS with its slice memo, against FS whose every popped state runs
-        # its slice afresh: each pushed successor (seq, node, counters,
-        # frames and stores), each solve and its result, and each replayed
-        # test must come in the same order.
+        # FS with its slice memo, against FS whose every popped handle runs
+        # its slice afresh. Each pushed handle (seq, node, counters and its
+        # fork's frames and stores), each pop, each solve and its result,
+        # each replayed test and each target's solver counters must come in
+        # the same order. Each fresh
+        # slice under the memo must start from the frames and stores that
+        # the same pop starts from without it, and only a pop of a node the
+        # memo lacks runs afresh.
         if name == "opcodes":
             program = parse_program(PINNED_TEXT)
+        elif name == "solves-around-entry":
+            program = parse_program(SOLVES_AROUND_ENTRY_TEXT)
         else:
             program = generate_program(GenParams(3, 4, cfg.rng_seed))
-        push, solve, replay = symex.SonarFrontier.push, symex.Solver.solve, symex.run_concrete
+        push, pop = symex.SonarFrontier.push, symex.SonarFrontier.pop
+        resume, solve, replay = symex._resume, symex.Solver.solve, symex.run_concrete
         campaign = orchestrator.symex_campaign
 
         def path(node):
@@ -400,19 +486,36 @@ class TestDeterminism:
                 node = node.parent
             return tuple(constraints)
 
-        def fs_log(memo):
-            log, memos = [], []
+        def frames(callers):
+            return [
+                (loc, index, sorted(store.items()), dest)
+                for _, index, loc, store, dest in callers
+            ]
 
-            def logged_push(frontier, state):
-                frames = [
-                    (loc, index, sorted(store.items()), dest)
-                    for _, index, loc, store, dest in state.frames
-                ]
+        def fs_log(memo):
+            log, memos, fresh, starts = [], [], [], {}
+
+            def logged_push(frontier, handle):
+                fork, side, seq = handle
+                callers, store, ret_dest, sides, inputs_read, queries, steps, _ = fork
                 log.append((
-                    "push", state.seq, path(state.pc), state.inputs_read,
-                    state.queries_charged, state.steps, frames,
+                    "push", seq, path(sides[side][0]), sides[side][2], inputs_read,
+                    queries, steps, frames(callers), sorted(store.items()), ret_dest,
                 ))
-                push(frontier, state)
+                push(frontier, handle)
+
+            def logged_pop(frontier):
+                fork, side, seq = handle = pop(frontier)
+                node = fork[3][side][0]
+                log.append(("pop", seq, path(node)))
+                fresh.append(not memo or node not in memos[-1])
+                return handle
+
+            def logged_resume(fork, kept):
+                callers, store = resume(fork, kept)
+                assert len(fresh) - 1 not in starts  # one start per pop
+                starts[len(fresh) - 1] = (frames(callers), sorted(store.items()))
+                return callers, store
 
             def logged_solve(solver, pc, num_vars):
                 result = solve(solver, pc, num_vars)
@@ -425,21 +528,30 @@ class TestDeterminism:
 
             def memo_campaign(*args, slices, **kwargs):
                 memos.append(slices)
-                return campaign(*args, slices=slices if memo else None, **kwargs)
+                result = campaign(*args, slices=slices if memo else None, **kwargs)
+                log.append(("target", kwargs["target"], result.stats))
+                return result
 
             with monkeypatch.context() as patches:
                 patches.setattr(symex.SonarFrontier, "push", logged_push)
+                patches.setattr(symex.SonarFrontier, "pop", logged_pop)
+                patches.setattr(symex, "_resume", logged_resume)
                 patches.setattr(symex.Solver, "solve", logged_solve)
                 patches.setattr(symex, "run_concrete", logged_replay)
                 patches.setattr(orchestrator, "symex_campaign", memo_campaign)
                 report = run_fs(program, cfg)
-            return log, memos[0], dataclasses.replace(report, duration=0.0)
+            assert sorted(starts) == [n for n, runs in enumerate(fresh) if runs]
+            report = dataclasses.replace(report, duration=0.0)
+            return log, memos[0], starts, report
 
-        memo_log, memo, memo_report = fs_log(True)
-        fresh_log, unused, fresh_report = fs_log(False)
+        memo_log, memo, memo_starts, memo_report = fs_log(True)
+        fresh_log, unused, fresh_starts, fresh_report = fs_log(False)
         pushes = sum(1 for entry in fresh_log if entry[0] == "push")
+        pops = sum(1 for entry in fresh_log if entry[0] == "pop")
         assert unused == {} and 0 < 2 * len(memo) < pushes  # slices were replayed
         assert memo_log == fresh_log
+        assert len(fresh_starts) == pops > len(memo_starts) > 0
+        assert all(fresh_starts[n] == start for n, start in memo_starts.items())
         assert campaign_json_bytes(memo_report) == campaign_json_bytes(fresh_report)
 
     @pytest.mark.parametrize("runner, cfg_factory", [
@@ -779,40 +891,49 @@ class TestStoreSharing:
 
     @pytest.mark.parametrize("name", ["store-sharing", "b3d4"])
     def test_successors_share_callers_stores_and_own_the_running_one(self, name, monkeypatch):
-        # A fork copies only the running store, for every successor but the
-        # last; callers' stores are copied on their first write after a
-        # return. A tree never writes after a return (calls have no
-        # destination and ``ret`` follows each call), so it copies no
-        # caller's store at all: one copy per fork.
+        # A successor's frames are built when its slice runs. The fork's last
+        # successor to run takes over its callers and running store; the
+        # others copy only the running store, and callers' stores are copied
+        # on their first write after a return. A tree never writes after a
+        # return (calls have no destination and ``ret`` follows each call),
+        # so it copies no caller's store at all: one copy for each fork that
+        # a successor ran from.
         if name == "b3d4":
             program = generate_program(GenParams(3, 4))
         else:
             program = parse_program(STORE_SHARING_TEXT)
-        forks: dict[int, list] = {}
+        forks: dict[int, tuple] = {}
         copies = []
-        push = symex._RandomFrontier.push
+        resume = symex._resume
 
-        def grouping_push(frontier, state):
-            if state.pc.parent is not None:  # a fork's successor, by its parent node
-                forks.setdefault(id(state.pc.parent), []).append(
-                    [store for _, _, _, store, _ in state.frames]
+        def grouping_resume(fork, kept):
+            assert not kept  # symbolic execution alone keeps no memo
+            callers, store = resume(fork, kept)
+            if len(fork[3]) == 2:  # a two-way fork, not the entry's
+                taken = callers is fork[0] and store is fork[1]
+                forks.setdefault(id(fork), (fork, []))[1].append(
+                    ([s for _, _, _, s, _ in callers], store, taken)
                 )
-            push(frontier, state)
+            return callers, store
 
         def counting_dict(*args):  # symex copies a store with ``dict(store)``
             if args and isinstance(args[0], dict):
                 copies.append(args[0])
             return dict(*args)
 
-        monkeypatch.setattr(symex._RandomFrontier, "push", grouping_push)
+        monkeypatch.setattr(symex, "_resume", grouping_resume)
         monkeypatch.setattr(symex, "dict", counting_dict, raising=False)
         symex.symex_campaign(program)
         assert len(forks) > 2
-        for first, *others in forks.values():
-            for stores in others:
-                assert len(stores) == len(first)
-                assert all(a is b for a, b in zip(first[:-1], stores[:-1]))
-                assert first[-1] is not stores[-1]
+        both = [runs for _, runs in forks.values() if len(runs) == 2]
+        assert both  # some forks ran both successors
+        for _, runs in forks.values():
+            # Only the fork's last successor to run takes it over.
+            assert [taken for _, _, taken in runs] == [False] * (len(runs) - 1) + [len(runs) == 2]
+        for (first, first_top, _), (second, second_top, _) in both:
+            assert len(first) == len(second)
+            assert all(a is b for a, b in zip(first, second))
+            assert first_top is not second_top
         if name == "b3d4":
             assert len(copies) == len(forks)
         else:

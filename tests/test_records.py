@@ -38,7 +38,6 @@ from munchkin.symex import (
     SolveResult,
     SolverStats,
     SymResult,
-    SymState,
 )
 from munchkin.symex import TestCase as SymTestCase  # not a pytest class
 
@@ -77,8 +76,7 @@ _RUN = RunResult(_COVERAGE, Outcome.COMPLETED, (1, -2), 17, 2)
 _RETURN_BLOCK = Block((), Return(None))
 _INDEX = index_program(generate_program(GenParams(2, 1)))
 
-# One value per field, for each of the 24 record types. A path condition
-# compares by identity, so SymState's is a stand-in.
+# One value per field, for each of the 23 record types.
 SAMPLES = {
     Const: ("x", 5),
     ReadInput: ("x",),
@@ -95,7 +93,6 @@ SAMPLES = {
     Constraint: ("<=", LinExpr(0, ((0, 1),)), LinExpr(7, ())),
     SolverStats: (5, 3, 1, 1, 2),
     SolveResult: ("sat", (1, 2)),
-    SymState: ([([(0, "x", 1)], 0, 1, {"a": LinExpr(1, ())}, None)], "pc", 1, 2, 3, 4),
     SymTestCase: ((1, 2), _RUN),
     SymResult: ([SymTestCase((1,), _RUN)], _COVERAGE, SolverStats(1, 1), 4, True),
     CallGraph: (frozenset({"main", "f"}), frozenset({("main", "f")}), {"main": 0, "f": 1}),
@@ -113,7 +110,7 @@ SAMPLES = {
         {"main": (0,)},
     ),
 }
-MUTABLE = {SolverStats, SymState, SymResult, FuzzResult}
+MUTABLE = {SolverStats, SymResult, FuzzResult}
 RECORDS = sorted(SAMPLES, key=lambda cls: cls.__name__)
 # Each does more than store its arguments: Constraint starts its caches,
 # CallGraph and FuzzResult give each instance a fresh {}.
@@ -142,7 +139,7 @@ def test_the_samples_cover_every_record_type_of_the_package():
         )
         if issubclass(cls, _Record) and cls not in (_Record, _MutableRecord)
     }
-    assert records == set(SAMPLES) and len(records) == 24
+    assert records == set(SAMPLES) and len(records) == 23
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -217,7 +214,6 @@ def test_the_records_keep_their_defaults():
     assert CoverageMap() == CoverageMap(frozenset(), frozenset())
     assert SolveResult("unsat").model is None
     assert SolverStats() == SolverStats(0, 0, 0, 0, 0)
-    assert SymState([], "pc") == SymState([], "pc", 0, 0, 0, 0)
     assert SymResult([], _COVERAGE, SolverStats(), 0).target_reached is False
     first, second = CallGraph(frozenset(), frozenset()), CallGraph(frozenset(), frozenset())
     assert first.depths == {} and first.depths is not second.depths

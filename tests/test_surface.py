@@ -4,6 +4,7 @@ the benchmark's attribute chains."""
 import ast
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -75,3 +76,20 @@ def test_every_bench_attribute_chain_resolves_on_a_fresh_import():
         env=env, capture_output=True, text=True,
     )
     assert out.stdout.strip() == "[]", out.stdout + out.stderr
+
+
+def test_every_package_name_the_bench_reads_is_public():
+    # ``bench/campaigns.py`` reads ``m.build_callgraph`` for fuzz-b2d9's
+    # reachable count, outside the timed campaign: a package without that
+    # name fails the workload with ``run_failed``. So every name the bench
+    # reads off the package stays exported, or is a submodule.
+    chains = bench_chains()
+    assert ("build_callgraph",) in chains
+    submodules = {info.name for info in pkgutil.iter_modules(munchkin.__path__)}
+    heads = {chain[0] for chain in chains}
+    assert heads <= set(munchkin.__all__) | submodules, heads - set(munchkin.__all__)
+    for chain in chains:
+        value = munchkin
+        for name in chain:
+            assert hasattr(value, name), ".".join(chain)
+            value = getattr(value, name)

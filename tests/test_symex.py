@@ -14,7 +14,7 @@ from munchkin import symex
 from munchkin.callgraph import build_callgraph, index_program
 from munchkin.executor import lowered_form, run_concrete
 from munchkin.generator import GenParams, generate_program
-from munchkin.ir import INT32_MAX, INT32_MIN, apply_cmp, parse_program
+from munchkin.ir import INT32_MAX, INT32_MIN, apply_cmp, parse_program, serialize_program
 from munchkin.orchestrator import HybridConfig, run_fs, run_sf
 from munchkin.symex import (
     Constraint,
@@ -25,7 +25,6 @@ from munchkin.symex import (
     SolverStats,
     SonarFrontier,
     Strategy,
-    SymState,
     SymexLimits,
     _RandomFrontier,
     _combine,
@@ -782,12 +781,26 @@ class TestCandidateWork:
         assert counts["_holds"] and counts["_check_all"] and counts["_live"]
 
 
+def _handle(sides, queries=0, seq=0):
+    """A frontier handle on side 0 of a fork whose successors start at
+    ``sides``, ``(node, block, location id)`` each, and charged ``queries``."""
+    return ([[], {}, None, list(sides), 0, queries, 0, len(sides)], 0, seq)
+
+
+def _picks_are(picks, handles):
+    """The frontier gave back the pushed handles themselves, in this order."""
+    return len(picks) == len(handles) and all(a is b for a, b in zip(picks, handles))
+
+
 class TestSelectNextState:
-    def _state(self, program, function, seq):
-        """A fresh state at the entry block of ``function``."""
+    def _side(self, program, function):
+        """A side at the entry block of ``function``."""
         codes, _, _ = lowered_form(program)
         loc = index_program(program).entries[function]
-        return SymState([(codes[loc], 0, loc, {}, None)], Solver().root, seq=seq)
+        return (Solver().root, codes[loc], loc)
+
+    def _state(self, program, function, seq):
+        return _handle([self._side(program, function)], seq=seq)
 
     def _states(self, program, n):
         return [self._state(program, "main", i) for i in range(n)]
@@ -812,25 +825,35 @@ class TestSelectNextState:
     def test_singleton_frontier(self, chain_program):
         states = self._states(chain_program, 1)
         for frontier in (self._random(0, states), self._sonar(chain_program, "g", states)):
-            assert self._drain(frontier) == states
+            assert _picks_are(self._drain(frontier), states)
 
     def test_sonar_picks_smaller_distance(self, chain_program):
         # f's entry is 1 hop from g's, main's 2; the nearer state was admitted later.
         states = [self._state(chain_program, "main", 0), self._state(chain_program, "f", 1)]
-        assert self._drain(self._sonar(chain_program, "g", states)) == states[::-1]
+        assert _picks_are(self._drain(self._sonar(chain_program, "g", states)), states[::-1])
+
+    def test_sonar_ranks_a_handle_by_its_own_side(self, chain_program):
+        # Two handles on one fork: the one on the nearer side comes out
+        # first, though it was admitted later.
+        sides = [self._side(chain_program, "main"), self._side(chain_program, "f")]
+        first = _handle(sides, seq=1)
+        fork = first[0]
+        second = (fork, 1, 2)
+        picks = self._drain(self._sonar(chain_program, "g", [first, second]))
+        assert _picks_are(picks, [second, first])
 
     def test_sonar_ties_break_on_charged_queries_then_seq(self, chain_program):
         states = self._states(chain_program, 3)
-        states[0].queries_charged = 5
-        states[1].queries_charged = 2
-        states[2].queries_charged = 2
+        states[0][0][5] = 5  # the fork's charged queries
+        states[1][0][5] = 2
+        states[2][0][5] = 2
         picks = self._drain(self._sonar(chain_program, "g", states))
-        assert picks == [states[1], states[2], states[0]]
+        assert _picks_are(picks, [states[1], states[2], states[0]])
 
     def test_baseline_is_reproducible(self, chain_program):
         states = self._states(chain_program, 5)
-        picks_a = [state.seq for state in self._drain(self._random(7, states))]
-        picks_b = [state.seq for state in self._drain(self._random(7, states))]
+        picks_a = [seq for _, _, seq in self._drain(self._random(7, states))]
+        picks_b = [seq for _, _, seq in self._drain(self._random(7, states))]
         assert picks_a == picks_b
         assert sorted(picks_a) == [0, 1, 2, 3, 4]  # a pick leaves the frontier
 
@@ -1094,6 +1117,64 @@ class TestCampaigns:
         result = symex_campaign(program, already_covered=everything)
         assert result.test_cases == []
         assert result.coverage.functions == frozenset()
+
+    @staticmethod
+    def _tree_with_orphan():
+        """A b2d3 tree and one function that nothing calls."""
+        text = serialize_program(generate_program(GenParams(2, 3)))
+        return parse_program(text + "\nfunc orphan()\nblock entry:\n  ret\n")
+
+    @pytest.mark.parametrize("search, target", [
+        (Strategy.BASELINE, None), (Strategy.SONAR, "n_6_7"),
+    ])
+    def test_already_covered_is_read_and_never_written(self, search, target):
+        # The campaign's own emissions never reach the caller's collection,
+        # and one that is not a set is read once, into a copy.
+        program = self._tree_with_orphan()
+        assert target is None or target in index_program(program).reachable
+        given = ["main", "n_0_3", "n_0_1", "n_4_5"]
+        reads = []
+
+        class ReadCounting(list):
+            def __iter__(self):
+                reads.append(1)
+                return super().__iter__()
+
+        for covered in (set(given), frozenset(given), ReadCounting(given)):
+            before = sorted(covered)
+            reads.clear()
+            result = symex_campaign(program, search, target=target, already_covered=covered)
+            assert len(reads) == isinstance(covered, list)
+            assert result.coverage.functions - set(given)  # it emitted others
+            assert sorted(covered) == before
+
+    @pytest.mark.parametrize("search, target", [
+        (Strategy.BASELINE, None), (Strategy.SONAR, "n_5_5"),
+    ])
+    def test_a_list_a_set_and_a_frozenset_give_equal_results(self, search, target):
+        program = self._tree_with_orphan()
+        names = ["n_2_3", "main", "n_0_1", "n_2_3", "orphan", "ghost"]
+        results = [
+            symex_campaign(program, search, target=target, already_covered=covered)
+            for covered in (names, names[::-1], set(names), frozenset(names))
+        ]
+        assert results[0].test_cases  # something was emitted
+        assert all(result == results[0] for result in results[1:])
+
+    @pytest.mark.parametrize("known", [(), ("main",), ("main", "n_0_3")])
+    def test_other_names_as_many_as_the_reachable_do_not_end_the_campaign(self, known):
+        # Unknown and unreachable names, padded so that the set is as large
+        # as the reachable functions, cover nothing: the campaign runs as it
+        # would without them.
+        program = self._tree_with_orphan()
+        reachable = index_program(program).reachable
+        padding = [f"ghost_{k}" for k in range(len(reachable) - len(known) - 1)]
+        covered = {*known, "orphan", *padding}
+        assert len(covered) == len(reachable) and not reachable <= covered
+        padded = symex_campaign(program, already_covered=covered)
+        plain = symex_campaign(program, already_covered=set(known))
+        assert padded == plain
+        assert padded.coverage.functions | set(known) == reachable
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -1399,11 +1480,12 @@ def _full_bfs(program, target):
     return hops
 
 
-def _scan_rank(state, hops):
-    """Sonar's rank of a state over fully settled hops; the reference pick
+def _scan_rank(handle, hops):
+    """Sonar's rank of a handle over fully settled hops; the reference pick
     is the minimum over the whole frontier."""
-    distance = hops[state.frames[-1][2]]
-    return (float("inf") if distance < 0 else distance, state.queries_charged, state.seq)
+    fork, side, seq = handle
+    distance = hops[fork[3][side][2]]
+    return (float("inf") if distance < 0 else distance, fork[5], seq)
 
 
 # Programs for the frontier property: trees, and hand-written programs
@@ -1429,17 +1511,18 @@ class TestSonarFrontier:
         assert hops == full
         frontier = SonarFrontier(hops)
         oracle = []
-        # A push (location, charged queries) or a pop (None).
+        # A fork of one or two sides (their locations, charged queries),
+        # whose handles are pushed in side order, or a pop (None).
+        locations = st.integers(0, len(block_locations(program)) - 1)
         ops = data.draw(st.lists(
             st.one_of(
-                st.tuples(
-                    st.integers(0, len(block_locations(program)) - 1), st.integers(0, 4)
-                ),
+                st.tuples(st.lists(locations, min_size=1, max_size=2), st.integers(0, 4)),
                 st.none(),
             ),
             max_size=60,
         ), label="ops")
-        for seq, op in enumerate(ops):
+        seq = 0
+        for op in ops:
             if op is None:
                 if not oracle:
                     assert not frontier
@@ -1449,10 +1532,13 @@ class TestSonarFrontier:
                 want = min(range(len(oracle)), key=lambda i: _scan_rank(oracle[i], full))
                 assert frontier.pop() is oracle.pop(want)
             else:
-                loc, queries = op
-                state = SymState([(None, 0, loc, {}, None)], None, queries_charged=queries, seq=seq)
-                frontier.push(state)
-                oracle.append(state)
+                locs, queries = op
+                fork = _handle([(None, None, loc) for loc in locs], queries)[0]
+                for side in range(len(locs)):
+                    seq += 1
+                    handle = (fork, side, seq)
+                    frontier.push(handle)
+                    oracle.append(handle)
             assert bool(frontier) == bool(oracle)
 
     def test_a_location_that_cannot_reach_the_target_has_no_distance(self):
