@@ -23,9 +23,11 @@ set and, from the first ``distances`` call, the reverse graph over those
 location ids and one after-call id per call instruction, numbered after
 the blocks in program order; it keeps nothing per target.
 ``ProgramIndex.distances`` runs one backward BFS from a target's entry on
-each call and returns a new hop list, indexed by location id, -1 where
-the target cannot be reached; a sonar run asks for its target's list once
-and owns it.
+each call and returns a new hop map from each location that can reach the
+target to its hop count; a location that cannot is absent. The BFS
+touches the target's ancestors only, so its cost, and the map's size,
+follow the target, not the program. A sonar run asks for its target's map
+once and owns it.
 """
 
 from __future__ import annotations
@@ -84,20 +86,20 @@ class ProgramIndex(_Record):
             object.__setattr__(self, "_predecessors", predecessors)
         return predecessors
 
-    def distances(self, target: str) -> list[int]:
-        """Each location's hop count to the target's entry, -1 where it
-        cannot reach it: one backward BFS over ``predecessors``."""
+    def distances(self, target: str) -> dict[int, int]:
+        """A new map from each location that can reach the target's entry
+        to its hop count there, by one backward BFS over ``predecessors``;
+        a location that cannot reach it is absent."""
         start = self.entries.get(target)
         if start is None:
             raise ValueError(f"unknown target '{target}'")
         predecessors = self.predecessors
-        hops = [-1] * len(predecessors)
-        hops[start] = 0
+        hops = {start: 0}
         queue = [start]
         for loc in queue:
             step = hops[loc] + 1
             for pred in predecessors[loc]:
-                if hops[pred] < 0:
+                if pred not in hops:
                     hops[pred] = step
                     queue.append(pred)
         return hops
@@ -110,11 +112,13 @@ class ProgramIndex(_Record):
         The scan begins at ``by_depth[start]``; every function before it
         must be in ``covered`` or ``skip``.
         """
+        by_depth, callers = self.by_depth, self.callers
         first = None
-        for name in self.by_depth[start:]:
+        for i in range(start, len(by_depth)):
+            name = by_depth[i]
             if name in covered or name in skip:
                 continue
-            if not covered.isdisjoint(self.callers[name]):
+            if not covered.isdisjoint(callers[name]):
                 return name
             if first is None:
                 first = name
@@ -203,7 +207,11 @@ def _reverse_graph(codes: list[list[tuple]], entries: dict[str, int]) -> tuple:
                     points.append(point)
     for point, callee in after_calls:
         predecessors[point] += returns[callee]
-    return tuple(tuple(sorted(set(preds))) for preds in predecessors)
+    # Most locations have one predecessor or none: only longer lists are sorted.
+    return tuple(
+        tuple(sorted(set(preds))) if len(preds) > 1 else tuple(preds)
+        for preds in predecessors
+    )
 
 
 def to_dot(cg: CallGraph) -> str:

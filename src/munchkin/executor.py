@@ -133,20 +133,25 @@ def _lower(program: Program) -> Lowered:
     """Each block as a list of opcode tuples, terminator last.
 
     ``fnv1a32`` inlined: a location's hash continues the FNV state of its
-    function's ``name:`` prefix, hashed once.
+    function's ``name:`` prefix, hashed once. It is kept to its low 17 bits
+    (the offset basis and the prime reduced to ``0x9DC5`` and ``0x193``),
+    which are exactly those of the 32-bit hash: an FNV-1a step's XOR and
+    multiplication modulo 2**32 give low bits that depend only on the low
+    bits of the state, the byte and the prime. Every use of a hash reads its
+    bits 0-15 (``& _MASK``) or, shifted right by one, its bits 1-16.
     """
     functions = program.functions
     ids = {}  # function -> block -> location id
     hashes = []
     for fname, func in functions.items():
-        prefix = 0x811C9DC5
+        prefix = 0x9DC5
         for byte in f"{fname}:".encode("utf-8"):
-            prefix = ((prefix ^ byte) * 0x01000193) & 0xFFFFFFFF
+            prefix = ((prefix ^ byte) * 0x193) & 0x1FFFF
         ids[fname] = {bid: len(hashes) + k for k, bid in enumerate(func.blocks)}
         for bid in func.blocks:
             h = prefix
             for byte in bid.encode("utf-8"):
-                h = ((h ^ byte) * 0x01000193) & 0xFFFFFFFF
+                h = ((h ^ byte) * 0x193) & 0x1FFFF
             hashes.append(h)
     codes: list[list[tuple]] = [[] for _ in hashes]
     entries = {fname: next(iter(local.values())) for fname, local in ids.items()}

@@ -10,7 +10,12 @@ targeted, and becomes a ``CoverageMap`` once, for the report. All targeted
 runs share one solver with its query cache, mirroring what a single long
 symbolic-execution run gets for free, and the program's ``ProgramIndex``,
 which is built once per program and shared by every campaign on it. Each
-targeted run computes its target's hop list once, by one backward BFS.
+targeted run computes its target's hop map once, by one backward BFS over
+the target's ancestors, and keeps the handles at locations that cannot
+reach the target out of its frontier's heap (see ``symex``), so a targeted
+run's own work follows its target's ancestors, not the program's size.
+The next target is found by a scan of ``ProgramIndex.by_depth`` from a
+cursor past every function already covered or given up on.
 ``run_fs`` also creates a slice memo and hands it to every targeted run
 beside the solver, so a slice that an earlier target ran is replayed, not
 run again (see ``symex``); the memo dies when ``run_fs`` returns. SF and
@@ -190,6 +195,8 @@ def run_sf(program: Program, cfg: HybridConfig) -> CampaignReport:
     """Symbolic execution for diverse seeds, then fuzz from them."""
     if cfg.mode != MODE_SF:
         raise ValueError("config mode must be 'sf'")
+    if cfg.fuzz_budget < 0:  # before the symbolic phase, not after it
+        raise ValueError("fuzz budget must be >= 0")
     started = time.perf_counter()
     sym_result = _symex(program, cfg)
     tests = sym_result.test_cases

@@ -54,11 +54,15 @@ queries.
 A symbolic state is a fork and a side: the frontier holds handles
 ``(fork, side, seq)``, and a state's frames are built only when its slice
 runs. Sonar search picks the handle nearest to its target function, by the
-hop count at its side's location in the target's hop list, then fewer
+hop count at its side's location in the target's hop map, then fewer
 charged queries, then admission order. Each sonar run computes its
-target's list once (``ProgramIndex.distances``, one backward BFS) and hands
-it to its ``SonarFrontier``, one heap on those three keys, where a location
-that cannot reach the target ranks at distance infinity. Baseline search
+target's map once (``ProgramIndex.distances``, one backward BFS over the
+target's ancestors) and hands it to its ``SonarFrontier``: one heap on
+those three keys, and a side list, in admission order, of the handles at
+locations absent from the map, which cannot reach the target. They rank
+at distance infinity, behind every other handle, so the side list moves
+into the heap only when no finite-ranked handle is left; a run that
+reaches its target before then never ranks them. Baseline search
 picks uniformly from a list with an RNG seeded from ``rng_seed``, the
 campaign's only RNG, which sonar search does not build. A campaign keeps
 its own solver unless the caller passes one; FS shares one across all its
@@ -203,6 +207,11 @@ SymValue = LinExpr | Opaque
 
 def lin_const(value: int) -> LinExpr:
     return LinExpr(wrap32(value), ())
+
+
+# The value of a local that was never written, and of an input read past
+# ``max_inputs``: one expression that every campaign shares.
+_ZERO = lin_const(0)
 
 
 def lin_var(index: int) -> LinExpr:
@@ -779,26 +788,38 @@ def _resume(fork: list, kept: bool) -> tuple[list, dict]:
 class SonarFrontier:
     """Sonar's frontier: one heap of handles on ``(hops, queries_charged,
     seq)``: the hop count at the handle's side's location, the fork's charged
-    queries, then admission order (unique per handle). A location that
-    cannot reach the target ranks at infinity.
+    queries, then admission order (unique per handle). A handle whose
+    location is absent from the hop map cannot reach the target and ranks at
+    infinity: it waits in a side list, in admission order, which moves into
+    the heap only when the heap holds no finite-ranked handle, so the pop
+    order is that of one heap holding every handle.
     """
 
-    def __init__(self, hops: list[int]) -> None:
+    def __init__(self, hops: dict[int, int]) -> None:
         self._hops = hops
         self._heap: list[tuple[float, int, int, tuple]] = []
+        self._stranded: list[tuple] = []
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self._heap or self._stranded)
 
     def push(self, handle: tuple) -> None:
         fork, side, seq = handle
-        hops = self._hops[fork[3][side][2]]
-        heappush(self._heap, (hops if hops >= 0 else _INF, fork[5], seq, handle))
+        hops = self._hops.get(fork[3][side][2])
+        if hops is None:
+            self._stranded.append(handle)
+        else:
+            heappush(self._heap, (hops, fork[5], seq, handle))
 
     def pop(self) -> tuple:
-        if not self._heap:
+        heap = self._heap
+        if self._stranded and (not heap or heap[0][0] == _INF):
+            for handle in self._stranded:
+                heappush(heap, (_INF, handle[0][5], handle[2], handle))
+            self._stranded = []
+        if not heap:
             raise ValueError("empty frontier")
-        return heappop(self._heap)[3]
+        return heappop(heap)[3]
 
 
 class _RandomFrontier:
@@ -865,9 +886,10 @@ def symex_campaign(
     phase has witnessed; the reported coverage contains only what this
     campaign's replays entered. ``slices`` is a slice memo (see the module
     docstring), valid only with the one ``solver`` it was filled with and
-    for one program and ``max_inputs``. With a sonar target the campaign
-    stops as soon as the target is entered and a test case for it was
-    produced.
+    for one program and ``max_inputs``. With a target, under either search,
+    the campaign stops as soon as the target is entered and a test case for
+    it was produced; sonar search requires one, and baseline search only
+    stops there.
     Limit checks run between state slices. A slice charges two queries at
     every symbolic branch up to its next two-way fork, and one for each test
     it emits, so a tight query budget can be overshot by far more than one
@@ -920,7 +942,7 @@ def symex_campaign(
             emit(pc, inputs_read)
 
     codes, entry_id, _ = lowered_form(program)
-    zero = lin_const(0)
+    zero = _ZERO
     if search is Strategy.SONAR:
         frontier: SonarFrontier | _RandomFrontier = SonarFrontier(index.distances(target))
     else:

@@ -135,10 +135,9 @@ def frontier_set(cg, covered):
 
 
 def _distance(program, hops, loc):
-    """Hops from ``loc`` in a target's hop list; None if it cannot reach
-    the target."""
-    hop = hops[icfg_locations(program).index(loc)]
-    return None if hop < 0 else hop
+    """Hops from ``loc`` in a target's hop map; None if it cannot reach
+    the target, as ``loc`` is then absent from the map."""
+    return hops.get(icfg_locations(program).index(loc))
 
 
 class TestDepths:
@@ -200,13 +199,13 @@ class TestSonarDistances:
             if d_dst is not None:
                 assert d_src is not None and d_src <= 1 + d_dst
 
-    def test_each_call_returns_a_new_list(self):
-        # A hop list belongs to the caller that asked for it; changing one
-        # leaves the next caller's list whole.
+    def test_each_call_returns_a_new_map(self):
+        # A hop map belongs to the caller that asked for it; changing one
+        # leaves the next caller's map whole.
         index = index_program(generate_program(GenParams(2, 2)))
         first = index.distances("n_0_0")
-        want = list(first)
-        first[:] = [0] * len(first)
+        want = dict(first)
+        first.clear()
         second = index.distances("n_0_0")
         assert second is not first
         assert second == want
@@ -243,6 +242,7 @@ class TestSonarDistances:
         assert index.predecessors == tuple(tuple(sorted(preds)) for preds in predecessors)
         for target, func in program.functions.items():
             hops = index.distances(target)
+            assert set(hops) <= set(ids.values())  # only locations have hop counts
             goal = (target, next(iter(func.blocks)))
             for loc in locations:
                 assert _distance(program, hops, loc) == _brute_force_distance(edges, loc, goal), (

@@ -1,5 +1,6 @@
 """Command line interface behavior and exit codes."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -23,10 +24,15 @@ from munchkin.orchestrator import (
     fuzz_config,
     make_report,
     run_baselines,
+    run_fs,
+    run_fuzz,
     run_hybrid,
+    run_sf,
+    run_symex,
 )
 from munchkin.report import (
     average_plot_rows,
+    campaign_json_bytes,
     campaign_to_dict,
     write_plot_rows,
 )
@@ -564,6 +570,52 @@ class TestConfigAndEnv:
             assert flag == "--" + key.replace("_", "-")
             if key != "seeds":
                 assert default == str(functools.reduce(getattr, field.split("."), HybridConfig()))
+
+    # A value of each key that changes b2d4's report under every campaign
+    # that reads the key.
+    _OTHER_VALUES = {
+        "fuzz_budget": 3, "symex_states": 5, "symex_queries": 5,
+        "per_target_queries": 1, "per_target_states": 1, "step_limit": 3,
+        "max_inputs": 0, "rng_seed": 9, "seeds": ((5,), (-3,), (99,)),
+    }
+
+    @pytest.mark.parametrize("campaign", ["fuzz", "symex", "FS", "SF"])
+    def test_readme_names_the_campaigns_that_read_each_key(self, campaign):
+        # A key changes a campaign's report exactly when the README's "Read
+        # by" column names that campaign; the baselines are the fuzz and
+        # symex campaigns, and table1 runs every campaign.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = [line.split("|")[2:5] for line in readme.splitlines() if line.startswith("| `--")]
+        read_by = {
+            key.strip(" `"): {name.strip() for name in names.split(",")}
+            for key, _, names in rows
+        }
+        runner = {
+            "fuzz": lambda program, cfg: run_fuzz(program, cfg)[0],
+            "symex": lambda program, cfg: run_symex(program, cfg)[0],
+            "FS": run_fs,
+            "SF": lambda program, cfg: run_sf(program, dataclasses.replace(cfg, mode="sf")),
+        }[campaign]
+        baseline = {"fuzz": "fuzz baseline", "symex": "symex baseline"}.get(campaign)
+        program = generate_program(GenParams(2, 4))
+        base = HybridConfig(fuzz_budget=30)
+
+        def output(cfg):
+            report = runner(program, cfg)
+            return campaign_json_bytes(dataclasses.replace(report, duration=0.0))
+
+        want = output(base)
+        for key, (field, _, _) in CAMPAIGN_KEYS.items():
+            owner, _, name = field.rpartition(".")
+            value = self._OTHER_VALUES[key]
+            if owner:
+                value = dataclasses.replace(getattr(base, owner), **{name: value})
+                name = owner
+            reads = output(dataclasses.replace(base, **{name: value})) != want
+            assert (campaign in read_by[key]) == reads, (campaign, key)
+            if baseline is not None:
+                named = bool({baseline, "both baselines"} & read_by[key])
+                assert named == reads, (baseline, key)
 
     def test_flag_beats_config(self, tree_mir, tmp_path):
         config = tmp_path / "cfg"

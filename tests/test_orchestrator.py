@@ -110,7 +110,9 @@ class TestFS:
         # the 2,443 popped states ran its slice then; now a slice runs afresh
         # once per node, and again only where reaching a target cut it short.
         # A handle's frames are built only when its slice runs afresh: of the
-        # 4,645 handles pushed, 495 build any.
+        # 4,645 handles pushed, 495 build any. The 2,202 handles at locations
+        # that cannot reach their target wait in the frontier's side list,
+        # and every run reaches its target or ends before one is popped.
         program = generate_program(GenParams(2, 8, 0))
         fields = {}
         distances = callgraph.ProgramIndex.distances
@@ -129,15 +131,18 @@ class TestFS:
             pops.append(result.states_explored)
             return result
 
-        pushes, popped, resumed = [0], [], []
+        pushes, stranded, popped, resumed = [0], [0], [], []
         push, pop, resume = symex.SonarFrontier.push, symex.SonarFrontier.pop, symex._resume
 
         def counting_push(frontier, handle):
             pushes[0] += 1
+            waiting = len(frontier._stranded)
             push(frontier, handle)
+            stranded[0] += len(frontier._stranded) - waiting
 
         def noting_pop(frontier):
             fork, side, seq = handle = pop(frontier)
+            assert fork[3][side][2] in frontier._hops  # it can reach the target
             popped.append(fork[3][side][0] not in memos[-1])  # runs afresh
             return handle
 
@@ -151,19 +156,20 @@ class TestFS:
         monkeypatch.setattr(symex.SonarFrontier, "pop", noting_pop)
         monkeypatch.setattr(symex, "_resume", noting_resume)
         run_fs(program, HybridConfig(fuzz_budget=96, rng_seed=0))
-        settled = sum(h >= 0 for hops in fields.values() for h in hops)
+        settled = sum(len(hops) for hops in fields.values())
         assert len(fields) == 241
         assert settled == 4_404
         assert all(memo is memos[0] for memo in memos)  # one memo per campaign
         assert pushes[0] == 4_645
+        assert stranded[0] == 2_202
         assert sum(pops) == len(popped) == 2_443
         assert sum(popped) == 495
         assert 3 * (len(memos[0]) + len(fields)) <= sum(pops)
         # Frames are built once for each fresh pop, and for no replayed one.
         assert resumed == [n for n, fresh in enumerate(popped) if fresh]
 
-    def test_no_hop_list_outlives_the_campaign_in_the_index(self):
-        # Each targeted run owns the hop list it asked for: FS leaves the
+    def test_no_hop_map_outlives_the_campaign_in_the_index(self):
+        # Each targeted run owns the hop map it asked for: FS leaves the
         # shared index as it found it.
         program = generate_program(GenParams(2, 8, 0))
         index = callgraph.index_program(program)
@@ -224,6 +230,24 @@ class TestSF:
         report = run_sf(program, _sf_config(fuzz_budget=32))
         assert report.coverage.functions  # pure fuzzing from [0]
         assert (0,) in report.test_suite
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_a_negative_fuzz_budget_is_rejected_before_symbolic_execution(
+        self, depth, monkeypatch
+    ):
+        # The fuzz phase would reject it too, but only after the whole
+        # symbolic phase had run.
+        program = generate_program(GenParams(2, depth))
+        runs = []
+
+        def recording_symex(*args, **kwargs):
+            runs.append(args)
+            return symex.symex_campaign(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "symex_campaign", recording_symex)
+        with pytest.raises(ValueError, match="fuzz budget"):
+            run_sf(program, _sf_config(fuzz_budget=-1))
+        assert runs == []
 
     def test_sf_coverage_superset_of_symex_phase(self):
         rng = random.Random(5)

@@ -857,6 +857,22 @@ class TestSelectNextState:
         assert picks_a == picks_b
         assert sorted(picks_a) == [0, 1, 2, 3, 4]  # a pick leaves the frontier
 
+    def test_sonar_ranks_handles_that_cannot_reach_the_target_last(self, chain_program):
+        # No location of g reaches f's entry: g returns to the point after
+        # f's call. Those handles wait in the side list until no handle
+        # that can reach f is left, then rank by charged queries and
+        # admission order, as if they had been in the heap all along.
+        far = [self._state(chain_program, "g", seq) for seq in (0, 1)]
+        far[0][0][5], far[1][0][5] = 3, 1
+        near = self._state(chain_program, "main", 2)
+        frontier = self._sonar(chain_program, "f", [*far, near])
+        picks = [frontier.pop(), frontier.pop()]
+        later_near = self._state(chain_program, "main", 3)
+        later_far = self._state(chain_program, "g", 4)  # charged 0 queries
+        self._fill(frontier, [later_near, later_far])
+        picks += self._drain(frontier)
+        assert _picks_are(picks, [near, far[1], later_near, later_far, far[0]])
+
     def test_empty_frontier_rejected(self, chain_program):
         with pytest.raises(ValueError):
             _RandomFrontier(random.Random(0)).pop()
@@ -1018,6 +1034,18 @@ class TestCampaigns:
         for tc in result.test_cases:
             replay = run_concrete(program, tc.values)
             assert replay.coverage.functions == tc.replay.coverage.functions
+
+    def test_baseline_search_with_a_target_stops_there(self):
+        # Emission of the target's test case ends any campaign with a
+        # target, whatever its search: on b2d4 the run aimed at n_3_3 stops
+        # 4 states short of the untargeted run, which enters n_3_3 too.
+        program = generate_program(GenParams(2, 4))
+        aimed = symex_campaign(program, Strategy.BASELINE, target="n_3_3")
+        free = symex_campaign(program, Strategy.BASELINE)
+        assert aimed.target_reached and not free.target_reached
+        assert "n_3_3" in aimed.test_cases[-1].replay.coverage.functions
+        assert "n_3_3" in free.coverage.functions
+        assert (aimed.states_explored, free.states_explored) == (29, 33)
 
     def test_sonar_on_already_entered_target_stops_immediately(self):
         program = generate_program(GenParams(2, 2))
@@ -1463,21 +1491,26 @@ class TestPinnedSonar:
 
 
 def _full_bfs(program, target):
-    """Every location's hop count to ``target``'s entry, -1 where it cannot
-    reach it, by one whole backward BFS: the reference for
-    ``ProgramIndex.distances``."""
+    """Every location's hop count to ``target``'s entry, None where it
+    cannot reach it, by one backward BFS over a list of every location: the
+    reference for ``ProgramIndex.distances``."""
     index = index_program(program)
-    hops = [-1] * len(index.predecessors)
+    hops = [None] * len(index.predecessors)
     start = index.entries[target]
     hops[start] = 0
     queue = deque([start])
     while queue:
         loc = queue.popleft()
         for pred in index.predecessors[loc]:
-            if hops[pred] < 0:
+            if hops[pred] is None:
                 hops[pred] = hops[loc] + 1
                 queue.append(pred)
     return hops
+
+
+def _as_map(full):
+    """The hop map that ``ProgramIndex.distances`` gives for ``full``."""
+    return {loc: hop for loc, hop in enumerate(full) if hop is not None}
 
 
 def _scan_rank(handle, hops):
@@ -1485,7 +1518,7 @@ def _scan_rank(handle, hops):
     is the minimum over the whole frontier."""
     fork, side, seq = handle
     distance = hops[fork[3][side][2]]
-    return (float("inf") if distance < 0 else distance, fork[5], seq)
+    return (float("inf") if distance is None else distance, fork[5], seq)
 
 
 # Programs for the frontier property: trees, and hand-written programs
@@ -1508,7 +1541,7 @@ class TestSonarFrontier:
         target = data.draw(st.sampled_from(sorted(program.functions)), label="target")
         full = _full_bfs(program, target)
         hops = index.distances(target)
-        assert hops == full
+        assert hops == _as_map(full)
         frontier = SonarFrontier(hops)
         oracle = []
         # A fork of one or two sides (their locations, charged queries),
@@ -1545,5 +1578,5 @@ class TestSonarFrontier:
         program = parse_program(SONAR_TEXT)
         index = index_program(program)
         hops = index.distances("goal")
-        assert hops == _full_bfs(program, "goal")
-        assert hops[block_locations(program).index(("main", "stranded"))] == -1
+        assert hops == _as_map(_full_bfs(program, "goal"))
+        assert block_locations(program).index(("main", "stranded")) not in hops
