@@ -28,14 +28,8 @@ from .executor import (
     run_concrete,
 )
 from .fuzzer import FuzzConfig, FuzzResult, fuzz_campaign, mutate
-from .symex import (
-    Solver,
-    SolverStats,
-    Strategy,
-    SymexLimits,
-    SymResult,
-    symex_campaign,
-)
+from .solver import Solver, SolverStats
+from .symex import Strategy, SymexLimits, SymResult, symex_campaign
 from .orchestrator import (
     CampaignReport,
     HybridConfig,

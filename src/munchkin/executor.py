@@ -34,7 +34,6 @@ bit-for-bit those of a direct interpretation of the IR.
 from __future__ import annotations
 
 import enum
-import operator
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -49,6 +48,7 @@ from .ir import (
     Print,
     Program,
     ReadInput,
+    _COMPARE,
     _Record,
     apply_binop,
     int_literal,
@@ -72,10 +72,6 @@ def fnv1a32(text: str) -> int:
 
 def _location_hash(location: tuple[str, str]) -> int:
     return fnv1a32(f"{location[0]}:{location[1]}")
-
-
-def edge_index(prev: tuple[str, str], cur: tuple[str, str]) -> int:
-    return ((_location_hash(prev) >> 1) ^ _location_hash(cur)) & (MAP_SIZE - 1)
 
 
 class Outcome(enum.Enum):
@@ -115,14 +111,6 @@ class RunResult(_Record):
 # function and as its IR string. A return holds its block's shifted hash. So
 # no run hashes a name or looks a block up by name.
 OP_CONST, OP_INPUT, OP_BINOP, OP_PRINT, OP_CALL, OP_BRANCH, OP_JUMP, OP_RETURN = range(8)
-_COMPARE = {
-    "<": operator.lt,
-    "<=": operator.le,
-    "==": operator.eq,
-    "!=": operator.ne,
-    ">=": operator.ge,
-    ">": operator.gt,
-}
 _MASK = MAP_SIZE - 1
 
 # (blocks by location id, entry location id, edge index of the start transition)

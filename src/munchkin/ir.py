@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import operator
 import re
 from dataclasses import FrozenInstanceError
 
@@ -69,6 +70,15 @@ INT32_MAX = (1 << 31) - 1
 
 BIN_OPS = ("+", "-", "*", "/", "%")
 CMP_OPS = ("<", "<=", "==", "!=", ">=", ">")
+# Each comparison as an ``operator`` function, for the interpreters and the solver.
+_COMPARE = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">=": operator.ge,
+    ">": operator.gt,
+}
 
 ENTRY_FUNCTION = "main"
 

@@ -64,15 +64,8 @@ from .executor import CoverageMap, DEFAULT_STEP_LIMIT, InputVector
 from .fuzzer import FuzzConfig, FuzzResult, fuzz_campaign
 from .report import TECHNIQUE_FS, TECHNIQUE_FUZZ, TECHNIQUE_SF, TECHNIQUE_SYMEX
 from .report import DepthRow, depth_table
-from .symex import (
-    DEFAULT_MAX_INPUTS,
-    Solver,
-    SolverStats,
-    Strategy,
-    SymexLimits,
-    SymResult,
-    symex_campaign,
-)
+from .solver import Solver, SolverStats
+from .symex import DEFAULT_MAX_INPUTS, Strategy, SymexLimits, SymResult, symex_campaign
 
 MODE_FS = "fs"
 MODE_SF = "sf"

@@ -2,7 +2,14 @@ from pathlib import Path
 
 import pytest
 
+from munchkin.executor import MAP_SIZE, _location_hash
 from munchkin.ir import parse_program
+
+
+def edge_index(prev, cur):
+    """The edge hash of ``executor``'s docstring, for a transition between
+    two (function, block) locations: the reference for pinned edge values."""
+    return ((_location_hash(prev) >> 1) ^ _location_hash(cur)) & (MAP_SIZE - 1)
 
 
 def block_locations(program):

@@ -36,7 +36,8 @@ from munchkin.report import (
     campaign_to_dict,
     write_plot_rows,
 )
-from munchkin.symex import SolverStats, Strategy, SymexLimits, symex_campaign
+from munchkin.solver import SolverStats
+from munchkin.symex import Strategy, SymexLimits, symex_campaign
 
 from conftest import UNREACHABLE_TEXT, read_plot_dat
 

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 
 from munchkin.executor import (
-    _COMPARE,
     _MASK,
     _START_LOCATION,
     OP_BINOP,
@@ -26,7 +25,6 @@ from munchkin.executor import (
     Outcome,
     _location_hash,
     _lower,
-    edge_index,
     read_input_file,
     read_seed_dir,
     run_concrete,
@@ -42,11 +40,12 @@ from munchkin.ir import (
     Jump,
     Print,
     ReadInput,
+    _COMPARE,
     parse_program,
 )
 from munchkin.orchestrator import HybridConfig, run_fs
 
-from conftest import block_locations
+from conftest import block_locations, edge_index
 from test_ir import _programs
 from test_symex import PINNED_TEXT
 

@@ -29,7 +29,8 @@ from munchkin.orchestrator import (
     run_symex,
 )
 from munchkin.report import campaign_json_bytes, campaign_to_dict, coverage_percent
-from munchkin.symex import SolverStats, Strategy, SymexLimits, SymResult
+from munchkin.solver import SolverStats
+from munchkin.symex import Strategy, SymexLimits, SymResult
 
 from test_symex import EQUAL_SIDES_TEXT, MULTI_INPUT_TEXT, OPAQUE_TEXT, PINNED_TEXT, SONAR_TEXT
 

@@ -32,13 +32,8 @@ from munchkin.ir import (
     _MutableRecord,
     _Record,
 )
-from munchkin.symex import (
-    Constraint,
-    LinExpr,
-    SolveResult,
-    SolverStats,
-    SymResult,
-)
+from munchkin.solver import Constraint, LinExpr, SolveResult, SolverStats
+from munchkin.symex import SymResult
 from munchkin.symex import TestCase as SymTestCase  # not a pytest class
 
 # Callers build these from keywords or pass them to ``dataclasses.replace``.

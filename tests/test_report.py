@@ -36,7 +36,7 @@ from munchkin.report import (
     percent_round,
     write_plot_rows,
 )
-from munchkin.symex import SolverStats
+from munchkin.solver import SolverStats
 
 from conftest import read_plot_dat
 

@@ -93,3 +93,46 @@ def test_every_package_name_the_bench_reads_is_public():
         for name in chain:
             assert hasattr(value, name), ".".join(chain)
             value = getattr(value, name)
+
+
+# ``bench/spans.py`` hooks that no campaign calls any more; the bench notes
+# each as unbound, and its spans count zero calls.
+STALE_HOOKS = {
+    ("orchestrator", "build_callgraph"),
+    ("orchestrator", "frontier_set"),
+    ("symex", "build_callgraph"),
+    ("callgraph", "sonar_distances"),
+}
+
+
+def spans_hooks():
+    """``(module, attribute path)`` of each entry of ``bench/spans.py``'s ``HOOKS``."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["HOOKS"]:
+            return [(module, path) for module, path, _ in ast.literal_eval(node.value)]
+    raise AssertionError("bench/spans.py has no HOOKS")
+
+
+def test_every_live_bench_hook_resolves_on_a_fresh_import():
+    # A traced run wraps each binding it finds and skips the rest with only
+    # a note: an unbound ``symex.Solver`` would skip the traced check that
+    # solve calls equal queries plus cache hits.
+    live = [hook for hook in spans_hooks() if hook not in STALE_HOOKS]
+    assert ("symex", "Solver.solve") in live and ("symex", "run_concrete") in live
+    script = (
+        "import functools, importlib, json, sys\n"
+        "missing = []\n"
+        "for module, path in json.loads(sys.argv[1]):\n"
+        "    owner = importlib.import_module('munchkin.' + module)\n"
+        "    found = functools.reduce(lambda o, a: getattr(o, a, None), path.split('.'), owner)\n"
+        "    if not callable(found):\n"
+        "        missing.append(module + '.' + path)\n"
+        "print(json.dumps(missing))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(live)],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr
