@@ -11,10 +11,11 @@ relies on this to skip inputs whose consumed prefix has already run.
 
 Edge coverage uses a fixed 65536-slot hash bitmap over block transitions,
 kept here as the sparse set of set bit indices. The hash of a transition
-from location ``prev`` to ``cur`` (each a (function, block) pair) is::
+from location ``prev`` to ``cur`` (each a (function, block) pair), with
+``fnv1a_32`` the 32-bit FNV-1a hash of a text's UTF-8 bytes, is::
 
-    (fnv1a32(prev_func + ":" + prev_block) >> 1)
-        XOR fnv1a32(cur_func + ":" + cur_block), masked to 16 bits
+    (fnv1a_32(prev_func + ":" + prev_block) >> 1)
+        XOR fnv1a_32(cur_func + ":" + cur_block), masked to 16 bits
 
 A virtual start location ("", "") precedes the entry block, so every run
 sets at least one bit. The hash is a pure function of names, making
@@ -59,20 +60,6 @@ InputVector = tuple[int, ...]
 
 MAP_SIZE = 1 << 16
 DEFAULT_STEP_LIMIT = 10**6
-
-_START_LOCATION = ("", "")
-
-
-def fnv1a32(text: str) -> int:
-    h = 0x811C9DC5
-    for byte in text.encode("utf-8"):
-        h = ((h ^ byte) * 0x01000193) & 0xFFFFFFFF
-    return h
-
-
-def _location_hash(location: tuple[str, str]) -> int:
-    return fnv1a32(f"{location[0]}:{location[1]}")
-
 
 class Outcome(enum.Enum):
     COMPLETED = "completed"
@@ -120,7 +107,7 @@ Lowered = tuple[list[list[tuple]], int, int]
 def _lower(program: Program) -> Lowered:
     """Each block as a list of opcode tuples, terminator last.
 
-    ``fnv1a32`` inlined: a location's hash continues the FNV state of its
+    The 32-bit FNV-1a inlined: a location's hash continues the FNV state of its
     function's ``name:`` prefix, hashed once. It is kept to its low 17 bits
     (the offset basis and the prime reduced to ``0x9DC5`` and ``0x193``),
     which are exactly those of the 32-bit hash: an FNV-1a step's XOR and
@@ -196,7 +183,8 @@ def _lower(program: Program) -> Lowered:
             here += 1
 
     entry = entries[ENTRY_FUNCTION]
-    start = ((_location_hash(_START_LOCATION) >> 1) ^ hashes[entry]) & _MASK
+    # The virtual start location ("", "") hashes as the text ":".
+    start = ((((0x9DC5 ^ 0x3A) * 0x193 & 0x1FFFF) >> 1) ^ hashes[entry]) & _MASK
     return codes, entry, start
 
 

@@ -30,13 +30,9 @@ result's ``CoverageMap`` once at the end.
 A campaign's test suite is its corpus plus the first witness of each
 covered function that the corpus lacks.
 
-``fuzz_campaign`` runs with automatic cyclic garbage collection paused
-(``ir._collector_paused``) and restores the caller's setting when it
-returns or raises. That is safe because a campaign makes no reference
-cycles: corpus entries, coverage maps and run results point at nothing that
-points back, so reference counting frees whatever the campaign drops, and a
-collection during it would free nothing. The collector is global to the
-process, so this relies on the package being single-threaded by contract.
+``fuzz_campaign`` runs with the cyclic collector paused
+(``ir._collector_paused``): it makes no reference cycles, since corpus
+entries, coverage maps and run results point at nothing that points back.
 """
 
 from __future__ import annotations

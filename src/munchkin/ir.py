@@ -127,23 +127,6 @@ def apply_binop(op: str, lhs: int, rhs: int) -> int:
     raise ValueError(f"unknown operator {op!r}")
 
 
-def apply_cmp(cmp: str, lhs: int, rhs: int) -> bool:
-    """Evaluate a comparison operator on two int32 values."""
-    if cmp == "<":
-        return lhs < rhs
-    if cmp == "<=":
-        return lhs <= rhs
-    if cmp == "==":
-        return lhs == rhs
-    if cmp == "!=":
-        return lhs != rhs
-    if cmp == ">=":
-        return lhs >= rhs
-    if cmp == ">":
-        return lhs > rhs
-    raise ValueError(f"unknown comparison {cmp!r}")
-
-
 # ---------------------------------------------------------------------------
 # Records
 # ---------------------------------------------------------------------------
@@ -223,9 +206,9 @@ class _MutableRecord(_Record):
 def _collector_paused(fn):
     """``fn`` run with automatic cyclic garbage collection paused.
 
-    A campaign makes no reference cycles while its program is alive: trie
-    nodes point only up, and the index holds no reference back to its
-    program. So reference counting frees all of a campaign's garbage, and an
+    A campaign makes no reference cycles while its program is alive (its
+    module says why), and the index holds no reference back to its program.
+    So reference counting frees all of a campaign's garbage, and an
     automatic collection during one scans the survivors and frees nothing.
     Only the lowered form of a program with a loop or recursion is cyclic (a
     block's code reaches itself); it is built once per program, and the

@@ -9,19 +9,14 @@ edges after every target, so functions covered en route are never
 targeted, and becomes a ``CoverageMap`` once, for the report. All targeted
 runs share one solver with its query cache, mirroring what a single long
 symbolic-execution run gets for free, and the program's ``ProgramIndex``,
-which is built once per program and shared by every campaign on it. Each
-targeted run computes its target's hop map once, by one backward BFS over
-the target's ancestors, and keeps the handles at locations that cannot
-reach the target out of its frontier's heap (see ``symex``), so a targeted
-run's own work follows its target's ancestors, not the program's size.
-The next target is found by a scan of ``ProgramIndex.by_depth`` from a
-cursor past every function already covered or given up on.
+which is built once per program and shared by every campaign on it.
 ``run_fs`` also creates a slice memo and hands it to every targeted run
-beside the solver, so a slice that an earlier target ran is replayed, not
-run again (see ``symex``); the memo dies when ``run_fs`` returns. SF and
-the symex baseline run without one. A targeted run's state is a fork and a
-side, whose frames are built only when its slice runs afresh; a replay
-builds none, and its solves are answered by the cache.
+beside the solver; the memo dies when ``run_fs`` returns, and SF and the
+symex baseline run without one. How a targeted run ranks its handles by
+its target's hop map, and how it builds frames or replays a memoised
+slice, is told in ``symex``. The next target is found by a scan of
+``ProgramIndex.by_depth`` from a cursor past every function already
+covered or given up on.
 Each targeted run reads the live set of covered functions in place, as
 ``already_covered``, and ``run_fs`` adds the run's coverage to it after.
 
@@ -41,16 +36,10 @@ wall time since the runner started. Reports are deterministic given
 every concrete run of a campaign: fuzzer executions and symex replays
 alike.
 
-Each runner, like ``fuzz_campaign`` and ``symex_campaign``, runs with
-automatic cyclic garbage collection paused (``ir._collector_paused``): the
-campaigns make no reference cycles, so a collection during one scans the
-survivors and frees nothing. A nested call leaves the collector as it
-finds it, so FS's targeted runs do not turn it back on between targets,
-and the outermost call restores the caller's setting when it returns or
-raises. The first collection after a runner returns scans the campaign's
-survivors once. Campaigns are single-threaded by contract: the collector
-is global to the process, so a campaign in another thread would have its
-setting changed under it.
+Each runner, like ``fuzz_campaign`` and ``symex_campaign``, runs with the
+cyclic collector paused (``ir._collector_paused``): it adds no reference
+cycles to its campaigns', since its covered sets, reports and slice memo
+point at nothing that points back.
 """
 
 from __future__ import annotations

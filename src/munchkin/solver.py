@@ -60,7 +60,6 @@ from .ir import (
     _MutableRecord,
     _Record,
     apply_binop,
-    apply_cmp,
     wrap32,
 )
 
@@ -508,7 +507,7 @@ def _extend_fixpoint(parent: _Fixpoint, node: PathCondition) -> _Fixpoint:
     if parent.verdict == UNSAT:
         return _INFEASIBLE
     if c.is_const:
-        return parent if apply_cmp(c.cmp, c.lhs.const, c.rhs.const) else _INFEASIBLE
+        return parent if _COMPARE[c.cmp](c.lhs.const, c.rhs.const) else _INFEASIBLE
 
     normal = c.normal
     lo, hi, general = parent.lo, parent.hi, parent.general

@@ -52,15 +52,11 @@ nor the campaign's earlier replays cover. Every emitted input vector is
 validated by concrete replay, and only replay coverage is reported; it is
 gathered in place and becomes one ``CoverageMap`` when the campaign ends.
 
-``symex_campaign`` runs with automatic cyclic garbage collection paused
-(``ir._collector_paused``) and restores the caller's setting when it
-returns or raises. That is safe because a campaign makes no reference
-cycles while its program is alive: trie nodes point only up, a handle's
-fork points at frames, stores, nodes and the program's lowered blocks,
-none of which points back, and a slice memo is a dict that its caller
-owns. So reference counting frees whatever the campaign drops, and a
-collection during it would free nothing. The package is single-threaded by contract,
-which the process-wide collector switch relies on.
+``symex_campaign`` runs with the cyclic collector paused
+(``ir._collector_paused``): it makes no reference cycles while its program
+is alive, since trie nodes point only up and a handle's fork points at
+frames, stores, nodes and the program's lowered blocks, none of which
+points back.
 """
 
 from __future__ import annotations
@@ -69,7 +65,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .ir import ENTRY_FUNCTION, Program, _MutableRecord, _Record, _collector_paused
 from .callgraph import index_program
@@ -101,7 +97,7 @@ _ZERO = lin_const(0)
 
 
 # ---------------------------------------------------------------------------
-# Frontier handles and search strategies
+# Frontier handles, search strategies and the stepper
 # ---------------------------------------------------------------------------
 
 
@@ -173,6 +169,122 @@ class _RandomFrontier:
 
     def pop(self) -> tuple:
         return self._handles.pop(self._rng.randrange(len(self._handles)))
+
+
+def run_slice(
+    fork: list, side: int, solver: Solver, max_inputs: int,
+    on_entry: Callable[[str, PathCondition, int], None], events: list | None = None,
+) -> list | None:
+    """Run the successor of ``fork`` on ``side`` up to its next two-way
+    fork and return that fork, or None where its path ends.
+
+    It reads no campaign's state: ``solver`` decides each branch, the path
+    reads at most ``max_inputs`` symbolic inputs, and each function entry
+    calls ``on_entry(function, node, inputs_read)``, which may raise to end
+    the slice. This is ``run_concrete``'s loop over the same lowered
+    blocks, with symbolic values, the running frame, the node ``pc`` and
+    the counters in locals; ``frames`` holds the callers, each ``(block,
+    index of its next instruction, location id, store, ret_dest)``, where
+    ``ret_dest`` is the caller's local that receives the return value. A
+    fork is ``[callers, store, ret_dest, sides, inputs_read,
+    queries_charged, steps, waiting]``, with each side's ``(node, block,
+    location id)`` and the successors' counters (``waiting``: see
+    ``_resume``). ``events``, when given, marks ``fork`` as kept by a slice
+    memo and receives each branch solve as ``(None, node, inputs_read)``
+    and each function entry as ``(function, node, inputs_read)``, in order.
+
+    A store is ``owned`` until a return makes it a shared caller's.
+    """
+    frames, store = _resume(fork, events is not None)
+    _, _, ret_dest, _, inputs_read, queries, steps, _ = fork
+    pc, code, loc = fork[3][side]
+    index, owned = 0, True
+    zero = _ZERO
+    while True:
+        if steps >= MAX_STEPS_PER_STATE:
+            return None
+        steps += 1
+        instr = code[index]
+        index += 1
+        op = instr[0]
+        if op == OP_BRANCH:
+            (_, compare, lhs, lhs_name, rhs, rhs_name,
+             then, _, then_id, other, _, other_id, cmp) = instr
+            lhs = store.get(lhs, zero) if lhs_name else lin_const(lhs)
+            rhs = store.get(rhs, zero) if rhs_name else lin_const(rhs)
+            nodes = solver.branch(pc, cmp, lhs, rhs)
+            if nodes is None:
+                # Two constants, or one expression on both sides: no
+                # input changes the outcome, so no solve.
+                if compare(lhs.const, rhs.const):
+                    code, loc = then, then_id
+                else:
+                    code, loc = other, other_id
+                index = 0
+                continue
+
+            feasible = []
+            for succ in ((nodes[0], then, then_id), (nodes[1], other, other_id)):
+                if events is not None:
+                    events.append((None, succ[0], inputs_read))
+                if solver.solve(succ[0], inputs_read).status != UNSAT:
+                    feasible.append(succ)
+            if not feasible:
+                return None
+            if len(feasible) == 1:
+                pc, code, loc = feasible[0]
+                index = 0
+                queries += 1
+                continue
+            return [frames, store if owned else dict(store), ret_dest, feasible,
+                    inputs_read, queries + 1, steps, 2]
+        elif op == OP_CALL:
+            _, callee, entry, _, callee_id, args, dest, _ = instr
+            frames.append((code, index, loc, store, ret_dest))
+            caller_store = store
+            store, owned = {}, True
+            for param, arg, name in args:
+                store[param] = caller_store.get(arg, zero) if name else lin_const(arg)
+            code, index, loc, ret_dest = entry, 0, callee_id, dest
+            if events is not None:
+                events.append((callee, pc, inputs_read))
+            on_entry(callee, pc, inputs_read)
+        elif op == OP_RETURN:
+            if not frames:
+                return None  # entry function returned
+            dest = ret_dest
+            code, index, loc, caller_store, ret_dest = frames.pop()
+            if dest is not None:  # only a caller that stores it reads the value
+                value = store.get(instr[1], zero) if instr[2] else lin_const(instr[1])
+                store, owned = dict(caller_store), True
+                store[dest] = value
+            else:
+                store, owned = caller_store, False
+        elif op == OP_JUMP:
+            code, loc = instr[1], instr[3]
+            index = 0
+        elif op != OP_PRINT:  # a print has no symbolic effect; it only takes its step
+            # The rest write the store: copy a caller's on its first write.
+            if not owned:
+                store, owned = dict(store), True
+            if op == OP_BINOP:
+                _, dest, binop, lhs, lhs_name, rhs, rhs_name = instr
+                value = sym_binop(
+                    binop,
+                    store.get(lhs, zero) if lhs_name else lin_const(lhs),
+                    store.get(rhs, zero) if rhs_name else lin_const(rhs),
+                )
+                if value is None:
+                    return None  # definite fault ends the path
+                store[dest] = value
+            elif op == OP_CONST:
+                store[instr[1]] = lin_const(instr[2])
+            elif op == OP_INPUT:
+                if inputs_read < max_inputs:
+                    store[instr[1]] = lin_var(inputs_read)
+                    inputs_read += 1
+                else:
+                    store[instr[1]] = zero
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +389,6 @@ def symex_campaign(
             emit(pc, inputs_read)
 
     codes, entry_id, _ = lowered_form(program)
-    zero = _ZERO
     if search is Strategy.SONAR:
         frontier: SonarFrontier | _RandomFrontier = SonarFrontier(index.distances(target))
     else:
@@ -286,114 +397,6 @@ def symex_campaign(
     frontier.push(([[], {}, None, [(solver.root, codes[entry_id], entry_id)], 0, 0, 0, 1], 0, 0))
     seq = 0
     states_explored = 0
-
-    def run_slice(fork: list, side: int, events: list | None) -> list | None:
-        """Run the successor of ``fork`` on ``side`` up to its next two-way
-        fork and return that fork, or None where its path ends.
-
-        This is ``run_concrete``'s loop over the same lowered blocks, with
-        symbolic values, the running frame, the node ``pc`` and the counters
-        in locals; ``frames`` holds the callers, each ``(block, index of its
-        next instruction, location id, store, ret_dest)``, where ``ret_dest``
-        is the caller's local that receives the return value. A fork is
-        ``[callers, store, ret_dest, sides, inputs_read, queries_charged,
-        steps, waiting]``, with each side's ``(node, block, location id)``
-        and the successors' counters (``waiting``: see ``_resume``).
-        ``events``, when given, receives each branch solve as ``(None,
-        node, inputs_read)`` and each function entry as ``(function, node,
-        inputs_read)``, in order.
-
-        A store is ``owned`` until a return makes it a shared caller's.
-        """
-        frames, store = _resume(fork, slices is not None)
-        _, _, ret_dest, _, inputs_read, queries, steps, _ = fork
-        pc, code, loc = fork[3][side]
-        index, owned = 0, True
-        while True:
-            if steps >= MAX_STEPS_PER_STATE:
-                return None
-            steps += 1
-            instr = code[index]
-            index += 1
-            op = instr[0]
-            if op == OP_BRANCH:
-                (_, compare, lhs, lhs_name, rhs, rhs_name,
-                 then, _, then_id, other, _, other_id, cmp) = instr
-                lhs = store.get(lhs, zero) if lhs_name else lin_const(lhs)
-                rhs = store.get(rhs, zero) if rhs_name else lin_const(rhs)
-                nodes = solver.branch(pc, cmp, lhs, rhs)
-                if nodes is None:
-                    # Two constants, or one expression on both sides: no
-                    # input changes the outcome, so no solve.
-                    if compare(lhs.const, rhs.const):
-                        code, loc = then, then_id
-                    else:
-                        code, loc = other, other_id
-                    index = 0
-                    continue
-
-                feasible = []
-                for succ in ((nodes[0], then, then_id), (nodes[1], other, other_id)):
-                    if events is not None:
-                        events.append((None, succ[0], inputs_read))
-                    if solver.solve(succ[0], inputs_read).status != UNSAT:
-                        feasible.append(succ)
-                if not feasible:
-                    return None
-                if len(feasible) == 1:
-                    pc, code, loc = feasible[0]
-                    index = 0
-                    queries += 1
-                    continue
-                return [frames, store if owned else dict(store), ret_dest, feasible,
-                        inputs_read, queries + 1, steps, 2]
-            elif op == OP_CALL:
-                _, callee, entry, _, callee_id, args, dest, _ = instr
-                frames.append((code, index, loc, store, ret_dest))
-                caller_store = store
-                store, owned = {}, True
-                for param, arg, name in args:
-                    store[param] = caller_store.get(arg, zero) if name else lin_const(arg)
-                code, index, loc, ret_dest = entry, 0, callee_id, dest
-                if events is not None:
-                    events.append((callee, pc, inputs_read))
-                on_entry(callee, pc, inputs_read)
-            elif op == OP_RETURN:
-                if not frames:
-                    return None  # entry function returned
-                dest = ret_dest
-                code, index, loc, caller_store, ret_dest = frames.pop()
-                if dest is not None:  # only a caller that stores it reads the value
-                    value = store.get(instr[1], zero) if instr[2] else lin_const(instr[1])
-                    store, owned = dict(caller_store), True
-                    store[dest] = value
-                else:
-                    store, owned = caller_store, False
-            elif op == OP_JUMP:
-                code, loc = instr[1], instr[3]
-                index = 0
-            elif op != OP_PRINT:  # a print has no symbolic effect; it only takes its step
-                # The rest write the store: copy a caller's on its first write.
-                if not owned:
-                    store, owned = dict(store), True
-                if op == OP_BINOP:
-                    _, dest, binop, lhs, lhs_name, rhs, rhs_name = instr
-                    value = sym_binop(
-                        binop,
-                        store.get(lhs, zero) if lhs_name else lin_const(lhs),
-                        store.get(rhs, zero) if rhs_name else lin_const(rhs),
-                    )
-                    if value is None:
-                        return None  # definite fault ends the path
-                    store[dest] = value
-                elif op == OP_CONST:
-                    store[instr[1]] = lin_const(instr[2])
-                elif op == OP_INPUT:
-                    if inputs_read < max_inputs:
-                        store[instr[1]] = lin_var(inputs_read)
-                        inputs_read += 1
-                    else:
-                        store[instr[1]] = zero
 
     try:
         on_entry(ENTRY_FUNCTION, solver.root, 0)
@@ -409,13 +412,14 @@ def symex_campaign(
             fork, side, _ = frontier.pop()
             states_explored += 1
             if slices is None:
-                fork = run_slice(fork, side, None)
+                fork = run_slice(fork, side, solver, max_inputs, on_entry)
             else:
                 node = fork[3][side][0]
                 done = slices.get(node)  # (events, fork) of its first run
                 if done is None:
                     events = []
-                    done = slices[node] = (events, run_slice(fork, side, events))
+                    fork = run_slice(fork, side, solver, max_inputs, on_entry, events)
+                    slices[node] = (events, fork)
                 else:
                     # A fresh run would make the same events: its solves
                     # are cache hits, and its entries emit as these do.
@@ -424,7 +428,7 @@ def symex_campaign(
                             solver.solve(pc, inputs_read)
                         else:
                             on_entry(function, pc, inputs_read)
-                fork = done[1]
+                    fork = done[1]
             if fork is not None:
                 for side in range(len(fork[3])):
                     seq += 1

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 
 from munchkin.executor import (
     _MASK,
-    _START_LOCATION,
     OP_BINOP,
     OP_BRANCH,
     OP_CALL,
@@ -23,7 +22,6 @@ from munchkin.executor import (
     OP_RETURN,
     CoverageMap,
     Outcome,
-    _location_hash,
     _lower,
     read_input_file,
     read_seed_dir,
@@ -45,7 +43,7 @@ from munchkin.ir import (
 )
 from munchkin.orchestrator import HybridConfig, run_fs
 
-from conftest import block_locations, edge_index
+from conftest import _START_LOCATION, _location_hash, block_locations, edge_index
 from test_ir import _programs
 from test_symex import PINNED_TEXT
 

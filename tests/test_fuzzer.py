@@ -150,19 +150,21 @@ class TestCampaign:
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
 
     def test_each_location_is_hashed_once_per_program(self, monkeypatch):
-        calls = []
-        real = executor.fnv1a32
+        # ``_lower`` hashes each of a program's locations once.
+        lowered = []
+        real = executor._lower
 
-        def counting(text):
-            calls.append(text)
-            return real(text)
+        def counting(program):
+            lowered.append(program)
+            return real(program)
 
-        monkeypatch.setattr(executor, "fnv1a32", counting)
-        program = generate_program(GenParams(2, 4))
-        fuzz_campaign(program, [(0,)], FuzzConfig(rng_seed=0, budget=499))
-        locations = sum(len(func.blocks) for func in program.functions.values())
-        # Every location, plus the virtual start location.
-        assert 0 < len(calls) <= locations + 1
+        monkeypatch.setattr(executor, "_lower", counting)
+        programs = [generate_program(GenParams(2, 4)), generate_program(GenParams(2, 3))]
+        for program in programs:
+            for seed in (0, 1):
+                fuzz_campaign(program, [(0,)], FuzzConfig(rng_seed=seed, budget=499))
+        assert len(lowered) == len(programs)
+        assert all(a is b for a, b in zip(lowered, programs))
 
     def test_negative_budget_rejected(self):
         program = generate_program(GenParams(2, 1))

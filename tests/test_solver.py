@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from munchkin import solver as solver_module
 from munchkin.generator import GenParams, generate_program
-from munchkin.ir import INT32_MAX, INT32_MIN, apply_cmp, parse_program
+from munchkin.ir import INT32_MAX, INT32_MIN, parse_program
 from munchkin.orchestrator import HybridConfig, run_fs, run_sf
 from munchkin.solver import (
     Constraint,
@@ -29,6 +29,7 @@ from munchkin.solver import (
 )
 from munchkin.symex import symex_campaign
 
+from conftest import apply_cmp
 from test_symex import PINNED_TEXT
 
 X = lin_var(0)

@@ -17,10 +17,12 @@ from munchkin.ir import parse_program, serialize_program
 from munchkin.orchestrator import HybridConfig, run_fs, run_sf
 from munchkin.solver import Solver
 from munchkin.symex import (
+    DEFAULT_MAX_INPUTS,
     SonarFrontier,
     Strategy,
     SymexLimits,
     _RandomFrontier,
+    run_slice,
     symex_campaign,
 )
 
@@ -826,3 +828,92 @@ class TestSonarFrontier:
         hops = index.distances("goal")
         assert hops == _as_map(_full_bfs(program, "goal"))
         assert block_locations(program).index(("main", "stranded")) not in hops
+
+
+# The first fork is in f, below main's frame; each of its sides forks again.
+STEPPER_TEXT = """\
+program stepper
+
+func main()
+block entry:
+  x = input
+  call f(x)
+  ret
+
+func f(v)
+block entry:
+  call g()
+  br < v 10 -> low, high
+block low:
+  y = input
+  br == y 3 -> a, b
+block a:
+  ret
+block b:
+  ret
+block high:
+  br > v 20 -> c, d
+block c:
+  call g()
+  ret
+block d:
+  ret
+
+func g()
+block entry:
+  ret
+"""
+
+
+class TestRunSlice:
+    """``run_slice`` stepped by hand, without a campaign."""
+
+    def _entry(self, solver):
+        """The fork that a campaign's entry handle starts from."""
+        program = parse_program(STEPPER_TEXT)
+        codes, entry, _ = lowered_form(program)
+        return _handle([(solver.root, codes[entry], entry)])[0]
+
+    def _step(self, fork, side, solver, events=None):
+        entered = []
+
+        def on_entry(function, pc, inputs_read):
+            entered.append((function, pc, inputs_read))
+
+        return run_slice(fork, side, solver, DEFAULT_MAX_INPUTS, on_entry, events), entered
+
+    def test_the_entry_slice_runs_to_the_first_fork(self):
+        solver = Solver()
+        fork, entered = self._step(self._entry(solver), 0, solver)
+        assert len(fork[3]) == 2 and fork[7] == 2
+        assert len(fork[0]) == 1  # main's frame, waiting for f's return
+        # One input read; one query for the fork; input, two calls, g's
+        # return and the branch are five steps.
+        assert fork[4:7] == [1, 1, 5]
+        assert entered == [("f", solver.root, 1), ("g", solver.root, 1)]
+
+    def test_events_record_entries_and_branch_solves_in_order(self):
+        solver = Solver()
+        fork, entered = self._step(self._entry(solver), 0, solver)
+        events = []
+        assert self._step(self._entry(solver), 0, solver, events) == (fork, entered)
+        then, other = (node for node, _, _ in fork[3])
+        assert events == entered + [(None, then, 1), (None, other, 1)]
+
+    def test_only_the_last_child_without_a_memo_takes_over_the_callers(self):
+        solver = Solver()
+        fork, _ = self._step(self._entry(solver), 0, solver)
+        (first, low_entered), (second, high_entered) = (
+            self._step(fork, side, solver) for side in (0, 1)
+        )
+        # Both sides fork again: low reads y and forks on it, high forks on v.
+        assert len(first[3]) == len(second[3]) == 2
+        assert (first[4:7], second[4:7]) == ([2, 2, 7], [1, 2, 6])
+        assert low_entered == high_entered == []
+        assert second[0] is fork[0] and first[0] is not fork[0]
+        assert first[0] == second[0] == fork[0]
+
+        kept, _ = self._step(self._entry(solver), 0, solver, [])
+        children = [self._step(kept, side, solver, [])[0] for side in (0, 1)]
+        assert children == [first, second]
+        assert all(child[0] is not kept[0] for child in children)
