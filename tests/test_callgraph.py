@@ -2,6 +2,8 @@
 
 import copy
 import gc
+import hashlib
+import json
 import pickle
 import random
 import weakref
@@ -385,3 +387,109 @@ class TestTextOutputs:
         lines = tsv.strip().splitlines()
         assert len(lines) == 16
         assert lines[0] == "main\t0"
+
+
+# Recursion (g calls itself, h calls main), one function called twice by
+# one caller (main calls f twice), and an unreachable function that calls
+# reachable ones (orphan calls f and h).
+PINNED_TEXT = """\
+program pinned
+
+func main()
+block entry:
+  x = input
+  y = call f(x)
+  z = call f(y)
+  br < z 0 -> deeper, done
+block deeper:
+  call g(z)
+  ret
+block done:
+  ret
+
+func f(a)
+block entry:
+  ret a
+
+func g(a)
+block entry:
+  br < a 5 -> again, out
+block again:
+  b = a + 1
+  call g(b)
+  ret
+block out:
+  call h()
+  ret
+
+func h()
+block entry:
+  call main()
+  ret
+
+func orphan()
+block entry:
+  y = call f(1)
+  call h()
+  ret
+"""
+
+
+def _index_data(program):
+    """The index's entries, callers (each list sorted), depths and
+    by_depth as plain data."""
+    index = index_program(program)
+    return {
+        "entries": dict(index.entries),
+        "callers": {name: sorted(names) for name, names in index.callers.items()},
+        "depths": dict(build_callgraph(program).depths),
+        "by_depth": list(index.by_depth),
+    }
+
+
+class TestPinnedCallgraphText:
+    """sha256 of ``to_dot`` and ``depths_tsv`` text and of the index's
+    static facts, recorded while ``CallGraph`` was a record of its own."""
+
+    @pytest.mark.parametrize("params, dot, tsv, data", [
+        (
+            (2, 3, 0),
+            "c5300be0af903e69a88346a294c5baa69794f6b52d0b84b5b6ce57002ef5c8c8",
+            "362061a352a7fcab03980d31f192c8509d7d37db50f312e5b5344e72e873815b",
+            "d0c9c29ed48644ae0c49bdba601f52d76213981a4dce99721aa2094c085bb840",
+        ),
+        (
+            (3, 4, 7),
+            "2450cf86b1797a5c35f6409aefd5834d727577ce85f7a93c6a56c8911da24d86",
+            "b46ea4e9f5d037d8d54a3f547bf3353eae9cf6dc7189e7f61af3a0ca1df2335a",
+            "6db5a4ba4a930eb74e9cf3178367f82af2689c879c8e80a51152aa70102365f0",
+        ),
+    ], ids=["b2d3", "b3d4-seed7"])
+    def test_generated_trees(self, params, dot, tsv, data):
+        program = generate_program(GenParams(*params))
+        assert hashlib.sha256(to_dot(build_callgraph(program)).encode()).hexdigest() == dot
+        assert hashlib.sha256(depths_tsv(build_callgraph(program)).encode()).hexdigest() == tsv
+        text = json.dumps(_index_data(program), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == data
+
+    def test_hand_program(self):
+        program = parse_program(PINNED_TEXT)
+        assert hashlib.sha256(to_dot(build_callgraph(program)).encode()).hexdigest() == (
+            "f91937d07a82feba40f62302fd2855d526b477792f37b7ae6345edec9fdaeec8"
+        )
+        assert hashlib.sha256(depths_tsv(build_callgraph(program)).encode()).hexdigest() == (
+            "c2d3fc401608a08650f673c5b607b909ab954ca67104400589072dc2d9e853a8"
+        )
+        assert _index_data(program) == {
+            "entries": {"main": 0, "f": 3, "g": 4, "h": 7, "orphan": 8},
+            "callers": {
+                "main": ["h"],
+                "f": ["main", "orphan"],
+                "g": ["g", "main"],
+                "h": ["g", "orphan"],
+                "orphan": [],
+            },
+            "depths": {"main": 0, "f": 1, "g": 1, "h": 2},
+            "by_depth": ["main", "f", "g", "h"],
+        }
+        assert list(index_program(program).entries) == list(program.functions)
