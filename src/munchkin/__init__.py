@@ -14,12 +14,7 @@ from .ir import (
     serialize_program,
 )
 from .generator import GenParams, generate_program, ground_truth_coverage
-from .callgraph import (
-    CallGraph,
-    ProgramIndex,
-    build_callgraph,
-    index_program,
-)
+from .callgraph import ProgramIndex, build_callgraph, index_program
 from .executor import (
     CoverageMap,
     InputVector,
@@ -42,7 +37,6 @@ from .orchestrator import (
 )
 
 __all__ = [
-    "CallGraph",
     "CampaignReport",
     "CoverageMap",
     "FuzzConfig",

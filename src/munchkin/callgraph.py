@@ -18,10 +18,13 @@ on the program object, so every campaign on that program shares it. The
 index is read off the program's lowered form (``executor.lowered_form``),
 the one decoding of its instructions that both interpreters run: its
 location ids, each call's callee and entry id, each branch's and jump's
-target ids, and its returns. The index holds the call graph, the reachable
-set and, from the first ``distances`` call, the reverse graph over those
-location ids and one after-call id per call instruction, numbered after
-the blocks in program order; it keeps nothing per target.
+target ids, and its returns. The index states each fact once in four
+fields: ``entries`` (every function, in program order, with its entry id),
+``callers`` (the call relation), ``depths`` (keyed by the reachable
+functions) and ``by_depth``. From the first ``distances`` call it also
+holds the reverse graph over those location ids and one after-call id per
+call instruction, numbered after the blocks in program order; it keeps
+nothing per target.
 ``ProgramIndex.distances`` runs one backward BFS from a target's entry on
 each call and returns a new hop map from each location that can reach the
 target to its hop count; a location that cannot is absent. The BFS
@@ -38,41 +41,21 @@ from .executor import OP_BRANCH, OP_CALL, OP_JUMP, OP_RETURN, lowered_form
 from .ir import ENTRY_FUNCTION, Program, _Record
 
 
-class CallGraph(_Record):
-    __slots__ = _fields = ("nodes", "edges", "depths")
-
-    def __init__(
-        self,
-        nodes: frozenset[str],
-        edges: frozenset[tuple[str, str]],
-        depths: dict[str, int] | None = None,
-    ) -> None:
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "depths", {} if depths is None else depths)
-
-    def reachable(self) -> frozenset[str]:
-        return frozenset(self.depths)
-
-
-def build_callgraph(program: Program) -> CallGraph:
-    """The call graph of the program's index (see ``index_program``)."""
-    return index_program(program).callgraph
-
-
 class ProgramIndex(_Record):
     """Static facts of one program, computed once and shared by its campaigns.
 
     Read off the lowered form, so blocks have its location ids. ``entries``
-    maps each function to its entry block's id, ``callers`` each function
-    to its callers' names, and ``by_depth`` lists the reachable functions
-    by ascending depth, then name. ``predecessors[i]`` lists, ascending and
-    without repeats, the locations with an edge into location ``i``, built
-    on first use from the lowered blocks, which a slot that is not a field
-    keeps: the index holds no reference to its program.
+    maps each function, in program order, to its entry block's id;
+    ``callers`` maps each function to the set of its callers' names;
+    ``depths`` maps each reachable function to its depth; and ``by_depth``
+    lists the reachable functions by ascending depth, then name.
+    ``predecessors[i]`` lists, ascending and without repeats, the locations
+    with an edge into location ``i``, built on first use from the lowered
+    blocks, which a slot that is not a field keeps: the index holds no
+    reference to its program.
     """
 
-    _fields = ("callgraph", "reachable", "entries", "callers", "by_depth")
+    _fields = ("entries", "callers", "depths", "by_depth")
     __slots__ = _fields + ("_codes", "_predecessors")
 
     def __reduce__(self) -> tuple:  # copies keep the blocks the graph is built from
@@ -104,6 +87,10 @@ class ProgramIndex(_Record):
                     queue.append(pred)
         return hops
 
+    def reachable(self) -> frozenset[str]:
+        """The functions that a call chain from the entry function reaches."""
+        return frozenset(self.depths)
+
     def next_target(self, covered: Set[str], skip: Set[str], start: int = 0) -> str | None:
         """FS's next target: the first reachable function, in ``by_depth``
         order, that is in neither ``covered`` nor ``skip`` and has a covered
@@ -134,42 +121,38 @@ def index_program(program: Program) -> ProgramIndex:
     index = getattr(program, "_index", None)
     if index is not None:
         return index
-    functions = program.functions
-    codes = lowered_form(program)[0]
-    entries: dict[str, int] = {}
-    edges: set[tuple[str, str]] = set()
-    here = 0
-    for fname, func in functions.items():
-        entries[fname] = here
-        for code in codes[here:here + len(func.blocks)]:
+    codes, _, _, entries = lowered_form(program)
+    # Callees in call order, repeats kept: the BFS then fills ``depths`` in
+    # an order that no hash seed changes.
+    callees: dict[str, list[str]] = {name: [] for name in entries}
+    callers: dict[str, set[str]] = {name: set() for name in entries}
+    ends = [*list(entries.values())[1:], len(codes)]
+    for (fname, first), end in zip(entries.items(), ends):
+        called = callees[fname]
+        for code in codes[first:end]:
             for instr in code:
                 if instr[0] == OP_CALL:
-                    edges.add((fname, instr[1]))
-        here += len(func.blocks)
-
-    callees: dict[str, list[str]] = {name: [] for name in functions}
-    callers: dict[str, list[str]] = {name: [] for name in functions}
-    for caller, callee in sorted(edges):
-        callees[caller].append(callee)
-        callers[callee].append(caller)
+                    called.append(instr[1])
+                    callers[instr[1]].add(fname)
     depths = {ENTRY_FUNCTION: 0}
     queue = [ENTRY_FUNCTION]
-    while queue:
-        fname = queue.pop(0)
+    for fname in queue:
+        step = depths[fname] + 1
         for callee in callees[fname]:
             if callee not in depths:
-                depths[callee] = depths[fname] + 1
+                depths[callee] = step
                 queue.append(callee)
-    cg = CallGraph(frozenset(functions), frozenset(edges), depths)
     index = _index_of(codes, (
-        cg,
-        cg.reachable(),
         entries,
-        {name: tuple(names) for name, names in callers.items()},
+        callers,
+        depths,
         tuple(sorted(depths, key=lambda name: (depths[name], name))),
     ))
     object.__setattr__(program, "_index", index)
     return index
+
+
+build_callgraph = index_program  # the older name, which the bench reads
 
 
 def _index_of(codes: list[list[tuple]], fields: tuple) -> ProgramIndex:
@@ -214,25 +197,30 @@ def _reverse_graph(codes: list[list[tuple]], entries: dict[str, int]) -> tuple:
     )
 
 
-def to_dot(cg: CallGraph) -> str:
+def to_dot(index: ProgramIndex) -> str:
     """Graphviz digraph text for the call graph."""
     lines = ["digraph callgraph {"]
-    for name in sorted(cg.nodes):
+    for name in sorted(index.entries):
         lines.append(f'  "{name}";')
-    for caller, callee in sorted(cg.edges):
+    edges = sorted(
+        (caller, callee) for callee, names in index.callers.items() for caller in names
+    )
+    for caller, callee in edges:
         lines.append(f'  "{caller}" -> "{callee}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def depths_tsv(cg: CallGraph) -> str:
+def depths_tsv(index: ProgramIndex) -> str:
     """TSV listing ``function<TAB>depth``, unreachable functions last."""
+    depths = index.depths
+
     def key(name: str) -> tuple[int, int, str]:
-        depth = cg.depths.get(name)
+        depth = depths.get(name)
         return (1 if depth is None else 0, depth if depth is not None else 0, name)
 
     lines = []
-    for name in sorted(cg.nodes, key=key):
-        depth = cg.depths.get(name)
+    for name in sorted(index.entries, key=key):
+        depth = depths.get(name)
         lines.append(f"{name}\t{'unreachable' if depth is None else depth}")
     return "\n".join(lines) + "\n"

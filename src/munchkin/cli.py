@@ -181,8 +181,8 @@ def _cmd_generate(args, config) -> int:
 
 
 def _cmd_callgraph(args, config) -> int:
-    cg = index_program(_read_program(args.program)).callgraph
-    sys.stdout.write(to_dot(cg) if args.dot else depths_tsv(cg))
+    index = index_program(_read_program(args.program))
+    sys.stdout.write(to_dot(index) if args.dot else depths_tsv(index))
     return 0
 
 
@@ -196,7 +196,7 @@ def _cmd_fuzz(args, config) -> int:
     print(
         f"{result.executions} executions, corpus {len(result.corpus)}, "
         f"coverage {report.coverage_percent(rep.per_depth)}% "
-        f"({len(result.cumulative.functions)}/{len(index_program(program).reachable)} "
+        f"({len(result.cumulative.functions)}/{len(index_program(program).depths)} "
         f"functions), {len(result.faults)} faults"
     )
     return 0
@@ -248,21 +248,21 @@ def _cmd_baselines(args, config) -> int:
 
 
 def _cmd_report(args, config) -> int:
-    cg = index_program(_read_program(args.program)).callgraph
+    index = index_program(_read_program(args.program))
     coverages, paths = {}, {}
     for path in args.reports:
         technique, coverage = _read_report(path)
         if technique in paths:
             raise ValueError(f"{paths[technique]} and {path} are both {technique} reports")
         coverages[technique], paths[technique] = coverage, path
-    tables = {t: report.depth_table(cov, cg) for t, cov in coverages.items()}
+    tables = {t: report.depth_table(cov, index) for t, cov in coverages.items()}
     out = _out_dir(args, "report")
     for technique, table in tables.items():
         (out / f"depth-{technique}.tsv").write_text(
             report.depth_table_tsv(table), encoding="utf-8"
         )
     if len(coverages) >= 2:
-        inter = report.intersection_report(coverages, len(cg.reachable()))
+        inter = report.intersection_report(coverages, len(index.depths))
         payload = {" & ".join(names): pct for names, pct in sorted(inter.items())}
         (out / "intersections.json").write_text(report.json_text(payload), encoding="utf-8")
     if all(t in tables for t in report.PLOT_TECHNIQUE_ORDER):

@@ -27,9 +27,10 @@ branches, jumps and calls hold their targets' blocks, edge indexes and
 location ids (blocks numbered in program order). The lowered form is
 stored on the program object, built once per program (never by
 ``parse_program``) and freed with it. The symbolic interpreter runs the same
-tuples, and ``callgraph.index_program`` reads the call graph and the block
-graph off them. Lowering changes no result: the edge hash above and the bitmap are
-bit-for-bit those of a direct interpretation of the IR.
+tuples, and ``callgraph.index_program`` reads the functions' entry ids, the
+call graph and the block graph off them. Lowering changes no result: the
+edge hash above and the bitmap are bit-for-bit those of a direct
+interpretation of the IR.
 """
 
 from __future__ import annotations
@@ -100,8 +101,9 @@ class RunResult(_Record):
 OP_CONST, OP_INPUT, OP_BINOP, OP_PRINT, OP_CALL, OP_BRANCH, OP_JUMP, OP_RETURN = range(8)
 _MASK = MAP_SIZE - 1
 
-# (blocks by location id, entry location id, edge index of the start transition)
-Lowered = tuple[list[list[tuple]], int, int]
+# (blocks by location id, entry location id, edge index of the start
+# transition, each function's entry location id in program order)
+Lowered = tuple[list[list[tuple]], int, int, dict[str, int]]
 
 
 def _lower(program: Program) -> Lowered:
@@ -185,7 +187,7 @@ def _lower(program: Program) -> Lowered:
     entry = entries[ENTRY_FUNCTION]
     # The virtual start location ("", "") hashes as the text ":".
     start = ((((0x9DC5 ^ 0x3A) * 0x193 & 0x1FFFF) >> 1) ^ hashes[entry]) & _MASK
-    return codes, entry, start
+    return codes, entry, start, entries
 
 
 def lowered_form(program: Program) -> Lowered:
@@ -212,7 +214,7 @@ def run_concrete(
     """
     if step_limit <= 0:
         raise ValueError("step limit must be positive")
-    codes, entry_id, start_edge = lowered_form(program)
+    codes, entry_id, start_edge, _ = lowered_form(program)
     code = codes[entry_id]
 
     covered = {ENTRY_FUNCTION}

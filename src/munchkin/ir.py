@@ -730,13 +730,12 @@ def parse_program(text: str) -> Program:
 
 def validate_program(
     program: Program, source_map: dict[tuple[str, str, int], int] | None = None
-) -> list[str]:
-    """Check every structural invariant; return warnings for soft issues.
+) -> None:
+    """Check every structural invariant.
 
-    Hard violations (missing entry, unknown callee, arity mismatch, bad
-    branch targets, use of never-assigned operands, a name that ``.mir``
-    cannot spell) raise ValidationError. Unreachable blocks only produce
-    warnings.
+    Violations (missing entry, unknown callee, arity mismatch, bad branch
+    targets, use of never-assigned operands, a name that ``.mir`` cannot
+    spell) raise ValidationError. Unreachable blocks are legal.
     """
     source_map = source_map or {}
 
@@ -754,7 +753,6 @@ def validate_program(
     params: set[str] = set()
     block_ids: set[str] = set()
     destinations: set[str] = set()
-    warnings: list[str] = []
     for fname, func in program.functions.items():
         params.update(func.params)
         block_ids.update(func.blocks)
@@ -837,26 +835,6 @@ def validate_program(
                 if term.value is not None:
                     check_operand(term.value, assigned, -1)
 
-        # Intra-function reachability: soft check only.
-        first = next(iter(func.blocks))
-        seen = {first}
-        stack = [first]
-        while stack:
-            block = func.blocks[stack.pop()]
-            term = block.terminator
-            targets: tuple[str, ...] = ()
-            if isinstance(term, Branch):
-                targets = (term.then_block, term.else_block)
-            elif isinstance(term, Jump):
-                targets = (term.target,)
-            for target in targets:
-                if target not in seen:
-                    seen.add(target)
-                    stack.append(target)
-        for bid in func.blocks:
-            if bid not in seen:
-                warnings.append(f"function '{fname}': block '{bid}' is unreachable")
-
     # Each name once, so that a parse pays little for names it already checked.
     for what, names in (
         ("program name", (program.name,)),
@@ -868,7 +846,6 @@ def validate_program(
         bad = [name for name in names if not _is_name(name)]
         if bad:
             raise ValidationError(f"{what} {min(bad, key=str)!r} is a keyword or not an identifier")
-    return warnings
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass
 
 from .ir import Program, _collector_paused
-from .callgraph import CallGraph, index_program
+from .callgraph import ProgramIndex, index_program
 from .executor import CoverageMap, DEFAULT_STEP_LIMIT, InputVector
 from .fuzzer import FuzzConfig, FuzzResult, fuzz_campaign
 from .report import TECHNIQUE_FS, TECHNIQUE_FUZZ, TECHNIQUE_SF, TECHNIQUE_SYMEX
@@ -87,7 +87,7 @@ class CampaignReport:
 
 def make_report(
     technique: str,
-    cg: CallGraph,
+    index: ProgramIndex,
     coverage: CoverageMap,
     stats: SolverStats,
     executions: int,
@@ -98,12 +98,12 @@ def make_report(
     return CampaignReport(
         technique,
         coverage,
-        depth_table(coverage, cg),
+        depth_table(coverage, index),
         stats,
         executions,
         test_suite,
         time.perf_counter() - started,
-        unreachable=len(cg.nodes) - len(cg.reachable()),
+        unreachable=len(index.entries) - len(index.depths),
     )
 
 
@@ -167,7 +167,7 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
             failed.add(target)
 
     return make_report(
-        TECHNIQUE_FS, index.callgraph, CoverageMap(frozenset(functions), frozenset(edge_bits)),
+        TECHNIQUE_FS, index, CoverageMap(frozenset(functions), frozenset(edge_bits)),
         solver.stats, executions, test_suite, started,
     )
 
@@ -191,7 +191,7 @@ def run_sf(program: Program, cfg: HybridConfig) -> CampaignReport:
     test_suite = symex_suite + [v for v in fuzz_result.test_suite() if v not in known]
 
     return make_report(
-        TECHNIQUE_SF, index_program(program).callgraph, fuzz_result.cumulative,
+        TECHNIQUE_SF, index_program(program), fuzz_result.cumulative,
         sym_result.stats, executions, test_suite, started,
     )
 
@@ -210,7 +210,7 @@ def run_fuzz(program: Program, cfg: HybridConfig) -> tuple[CampaignReport, FuzzR
     started = time.perf_counter()
     result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))
     return make_report(
-        TECHNIQUE_FUZZ, index_program(program).callgraph, result.cumulative,
+        TECHNIQUE_FUZZ, index_program(program), result.cumulative,
         SolverStats(), result.executions, result.test_suite(), started,
     ), result
 
@@ -224,7 +224,7 @@ def run_symex(
     result = _symex(program, cfg, search, target)
     suite = [tc.values for tc in result.test_cases]
     return make_report(
-        TECHNIQUE_SYMEX, index_program(program).callgraph, result.coverage,
+        TECHNIQUE_SYMEX, index_program(program), result.coverage,
         result.stats, len(suite), suite, started,
     ), result
 

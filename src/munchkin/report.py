@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .callgraph import CallGraph
+from .callgraph import ProgramIndex
 from .executor import CoverageMap
 
 # (depth, covered, total, percent)
@@ -37,13 +37,13 @@ def percent_round(covered: int, total: int) -> int:
     return (200 * covered + total) // (2 * total)
 
 
-def depth_table(coverage: CoverageMap, cg: CallGraph) -> list[DepthRow]:
+def depth_table(coverage: CoverageMap, index: ProgramIndex) -> list[DepthRow]:
     """One row per call depth with covered/total counts and percent."""
-    if not coverage.functions <= cg.nodes:
+    if not coverage.functions <= index.entries.keys():
         raise ValueError("coverage contains functions outside the call graph")
     totals: dict[int, int] = {}
     covered: dict[int, int] = {}
-    for name, depth in cg.depths.items():
+    for name, depth in index.depths.items():
         totals[depth] = totals.get(depth, 0) + 1
         if name in coverage.functions:
             covered[depth] = covered.get(depth, 0) + 1

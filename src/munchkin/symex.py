@@ -355,7 +355,7 @@ def symex_campaign(
     solver = solver if solver is not None else Solver()
     stats_start = solver.stats.copy()
     index = index_program(program)
-    reachable = index.reachable
+    depths = index.depths  # keyed by the reachable functions
     covered = already_covered  # read in place, never written
     if not isinstance(covered, (set, frozenset)):
         covered = set(covered)
@@ -366,7 +366,7 @@ def symex_campaign(
     # Reachable functions in neither ``covered`` nor ``functions``. When
     # ``covered`` names other functions too, the difference of lengths is
     # too low, so a count that reaches 0 is made again by a scan.
-    uncovered = len(reachable) - len(covered)
+    uncovered = len(depths) - len(covered)
 
     def emit(pc: PathCondition, inputs_read: int) -> bool:
         nonlocal uncovered
@@ -388,7 +388,7 @@ def symex_campaign(
         elif function not in covered and function not in functions:
             emit(pc, inputs_read)
 
-    codes, entry_id, _ = lowered_form(program)
+    codes, entry_id, _, _ = lowered_form(program)
     if search is Strategy.SONAR:
         frontier: SonarFrontier | _RandomFrontier = SonarFrontier(index.distances(target))
     else:
@@ -406,7 +406,7 @@ def symex_campaign(
             if solver.stats.queries - stats_start.queries >= limits.max_queries:
                 break
             if uncovered <= 0:
-                uncovered = len(reachable - functions - covered)
+                uncovered = len(depths.keys() - functions - covered)
                 if not uncovered:
                     break
             fork, side, _ = frontier.pop()

@@ -9,7 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from munchkin.callgraph import build_callgraph
+from munchkin.callgraph import index_program
 from munchkin.executor import run_concrete
 from munchkin.generator import GenParams, generate_program, ground_truth_coverage
 from munchkin.orchestrator import HybridConfig, run_baselines, run_fs, run_sf
@@ -51,7 +51,7 @@ def test_criterion_2_symex_completeness():
             started = time.perf_counter()
             result = symex_campaign(program, Strategy.BASELINE, GENEROUS, rng_seed=0)
             elapsed = time.perf_counter() - started
-            assert result.coverage.functions == build_callgraph(program).reachable(), (b, d)
+            assert result.coverage.functions == index_program(program).reachable(), (b, d)
             assert result.stats.queries <= 100_000, (b, d)
             assert elapsed <= 60.0, (b, d, elapsed)
 
@@ -70,7 +70,7 @@ def test_criterion_3_fs_completeness_and_efficiency():
             )
             fs_report = run_fs(program, cfg)
             sym_result = symex_campaign(program, Strategy.BASELINE, GENEROUS, rng_seed=7)
-            reachable = build_callgraph(program).reachable()
+            reachable = index_program(program).reachable()
             assert fs_report.coverage.functions == reachable, (b, d)
             assert fs_report.solver_stats.queries < sym_result.stats.queries, (
                 b, d, fs_report.solver_stats.queries, sym_result.stats.queries,
@@ -188,7 +188,6 @@ def test_criterion_6_determinism():
 def test_criterion_7_depth_profile_dominance():
     with criterion(7, "FS depth profile dominates fuzz-only row-wise and closes the deepest row"):
         program = generate_program(GenParams(3, 3))
-        cg = build_callgraph(program)
         # Budget calibrated so that fuzzing alone stays below 100%.
         cfg = HybridConfig(mode="fs", fuzz_budget=128, rng_seed=7)
         fuzz_report, _ = run_baselines(program, cfg)

@@ -107,7 +107,7 @@ def icfg_locations(program):
     return list(blocks) + points
 
 
-def frontier_set(cg, covered):
+def frontier_set(index, covered):
     """Uncovered functions, cheapest targets first: the reference model of
     FS's target order, which ``ProgramIndex.next_target`` is checked against.
 
@@ -117,15 +117,13 @@ def frontier_set(cg, covered):
     functions come after the reachable ones. The result is a permutation of
     the uncovered set.
     """
-    if not covered <= cg.nodes:
+    if not covered <= set(index.entries):
         raise ValueError("covered set contains unknown functions")
-    uncovered = cg.nodes - covered
-    has_covered_caller = {
-        callee for caller, callee in cg.edges if caller in covered and callee in uncovered
-    }
+    uncovered = set(index.entries) - covered
+    has_covered_caller = {name for name in uncovered if index.callers[name] & covered}
 
     def key(name):
-        depth = cg.depths.get(name)
+        depth = index.depths.get(name)
         return (
             0 if name in has_covered_caller else 1,
             1 if depth is None else 0,
@@ -144,20 +142,20 @@ def _distance(program, hops, loc):
 
 class TestDepths:
     def test_chain_depths(self, chain_program):
-        cg = build_callgraph(chain_program)
-        assert cg.depths == {"main": 0, "f": 1, "g": 2}
-        assert cg.edges == {("main", "f"), ("f", "g")}
+        index = index_program(chain_program)
+        assert index.depths == {"main": 0, "f": 1, "g": 2}
+        assert index.callers == {"main": set(), "f": {"main"}, "g": {"f"}}
 
     def test_generated_histogram(self):
-        cg = build_callgraph(generate_program(GenParams(2, 3)))
-        assert Counter(cg.depths.values()) == {0: 1, 1: 1, 2: 2, 3: 4, 4: 8}
-        assert sum(Counter(cg.depths.values()).values()) == 16
+        index = index_program(generate_program(GenParams(2, 3)))
+        assert Counter(index.depths.values()) == {0: 1, 1: 1, 2: 2, 3: 4, 4: 8}
+        assert sum(Counter(index.depths.values()).values()) == 16
 
     def test_uncalled_function_is_unreachable(self):
-        cg = build_callgraph(parse_program(UNREACHABLE_TEXT))
-        assert cg.depths.get("orphan") is None
-        assert cg.depths.get("f") == 1
-        assert cg.reachable() == {"main", "f"}
+        index = index_program(parse_program(UNREACHABLE_TEXT))
+        assert index.depths.get("orphan") is None
+        assert index.depths.get("f") == 1
+        assert index.reachable() == {"main", "f"}
 
 
 class TestSonarDistances:
@@ -325,28 +323,28 @@ class TestReverseGraphOnDemand:
 
 class TestFrontier:
     def test_everything_covered_gives_empty_list(self, chain_program):
-        cg = build_callgraph(chain_program)
-        assert frontier_set(cg, {"main", "f", "g"}) == []
+        index = index_program(chain_program)
+        assert frontier_set(index, {"main", "f", "g"}) == []
 
     def test_chain_frontier_orders_f_first(self, chain_program):
-        cg = build_callgraph(chain_program)
-        assert frontier_set(cg, {"main"}) == ["f", "g"]
+        index = index_program(chain_program)
+        assert frontier_set(index, {"main"}) == ["f", "g"]
 
     def test_right_subtree_root_comes_first(self):
         program = generate_program(GenParams(2, 2))
-        cg = build_callgraph(program)
+        index = index_program(program)
         covered = {"main", "n_0_3", "n_0_1", "n_0_0", "n_1_1"}
-        ordered = frontier_set(cg, covered)
+        ordered = frontier_set(index, covered)
         assert ordered[0] == "n_2_3"  # uncovered with covered caller, depth 2
         assert set(ordered) == {"n_2_3", "n_2_2", "n_3_3"}
         assert ordered == ["n_2_3", "n_2_2", "n_3_3"]
 
     def test_output_is_permutation_of_uncovered(self):
         program = generate_program(GenParams(3, 2))
-        cg = build_callgraph(program)
+        index = index_program(program)
         covered = {"main", "n_0_8"}
-        ordered = frontier_set(cg, covered)
-        assert sorted(ordered) == sorted(cg.nodes - covered)
+        ordered = frontier_set(index, covered)
+        assert sorted(ordered) == sorted(set(index.entries) - covered)
 
     @pytest.mark.parametrize("text", ["b3d2", UNREACHABLE_TEXT])
     def test_next_target_is_the_first_eligible_function_of_the_frontier(self, text):
@@ -362,28 +360,28 @@ class TestFrontier:
             expected = next(
                 (
                     name
-                    for name in frontier_set(index.callgraph, covered)
-                    if name not in skip and name in index.reachable
+                    for name in frontier_set(index, covered)
+                    if name not in skip and name in index.depths
                 ),
                 None,
             )
             assert index.next_target(covered, skip) == expected
 
     def test_covered_must_be_subset(self, chain_program):
-        cg = build_callgraph(chain_program)
+        index = index_program(chain_program)
         with pytest.raises(ValueError):
-            frontier_set(cg, {"main", "stranger"})
+            frontier_set(index, {"main", "stranger"})
 
 
 class TestTextOutputs:
     def test_dot_lists_every_edge(self, chain_program):
-        dot = to_dot(build_callgraph(chain_program))
+        dot = to_dot(index_program(chain_program))
         assert '"main" -> "f";' in dot
         assert dot.startswith("digraph")
 
     def test_depths_tsv_has_one_line_per_function(self):
         program = generate_program(GenParams(2, 3))
-        tsv = depths_tsv(build_callgraph(program))
+        tsv = depths_tsv(index_program(program))
         lines = tsv.strip().splitlines()
         assert len(lines) == 16
         assert lines[0] == "main\t0"

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from munchkin.callgraph import build_callgraph, index_program
+from munchkin.callgraph import index_program
 from munchkin.cli import CAMPAIGN_KEYS, main
 from munchkin.executor import read_seed_dir, write_input_file
 from munchkin.fuzzer import fuzz_campaign
@@ -383,7 +383,7 @@ def library_reports(command, program, cfg):
     if command == "fuzz":
         result = fuzz_campaign(program, list(cfg.seeds), fuzz_config(cfg))
         reports = [make_report(
-            TECHNIQUE_FUZZ, build_callgraph(program), result.cumulative, SolverStats(),
+            TECHNIQUE_FUZZ, index_program(program), result.cumulative, SolverStats(),
             result.executions, result.test_suite(), started,
         )]
     elif command == "symex":
@@ -393,7 +393,7 @@ def library_reports(command, program, cfg):
         )
         suite = [tc.values for tc in result.test_cases]
         reports = [make_report(
-            TECHNIQUE_SYMEX, index_program(program).callgraph, result.coverage,
+            TECHNIQUE_SYMEX, index_program(program), result.coverage,
             result.stats, len(suite), suite, started,
         )]
     elif command == "baselines":

@@ -388,21 +388,23 @@ def _reference_lower(program):
             value = 0 if term.value is None else term.value
             code.append((OP_RETURN, *_operand(value), (hashes[here] >> 1) & _MASK))
 
-    entry = ids[(ENTRY_FUNCTION, next(iter(functions[ENTRY_FUNCTION].blocks)))]
+    entries = {fname: ids[(fname, next(iter(func.blocks)))] for fname, func in functions.items()}
+    entry = entries[ENTRY_FUNCTION]
     start = ((_location_hash(_START_LOCATION) >> 1) ^ hashes[entry]) & _MASK
-    return codes, entry, start
+    return codes, entry, start, entries
 
 
 def _by_location_id(lowered):
     """A lowered form with each target block's code list replaced by its
-    location id, so forms compare without walking the block graph."""
-    codes, entry, start = lowered
+    location id, so forms compare without walking the block graph, and
+    its entry ids as a list, so their order is compared too."""
+    codes, entry, start, entries = lowered
     ids = {id(code): i for i, code in enumerate(codes)}
     assert len(ids) == len(codes)
     return [
         [tuple(ids[id(x)] if isinstance(x, list) else x for x in instr) for instr in code]
         for code in codes
-    ], entry, start
+    ], entry, start, list(entries.items())
 
 
 class TestLowering:

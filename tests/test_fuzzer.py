@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from munchkin import executor, fuzzer
-from munchkin.callgraph import build_callgraph
+from munchkin.callgraph import index_program
 from munchkin.executor import (
     CoverageMap,
     Outcome,
@@ -61,7 +61,7 @@ class TestCampaign:
     def test_small_tree_fully_covered_within_budget(self):
         program = generate_program(GenParams(2, 1))
         result = fuzz_campaign(program, [(0,)], FuzzConfig(rng_seed=0, budget=10_000))
-        assert result.cumulative.functions == build_callgraph(program).reachable()
+        assert result.cumulative.functions == index_program(program).reachable()
 
     def test_empty_seed_list_falls_back_to_zero(self):
         program = generate_program(GenParams(2, 1))

@@ -43,7 +43,7 @@ def test_function_counts_match_closed_form(branching, depth, expected):
 
 def test_generated_programs_validate():
     program = generate_program(GenParams(3, 2))
-    assert validate_program(program) == []
+    assert validate_program(program) is None
 
 
 def test_valid_input_range():

@@ -268,14 +268,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match="before assignment"):
             parse_program("program p\n\nfunc main()\nblock entry:\n  print x\n  ret\n")
 
-    def test_unreachable_block_is_a_warning_not_an_error(self):
+    def test_an_unreachable_block_is_legal(self):
         text = (
             "program p\n\nfunc main()\nblock entry:\n  ret\n"
             "block orphan:\n  ret\n"
         )
         program = parse_program(text)
-        warnings = validate_program(program)
-        assert any("orphan" in w for w in warnings)
+        assert list(program.functions["main"].blocks) == ["entry", "orphan"]
+        assert validate_program(program) is None
 
     @pytest.mark.parametrize(
         "body, message",
@@ -492,18 +492,17 @@ def test_canonical_text_of_every_line_kind_parses_without_the_cursor(program):
         assert parse_program(text) == program
 
 
-def _outcome(parse, validate, text):
-    """(program, warnings), or (error type, message, line, col)."""
+def _outcome(parse, text):
+    """The parsed program, or (error type, message, line, col)."""
     try:
-        program = parse(text)
+        return parse(text)
     except IRError as err:
         return type(err), str(err), err.line, getattr(err, "col", None)
-    return program, validate(program)
 
 
 def _assert_parses_as_the_reference(text):
-    got = _outcome(parse_program, validate_program, text)
-    want = _outcome(reference_parse_program, reference_validate_program, text)
+    got = _outcome(parse_program, text)
+    want = _outcome(reference_parse_program, text)
     assert got == want, text
 
 
@@ -984,12 +983,12 @@ def reference_parse_program(text: str) -> Program:
 
 def reference_validate_program(
     program: Program, source_map: dict[tuple[str, str, int], int] | None = None
-) -> list[str]:
-    """Check every structural invariant; return warnings for soft issues.
+) -> None:
+    """Check every structural invariant.
 
-    Hard violations (missing entry, unknown callee, arity mismatch, bad
-    branch targets, use of never-assigned operands) raise ValidationError.
-    Unreachable blocks only produce warnings.
+    Violations (missing entry, unknown callee, arity mismatch, bad branch
+    targets, use of never-assigned operands) raise ValidationError.
+    Unreachable blocks are legal.
     """
     source_map = source_map or {}
 
@@ -1002,7 +1001,6 @@ def reference_validate_program(
     if entry.params:
         raise ValidationError(f"entry function '{ENTRY_FUNCTION}' must take no parameters")
 
-    warnings: list[str] = []
     for fname, func in program.functions.items():
         if not func.blocks:
             raise ValidationError(f"function '{fname}' has no blocks")
@@ -1078,25 +1076,4 @@ def reference_validate_program(
                 if term.value is not None:
                     check_operand(term.value, assigned, -1)
 
-        # Intra-function reachability: soft check only.
-        first = next(iter(func.blocks))
-        seen = {first}
-        stack = [first]
-        while stack:
-            block = func.blocks[stack.pop()]
-            term = block.terminator
-            targets: tuple[str, ...] = ()
-            if isinstance(term, Branch):
-                targets = (term.then_block, term.else_block)
-            elif isinstance(term, Jump):
-                targets = (term.target,)
-            for target in targets:
-                if target not in seen:
-                    seen.add(target)
-                    stack.append(target)
-        for bid in func.blocks:
-            if bid not in seen:
-                warnings.append(f"function '{fname}': block '{bid}' is unreachable")
-
-    return warnings
 

@@ -12,7 +12,7 @@ from unittest.mock import patch
 import pytest
 
 from munchkin import callgraph, fuzzer, orchestrator, symex
-from munchkin.callgraph import build_callgraph
+from munchkin.callgraph import index_program
 from munchkin.executor import DEFAULT_STEP_LIMIT, CoverageMap, Outcome, lowered_form, run_concrete
 from munchkin.generator import GenParams, generate_program
 from munchkin.ir import parse_program
@@ -51,8 +51,8 @@ class TestFS:
     def test_full_coverage_on_tree_depth_three(self):
         program = generate_program(GenParams(2, 3))
         report = run_fs(program, _fs_config(fuzz_budget=8))
-        cg = build_callgraph(program)
-        assert report.coverage.functions == cg.reachable()
+        index = index_program(program)
+        assert report.coverage.functions == index.reachable()
         assert report.technique == TECHNIQUE_FS
 
     def test_no_queries_when_fuzzing_covers_everything(self):
@@ -218,7 +218,7 @@ class TestSF:
     def test_symex_phase_alone_already_full(self):
         program = generate_program(GenParams(2, 2))
         report = run_sf(program, _sf_config(fuzz_budget=0))
-        assert report.coverage.functions == build_callgraph(program).reachable()
+        assert report.coverage.functions == index_program(program).reachable()
         assert report.technique == TECHNIQUE_SF
 
     def test_empty_symex_phase_falls_back_to_zero_seed(self, monkeypatch):
@@ -1123,7 +1123,7 @@ class TestCycleFree:
     def test_a_tight_fs_budget_fails_targets(self):
         program, cfg = _cycle_program("b3d4")
         report = CYCLE_RUNNERS["fs_tight"](program, cfg)
-        assert report.coverage.functions < build_callgraph(program).reachable()
+        assert report.coverage.functions < index_program(program).reachable()
 
     @pytest.mark.parametrize("name", ["loop", "recursion", "sonar"])
     def test_only_the_collector_frees_a_cyclic_lowered_form(self, name):

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import munchkin
-from munchkin.callgraph import CallGraph, ProgramIndex, index_program
+from munchkin.callgraph import ProgramIndex, index_program
 from munchkin.executor import CoverageMap, Outcome, RunResult, lowered_form
 from munchkin.fuzzer import CorpusEntry, FuzzResult
 from munchkin.generator import GenParams, generate_program
@@ -90,10 +90,7 @@ SAMPLES = {
     SolveResult: ("sat", (1, 2)),
     SymTestCase: ((1, 2), _RUN),
     SymResult: ([SymTestCase((1,), _RUN)], _COVERAGE, SolverStats(1, 1), 4, True),
-    CallGraph: (frozenset({"main", "f"}), frozenset({("main", "f")}), {"main": 0, "f": 1}),
-    ProgramIndex: (
-        _INDEX.callgraph, _INDEX.reachable, _INDEX.entries, _INDEX.callers, _INDEX.by_depth
-    ),
+    ProgramIndex: (_INDEX.entries, _INDEX.callers, _INDEX.depths, _INDEX.by_depth),
     CoverageMap: (frozenset({"main"}), frozenset({1, 2})),
     RunResult: (_COVERAGE, Outcome.COMPLETED, (1, -2), 17, 2),
     CorpusEntry: ((1, 2), _COVERAGE, 3),
@@ -108,8 +105,8 @@ SAMPLES = {
 MUTABLE = {SolverStats, SymResult, FuzzResult}
 RECORDS = sorted(SAMPLES, key=lambda cls: cls.__name__)
 # Each does more than store its arguments: Constraint starts its caches,
-# CallGraph and FuzzResult give each instance a fresh {}.
-WRITTEN_INIT = {Constraint, CallGraph, FuzzResult}
+# FuzzResult gives each instance a fresh {}.
+WRITTEN_INIT = {Constraint, FuzzResult}
 
 
 def _twin(cls):
@@ -134,7 +131,7 @@ def test_the_samples_cover_every_record_type_of_the_package():
         )
         if issubclass(cls, _Record) and cls not in (_Record, _MutableRecord)
     }
-    assert records == set(SAMPLES) and len(records) == 23
+    assert records == set(SAMPLES) and len(records) == 22
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -210,8 +207,6 @@ def test_the_records_keep_their_defaults():
     assert SolveResult("unsat").model is None
     assert SolverStats() == SolverStats(0, 0, 0, 0, 0)
     assert SymResult([], _COVERAGE, SolverStats(), 0).target_reached is False
-    first, second = CallGraph(frozenset(), frozenset()), CallGraph(frozenset(), frozenset())
-    assert first.depths == {} and first.depths is not second.depths
     first, second = FuzzResult([], _COVERAGE, 0, []), FuzzResult([], _COVERAGE, 0, [])
     assert first.function_witnesses == {}
     assert first.function_witnesses is not second.function_witnesses
@@ -227,7 +222,7 @@ def test_the_ir_records_hold_no_name_or_entry_of_their_own():
 
 def test_the_reverse_graph_is_not_a_field_of_the_program_index():
     # Built on the first ``distances`` call, it is a cache: equality ignores it.
-    assert ProgramIndex._fields == ("callgraph", "reachable", "entries", "callers", "by_depth")
+    assert ProgramIndex._fields == ("entries", "callers", "depths", "by_depth")
     index = index_program(generate_program(GenParams(2, 2)))
     before = copy.copy(index)
     index.distances("n_0_0")

@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from munchkin.callgraph import build_callgraph
+from munchkin.callgraph import index_program
 from munchkin.executor import CoverageMap
 from munchkin.generator import GenParams, generate_program
 from munchkin.ir import INT32_MAX, INT32_MIN, parse_program
@@ -53,27 +53,27 @@ class TestPercentRound:
 class TestDepthTable:
     def test_full_coverage_is_all_hundreds(self):
         program = generate_program(GenParams(2, 2))
-        cg = build_callgraph(program)
-        rows = depth_table(CoverageMap(frozenset(program.functions)), cg)
+        index = index_program(program)
+        rows = depth_table(CoverageMap(frozenset(program.functions)), index)
         assert all(p == 100 for _, _, _, p in rows)
 
     def test_main_only_on_tree_depth_three(self):
         program = generate_program(GenParams(2, 3))
-        cg = build_callgraph(program)
-        rows = depth_table(CoverageMap(frozenset({"main"})), cg)
+        index = index_program(program)
+        rows = depth_table(CoverageMap(frozenset({"main"})), index)
         assert rows == [(0, 1, 1, 100), (1, 0, 1, 0), (2, 0, 2, 0), (3, 0, 4, 0), (4, 0, 8, 0)]
 
     def test_totals_sum_to_reachable_count(self):
         program = generate_program(GenParams(3, 2))
-        cg = build_callgraph(program)
-        rows = depth_table(CoverageMap(frozenset({"main"})), cg)
-        assert sum(t for _, _, t, _ in rows) == len(cg.reachable())
+        index = index_program(program)
+        rows = depth_table(CoverageMap(frozenset({"main"})), index)
+        assert sum(t for _, _, t, _ in rows) == len(index.reachable())
 
     def test_bounds_invariants(self):
         program = generate_program(GenParams(2, 3))
-        cg = build_callgraph(program)
+        index = index_program(program)
         some = frozenset(list(program.functions)[:7])
-        for _, covered, total, percent in depth_table(CoverageMap(some), cg):
+        for _, covered, total, percent in depth_table(CoverageMap(some), index):
             assert 0 <= covered <= total
             assert 0 <= percent <= 100
 
@@ -84,14 +84,14 @@ class TestDepthTable:
             "func f()\nblock entry:\n  ret\n"
             "func orphan()\nblock entry:\n  ret\n"
         )
-        rows = depth_table(CoverageMap(frozenset({"main"})), build_callgraph(program))
+        rows = depth_table(CoverageMap(frozenset({"main"})), index_program(program))
         assert coverage_percent(rows) == 50
 
     def test_unknown_functions_rejected(self):
         program = generate_program(GenParams(2, 1))
-        cg = build_callgraph(program)
+        index = index_program(program)
         with pytest.raises(ValueError):
-            depth_table(CoverageMap(frozenset({"ghost"})), cg)
+            depth_table(CoverageMap(frozenset({"ghost"})), index)
 
 
 class TestGoldenLayout:
@@ -130,7 +130,7 @@ class TestIntersections:
 
     def test_disjoint_beyond_main(self):
         program = generate_program(GenParams(2, 2))
-        total = len(build_callgraph(program).reachable())
+        total = len(index_program(program).reachable())
         left = CoverageMap(frozenset({"main", "n_0_3", "n_0_1", "n_0_0"}))
         right = CoverageMap(frozenset({"main", "n_2_3", "n_3_3"}))
         result = intersection_report({"l": left, "r": right}, total)

@@ -95,6 +95,17 @@ def test_every_package_name_the_bench_reads_is_public():
             value = getattr(value, name)
 
 
+def test_build_callgraph_is_the_program_index_by_its_older_name():
+    # The bench reads ``m.build_callgraph(program).reachable()``: the name
+    # has no logic of its own, and the package has one call-graph record.
+    program = munchkin.generate_program(munchkin.GenParams(2, 3))
+    assert munchkin.build_callgraph(program) is munchkin.index_program(program)
+    assert munchkin.build_callgraph(program).reachable() == frozenset(
+        munchkin.index_program(program).depths
+    )
+    assert "CallGraph" not in munchkin.__all__
+
+
 # ``bench/spans.py`` hooks that no campaign calls any more; the bench notes
 # each as unbound, and its spans count zero calls.
 STALE_HOOKS = {

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from munchkin import symex
-from munchkin.callgraph import build_callgraph, index_program
+from munchkin.callgraph import index_program
 from munchkin.executor import lowered_form, run_concrete
 from munchkin.generator import GenParams, generate_program
 from munchkin.ir import parse_program, serialize_program
@@ -43,8 +43,8 @@ def _picks_are(picks, handles):
 class TestSelectNextState:
     def _side(self, program, function):
         """A side at the entry block of ``function``."""
-        codes, _, _ = lowered_form(program)
-        loc = index_program(program).entries[function]
+        codes, _, _, entries = lowered_form(program)
+        loc = entries[function]
         return (Solver().root, codes[loc], loc)
 
     def _state(self, program, function, seq):
@@ -263,7 +263,7 @@ class TestCampaigns:
     def test_small_tree_reaches_full_coverage(self):
         program = generate_program(GenParams(2, 1))
         result = symex_campaign(program)
-        assert result.coverage.functions == build_callgraph(program).reachable()
+        assert result.coverage.functions == index_program(program).reachable()
 
     def test_tree_depth_three_emits_every_leaf_input(self):
         program = generate_program(GenParams(2, 3))
@@ -389,7 +389,7 @@ class TestCampaigns:
 
     def test_already_covered_suppresses_emission(self):
         program = generate_program(GenParams(2, 1))
-        everything = build_callgraph(program).reachable()
+        everything = index_program(program).reachable()
         result = symex_campaign(program, already_covered=everything)
         assert result.test_cases == []
         assert result.coverage.functions == frozenset()
@@ -407,7 +407,7 @@ class TestCampaigns:
         # The campaign's own emissions never reach the caller's collection,
         # and one that is not a set is read once, into a copy.
         program = self._tree_with_orphan()
-        assert target is None or target in index_program(program).reachable
+        assert target is None or target in index_program(program).reachable()
         given = ["main", "n_0_3", "n_0_1", "n_4_5"]
         reads = []
 
@@ -443,7 +443,7 @@ class TestCampaigns:
         # as the reachable functions, cover nothing: the campaign runs as it
         # would without them.
         program = self._tree_with_orphan()
-        reachable = index_program(program).reachable
+        reachable = index_program(program).reachable()
         padding = [f"ghost_{k}" for k in range(len(reachable) - len(known) - 1)]
         covered = {*known, "orphan", *padding}
         assert len(covered) == len(reachable) and not reachable <= covered
@@ -871,7 +871,7 @@ class TestRunSlice:
     def _entry(self, solver):
         """The fork that a campaign's entry handle starts from."""
         program = parse_program(STEPPER_TEXT)
-        codes, entry, _ = lowered_form(program)
+        codes, entry, _, _ = lowered_form(program)
         return _handle([(solver.root, codes[entry], entry)])[0]
 
     def _step(self, fork, side, solver, events=None):
