@@ -158,6 +158,64 @@ class TestDepths:
         assert index.reachable() == {"main", "f"}
 
 
+def _reference_call_relation(program):
+    """Each function's callers and its callees in call order (repeats
+    kept), read off the IR's call instructions."""
+    callers = {name: set() for name in program.functions}
+    callees = {name: [] for name in program.functions}
+    for fname, func in program.functions.items():
+        for block in func.blocks.values():
+            for instr in block.instructions:
+                if isinstance(instr, Call):
+                    callers[instr.callee].add(fname)
+                    callees[fname].append(instr.callee)
+    return callers, callees
+
+
+class TestIndexAgainstTheIR:
+    """The index's four fields, read off the lowered form, against
+    references read off the parsed program."""
+
+    @pytest.fixture(params=["chain", "unreachable", "b3d4-seed7", "hand"])
+    def program(self, request, chain_program):
+        return {
+            "chain": lambda: chain_program,
+            "unreachable": lambda: parse_program(UNREACHABLE_TEXT),
+            "b3d4-seed7": lambda: generate_program(GenParams(3, 4, 7)),
+            "hand": lambda: parse_program(HAND_TEXT),
+        }[request.param]()
+
+    def test_entries_are_each_function_first_block_location(self, program):
+        ids = {loc: i for i, loc in enumerate(block_locations(program))}
+        index = index_program(program)
+        assert list(index.entries) == list(program.functions)
+        assert index.entries == {
+            fname: ids[fname, next(iter(func.blocks))]
+            for fname, func in program.functions.items()
+        }
+
+    def test_callers_are_the_ir_call_instructions(self, program):
+        callers, _ = _reference_call_relation(program)
+        assert index_program(program).callers == callers
+
+    def test_depths_are_a_breadth_first_search_of_the_ir_calls(self, program):
+        _, callees = _reference_call_relation(program)
+        depths = {"main": 0}
+        frontier = ["main"]
+        while frontier:
+            nxt = []
+            for fname in frontier:
+                for callee in sorted(set(callees[fname])):
+                    if callee not in depths:
+                        depths[callee] = depths[fname] + 1
+                        nxt.append(callee)
+            frontier = nxt
+        index = index_program(program)
+        assert index.depths == depths
+        assert index.reachable() == set(depths)
+        assert index.by_depth == tuple(sorted(depths, key=lambda name: (depths[name], name)))
+
+
 class TestSonarDistances:
     def test_target_entry_is_zero(self, chain_program):
         index = index_program(chain_program)
