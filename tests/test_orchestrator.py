@@ -660,6 +660,35 @@ class TestPinnedFSTrees:
         assert hashlib.sha256(campaign_json_bytes(report)).hexdigest() == digest
 
 
+class TestPinnedTreeCounts:
+    """``(queries, sat, unsat, unknown, cache_hits)`` of FS, SF and symex
+    alone on the bench's trees, with the bench's fuzz budgets (96 for FS,
+    2,000 for SF) and ``GenParams`` seed equal to ``rng_seed``.
+
+    Recorded while the solver still cached results by each path's set of
+    constraints. On a tree no two nodes share that set, so keeping each
+    result on its own node must leave every count as it is.
+    """
+
+    @pytest.mark.parametrize("params, rng_seed, fs, sf, symex_alone", [
+        ((2, 8), 0, (508, 508, 0, 0, 4137), (515, 515, 0, 0, 255), (515, 515, 0, 0, 255)),
+        ((2, 8), 7, (512, 512, 0, 0, 4243), (515, 515, 0, 0, 255), (515, 515, 0, 0, 255)),
+        ((3, 6), 0, (1460, 1460, 0, 0, 15810), (1461, 1461, 0, 0, 728),
+         (1461, 1461, 0, 0, 728)),
+        ((3, 6), 7, (1460, 1460, 0, 0, 15907), (1461, 1461, 0, 0, 728),
+         (1461, 1461, 0, 0, 728)),
+    ])
+    def test_counts_equal_the_recorded_ones(self, params, rng_seed, fs, sf, symex_alone):
+        program = generate_program(GenParams(*params, rng_seed))
+        reports = (
+            run_fs(program, HybridConfig(fuzz_budget=96, rng_seed=rng_seed)),
+            run_sf(program, HybridConfig(mode="sf", fuzz_budget=2_000, rng_seed=rng_seed)),
+            run_symex(program, HybridConfig(rng_seed=rng_seed))[0],
+        )
+        expected = [SolverStats(*counts) for counts in (fs, sf, symex_alone)]
+        assert [report.solver_stats for report in reports] == expected
+
+
 class TestFSTargetCursor:
     """``run_fs`` starts each target scan at its cursor, the first function
     of ``by_depth`` that is neither covered nor failed, and picks what a
