@@ -44,9 +44,10 @@ is implied: a bound-only solve does constant work per node and checks no
 model.
 
 Verdicts, models and query counts are those of solving each path
-condition from scratch. Results are cached by a path condition's set of
-constraints and the number of variables; cache hits are not charged as
-queries.
+condition from scratch. A result stays on its node, by the number of
+variables, and answers only that node's later solves, as cache hits that
+are not charged as queries: a reordered path, or one that repeats a
+constraint, is a new node and a new query.
 """
 
 from __future__ import annotations
@@ -205,8 +206,8 @@ def _cannot_wrap(side: LinExpr) -> bool:
 
 
 class Constraint(_Record):
-    # The solver's child table and path keys hash a constraint again and
-    # again and compare it with an equal one at every fork. ``_hash`` and
+    # The solver's child table hashes a constraint again and again and
+    # compares it with an equal one at every fork. ``_hash`` and
     # ``_normal`` memoise ``hash(self)`` (the record's hash, of the field
     # tuple) and ``normal``; they start as None and are not fields, so copies
     # and pickles recompute them (string hashes differ between processes).
@@ -345,24 +346,23 @@ class PathCondition:
     Nodes are created only by ``Solver.extend``, which interns them in a
     trie rooted at ``Solver.root``, so a path walked again reuses its nodes
     and the fixpoints they hold. A node points only up, to its parent; the
-    solver's child table is the only way down. ``key`` is the set of the
-    path's constraints, by which the solver caches results, and
-    ``fixpoint`` is what propagation knows once a solve has asked.
+    solver's child table is the only way down. ``fixpoint`` is what
+    propagation knows once a solve has asked, and ``solved`` holds the
+    node's results (``Solver.solve``).
     """
 
-    __slots__ = ("constraint", "parent", "key", "fixpoint")
+    __slots__ = ("constraint", "parent", "fixpoint", "solved")
 
     def __init__(
         self,
         constraint: Constraint | None,
         parent: "PathCondition | None",
-        key: frozenset,
         fixpoint: "_Fixpoint | None" = None,
     ) -> None:
         self.constraint = constraint
         self.parent = parent
-        self.key = key
         self.fixpoint = fixpoint
+        self.solved = None
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +378,7 @@ class SolverStats(_MutableRecord):
         return SolverStats(*self._values())
 
     def delta(self, earlier: "SolverStats") -> "SolverStats":
-        return SolverStats(
-            self.queries - earlier.queries,
-            self.sat - earlier.sat,
-            self.unsat - earlier.unsat,
-            self.unknown - earlier.unknown,
-            self.cache_hits - earlier.cache_hits,
-        )
+        return SolverStats(*[now - then for now, then in zip(self._values(), earlier._values())])
 
 
 class SolveResult(_Record):
@@ -625,27 +619,26 @@ def _materialise(node: PathCondition, num_vars: int) -> SolveResult:
 
 
 class Solver:
-    """Satisfiability checks with statistics, a path-condition trie and a result cache.
+    """Satisfiability checks with statistics, over a path-condition trie
+    whose nodes keep their results.
 
     The solver owns the trie: ``root`` is the empty path condition, and
     ``extend`` creates every other node, keyed in one table by its parent
-    and its constraint. Results are cached by a path condition's set of
-    constraints and ``num_vars``; cache hits are not charged as queries.
+    and its constraint. A node's result answers only that node's later
+    solves with the same ``num_vars``; cache hits are not charged as queries.
     """
 
     def __init__(self) -> None:
         self.stats = SolverStats()
-        self.root = PathCondition(None, None, frozenset(), _TRUE)
+        self.root = PathCondition(None, None, _TRUE)
         self._children: dict[tuple[PathCondition, Constraint], PathCondition] = {}
-        self._cache: dict[tuple[frozenset, int], SolveResult] = {}
 
     def extend(self, pc: PathCondition, c: Constraint) -> PathCondition:
         """``pc`` with ``c`` on top: the trie's node, created on first use."""
         edge = (pc, c)
         child = self._children.get(edge)
         if child is None:
-            key = pc.key if c in pc.key else pc.key | {c}
-            child = self._children[edge] = PathCondition(c, pc, key)
+            child = self._children[edge] = PathCondition(c, pc)
         return child
 
     def branch(
@@ -669,19 +662,24 @@ class Solver:
         return nodes
 
     def solve(self, pc: PathCondition, num_vars: int) -> SolveResult:
-        """Solve a path condition, a node of this solver's trie."""
-        key = (pc.key, num_vars)
-        cached = self._cache.get(key)
-        if cached is not None:
+        """Solve a path condition, a node of this solver's trie.
+
+        The node keeps the result in ``solved``: ``(num_vars, result)``, or
+        a dict by ``num_vars`` once it is solved with a second one."""
+        solved = pc.solved
+        if solved.__class__ is tuple:
+            if solved[0] == num_vars:
+                self.stats.cache_hits += 1
+                return solved[1]
+            solved = pc.solved = dict((solved,))
+        elif solved is not None and num_vars in solved:
             self.stats.cache_hits += 1
-            return cached
+            return solved[num_vars]
         result = _materialise(pc, num_vars)
         self.stats.queries += 1
-        if result.status == SAT:
-            self.stats.sat += 1
-        elif result.status == UNSAT:
-            self.stats.unsat += 1
+        setattr(self.stats, result.status, getattr(self.stats, result.status) + 1)
+        if solved is None:
+            pc.solved = (num_vars, result)
         else:
-            self.stats.unknown += 1
-        self._cache[key] = result
+            solved[num_vars] = result
         return result

@@ -32,11 +32,12 @@ during ``run_fs``; symbolic execution alone and SF pass none and record
 nothing. The first run of a node's slice stores its branch solves, its
 function entries with their nodes, and its fork: the forking frames and
 each side's node, with the counters. A later pop of the node builds no
-frames and replays those. It asks each solve again, which the cache
-answers, and passes each entry to the emission logic, which reads the live
-covered set and may end the campaign there. (Charging a replayed solve
-as a cache hit without asking would be cheaper, but ``bench/run.py``'s
-traced check counts every cache hit as a ``Solver.solve`` call.) It then
+frames and replays those. It asks each solve again, which the result kept
+on the solved node answers, and passes each entry to the emission logic,
+which reads the live covered set and may end the campaign there. (Charging
+a replayed solve as a cache hit without asking would be cheaper, but
+``bench/run.py``'s traced check counts every cache hit as a
+``Solver.solve`` call.) It then
 pushes the fork's handles with fresh ``seq`` numbers, in order. So
 results, queries and cache hits are those of running the slice afresh. A
 slice cut short by reaching the target is not stored.

@@ -161,12 +161,23 @@ class TestSolver:
         assert stats.cache_hits == 1
         assert stats.queries == stats.sat + stats.unsat + stats.unknown
 
-    def test_constraint_order_does_not_defeat_the_cache(self):
+    def test_a_result_answers_its_own_node_only(self):
+        # An equal path reaches the same node and hits; the same constraints
+        # in another order are another node and a fresh query.
         solver = Solver()
         a, b = c(">", X, lin_const(0)), c("<", X, lin_const(9))
-        _solve(solver, [a, b], 1)
-        _solve(solver, [b, a], 1)
-        assert solver.stats.cache_hits == 1
+        first = _solve(solver, [a, b], 1)
+        assert _solve(solver, [c(">", X, lin_const(0)), c("<", X, lin_const(9))], 1) is first
+        assert solver.stats.cache_hits == 1 and solver.stats.queries == 1
+        assert _solve(solver, [b, a], 1) == first
+        assert solver.stats.cache_hits == 1 and solver.stats.queries == 2
+
+    def test_each_num_vars_is_its_own_entry_on_a_node(self):
+        solver = Solver()
+        node = solver.extend(solver.root, c("==", X, lin_const(3)))
+        results = [solver.solve(node, n) for n in (1, 3, 1, 2, 3, 2)]
+        assert [r.model for r in results] == [(3,), (3, 0, 0), (3,), (3, 0), (3, 0, 0), (3, 0)]
+        assert solver.stats.queries == 3 and solver.stats.cache_hits == 3
 
     def test_an_equal_constraint_reaches_the_same_node(self):
         # Each sonar run builds its constraints anew on its way down from main.
@@ -246,12 +257,15 @@ class TestPinnedSolver:
     """Verdicts, models and ``SolverStats`` of one solver over a fixed corpus.
 
     Each chain is solved prefix by prefix, as a symbolic state grows its
-    path condition, through a single ``Solver``, so later chains meet
-    cached keys. The digest was recorded before the solver became
-    incremental.
+    path condition, through a single ``Solver``, so later chains meet the
+    nodes of earlier ones. The digest was recorded before the solver became
+    incremental, and re-recorded when results moved onto trie nodes: only
+    the last count line moved, from 281 queries (262 sat) and 6 cache hits
+    to 283 (264 sat) and 4, because the reordered chain no longer hits the
+    entries of its first order.
     """
 
-    DIGEST = "7de2bd11dc7704d57b1d805d6ceea9b7b50b883738e4a05636470046772ca219"
+    DIGEST = "30130a853618e669875313910fd33c990e6ad9b08c230b5d2da7eae918d863b0"
 
     def test_output_equals_the_recorded_one(self):
         solver = Solver()
@@ -267,8 +281,9 @@ class TestPinnedSolver:
 
 # ---------------------------------------------------------------------------
 # Reference: the solver as it was before it became incremental. It solves
-# every path condition from scratch and caches results by the sorted tuple of
-# constraint keys. The caps are parameters so a property can lower them.
+# every path condition from scratch and caches results by the path, its
+# constraints in order, which is what names a trie node. The caps are
+# parameters so a property can lower them.
 # ---------------------------------------------------------------------------
 
 
@@ -276,7 +291,7 @@ def _reference_key(pc):
     def expr_key(value):
         return ("opaque",) if value is OPAQUE else ("lin", value.const, value.terms)
 
-    return tuple(sorted({(c.cmp, expr_key(c.lhs), expr_key(c.rhs)) for c in pc}))
+    return tuple([(c.cmp, expr_key(c.lhs), expr_key(c.rhs)) for c in pc])
 
 
 def _reference_propagate(live, num_vars, rounds):
