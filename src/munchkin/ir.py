@@ -630,9 +630,27 @@ def parse_program(text: str) -> Program:
     ValidationError (with the offending line where known) on semantic
     errors; a returned Program satisfies every structural invariant.
     """
+    program = _parse_lines(text)
+    try:
+        validate_program(program)
+    except ValidationError:
+        # Only a failure reads line numbers: parse again, keeping them, and
+        # validation raises the same error with its line.
+        source_map: dict[tuple[str, str, int], int] = {}
+        _parse_lines(text, source_map)
+        validate_program(program, source_map)
+        raise
+    return program
+
+
+def _parse_lines(
+    text: str, source_map: dict[tuple[str, str, int], int] | None = None
+) -> Program:
+    """The program that ``text`` spells, not yet validated. With a
+    ``source_map``, each instruction's and terminator's line goes into it,
+    keyed ``(function, block, index)``, with index -1 for the terminator."""
     program_name: str | None = None
     functions: dict[str, Function] = {}
-    source_map: dict[tuple[str, str, int], int] = {}
 
     cur_func: str | None = None
     cur_params: tuple[str, ...] = ()
@@ -709,18 +727,17 @@ def parse_program(text: str) -> Program:
             raise ParseError("instruction after terminator", lineno)
         if head in _TERMINATOR_HEADS:
             cur_term = node or _parse_terminator(cur)
-            source_map[(cur_func, cur_block_id, -1)] = lineno
+            if source_map is not None:
+                source_map[(cur_func, cur_block_id, -1)] = lineno
         else:
-            source_map[(cur_func, cur_block_id, len(cur_instrs))] = lineno
+            if source_map is not None:
+                source_map[(cur_func, cur_block_id, len(cur_instrs))] = lineno
             cur_instrs.append(node or _parse_instruction(cur))
 
     if program_name is None:
         raise ParseError("expected 'program <name>' header", max(1, text.count("\n") + 1))
     flush_func(text.count("\n") + 1)
-
-    program = Program(program_name, functions)
-    validate_program(program, source_map)
-    return program
+    return Program(program_name, functions)
 
 
 # ---------------------------------------------------------------------------
