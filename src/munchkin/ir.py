@@ -633,14 +633,15 @@ def parse_program(text: str) -> Program:
     program = _parse_lines(text)
     try:
         validate_program(program)
-    except ValidationError:
-        # Only a failure reads line numbers: parse again, keeping them, and
-        # validation raises the same error with its line.
-        source_map: dict[tuple[str, str, int], int] = {}
-        _parse_lines(text, source_map)
-        validate_program(program, source_map)
-        raise
-    return program
+        return program
+    except ValidationError as error:
+        unlocated = error
+    # Only a failure reads line numbers: parse again, keeping them, and
+    # validate again, which raises the same error with its line.
+    source_map: dict[tuple[str, str, int], int] = {}
+    _parse_lines(text, source_map)
+    validate_program(program, source_map)
+    raise unlocated
 
 
 def _parse_lines(

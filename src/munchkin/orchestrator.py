@@ -7,9 +7,10 @@ at each still-uncovered function (frontier functions first, by ascending call
 depth). Replay-validated coverage goes into one live set of functions and
 edges after every target, so functions covered en route are never
 targeted, and becomes a ``CoverageMap`` once, for the report. All targeted
-runs share one solver, whose trie keeps every result, mirroring what a single long
-symbolic-execution run gets for free, and the program's ``ProgramIndex``,
-which is built once per program and shared by every campaign on it.
+runs share one solver, whose trie keeps every result, mirroring what a
+single long symbolic-execution run gets for free, and the program's
+``ProgramIndex``, which is built once per program and shared by every
+campaign on it.
 ``run_fs`` also creates a slice memo and hands it to every targeted run
 beside the solver; the memo dies when ``run_fs`` returns, and SF and the
 symex baseline run without one. How a targeted run ranks its handles by

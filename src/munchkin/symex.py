@@ -37,10 +37,10 @@ on the solved node answers, and passes each entry to the emission logic,
 which reads the live covered set and may end the campaign there. (Charging
 a replayed solve as a cache hit without asking would be cheaper, but
 ``bench/run.py``'s traced check counts every cache hit as a
-``Solver.solve`` call.) It then
-pushes the fork's handles with fresh ``seq`` numbers, in order. So
-results, queries and cache hits are those of running the slice afresh. A
-slice cut short by reaching the target is not stored.
+``Solver.solve`` call.) It then pushes the fork's handles with fresh
+``seq`` numbers, in order. So results, queries and cache hits are those of
+running the slice afresh. A slice cut short by reaching the target is not
+stored.
 
 Callers' stores are shared between states and copied on their first write
 after a return. Of a fork's successors, the last to run takes over its
