@@ -671,7 +671,7 @@ class Solver:
             if solved[0] == num_vars:
                 self.stats.cache_hits += 1
                 return solved[1]
-            solved = pc.solved = dict((solved,))
+            solved = pc.solved = {solved[0]: solved[1]}
         elif solved is not None and num_vars in solved:
             self.stats.cache_hits += 1
             return solved[num_vars]
