@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from munchkin import solver as solver_module
 from munchkin.generator import GenParams, generate_program
-from munchkin.ir import INT32_MAX, INT32_MIN, parse_program
+from munchkin.ir import INT32_MAX, INT32_MIN, _COMPARE, parse_program
 from munchkin.orchestrator import HybridConfig, run_fs, run_sf
 from munchkin.solver import (
     Constraint,
@@ -433,6 +433,119 @@ class _ReferenceSolver:
         return result
 
 
+# ---------------------------------------------------------------------------
+# Reference: the normaliser and the fixpoint step before bound-only branches
+# got their own route, copied as they were. Every pair goes through the
+# generic merge, and every node through every check in turn.
+# ---------------------------------------------------------------------------
+
+
+def _reference_normalise(cmps, lhs, rhs):
+    const = lhs.const - rhs.const
+    if not lhs.terms or not rhs.terms:
+        terms = lhs.terms or tuple([(v, -k) for v, k in rhs.terms])
+    else:
+        coeffs = dict(lhs.terms)
+        for var, coeff in rhs.terms:
+            coeffs[var] = coeffs.get(var, 0) - coeff
+        terms = tuple([(v, k) for v, k in coeffs.items() if k])
+    variables = frozenset([v for v, _ in lhs.terms + rhs.terms])
+    half = solver_module._HALF
+    operands = (lhs.const + half, lhs.terms, rhs.const + half, rhs.terms)
+    cannot_wrap = solver_module._cannot_wrap(lhs) and solver_module._cannot_wrap(rhs)
+    normals = []
+    for cmp in cmps:
+        excluded = None
+        if cmp == "<":
+            ineqs = ((terms, -const - 1),)
+        elif cmp == "<=":
+            ineqs = ((terms, -const),)
+        elif cmp == "!=":
+            ineqs = ()
+            if len(terms) == 1:
+                (var, coeff), = terms
+                if (-const) % coeff == 0:
+                    excluded = (var, (-const) // coeff)
+        else:
+            neg = tuple([(v, -k) for v, k in terms])
+            if cmp == ">":
+                ineqs = ((neg, const - 1),)
+            elif cmp == ">=":
+                ineqs = ((neg, const),)
+            else:
+                ineqs = ((terms, -const), (neg, const))
+        interval = None
+        if len(terms) == 1 and ineqs:
+            low, high = INT32_MIN, INT32_MAX
+            for ((var, coeff),), bound in ineqs:
+                if coeff > 0:
+                    high = min(high, bound // coeff)
+                else:
+                    low = max(low, -(bound // -coeff))
+            interval = (var, low, high)
+        normals.append(solver_module._Normal(
+            ineqs, excluded, variables, (_COMPARE[cmp], *operands), interval,
+            interval is not None and cannot_wrap,
+        ))
+    return normals
+
+
+def _reference_extend_fixpoint(parent, node):
+    s = solver_module
+    c = node.constraint
+    if parent.verdict == "unknown" or c.is_opaque:
+        return s._OPAQUE_PATH
+    if parent.verdict == "unsat":
+        return s._INFEASIBLE
+    if c.is_const:
+        return parent if _COMPARE[c.cmp](c.lhs.const, c.rhs.const) else s._INFEASIBLE
+
+    normal = c.normal
+    lo, hi, general = parent.lo, parent.hi, parent.general
+    grow = max(normal.variables) + 1 - len(lo)
+    if grow > 0:
+        lo += (INT32_MIN,) * grow
+        hi += (INT32_MAX,) * grow
+    interval = normal.interval
+    agrees = parent.candidate_ok
+    if general or interval is None and (
+        normal.excluded is not None or any(len(terms) > 1 for terms, _ in normal.ineqs)
+    ):
+        general = True
+        path = s._live(node)
+        ineqs = [i for live in path for i in live.ineqs]
+        excluded = [live.excluded for live in path if live.excluded is not None]
+        lo, hi = [INT32_MIN] * len(lo), [INT32_MAX] * len(hi)
+        if not s._propagate(ineqs, excluded, lo, hi):
+            return s._INFEASIBLE
+        lo, hi = tuple(lo), tuple(hi)
+        agrees = agrees and (
+            s._candidate(lo, hi)[: len(parent.lo)] == s._candidate(parent.lo, parent.hi)
+        )
+    elif interval is not None:
+        var, low, high = interval
+        was_lo, was_hi = lo[var], hi[var]
+        low, high = max(low, was_lo), min(high, was_hi)
+        if low > high:
+            return s._INFEASIBLE
+        if var < len(parent.lo) and s._nearest_zero(low, high) != s._nearest_zero(was_lo, was_hi):
+            agrees = False
+        lo = (*lo[:var], low, *lo[var + 1:])
+        hi = (*hi[:var], high, *hi[var + 1:])
+
+    checks = parent.checks
+    if normal.implied:
+        candidate_ok = agrees or not checks or s._check_all(checks, s._candidate(lo, hi))
+    else:
+        checks += (normal.check,)
+        candidate = s._candidate(lo, hi)
+        if agrees:
+            candidate_ok = s._holds(normal.check, candidate)
+        else:
+            candidate_ok = s._check_all(checks, candidate)
+    return s._Fixpoint(None, lo, hi, candidate_ok, general, checks)
+
+
 _COEFFS = st.sampled_from([-3, -2, -1, 1, 2, 3])
 _CONSTS = st.one_of(st.integers(-12, 12), st.sampled_from([INT32_MIN, INT32_MAX - 2]))
 
@@ -647,7 +760,8 @@ def _one_variable_constraints(draw):
 
 class TestBranchNormalForms:
     """``Solver.branch`` normalises a branch's constraint and its negation in
-    one call, and gets the normal forms of two separate calls."""
+    one call, and gets the normal forms of two separate calls of the
+    reference normaliser."""
 
     @settings(max_examples=400, deadline=None)
     @given(constraint=_fixpoint_constraints().filter(lambda c: not c.is_opaque))
@@ -655,8 +769,8 @@ class TestBranchNormalForms:
         negation = negate_constraint(constraint)
         lhs, rhs = constraint.lhs, constraint.rhs
         assert solver_module._normalise((constraint.cmp, negation.cmp), lhs, rhs) == [
-            solver_module._normalise((constraint.cmp,), lhs, rhs)[0],
-            solver_module._normalise((negation.cmp,), lhs, rhs)[0],
+            _reference_normalise((constraint.cmp,), lhs, rhs)[0],
+            _reference_normalise((negation.cmp,), lhs, rhs)[0],
         ]
 
     @pytest.mark.parametrize("name", ["b3d4", "opcodes"])
@@ -684,6 +798,88 @@ class TestBranchNormalForms:
             c = node.constraint
             if c._normal is not None:
                 assert c._normal == normalise((c.cmp,), c.lhs, c.rhs)[0]
+
+
+_CMPS = ["<", "<=", "==", "!=", ">=", ">"]
+
+
+@st.composite
+def _one_term_pairs(draw):
+    """``k*x + a`` against a constant, either way round, with ``k`` in
+    [-4, 4] and constants near zero and the int32 limits; ``a`` is zero half
+    the time, so the side is often ``x`` or ``kx``."""
+    term = (draw(st.integers(0, 2)), draw(_BOUND_COEFFS))
+    side = _lin(draw(st.one_of(st.just(0), _NEAR_LIMITS)), term)
+    other = lin_const(draw(_NEAR_LIMITS))
+    return (side, other) if draw(st.booleans()) else (other, side)
+
+
+@st.composite
+def _bound_only_branches(draw):
+    """Branches one below the other, as a generated tree's stepper makes
+    them: ``(cmp, lhs, rhs, side taken, num_vars)``. Mostly a bare input
+    against a constant, now and then ``k*x + a`` against one (not implied,
+    and it may wrap), either way round, in all six comparisons. ``num_vars``
+    never shrinks and covers every variable. Taking an ``!=`` side that
+    excludes a value makes the rest of the path general."""
+    steps, num_vars = [], 1
+    for _ in range(draw(st.integers(1, 12))):
+        var = draw(st.integers(0, 2))
+        num_vars = max(min(4, num_vars + draw(st.integers(0, 1))), var + 1)
+        if draw(st.integers(0, 3)):
+            side = lin_var(var)
+        else:
+            side = _lin(draw(_NEAR_LIMITS), (var, draw(_BOUND_COEFFS)))
+        other = lin_const(draw(st.one_of(st.integers(-3, 3), _NEAR_LIMITS)))
+        pair = (side, other) if draw(st.booleans()) else (other, side)
+        steps.append((draw(st.sampled_from(_CMPS)), *pair, draw(st.integers(0, 1)), num_vars))
+    return steps
+
+
+class TestBoundOnlyRoute:
+    """Branches that compare one term with a constant, the shape of every
+    fork on a generated tree, get the normal forms and fixpoints of the
+    reference normaliser and fixpoint step, and the results of solving
+    from scratch."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(pair=_one_term_pairs(), cmp=st.sampled_from(_CMPS), both=st.booleans())
+    @example(pair=(_lin(0, (0, 2)), lin_const(0)), cmp=">", both=True)
+    @example(pair=(lin_const(0), _lin(-5, (1, 1))), cmp="<", both=False)
+    @example(pair=(lin_const(INT32_MIN), _lin(0, (0, -1))), cmp="==", both=True)
+    def test_a_one_term_pair_equals_the_reference(self, pair, cmp, both):
+        cmps = (cmp, negate_constraint(c(cmp, *pair)).cmp) if both else (cmp,)
+        got = solver_module._normalise(cmps, *pair)
+        assert got == _reference_normalise(cmps, *pair)
+        assert all(type(normal) is solver_module._Normal for normal in got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=_bound_only_branches())
+    @example(steps=[("<", X, lin_const(9), 0, 1), (">", X, lin_const(3), 0, 1),
+                    (">=", lin_const(5), X, 1, 1)])
+    @example(steps=[(">", X, lin_const(-3), 0, 1), ("<", _lin(0, (0, 2)), lin_const(7), 0, 1),
+                    ("<=", X, lin_const(2), 1, 1)])
+    # An excluded value makes the path general; the bound that follows
+    # meets it, so propagation from scratch trims the domain past it.
+    @example(steps=[("==", X, lin_const(5), 1, 1), (">=", X, lin_const(5), 0, 1)])
+    def test_every_node_equals_the_reference(self, steps):
+        cap = 1 << 10
+        with patch.object(solver_module, "ENUMERATION_CAP", cap):
+            solver = Solver()
+            node, fixpoint, prefix = solver.root, solver.root.fixpoint, []
+            for cmp, lhs, rhs, side, num_vars in steps:
+                nodes = solver.branch(node, cmp, lhs, rhs)
+                expected = []
+                for child in nodes:
+                    got = solver.solve(child, num_vars)
+                    expected.append(_reference_extend_fixpoint(fixpoint, child))
+                    assert child.fixpoint == expected[-1]
+                    assert type(child.fixpoint) is solver_module._Fixpoint
+                    assert got == _reference_solve(prefix + [child.constraint], num_vars, 100, cap)
+                if expected[side].verdict == "unsat":  # go on down a feasible side
+                    side = 1 - side
+                node, fixpoint = nodes[side], expected[side]
+                prefix.append(node.constraint)
 
 
 class TestSolverBranch:
