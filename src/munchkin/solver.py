@@ -41,7 +41,9 @@ candidate model, each domain's point nearest zero, is checked only against
 the path's other constraints, and against the new one alone when it agrees
 with its parent's passing candidate. On generated trees every constraint
 is implied: a bound-only solve does constant work per node and checks no
-model.
+model. Their branches, one term against a constant, also take a shorter
+one-variable route through normalising and extending, with the results
+and counts of the general route.
 
 Verdicts, models and query counts are those of solving each path
 condition from scratch. A result stays on its node, by the number of
@@ -97,9 +99,10 @@ class LinExpr(_Record):
     __slots__ = _fields = ("const", "terms")  # terms: (variable index, coefficient)
     _defaults = (0, ())
 
-    # Written out rather than inherited: the solver's child table compares
-    # and hashes constraints, and so their expressions, at every fork. The
-    # hash is the record's, the hash of the field tuple.
+    # Written out rather than inherited: the solver's child table hashes
+    # constraints, and so their expressions, at every fork, and compares
+    # them where a path is walked again. The hash is the record's, the hash
+    # of the field tuple.
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not LinExpr:
             return NotImplemented
@@ -120,7 +123,7 @@ SymValue = LinExpr | Opaque
 
 
 def lin_const(value: int) -> LinExpr:
-    return LinExpr(wrap32(value), ())
+    return LinExpr(((value + _HALF) & _MASK) - _HALF, ())  # wrap32, inlined
 
 
 def lin_var(index: int) -> LinExpr:
@@ -206,8 +209,9 @@ def _cannot_wrap(side: LinExpr) -> bool:
 
 
 class Constraint(_Record):
-    # The solver's child table hashes a constraint again and again and
-    # compares it with an equal one at every fork. ``_hash`` and
+    # The solver's child table hashes two new constraints at every fork,
+    # and compares one with an equal one only where a path is walked again
+    # without a slice memo (no generated-tree campaign does). ``_hash`` and
     # ``_normal`` memoise ``hash(self)`` (the record's hash, of the field
     # tuple) and ``normal``; they start as None and are not fields, so copies
     # and pickles recompute them (string hashes differ between processes).
@@ -257,43 +261,60 @@ class Constraint(_Record):
 
 def _normalise(cmps: Sequence[str], lhs: LinExpr, rhs: LinExpr) -> list[_Normal]:
     """Normal forms of ``lhs <cmp> rhs`` for each of ``cmps``: a branch
-    normalises its constraint and the negation in one call."""
-    # Canonical terms are sorted and nonzero: with one side constant, the
-    # difference's terms are the other side's, negated on the right.
+    normalises its constraint and the negation in one call.
+
+    One term against a constant, the shape of every fork on a generated
+    tree, skips the merge of the two sides' terms: the difference is the
+    term, or its negation when it is on the right, and a bare variable
+    cannot wrap. The side's own terms are reused, not copied."""
     const = lhs.const - rhs.const
-    if not lhs.terms or not rhs.terms:
-        terms = lhs.terms or tuple([(v, -k) for v, k in rhs.terms])
+    lhs_terms, rhs_terms = lhs.terms, rhs.terms
+    if len(lhs_terms) + len(rhs_terms) == 1:
+        side, other = (lhs, rhs) if lhs_terms else (rhs, lhs)
+        (var, coeff), = side.terms
+        if lhs_terms:
+            terms, neg = lhs_terms, ((var, -coeff),)
+        else:
+            terms, neg = ((var, -coeff),), rhs_terms
+        variables = frozenset((var,))
+        cannot_wrap = INT32_MIN <= other.const <= INT32_MAX and (
+            side.const == 0 and coeff == 1 or _cannot_wrap(side)
+        )
     else:
-        coeffs = dict(lhs.terms)
-        for var, coeff in rhs.terms:
-            coeffs[var] = coeffs.get(var, 0) - coeff
-        terms = tuple([(v, k) for v, k in coeffs.items() if k])
-    variables = frozenset([v for v, _ in lhs.terms + rhs.terms])
-    operands = (lhs.const + _HALF, lhs.terms, rhs.const + _HALF, rhs.terms)
-    cannot_wrap = _cannot_wrap(lhs) and _cannot_wrap(rhs)
+        # Canonical terms are sorted and nonzero: with one side constant,
+        # the difference's terms are the other side's, negated on the right.
+        if not lhs_terms or not rhs_terms:
+            terms = lhs_terms or tuple([(v, -k) for v, k in rhs_terms])
+        else:
+            coeffs = dict(lhs_terms)
+            for var, coeff in rhs_terms:
+                coeffs[var] = coeffs.get(var, 0) - coeff
+            terms = tuple([(v, k) for v, k in coeffs.items() if k])
+        neg = tuple([(v, -k) for v, k in terms])
+        variables = frozenset([v for v, _ in lhs_terms + rhs_terms])
+        cannot_wrap = _cannot_wrap(lhs) and _cannot_wrap(rhs)
+    operands = (lhs.const + _HALF, lhs_terms, rhs.const + _HALF, rhs_terms)
+    one_term = len(terms) == 1
     normals = []
     for cmp in cmps:
-        excluded = None
+        excluded = interval = None
         if cmp == "<":
             ineqs = ((terms, -const - 1),)
         elif cmp == "<=":
             ineqs = ((terms, -const),)
-        elif cmp == "!=":
+        elif cmp == ">":
+            ineqs = ((neg, const - 1),)
+        elif cmp == ">=":
+            ineqs = ((neg, const),)
+        elif cmp == "==":
+            ineqs = ((terms, -const), (neg, const))
+        else:
             ineqs = ()
-            if len(terms) == 1:
+            if one_term:
                 (var, coeff), = terms
                 if (-const) % coeff == 0:
                     excluded = (var, (-const) // coeff)
-        else:
-            neg = tuple([(v, -k) for v, k in terms])
-            if cmp == ">":
-                ineqs = ((neg, const - 1),)
-            elif cmp == ">=":
-                ineqs = ((neg, const),)
-            else:
-                ineqs = ((terms, -const), (neg, const))
-        interval = None
-        if len(terms) == 1 and ineqs:
+        if one_term and ineqs:
             low, high = INT32_MIN, INT32_MAX
             for ((var, coeff),), bound in ineqs:
                 if coeff > 0:
@@ -301,18 +322,14 @@ def _normalise(cmps: Sequence[str], lhs: LinExpr, rhs: LinExpr) -> list[_Normal]
                 else:
                     low = max(low, -(bound // -coeff))
             interval = (var, low, high)
-        normals.append(_Normal(
+        normals.append(tuple.__new__(_Normal, (
             ineqs, excluded, variables, (_COMPARE[cmp], *operands), interval,
             interval is not None and cannot_wrap,
-        ))
+        )))
     return normals
 
 
 _NEGATION = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
-
-
-def negate_constraint(c: Constraint) -> Constraint:
-    return Constraint(_NEGATION[c.cmp], c.lhs, c.rhs)
 
 
 _HALF = 1 << 31
@@ -375,10 +392,16 @@ class SolverStats(_MutableRecord):
     _defaults = (0, 0, 0, 0, 0)
 
     def copy(self) -> "SolverStats":
-        return SolverStats(*self._values())
+        return SolverStats(self.queries, self.sat, self.unsat, self.unknown, self.cache_hits)
 
     def delta(self, earlier: "SolverStats") -> "SolverStats":
-        return SolverStats(*[now - then for now, then in zip(self._values(), earlier._values())])
+        return SolverStats(
+            self.queries - earlier.queries,
+            self.sat - earlier.sat,
+            self.unsat - earlier.unsat,
+            self.unknown - earlier.unknown,
+            self.cache_hits - earlier.cache_hits,
+        )
 
 
 class SolveResult(_Record):
@@ -496,19 +519,24 @@ def _extend_fixpoint(parent: _Fixpoint, node: PathCondition) -> _Fixpoint:
     checked against ``checks``.
     """
     c = node.constraint
-    if parent.verdict == UNKNOWN or c.is_opaque:
-        return _OPAQUE_PATH
-    if parent.verdict == UNSAT:
-        return _INFEASIBLE
-    if c.is_const:
-        return parent if _COMPARE[c.cmp](c.lhs.const, c.rhs.const) else _INFEASIBLE
-
-    normal = c.normal
+    normal = c._normal
     lo, hi, general = parent.lo, parent.hi, parent.general
-    grow = max(normal.variables) + 1 - len(lo)
-    if grow > 0:
-        lo += (INT32_MIN,) * grow
-        hi += (INT32_MAX,) * grow
+    # An implied constraint is linear and mentions one variable, as each
+    # side is a constant or a bare variable. When the parent's domains
+    # already hold that variable (a verdict's hold none), none of the checks
+    # here can apply.
+    if normal is None or not normal.implied or normal.interval[0] >= len(lo):
+        if parent.verdict == UNKNOWN or c.is_opaque:
+            return _OPAQUE_PATH
+        if parent.verdict == UNSAT:
+            return _INFEASIBLE
+        if c.is_const:
+            return parent if _COMPARE[c.cmp](c.lhs.const, c.rhs.const) else _INFEASIBLE
+        normal = c.normal
+        grow = max(normal.variables) + 1 - len(lo)
+        if grow > 0:
+            lo += (INT32_MIN,) * grow
+            hi += (INT32_MAX,) * grow
     interval = normal.interval
     # The candidate agrees with its parent's, which passed its checks.
     agrees = parent.candidate_ok
@@ -547,7 +575,7 @@ def _extend_fixpoint(parent: _Fixpoint, node: PathCondition) -> _Fixpoint:
             candidate_ok = _holds(normal.check, candidate)
         else:
             candidate_ok = _check_all(checks, candidate)
-    return _Fixpoint(None, lo, hi, candidate_ok, general, checks)
+    return tuple.__new__(_Fixpoint, (None, lo, hi, candidate_ok, general, checks))
 
 
 def _candidate(lo: Sequence[int], hi: Sequence[int]) -> list[int]:
@@ -653,13 +681,19 @@ class Solver:
         then_c = Constraint(cmp, lhs, rhs)
         if then_c.is_const:
             return None
-        negation = negate_constraint(then_c)
-        nodes = self.extend(pc, then_c), self.extend(pc, negation)
-        if nodes[0].constraint is then_c and not then_c.is_opaque:
-            normals = _normalise((cmp, negation.cmp), lhs, rhs)
-            object.__setattr__(then_c, "_normal", normals[0])
-            object.__setattr__(negation, "_normal", normals[1])
-        return nodes
+        other_c = Constraint(_NEGATION[cmp], lhs, rhs)
+        children = self._children
+        then = children.get((pc, then_c))
+        if then is None:
+            then = children[pc, then_c] = PathCondition(then_c, pc)
+            if lhs is not OPAQUE and rhs is not OPAQUE:
+                normals = _normalise((cmp, other_c.cmp), lhs, rhs)
+                object.__setattr__(then_c, "_normal", normals[0])
+                object.__setattr__(other_c, "_normal", normals[1])
+        other = children.get((pc, other_c))
+        if other is None:
+            other = children[pc, other_c] = PathCondition(other_c, pc)
+        return then, other
 
     def solve(self, pc: PathCondition, num_vars: int) -> SolveResult:
         """Solve a path condition, a node of this solver's trie.
@@ -676,8 +710,14 @@ class Solver:
             self.stats.cache_hits += 1
             return solved[num_vars]
         result = _materialise(pc, num_vars)
-        self.stats.queries += 1
-        setattr(self.stats, result.status, getattr(self.stats, result.status) + 1)
+        stats = self.stats
+        stats.queries += 1
+        if result.status == SAT:
+            stats.sat += 1
+        elif result.status == UNSAT:
+            stats.unsat += 1
+        else:
+            stats.unknown += 1
         if solved is None:
             pc.solved = (num_vars, result)
         else:

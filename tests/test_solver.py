@@ -24,7 +24,6 @@ from munchkin.solver import (
     _combine,
     lin_const,
     lin_var,
-    negate_constraint,
     sym_binop,
 )
 from munchkin.symex import symex_campaign
@@ -38,6 +37,10 @@ Y = lin_var(1)
 
 def c(cmp, lhs, rhs):
     return Constraint(cmp, lhs, rhs)
+
+
+def negate(constraint):
+    return c(solver_module._NEGATION[constraint.cmp], constraint.lhs, constraint.rhs)
 
 
 def _solve(solver, constraints, num_vars):
@@ -68,9 +71,11 @@ class TestSymValues:
         assert sym_binop("%", lin_const(1), lin_const(0)) is None
 
     def test_negation_table(self):
-        assert negate_constraint(c("<", X, Y)).cmp == ">="
-        assert negate_constraint(c("==", X, Y)).cmp == "!="
-        assert negate_constraint(negate_constraint(c("<=", X, Y))) == c("<=", X, Y)
+        solver = Solver()
+        for cmp, negation in [("<", ">="), ("<=", ">"), ("==", "!="), ("!=", "=="),
+                              (">=", "<"), (">", "<=")]:
+            then, other = solver.branch(solver.root, cmp, X, Y)
+            assert then.constraint == c(cmp, X, Y) and other.constraint == c(negation, X, Y)
 
 
 class TestSolver:
@@ -610,7 +615,7 @@ class TestIncrementalSolving:
                 for constraint, num_vars in chain:
                     # run_slice's order: both successors, then the state's own
                     # path condition when it emits a test.
-                    for side in (constraint, negate_constraint(constraint)):
+                    for side in (constraint, negate(constraint)):
                         got = solver.solve(solver.extend(node, side), num_vars)
                         assert got == reference.solve(prefix + [side], num_vars)
                     node, prefix = solver.extend(node, constraint), prefix + [constraint]
@@ -766,7 +771,7 @@ class TestBranchNormalForms:
     @settings(max_examples=400, deadline=None)
     @given(constraint=_fixpoint_constraints().filter(lambda c: not c.is_opaque))
     def test_both_sides_equal_separate_calls(self, constraint):
-        negation = negate_constraint(constraint)
+        negation = negate(constraint)
         lhs, rhs = constraint.lhs, constraint.rhs
         assert solver_module._normalise((constraint.cmp, negation.cmp), lhs, rhs) == [
             _reference_normalise((constraint.cmp,), lhs, rhs)[0],
@@ -848,7 +853,7 @@ class TestBoundOnlyRoute:
     @example(pair=(lin_const(0), _lin(-5, (1, 1))), cmp="<", both=False)
     @example(pair=(lin_const(INT32_MIN), _lin(0, (0, -1))), cmp="==", both=True)
     def test_a_one_term_pair_equals_the_reference(self, pair, cmp, both):
-        cmps = (cmp, negate_constraint(c(cmp, *pair)).cmp) if both else (cmp,)
+        cmps = (cmp, solver_module._NEGATION[cmp]) if both else (cmp,)
         got = solver_module._normalise(cmps, *pair)
         assert got == _reference_normalise(cmps, *pair)
         assert all(type(normal) is solver_module._Normal for normal in got)
@@ -971,7 +976,7 @@ class TestModuleSeam:
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
         assert "Solver" in names
-        assert not names & {"Constraint", "negate_constraint", "_normalise", "_normal"}
+        assert not names & {"Constraint", "_NEGATION", "_normalise", "_normal"}
 
 
 class TestImplied:
