@@ -123,7 +123,8 @@ SymValue = LinExpr | Opaque
 
 
 def lin_const(value: int) -> LinExpr:
-    return LinExpr(((value + _HALF) & _MASK) - _HALF, ())  # wrap32, inlined
+    # ``wrap32`` written out: the stepper calls this for every constant operand.
+    return LinExpr(((value + _HALF) & _MASK) - _HALF, ())
 
 
 def lin_var(index: int) -> LinExpr:
