@@ -26,15 +26,14 @@ sign). Division or remainder by zero is not undefined behavior: the
 interpreter and the symbolic engine terminate the executing path with an
 arithmetic fault.
 
-Parsing takes one of two paths per line. A line spelled as
-``serialize_program`` writes it (once its comment and outer whitespace are
-gone) is matched whole by one compiled pattern for its kind and built
-directly. Every other line, including every line with an error, goes through
-a token cursor. The patterns accept only what the cursor accepts with an
-equal result, and they leave keywords used as names and out-of-range
-literals to it. So the fast path changes no result, and every ParseError
-comes from the cursor. Its column counts from the start of the source line
-and points at the offending token or character.
+Parsing reads one grammar two ways. The grammar gives each kind of line as
+the steps that ``serialize_program`` writes, and at import each kind's steps
+are compiled into one pattern. A line spelled as ``serialize_program``
+writes it (once its comment and outer whitespace are gone) is matched whole
+by its kind's pattern and built directly. Any other line, including every
+line with an error, is tokenized and walked against the same steps, which
+builds the same node or raises the line's ParseError. Its column counts from
+the start of the source line and points at the offending token or character.
 
 A program runs from its function ``main`` (``ENTRY_FUNCTION``), which takes
 no parameters, and a function runs from its first block. In the records, a
@@ -85,10 +84,14 @@ ENTRY_FUNCTION = "main"
 # Operands are either int32 literals or names of parameters/locals.
 Operand = int | str
 
+# The one spelling of an integer literal, for the tokenizer, the grammar and
+# every integer a user supplies.
+_INT_LITERAL = re.compile(r"-?[0-9]+")
+
 
 def int_literal(text: str) -> int:
     """A user's integer in ``.mir`` literal spelling, ``-?[0-9]+`` in ASCII digits."""
-    if re.fullmatch(r"-?[0-9]+", text) is None:
+    if _INT_LITERAL.fullmatch(text) is None:
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 
@@ -321,8 +324,11 @@ class ValidationError(IRError):
 # Parsing
 # ---------------------------------------------------------------------------
 
+# A token, after any whitespace, or else the one character that starts none.
 # Order matters: multi-char operators and signed integers before single chars.
-_TOKEN_RE = re.compile(r"->|<=|>=|==|!=|-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[=(),:+*/%<>-]")
+_TOKEN_RE = re.compile(
+    rf"\s*(?:(->|<=|>=|==|!=|{_INT_LITERAL.pattern}|[A-Za-z_][A-Za-z0-9_]*|[=(),:+*/%<>-])|(\S))"
+)
 _KEYWORDS = frozenset(
     {"program", "func", "block", "const", "input", "call", "print", "br", "jmp", "ret"}
 )
@@ -334,214 +340,44 @@ def _is_name(text: object) -> bool:
     return ascii_identifier and text not in _KEYWORDS
 
 
-def _check_gap(line: str, start: int, end: int, lineno: int, indent: int) -> None:
-    """Reject the first non-blank character of ``line[start:end]``, at its own column."""
-    rest = line[start:end].lstrip()
-    if rest:
-        col = indent + end - len(rest) + 1
-        raise ParseError(f"unexpected character {rest[0]!r}", lineno, col)
-
-
-class _Cursor:
-    """Token cursor over a single source line.
+def _tokenize(line: str, lineno: int, indent: int) -> list[tuple[str | None, int]]:
+    """``line``'s tokens with their columns, then ``(None, the column after it)``.
 
     ``line`` is the source line with its comment and outer whitespace gone,
     and ``indent`` the number of characters stripped before it, so columns
     count from the start of the source line.
     """
-
-    def __init__(self, line: str, lineno: int, indent: int = 0):
-        self.lineno = lineno
-        self.tokens: list[tuple[str, int]] = []
-        pos = 0
-        for match in _TOKEN_RE.finditer(line):
-            _check_gap(line, pos, match.start(), lineno, indent)
-            self.tokens.append((match.group(), indent + match.start() + 1))
-            pos = match.end()
-        _check_gap(line, pos, len(line), lineno, indent)
-        self.index = 0
-        self._end_col = indent + len(line) + 1
-
-    def peek(self) -> str | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][0]
-        return None
-
-    def next(self, what: str = "token") -> tuple[str, int]:
-        if self.index >= len(self.tokens):
-            raise ParseError(f"expected {what}", self.lineno, self._end_col)
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect(self, text: str) -> None:
-        tok, col = self.next(f"'{text}'")
-        if tok != text:
-            raise ParseError(f"expected '{text}', found {tok!r}", self.lineno, col)
-
-    def ident(self, what: str = "name") -> str:
-        tok, col = self.next(what)
-        if not _is_name(tok):
-            raise ParseError(f"expected {what}, found {tok!r}", self.lineno, col)
-        return tok
-
-    def int_literal(self) -> int:
-        tok, col = self.next("integer")
-        try:
-            value = int(tok)
-        except ValueError:
-            raise ParseError(f"expected integer, found {tok!r}", self.lineno, col)
-        if not INT32_MIN <= value <= INT32_MAX:
-            raise ParseError("integer literal out of int32 range", self.lineno, col)
-        return value
-
-    def operand(self) -> Operand:
-        tok, col = self.next("operand")
-        if re.match(r"-?[0-9]+\Z", tok):
-            value = int(tok)
-            if not INT32_MIN <= value <= INT32_MAX:
-                raise ParseError("integer literal out of int32 range", self.lineno, col)
-            return value
-        if not _is_name(tok):
-            raise ParseError(f"expected operand, found {tok!r}", self.lineno, col)
-        return tok
-
-    def done(self) -> None:
-        if self.index < len(self.tokens):
-            tok, col = self.tokens[self.index]
-            raise ParseError(f"trailing input {tok!r}", self.lineno, col)
+    tokens: list[tuple[str | None, int]] = []
+    for match in _TOKEN_RE.finditer(line):
+        tok, odd = match.groups()
+        col = indent + match.start(match.lastindex) + 1
+        if odd:
+            raise ParseError(f"unexpected character {odd!r}", lineno, col)
+        tokens.append((tok, col))
+    tokens.append((None, indent + len(line) + 1))
+    return tokens
 
 
-def _parse_arg_list(cur: _Cursor) -> tuple[Operand, ...]:
-    cur.expect("(")
-    args: list[Operand] = []
-    if cur.peek() == ")":
-        cur.expect(")")
-        return ()
-    while True:
-        args.append(cur.operand())
-        tok, col = cur.next("',' or ')'")
-        if tok == ")":
-            return tuple(args)
-        if tok != ",":
-            raise ParseError(f"expected ',' or ')', found {tok!r}", cur.lineno, col)
-
-
-def _parse_param_list(cur: _Cursor) -> tuple[str, ...]:
-    cur.expect("(")
-    params: list[str] = []
-    if cur.peek() == ")":
-        cur.expect(")")
-        return ()
-    while True:
-        params.append(cur.ident("parameter name"))
-        tok, col = cur.next("',' or ')'")
-        if tok == ")":
-            return tuple(params)
-        if tok != ",":
-            raise ParseError(f"expected ',' or ')', found {tok!r}", cur.lineno, col)
-
-
-def _parse_terminator(cur: _Cursor) -> Terminator:
-    head, col = cur.next()
-    if head == "jmp":
-        target = cur.ident("block id")
-        cur.done()
-        return Jump(target)
-    if head == "ret":
-        if cur.peek() is None:
-            return Return(None)
-        value = cur.operand()
-        cur.done()
-        return Return(value)
-    if head == "br":
-        cmp_tok, cmp_col = cur.next("comparison")
-        if cmp_tok not in CMP_OPS:
-            raise ParseError(f"expected comparison, found {cmp_tok!r}", cur.lineno, cmp_col)
-        lhs = cur.operand()
-        rhs = cur.operand()
-        cur.expect("->")
-        then_block = cur.ident("block id")
-        cur.expect(",")
-        else_block = cur.ident("block id")
-        cur.done()
-        return Branch(cmp_tok, lhs, rhs, then_block, else_block)
-    raise ParseError(f"unknown terminator {head!r}", cur.lineno, col)
-
-
-def _parse_instruction(cur: _Cursor) -> Instruction:
-    head = cur.peek()
-    if head == "print":
-        cur.next()
-        operand = cur.operand()
-        cur.done()
-        return Print(operand)
-    if head == "call":
-        cur.next()
-        callee = cur.ident("function name")
-        args = _parse_arg_list(cur)
-        cur.done()
-        return Call(None, callee, args)
-    dest = cur.ident("destination")
-    cur.expect("=")
-    rhs_head = cur.peek()
-    if rhs_head == "const":
-        cur.next()
-        value = cur.int_literal()
-        cur.done()
-        return Const(dest, value)
-    if rhs_head == "input":
-        cur.next()
-        cur.done()
-        return ReadInput(dest)
-    if rhs_head == "call":
-        cur.next()
-        callee = cur.ident("function name")
-        args = _parse_arg_list(cur)
-        cur.done()
-        return Call(dest, callee, args)
-    lhs = cur.operand()
-    op_tok, op_col = cur.next("operator")
-    if op_tok not in BIN_OPS:
-        raise ParseError(f"expected operator, found {op_tok!r}", cur.lineno, op_col)
-    rhs = cur.operand()
-    cur.done()
-    return BinOp(dest, op_tok, lhs, rhs)
-
-
-def _parse_program_header(cur: _Cursor) -> str:
-    cur.next()
-    name = cur.ident("program name")
-    cur.done()
-    return name
-
-
-def _parse_func_header(cur: _Cursor) -> tuple[str, tuple[str, ...]]:
-    cur.next()
-    name = cur.ident("function name")
-    params = _parse_param_list(cur)
-    cur.done()
-    return name, params
-
-
-def _parse_block_header(cur: _Cursor) -> str:
-    cur.next()
-    block_id = cur.ident("block id")
-    cur.expect(":")
-    cur.done()
-    return block_id
-
-
-# Canonical lines, spelled as ``serialize_program`` spells them, are matched
-# whole by one pattern per line kind and built without the cursor. Each
-# pattern accepts only what the cursor accepts, with an equal result: every
-# token ends at a space, a punctuation character or the end of the line, as
-# the cursor's tokens do; a name is an identifier that is not a keyword; and
-# digits are ASCII. A literal out of int32 range raises _NotCanonical, so
-# that the cursor reports it.
+# The grammar: each kind of line as the steps that ``serialize_program``
+# writes, in order, and the function that builds the line's node from the
+# steps' texts. A step is one of:
+#   "->"                a literal token;
+#   (label, pattern)    one token that ``pattern`` matches whole, called
+#                       ``label`` in errors;
+#   ("list", step)      a parenthesised list of ``step`` tokens, whose text is
+#                       its items joined by ", ";
+#   ("optional", step)  ``step`` at the end of the line, or nothing (None).
+# A line that starts with a keyword is keyed by it, an assignment by "= " and
+# the keyword after "=", and a binop, any other assignment, by "=".
 _NAME = rf"(?!(?:{'|'.join(sorted(_KEYWORDS))})(?![A-Za-z0-9_]))[A-Za-z_][A-Za-z0-9_]*"
-_OPERAND = rf"(?:-?[0-9]+|{_NAME})"
-_OPERANDS = rf"((?:{_OPERAND}(?:, {_OPERAND})*)?)"
+_NAME_RE = re.compile(_NAME)
+_OPERAND = ("operand", re.compile(rf"{_INT_LITERAL.pattern}|{_NAME}"))
+_FUNCTION_NAME = ("function name", _NAME_RE)
+_BLOCK_ID = ("block id", _NAME_RE)
+_DESTINATION = ("destination", _NAME_RE)
+_COMPARISON = ("comparison", re.compile("|".join(map(re.escape, CMP_OPS))))
+_OPERATOR = ("operator", re.compile("|".join(map(re.escape, BIN_OPS))))
+_SEPARATOR = ("',' or ')'", re.compile("[,)]"))  # a list's, read as one token
 _LITERAL_START = frozenset("-0123456789")
 
 
@@ -562,55 +398,73 @@ def _operands(text: str) -> tuple[Operand, ...]:
     return tuple(map(_operand, text.split(", "))) if text else ()
 
 
-_KEYWORD_LINES = {
-    "program": (re.compile(rf"program ({_NAME})"), lambda name: name),
+_GRAMMAR = {
+    "program": (("program", ("program name", _NAME_RE)), lambda name: name),
     "func": (
-        re.compile(rf"func ({_NAME})\(((?:{_NAME}(?:, {_NAME})*)?)\)"),
+        ("func", _FUNCTION_NAME, ("list", ("parameter name", _NAME_RE))),
         lambda name, params: (name, tuple(params.split(", ")) if params else ()),
     ),
-    "block": (re.compile(rf"block ({_NAME}):"), lambda block_id: block_id),
+    "block": (("block", _BLOCK_ID, ":"), lambda block_id: block_id),
     "call": (
-        re.compile(rf"call ({_NAME})\({_OPERANDS}\)"),
+        ("call", _FUNCTION_NAME, ("list", _OPERAND)),
         lambda callee, args: Call(None, callee, _operands(args)),
     ),
-    "print": (re.compile(rf"print ({_OPERAND})"), lambda a: Print(_operand(a))),
+    "print": (("print", _OPERAND), lambda a: Print(_operand(a))),
     "br": (
-        re.compile(rf"br (<=|>=|==|!=|<|>) ({_OPERAND}) ({_OPERAND}) -> ({_NAME}), ({_NAME})"),
-        lambda cmp, a, b, then_block, else_block: Branch(
-            cmp, _operand(a), _operand(b), then_block, else_block
-        ),
+        ("br", _COMPARISON, _OPERAND, _OPERAND, "->", _BLOCK_ID, ",", _BLOCK_ID),
+        lambda cmp, a, b, then_id, else_id: Branch(cmp, _operand(a), _operand(b), then_id, else_id),
     ),
-    "jmp": (re.compile(rf"jmp ({_NAME})"), Jump),
-    "ret": (
-        re.compile(rf"ret(?: ({_OPERAND}))?"),
-        lambda a: Return(None if a is None else _operand(a)),
-    ),
-}
-# Assignments, by the word after "= "; any other word starts a binop.
-_ASSIGNMENT_LINES = {
-    "const": (
-        re.compile(rf"({_NAME}) = const (-?[0-9]+)"),
+    "jmp": (("jmp", _BLOCK_ID), Jump),
+    "ret": (("ret", ("optional", _OPERAND)), lambda a: Return(None if a is None else _operand(a))),
+    "= const": (
+        (_DESTINATION, "=", "const", ("integer", _INT_LITERAL)),
         lambda dest, value: Const(dest, _operand(value)),
     ),
-    "input": (re.compile(rf"({_NAME}) = input"), ReadInput),
-    "call": (
-        re.compile(rf"({_NAME}) = call ({_NAME})\({_OPERANDS}\)"),
+    "= input": ((_DESTINATION, "=", "input"), ReadInput),
+    "= call": (
+        (_DESTINATION, "=", "call", _FUNCTION_NAME, ("list", _OPERAND)),
         lambda dest, callee, args: Call(dest, callee, _operands(args)),
     ),
+    "=": (
+        (_DESTINATION, "=", _OPERAND, _OPERATOR, _OPERAND),
+        lambda dest, a, op, b: BinOp(dest, op, _operand(a), _operand(b)),
+    ),
 }
-_BINOP_LINE = (
-    re.compile(rf"({_NAME}) = ({_OPERAND}) ([-+*/%]) ({_OPERAND})"),
-    lambda dest, a, op, b: BinOp(dest, op, _operand(a), _operand(b)),
-)
+
+
+def _canonical_pattern(steps: tuple) -> re.Pattern:
+    """The line of ``steps`` as ``serialize_program`` spaces it: a space
+    before each step but the first, a ':', a ',' and a list."""
+    text = ""
+    for step in steps:
+        if isinstance(step, str):
+            text += ("" if step in ":," else " ") + re.escape(step)
+        elif step[0] == "list":
+            item = f"(?:{step[1][1].pattern})"
+            text += rf"\(((?:{item}(?:, {item})*)?)\)"
+        elif step[0] == "optional":
+            text += f"(?: ({step[1][1].pattern}))?"
+        else:
+            text += f" ({step[1].pattern})"
+    return re.compile(text[1:])
+
+
+# Each kind as (canonical pattern, steps, build). A canonical line is matched
+# whole by its kind's pattern and built without the walk. Each pattern
+# accepts only what the walk accepts, with an equal result: every token ends
+# at a space, a punctuation character or the end of the line, as the
+# tokenizer's tokens do, and the token patterns are the walk's own. A literal
+# out of int32 range raises _NotCanonical, so that the walk reports it.
+_KINDS = {
+    key: (_canonical_pattern(steps), steps, build) for key, (steps, build) in _GRAMMAR.items()
+}
+_BINOP = _KINDS["="]
 
 
 def _parse_canonical(line: str) -> tuple[str, object] | None:
     """(first word, parsed line) for a canonical line, else None."""
     head, _, rest = line.partition(" ")
-    kind = _KEYWORD_LINES.get(head)
-    if kind is None:
-        kind = _ASSIGNMENT_LINES.get(rest[2:].partition(" ")[0], _BINOP_LINE)
-    pattern, build = kind
+    pattern, _, build = _KINDS.get(head) or _KINDS.get("= " + rest[2:].partition(" ")[0], _BINOP)
     match = pattern.fullmatch(line)
     if match is None:
         return None
@@ -618,6 +472,49 @@ def _parse_canonical(line: str) -> tuple[str, object] | None:
         return head, build(*match.groups())
     except _NotCanonical:
         return None
+
+
+def _walk(tokens: list[tuple[str | None, int]], lineno: int) -> object:
+    """The node that a line's ``tokens`` spell, read against its kind's steps
+    one token at a time; the first token that does not fit raises."""
+    after_eq = tokens[2][0] if len(tokens) > 2 else None
+    _, steps, build = _KINDS.get(tokens[0][0]) or _KINDS.get(f"= {after_eq}", _BINOP)
+    pos = 0
+
+    def take(step) -> str:
+        """The next token, which must be the literal ``step`` or fit the
+        ``(label, pattern)`` step."""
+        nonlocal pos
+        tok, col = tokens[pos]
+        literal = isinstance(step, str)
+        what = f"'{step}'" if literal else step[0]
+        if tok is None:
+            raise ParseError(f"expected {what}", lineno, col)
+        if tok != step if literal else not step[1].fullmatch(tok):
+            raise ParseError(f"expected {what}, found {tok!r}", lineno, col)
+        if _INT_LITERAL.fullmatch(tok) and not INT32_MIN <= int(tok) <= INT32_MAX:
+            raise ParseError("integer literal out of int32 range", lineno, col)
+        pos += 1
+        return tok
+
+    groups: list[str | None] = []
+    for step in steps:
+        if isinstance(step, str):
+            take(step)
+        elif step[0] == "list":
+            take("(")
+            items = [] if tokens[pos][0] == ")" else [take(step[1])]
+            while take(_SEPARATOR) == ",":
+                items.append(take(step[1]))
+            groups.append(", ".join(items))
+        elif step[0] == "optional":
+            groups.append(None if tokens[pos][0] is None else take(step[1]))
+        else:
+            groups.append(take(step))
+    tok, col = tokens[pos]
+    if tok is not None:
+        raise ParseError(f"trailing input {tok!r}", lineno, col)
+    return build(*groups)
 
 
 _TERMINATOR_HEADS = frozenset({"br", "jmp", "ret"})
@@ -661,7 +558,7 @@ def _parse_lines(
     cur_instrs: list[Instruction] = []
     cur_term: Terminator | None = None
 
-    def flush_block(lineno: int) -> None:
+    def flush_block() -> None:
         nonlocal cur_block_id, cur_instrs, cur_term
         if cur_block_id is None:
             return
@@ -680,7 +577,7 @@ def _parse_lines(
         nonlocal cur_func, cur_blocks
         if cur_func is None:
             return
-        flush_block(lineno)
+        flush_block()
         if not cur_blocks:
             raise ParseError(f"function '{cur_func}' has no blocks", lineno)
         if cur_func in functions:
@@ -694,12 +591,12 @@ def _parse_lines(
         line = code.strip()
         if not line:
             continue
-        # ``node`` is None where the cursor must parse the line; it does so
-        # after the checks below, so that errors keep the cursor's order.
+        # ``node`` is None where the walk must read the line's tokens; it
+        # does so after the checks below, so that errors keep their order.
         canonical = _parse_canonical(line)
         if canonical is None:
-            cur = _Cursor(line, lineno, len(code) - len(code.lstrip()))
-            head, node = cur.peek(), None
+            tokens = _tokenize(line, lineno, len(code) - len(code.lstrip()))
+            head, node = tokens[0][0], None
         else:
             head, node = canonical
         if head == "program":
@@ -707,19 +604,19 @@ def _parse_lines(
                 raise ParseError("duplicate 'program' header", lineno)
             if functions or cur_func is not None:
                 raise ParseError("'program' header must come first", lineno)
-            program_name = node or _parse_program_header(cur)
+            program_name = node or _walk(tokens, lineno)
             continue
         if program_name is None:
             raise ParseError("expected 'program <name>' header", lineno)
         if head == "func":
             flush_func(lineno)
-            cur_func, cur_params = node or _parse_func_header(cur)
+            cur_func, cur_params = node or _walk(tokens, lineno)
             continue
         if head == "block":
             if cur_func is None:
                 raise ParseError("block outside of a function", lineno)
-            flush_block(lineno)
-            cur_block_id = node or _parse_block_header(cur)
+            flush_block()
+            cur_block_id = node or _walk(tokens, lineno)
             cur_block_line = lineno
             continue
         if cur_func is None or cur_block_id is None:
@@ -727,17 +624,18 @@ def _parse_lines(
         if cur_term is not None:
             raise ParseError("instruction after terminator", lineno)
         if head in _TERMINATOR_HEADS:
-            cur_term = node or _parse_terminator(cur)
+            cur_term = node or _walk(tokens, lineno)
             if source_map is not None:
                 source_map[(cur_func, cur_block_id, -1)] = lineno
         else:
             if source_map is not None:
                 source_map[(cur_func, cur_block_id, len(cur_instrs))] = lineno
-            cur_instrs.append(node or _parse_instruction(cur))
+            cur_instrs.append(node or _walk(tokens, lineno))
 
+    last_line = text.count("\n") + 1
     if program_name is None:
-        raise ParseError("expected 'program <name>' header", max(1, text.count("\n") + 1))
-    flush_func(text.count("\n") + 1)
+        raise ParseError("expected 'program <name>' header", last_line)
+    flush_func(last_line)
     return Program(program_name, functions)
 
 

@@ -463,22 +463,21 @@ def test_parsing_corrupted_text_is_total(program, rng):
 
 
 # ---------------------------------------------------------------------------
-# The canonical fast path against the cursor-only parser it replaced.
+# The grammar's two readings against the cursor-only parser they replaced.
 # ---------------------------------------------------------------------------
 
 
-class _NoCursor:
-    """Stands in for ``ir._Cursor`` where no line may leave the fast path."""
-
-    def __init__(self, line: str, lineno: int):
-        raise AssertionError(f"line {lineno} left the canonical path: {line!r}")
+def _no_walk(line: str, lineno: int, indent: int):
+    """Stands in for ``ir._tokenize``, where the walk starts, in a test
+    whose lines must all match a canonical pattern."""
+    raise AssertionError(f"line {lineno} left the canonical path: {line!r}")
 
 
 @pytest.mark.parametrize("branching, depth", [(2, 8), (3, 6), (2, 9), (4, 5)])
-def test_generated_text_parses_without_the_cursor(branching, depth):
+def test_generated_text_parses_without_the_walk(branching, depth):
     params = GenParams(branching, depth, 0)
     text = serialize_program(generate_program(params))
-    with patch.object(ir, "_Cursor", _NoCursor):
+    with patch.object(ir, "_tokenize", _no_walk):
         program = parse_program(text)
     assert program == generate_program(params)
     assert serialize_program(program) == text
@@ -486,9 +485,9 @@ def test_generated_text_parses_without_the_cursor(branching, depth):
 
 @settings(max_examples=60, deadline=None)
 @given(_programs())
-def test_canonical_text_of_every_line_kind_parses_without_the_cursor(program):
+def test_canonical_text_of_every_line_kind_parses_without_the_walk(program):
     text = serialize_program(program)
-    with patch.object(ir, "_Cursor", _NoCursor):
+    with patch.object(ir, "_tokenize", _no_walk):
         assert parse_program(text) == program
 
 
@@ -657,7 +656,7 @@ def test_mutated_text_parses_as_the_cursor_only_parser_parses_it(text, seed, edi
 _HOST_LINES = [
     "program q", "func f(a, b)", "block c:", "  y = const -5", "  y = input", "  y = x % 7",
     "  y = call f(x, 1)", "  call f(-1, x)", "  print x", "  br <= x 0 -> b, entry",
-    "  jmp b", "  ret x", "  ret",
+    "  jmp b", "  ret x", "  ret", "  call f()", "  y = call f()", "func g()",
 ]
 _VOCABULARY = _KEYWORD_LIST + _ODD_LITERALS + [
     "x", "y", "a", "b", "f", "entry", "x1", "_", "0", "1", "-1",
@@ -685,8 +684,8 @@ def test_every_single_edit_of_a_canonical_line_parses_as_the_cursor_only_parser_
 # The cursor-only parser and the per-block validator as they were before the
 # canonical fast path, kept as the reference for the two tests above. The
 # changes since: a column counts from the start of the source line, and an
-# unexpected character's column is its own, as ``ir._Cursor`` counts them;
-# and a literal's digits are ASCII (``[0-9]``, not ``\d``), as ``ir._Cursor``
+# unexpected character's column is its own, as ``ir``'s walk counts them;
+# and a literal's digits are ASCII (``[0-9]``, not ``\d``), as ``ir``'s walk
 # and the canonical patterns read them.
 
 _REF_TOKEN_RE = re.compile(r"->|<=|>=|==|!=|-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[=(),:+*/%<>-]")
