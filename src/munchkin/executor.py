@@ -100,6 +100,7 @@ class RunResult(_Record):
 # no run hashes a name or looks a block up by name.
 OP_CONST, OP_INPUT, OP_BINOP, OP_PRINT, OP_CALL, OP_BRANCH, OP_JUMP, OP_RETURN = range(8)
 _MASK = MAP_SIZE - 1
+_COMPLETED, _ARITHMETIC_FAULT, _STEP_LIMIT_EXCEEDED = Outcome  # bound once: member reads are slow
 
 # (blocks by location id, entry location id, edge index of the start
 # transition, each function's entry location id in program order)
@@ -191,11 +192,9 @@ def _lower(program: Program) -> Lowered:
 
 
 def lowered_form(program: Program) -> Lowered:
-    """The program's lowered form, built on first use and stored on the program.
-
-    Stored on the (frozen) program object, so it is built once per program
-    and freed with it. The program must be valid, as ``parse_program`` and
-    ``generate_program`` leave it.
+    """The program's lowered form, built on first use and stored on the (frozen)
+    program object as ``_lowered``. The program must be valid, as
+    ``parse_program`` and ``generate_program`` leave it.
     """
     lowered = getattr(program, "_lowered", None)
     if lowered is None:
@@ -214,7 +213,10 @@ def run_concrete(
     """
     if step_limit <= 0:
         raise ValueError("step limit must be positive")
-    codes, entry_id, start_edge, _ = lowered_form(program)
+    try:
+        codes, entry_id, start_edge, _ = program._lowered
+    except AttributeError:
+        codes, entry_id, start_edge, _ = lowered_form(program)
     code = codes[entry_id]
 
     covered = {ENTRY_FUNCTION}
@@ -226,10 +228,10 @@ def run_concrete(
     index = 0
     reads = 0
     steps = 0
-    outcome = Outcome.COMPLETED
+    outcome = _COMPLETED
     while True:
         if steps >= step_limit:
-            outcome = Outcome.STEP_LIMIT_EXCEEDED
+            outcome = _STEP_LIMIT_EXCEEDED
             break
         steps += 1
         instr = code[index]
@@ -277,7 +279,7 @@ def run_concrete(
                     env.get(rhs, 0) if rhs_name else rhs,
                 )
             except ZeroDivisionError:
-                outcome = Outcome.ARITHMETIC_FAULT
+                outcome = _ARITHMETIC_FAULT
                 break
         elif op == OP_CONST:
             env[instr[1]] = instr[2]

@@ -17,18 +17,15 @@ each, are exactly those of drawing through ``randrange``, ``randint`` and
 A run is a pure function of the values it reads (see ``executor``), so an
 input whose consumed prefix (its first ``inputs_read`` values, padded with
 zeros) already ran in this campaign can add no coverage, corpus entry or
-witness. Such an input is not run again: it counts as an execution, and its
-outcome, looked up, is recorded as a fault when the earlier run faulted.
-For the same reason a seed that arrives with the result of its run under
-the campaign's step limit (SF hands over its symex replays) is admitted
-from that result, exactly as if the campaign had run it.
+witness. Such an input is not run again: the loop looks its prefix up
+inline, it counts as an execution, and it is recorded as a fault when the
+earlier run faulted. For the same reason a seed that arrives with the
+result of its run under the campaign's step limit (SF hands over its symex
+replays) is admitted from that result, exactly as if the campaign had run it.
 
-The campaign keeps its cumulative function and edge-bit sets as mutable
-sets, updated in place when an execution adds to them, and builds the
-result's ``CoverageMap`` once at the end.
-
-A campaign's test suite is its corpus plus the first witness of each
-covered function that the corpus lacks.
+The campaign updates its function and edge-bit sets in place and builds the
+result's ``CoverageMap`` once at the end. Its test suite is its corpus plus
+the first witness of each covered function that the corpus lacks.
 
 ``fuzz_campaign`` runs with the cyclic collector paused
 (``ir._collector_paused``): it makes no reference cycles, since corpus
@@ -48,19 +45,14 @@ from .executor import (
     InputVector,
     Outcome,
     RunResult,
+    _COMPLETED,
     run_concrete,
 )
 
 
-def _interesting_values() -> tuple[int, ...]:
-    values = {0, 1, -1, INT32_MIN, INT32_MAX}
-    for k in range(1, 31):
-        values.add((1 << k) - 1)
-        values.add((1 << k) + 1)
-    return tuple(sorted(values))
-
-
-INTERESTING = _interesting_values()
+INTERESTING = tuple(sorted(
+    {0, 1, -1, INT32_MIN, INT32_MAX} | {(1 << k) + d for k in range(1, 31) for d in (-1, 1)}
+))
 MAX_INPUT_LENGTH = 64
 HAVOC_STACKING = 4
 
@@ -114,25 +106,26 @@ def mutate(
 ) -> InputVector:
     """Apply 1..HAVOC_STACKING stacked mutations; ``trace`` collects op names.
 
-    Every draw below ``n`` takes ``n.bit_length()`` bits from
-    ``rng.getrandbits`` and draws again while the value is ``>= n``, the rule
-    ``random.Random`` follows for ``randrange(n)``, ``randint`` and
-    ``choice``; the draws come in the order those calls made them.
+    A draw below ``n`` takes ``n.bit_length()`` bits from ``rng.getrandbits``
+    and draws again while the value is ``>= n``, as ``randrange(n)``,
+    ``randint`` and ``choice`` do, in the order those calls made them.
     """
     getrandbits = rng.getrandbits
     out = list(values)
     n = len(out)
     stacked = getrandbits(3)  # randint(1, HAVOC_STACKING) - 1
-    while stacked >= HAVOC_STACKING:
+    while stacked >= 4:
         stacked = getrandbits(3)
-    for _ in range(stacked + 1):
+    # 64 is MAX_INPUT_LENGTH; ``ir.wrap32(v)`` is ``(v + 0x80000000 & 0xFFFFFFFF) - 0x80000000``.
+    while stacked >= 0:
+        stacked -= 1
         op = getrandbits(3)  # randrange(len(MUTATION_OPS))
         while op >= 6:
             op = getrandbits(3)
         if trace is not None:
             trace.append(MUTATION_OPS[op])
         if op == 4:  # insert: a position in 0..n, then any int32 value
-            if n >= MAX_INPUT_LENGTH:
+            if n >= 64:
                 continue
             k = (n + 1).bit_length()
             idx = getrandbits(k)
@@ -141,10 +134,10 @@ def mutate(
             value = getrandbits(33)
             while value >= 1 << 32:
                 value = getrandbits(33)
-            out.insert(idx, value + INT32_MIN)
+            out.insert(idx, value - 0x80000000)
             n += 1
             continue
-        if not n or op == 3 and n >= MAX_INPUT_LENGTH:
+        if not n or op == 3 and n >= 64:
             continue
         if op == 2:  # interesting: the table value is drawn before the index
             value = getrandbits(_INTERESTING_BITS)
@@ -154,21 +147,18 @@ def mutate(
         idx = getrandbits(k)
         while idx >= n:
             idx = getrandbits(k)
-        # ``ir.wrap32`` inlined: ``((v - INT32_MIN) & 0xFFFFFFFF) + INT32_MIN``.
         if op == 0:  # bitflip
             bit = getrandbits(6)
             while bit >= 32:
                 bit = getrandbits(6)
             flipped = (out[idx] & 0xFFFFFFFF) ^ (1 << bit)
-            out[idx] = (flipped - INT32_MIN & 0xFFFFFFFF) + INT32_MIN
-        elif op == 1:  # delta: 1..35, negated when random() < 0.5
+            out[idx] = (flipped + 0x80000000 & 0xFFFFFFFF) - 0x80000000
+        elif op == 1:  # delta: 1 + d for d in 0..34, negated (~d) when random() < 0.5
             delta = getrandbits(6)
             while delta >= 35:
                 delta = getrandbits(6)
-            delta += 1
-            if rng.random() < 0.5:
-                delta = -delta
-            out[idx] = (out[idx] + delta - INT32_MIN & 0xFFFFFFFF) + INT32_MIN
+            out[idx] = (out[idx] + (~delta if rng.random() < 0.5 else delta + 1)
+                        + 0x80000000 & 0xFFFFFFFF) - 0x80000000
         elif op == 2:
             out[idx] = INTERESTING[value]
         elif op == 3:  # duplicate
@@ -212,17 +202,6 @@ def fuzz_campaign(
     outcomes: dict[InputVector, Outcome] = {}
     lengths: list[int] = []
 
-    def ran(values: InputVector) -> bool:
-        """Whether the input's consumed prefix ran; if that faulted, so did this."""
-        size = len(values)
-        for n in lengths:
-            outcome = outcomes.get(values[:n] if size >= n else values + (0,) * (n - size))
-            if outcome is not None:
-                if outcome is not Outcome.COMPLETED:
-                    faults.append((values, outcome))
-                return True
-        return False
-
     def admit(values: InputVector, iteration: int, result: RunResult) -> None:
         n = result.inputs_read
         if n not in lengths:
@@ -233,24 +212,37 @@ def fuzz_campaign(
             for fn in sorted(coverage.functions - functions):
                 witnesses[fn] = values
             functions.update(coverage.functions)
-        if result.outcome is not Outcome.COMPLETED:
+        if result.outcome is not _COMPLETED:
             faults.append((values, result.outcome))
         if not coverage.edge_bits <= edge_bits:
             corpus.append(CorpusEntry(values, coverage, iteration))
             edge_bits.update(coverage.edge_bits)
 
-    step_limit = config.step_limit
+    # An input whose consumed prefix ran is looked up, and faults if that run did.
+    step_limit, get, completed = config.step_limit, outcomes.get, _COMPLETED
     for iteration, (seed, run) in enumerate(zip(seed_list, seed_runs or [None] * len(seed_list))):
-        if not ran(seed):
-            if run is None:
-                run = run_concrete(program, seed, step_limit)
-            admit(seed, iteration, run)
+        size = len(seed)
+        for n in lengths:
+            outcome = get(seed[:n] if size >= n else seed + (0,) * (n - size))
+            if outcome is not None:
+                if outcome is not completed:
+                    faults.append((seed, outcome))
+                break
+        else:
+            admit(seed, iteration, run_concrete(program, seed, step_limit) if run is None else run)
 
     # The first seed always enters the corpus: the virtual start edge sets a
     # bit and the cumulative map begins empty.
     for round_num in range(config.budget):
         mutant = mutate(corpus[round_num % len(corpus)].values, rng)
-        if not ran(mutant):
+        size = len(mutant)
+        for n in lengths:
+            outcome = get(mutant[:n] if size >= n else mutant + (0,) * (n - size))
+            if outcome is not None:
+                if outcome is not completed:
+                    faults.append((mutant, outcome))
+                break
+        else:
             admit(mutant, len(seed_list) + round_num, run_concrete(program, mutant, step_limit))
 
     # Every input counts as an execution, run or looked up.

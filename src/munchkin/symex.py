@@ -156,11 +156,11 @@ class SonarFrontier:
 
 class _RandomFrontier:
     """Baseline's frontier: a seeded-uniform pick among the handles, kept in
-    admission order."""
+    admission order, drawn as ``rng.randrange(len(handles))`` draws it."""
 
     def __init__(self, rng: random.Random) -> None:
         self._handles: list[tuple] = []
-        self._rng = rng
+        self._getrandbits = rng.getrandbits
 
     def __bool__(self) -> bool:
         return bool(self._handles)
@@ -169,7 +169,13 @@ class _RandomFrontier:
         self._handles.append(handle)
 
     def pop(self) -> tuple:
-        return self._handles.pop(self._rng.randrange(len(self._handles)))
+        n = len(self._handles)
+        if not n:
+            raise ValueError("empty frontier")
+        i = self._getrandbits(n.bit_length())
+        while i >= n:
+            i = self._getrandbits(n.bit_length())
+        return self._handles.pop(i)
 
 
 def run_slice(

@@ -377,6 +377,51 @@ class TestConsumedPrefixes:
         ]
 
 
+class TestBenchHooks:
+    """``bench/spans.py`` times a campaign's mutations and runs by rebinding
+    ``fuzzer.mutate`` and ``fuzzer.run_concrete`` (the ``fuzzer.mutate`` and
+    ``executor.run_concrete.fuzz`` spans), so the campaign must call both
+    through those module globals: once per mutant, once per run."""
+
+    _cases = {
+        "b2d5": lambda: generate_program(GenParams(2, 5)),
+        "read-until-zero": lambda: parse_program(_PREFIX_PROGRAMS["read-until-zero"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_cases))
+    @pytest.mark.parametrize("rng_seed", [0, 7])
+    def test_mutate_is_called_once_per_mutant(self, monkeypatch, name, rng_seed):
+        calls = []
+
+        def spy(values, rng, trace=None):
+            calls.append(values)
+            return mutate(values, rng, trace)
+
+        monkeypatch.setattr(fuzzer, "mutate", spy)
+        program = self._cases[name]()
+        result = fuzz_campaign(program, [(0,), (3, 1)], FuzzConfig(rng_seed, budget=700))
+        assert len(calls) == 700
+        assert result.executions == 702
+
+    @pytest.mark.parametrize("name", sorted(_cases))
+    @pytest.mark.parametrize("rng_seed", [0, 7])
+    def test_run_concrete_is_called_once_per_distinct_consumed_prefix(self, name, rng_seed):
+        program = self._cases[name]()
+        config = FuzzConfig(rng_seed, budget=700)
+        with _fuzzer_runs() as runs:
+            fuzz_campaign(program, [(0,), (3, 1)], config)
+        prefixes = {_consumed_prefix(args[1], run_concrete(*args).inputs_read) for args in runs}
+        assert len(prefixes) == len(runs)
+        _, evaluated = _reference_fuzz_campaign(program, [(0,), (3, 1)], config)
+        assert prefixes == {_consumed_prefix(v, n) for v, n in evaluated}
+        # Over a hundred inputs are looked up, and the hand program's runs
+        # read several different numbers of values (a lookup tries more than
+        # one length).
+        assert len(runs) < 600
+        if name == "read-until-zero":
+            assert len({run_concrete(*args).inputs_read for args in runs}) > 2
+
+
 def _single_op_mutants(values, name, seeds=3000):
     """Mutants of ``values`` whose trace is ``[name]`` alone, one per seed."""
     mutants = []

@@ -105,6 +105,18 @@ class TestSelectNextState:
         assert picks_a == picks_b
         assert sorted(picks_a) == [0, 1, 2, 3, 4]  # a pick leaves the frontier
 
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 13])
+    def test_baseline_picks_as_randrange_does(self, chain_program, seed, size):
+        # Handles pop, and the RNG ends, as with ``list.pop(rng.randrange(len))``.
+        states = self._states(chain_program, size)
+        rng = random.Random(seed)
+        frontier = self._fill(_RandomFrontier(rng), states)
+        reference, expected = random.Random(seed), list(range(size))
+        order = [expected.pop(reference.randrange(len(expected))) for _ in range(size)]
+        assert [seq for _, _, seq in self._drain(frontier)] == order
+        assert rng.getstate() == reference.getstate()
+
     def test_sonar_ranks_handles_that_cannot_reach_the_target_last(self, chain_program):
         # No location of g reaches f's entry: g returns to the point after
         # f's call. Those handles wait in the side list until no handle
@@ -122,7 +134,7 @@ class TestSelectNextState:
         assert _picks_are(picks, [near, far[1], later_near, later_far, far[0]])
 
     def test_empty_frontier_rejected(self, chain_program):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty frontier"):
             _RandomFrontier(random.Random(0)).pop()
         with pytest.raises(ValueError, match="empty frontier"):
             self._sonar(chain_program, "g", []).pop()
