@@ -11,13 +11,14 @@ runs share one solver, whose trie keeps every result, mirroring what a
 single long symbolic-execution run gets for free, and the program's
 ``ProgramIndex``, which is built once per program and shared by every
 campaign on it.
-``run_fs`` also creates a slice memo and hands it to every targeted run
-beside the solver; the memo dies when ``run_fs`` returns, and SF and the
-symex baseline run without one. How a targeted run ranks its handles by
-its target's hop map, and how it builds frames or replays a memoised
-slice, is told in ``symex``. The next target is found by a scan of
-``ProgramIndex.by_depth`` from a cursor past every function already
-covered or given up on.
+``run_fs`` also creates one pool of unexplored handles and hands it to
+every targeted run beside the solver: the first run starts at ``main``,
+and each later one takes from the pool the handles that can reach its
+target and gives back what it did not pop. The pool dies when ``run_fs``
+returns, and SF and the symex baseline run without one. How a targeted run
+ranks its handles by its target's hop map is told in ``symex``. The next
+target is found by a scan of ``ProgramIndex.by_depth`` from a cursor past
+every function already covered or given up on.
 Each targeted run reads the live set of covered functions in place, as
 ``already_covered``, and ``run_fs`` adds the run's coverage to it after.
 
@@ -39,8 +40,8 @@ alike.
 
 Each runner, like ``fuzz_campaign`` and ``symex_campaign``, runs with the
 cyclic collector paused (``ir._collector_paused``): it adds no reference
-cycles to its campaigns', since its covered sets, reports and slice memo
-point at nothing that points back.
+cycles to its campaigns', since its covered sets, reports and pool point
+at nothing that points back.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
 
     index = index_program(program)
     solver = Solver()
-    slices: dict = {}  # the slice memo, valid with this solver only
+    pool: dict = {}  # handles that no targeted run popped, valid with this solver only
     limits = SymexLimits(cfg.per_target_state_budget, cfg.per_target_query_budget)
     failed: set[str] = set()
     # The first function of ``by_depth`` in neither set; both sets only grow.
@@ -156,7 +157,7 @@ def run_fs(program: Program, cfg: HybridConfig) -> CampaignReport:
             target=target,
             rng_seed=cfg.rng_seed,
             solver=solver,
-            slices=slices,
+            pool=pool,
             already_covered=functions,
             replay_step_limit=cfg.step_limit,
         )

@@ -17,9 +17,10 @@ tuples). Propagation reasons in exact integer arithmetic, so paths that
 are feasible only through int32 wrap-around may be pruned; every model it
 does return is verified against wrap-around semantics by evaluation.
 
-Path conditions are nodes of a per-solver trie: ``solver.extend(pc, c)``
-returns the node for ``c`` on top of ``pc``, made on first use, so a path
-walked again (each FS sonar run walks down from ``main``) reuses its nodes.
+Path conditions are nodes of a per-solver trie: ``solver.branch(pc, ...)``
+returns the nodes for a branch's constraint and its negation on top of
+``pc``, made on first use, so a path walked again (an FS slice cut short at
+its target runs again) reuses its nodes.
 Nodes point only up; the solver's child table points down. A node keeps
 its propagated domains, reached in one of two ways:
 
@@ -211,8 +212,9 @@ def _cannot_wrap(side: LinExpr) -> bool:
 
 class Constraint(_Record):
     # The solver's child table hashes two new constraints at every fork,
-    # and compares one with an equal one only where a path is walked again
-    # without a slice memo (no generated-tree campaign does). ``_hash`` and
+    # and compares one with an equal one only where a path is walked again:
+    # an FS slice cut short at its target runs again, and branches before
+    # that target's entry (no generated-tree slice does). ``_hash`` and
     # ``_normal`` memoise ``hash(self)`` (the record's hash, of the field
     # tuple) and ``normal``; they start as None and are not fields, so copies
     # and pickles recompute them (string hashes differ between processes).
@@ -361,7 +363,7 @@ def _check_all(checks: Sequence[tuple], model: Sequence[int]) -> bool:
 class PathCondition:
     """A path condition: one constraint on top of its parent's.
 
-    Nodes are created only by ``Solver.extend``, which interns them in a
+    Nodes are created only by ``Solver.branch``, which interns them in a
     trie rooted at ``Solver.root``, so a path walked again reuses its nodes
     and the fixpoints they hold. A node points only up, to its parent; the
     solver's child table is the only way down. ``fixpoint`` is what
@@ -652,7 +654,7 @@ class Solver:
     whose nodes keep their results.
 
     The solver owns the trie: ``root`` is the empty path condition, and
-    ``extend`` creates every other node, keyed in one table by its parent
+    ``branch`` creates every other node, keyed in one table by its parent
     and its constraint. A node's result answers only that node's later
     solves with the same ``num_vars``; cache hits are not charged as queries.
     """
@@ -661,14 +663,6 @@ class Solver:
         self.stats = SolverStats()
         self.root = PathCondition(None, None, _TRUE)
         self._children: dict[tuple[PathCondition, Constraint], PathCondition] = {}
-
-    def extend(self, pc: PathCondition, c: Constraint) -> PathCondition:
-        """``pc`` with ``c`` on top: the trie's node, created on first use."""
-        edge = (pc, c)
-        child = self._children.get(edge)
-        if child is None:
-            child = self._children[edge] = PathCondition(c, pc)
-        return child
 
     def branch(
         self, pc: PathCondition, cmp: str, lhs: SymValue, rhs: SymValue

@@ -24,28 +24,22 @@ its own solver unless the caller passes one; FS shares one across all its
 targeted runs.
 
 A popped handle runs one slice: up to its next two-way fork, or to the end
-of its path. With one solver, and so one trie, the side's node fixes the
-slice, since the program and the solver's answers are deterministic. A
-caller that shares a solver across campaigns may also pass a slice memo,
-a dict that it creates and owns, keyed by node. FS passes one, alive only
-during ``run_fs``; symbolic execution alone and SF pass none and record
-nothing. The first run of a node's slice stores its branch solves, its
-function entries with their nodes, and its fork: the forking frames and
-each side's node, with the counters. A later pop of the node builds no
-frames and replays those. It asks each solve again, which the result kept
-on the solved node answers, and passes each entry to the emission logic,
-which reads the live covered set and may end the campaign there. (Charging
-a replayed solve as a cache hit without asking would be cheaper, but
-``bench/run.py``'s traced check counts every cache hit as a
-``Solver.solve`` call.) It then pushes the fork's handles with fresh
-``seq`` numbers, in order. So results, queries and cache hits are those of
-running the slice afresh. A slice cut short by reaching the target is not
-stored.
+of its path. A caller that shares a solver across sonar runs may also pass
+a pool, a dict that it creates and owns, of handles that no run popped,
+keyed by their sides' location ids. FS passes one, alive only during
+``run_fs``; symbolic execution alone and SF pass none. Only a run given a
+new, empty pool pushes the entry's handle. Every later run pushes the pooled
+handles at the locations in its target's hop map, and none else: the
+others cannot reach its target, and a run left with nothing ends at once.
+On return a run pools every handle it did not pop, and the handle whose
+slice it cut short by reaching its target. A pooled handle keeps its
+``seq``, and the pool keeps the last one handed out under the key None, so
+admission order stays unique while the pool lives.
 
 Callers' stores are shared between states and copied on their first write
 after a return. Of a fork's successors, the last to run takes over its
-callers and running store, and the others copy them; with a memo, which
-keeps the fork, every fresh run copies.
+callers and running store, and the others copy them; under a pool, where a
+cut slice runs again, every successor copies.
 
 A test case is emitted whenever a state enters a function that neither
 ``already_covered`` (a set or frozenset is read in place, never written)
@@ -110,7 +104,7 @@ class Strategy(Enum):
 def _resume(fork: list, kept: bool) -> tuple[list, dict]:
     """The callers and running store that a successor of ``fork`` starts
     from: the fork's last successor to run takes over its own, and the
-    others copy them, as does every successor of a fork ``kept`` by a memo."""
+    others copy them, as does every successor of a fork ``kept`` by a pool."""
     fork[7] -= 1
     if fork[7] or kept:
         return fork[0][:], dict(fork[1])
@@ -142,6 +136,10 @@ class SonarFrontier:
             self._stranded.append(handle)
         else:
             heappush(self._heap, (hops, fork[5], seq, handle))
+
+    def handles(self) -> list[tuple]:
+        """The handles not yet popped, in no particular order."""
+        return [entry[3] for entry in self._heap] + self._stranded
 
     def pop(self) -> tuple:
         heap = self._heap
@@ -180,7 +178,7 @@ class _RandomFrontier:
 
 def run_slice(
     fork: list, side: int, solver: Solver, max_inputs: int,
-    on_entry: Callable[[str, PathCondition, int], None], events: list | None = None,
+    on_entry: Callable[[str, PathCondition, int], None], kept: bool = False,
 ) -> list | None:
     """Run the successor of ``fork`` on ``side`` up to its next two-way
     fork and return that fork, or None where its path ends.
@@ -196,13 +194,12 @@ def run_slice(
     fork is ``[callers, store, ret_dest, sides, inputs_read,
     queries_charged, steps, waiting]``, with each side's ``(node, block,
     location id)`` and the successors' counters (``waiting``: see
-    ``_resume``). ``events``, when given, marks ``fork`` as kept by a slice
-    memo and receives each branch solve as ``(None, node, inputs_read)``
-    and each function entry as ``(function, node, inputs_read)``, in order.
+    ``_resume``). ``kept`` marks ``fork`` as kept by a pool, so this slice
+    copies its callers and store.
 
     A store is ``owned`` until a return makes it a shared caller's.
     """
-    frames, store = _resume(fork, events is not None)
+    frames, store = _resume(fork, kept)
     _, _, ret_dest, _, inputs_read, queries, steps, _ = fork
     pc, code, loc = fork[3][side]
     index, owned = 0, True
@@ -232,8 +229,6 @@ def run_slice(
 
             feasible = []
             for succ in ((nodes[0], then, then_id), (nodes[1], other, other_id)):
-                if events is not None:
-                    events.append((None, succ[0], inputs_read))
                 if solver.solve(succ[0], inputs_read).status != UNSAT:
                     feasible.append(succ)
             if not feasible:
@@ -253,8 +248,6 @@ def run_slice(
             for param, arg, name in args:
                 store[param] = caller_store.get(arg, zero) if name else lin_const(arg)
             code, index, loc, ret_dest = entry, 0, callee_id, dest
-            if events is not None:
-                events.append((callee, pc, inputs_read))
             on_entry(callee, pc, inputs_read)
         elif op == OP_RETURN:
             if not frames:
@@ -330,7 +323,7 @@ def symex_campaign(
     *,
     rng_seed: int = 0,
     solver: Solver | None = None,
-    slices: dict | None = None,
+    pool: dict | None = None,
     already_covered: Iterable[str] = (),
     replay_step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> SymResult:
@@ -338,12 +331,13 @@ def symex_campaign(
 
     ``already_covered`` suppresses test emission for functions some earlier
     phase has witnessed; the reported coverage contains only what this
-    campaign's replays entered. ``slices`` is a slice memo (see the module
-    docstring), valid only with the one ``solver`` it was filled with and
-    for one program and ``max_inputs``. With a target, under either search,
-    the campaign stops as soon as the target is entered and a test case for
-    it was produced; sonar search requires one, and baseline search only
-    stops there.
+    campaign's replays entered. ``pool`` holds the handles that earlier sonar
+    runs left unpopped (see the module docstring); it is valid only with the
+    one ``solver`` they ran with, for one program and ``max_inputs``, and
+    only a new, empty one starts at the entry. With a target, under either
+    search, the campaign stops as soon as the target is entered and a test
+    case for it was produced; sonar search requires one, and baseline search
+    only stops there.
     Limit checks run between state slices. A slice charges two queries at
     every symbolic branch up to its next two-way fork, and one for each test
     it emits, so a tight query budget can be overshot by far more than one
@@ -358,6 +352,8 @@ def symex_campaign(
         raise ValueError("sonar search requires a target")
     if target is not None and target not in program.functions:
         raise ValueError(f"unknown target '{target}'")
+    if pool is not None and search is not Strategy.SONAR:
+        raise ValueError("a pool requires sonar search")
 
     solver = solver if solver is not None else Solver()
     stats_start = solver.stats.copy()
@@ -395,18 +391,26 @@ def symex_campaign(
         elif function not in covered and function not in functions:
             emit(pc, inputs_read)
 
-    codes, entry_id, _, _ = lowered_form(program)
     if search is Strategy.SONAR:
-        frontier: SonarFrontier | _RandomFrontier = SonarFrontier(index.distances(target))
+        hops = index.distances(target)
+        frontier: SonarFrontier | _RandomFrontier = SonarFrontier(hops)
     else:
         frontier = _RandomFrontier(random.Random(rng_seed))
-    # The entry's handle: a fork of one side that nothing ran to.
-    frontier.push(([[], {}, None, [(solver.root, codes[entry_id], entry_id)], 0, 0, 0, 1], 0, 0))
-    seq = 0
+    kept = pool is not None
+    seq = pool.get(None) if kept else None
     states_explored = 0
 
     try:
-        on_entry(ENTRY_FUNCTION, solver.root, 0)
+        if seq is None:
+            # The entry's handle: a fork of one side that nothing ran to.
+            codes, entry_id, _, _ = lowered_form(program)
+            seq = 0
+            frontier.push(([[], {}, None, [(solver.root, codes[entry_id], entry_id)], 0, 0, 0, 1], 0, 0))
+            on_entry(ENTRY_FUNCTION, solver.root, 0)
+        else:
+            for loc in hops:
+                for handle in pool.pop(loc, ()):
+                    frontier.push(handle)
         while frontier:
             if states_explored >= limits.max_states:
                 break
@@ -416,32 +420,23 @@ def symex_campaign(
                 uncovered = len(depths.keys() - functions - covered)
                 if not uncovered:
                     break
-            fork, side, _ = frontier.pop()
+            fork, side, popped = frontier.pop()
             states_explored += 1
-            if slices is None:
-                fork = run_slice(fork, side, solver, max_inputs, on_entry)
-            else:
-                node = fork[3][side][0]
-                done = slices.get(node)  # (events, fork) of its first run
-                if done is None:
-                    events = []
-                    fork = run_slice(fork, side, solver, max_inputs, on_entry, events)
-                    slices[node] = (events, fork)
-                else:
-                    # A fresh run would make the same events: its solves
-                    # are cache hits, and its entries emit as these do.
-                    for function, pc, inputs_read in done[0]:
-                        if function is None:
-                            solver.solve(pc, inputs_read)
-                        else:
-                            on_entry(function, pc, inputs_read)
-                    fork = done[1]
+            fork = run_slice(fork, side, solver, max_inputs, on_entry, kept)
             if fork is not None:
                 for side in range(len(fork[3])):
                     seq += 1
                     frontier.push((fork, side, seq))
     except _TargetReached:
         target_reached = True
+
+    if kept:
+        unpopped = frontier.handles()
+        if target_reached and states_explored:  # the last popped slice was cut
+            unpopped.append((fork, side, popped))
+        for handle in unpopped:
+            pool.setdefault(handle[0][3][handle[1]][2], []).append(handle)
+        pool[None] = seq
 
     return SymResult(
         test_cases,

@@ -4,6 +4,7 @@ import pytest
 
 from munchkin.executor import MAP_SIZE
 from munchkin.ir import parse_program
+from munchkin.solver import PathCondition
 
 
 # The location that precedes a run's entry block.
@@ -45,6 +46,17 @@ def apply_cmp(cmp, lhs, rhs):
     if cmp == ">":
         return lhs > rhs
     raise ValueError(f"unknown comparison {cmp!r}")
+
+
+def extend(solver, pc, c):
+    """``pc`` with ``c`` on top: the node of ``solver``'s trie, made on first
+    use and kept in its child table as ``Solver.branch`` keeps the nodes it
+    makes, so tests can build any path without a branch."""
+    children = solver._children
+    child = children.get((pc, c))
+    if child is None:
+        child = children[pc, c] = PathCondition(c, pc)
+    return child
 
 
 def block_locations(program):

@@ -103,17 +103,17 @@ class TestFS:
         callgraph.index_program(generate_program(GenParams(2, 3)))
         assert len(builds) == 2  # an equal but distinct program gets its own
 
-    def test_sonar_settles_ancestors_and_fresh_slices_are_few(self, monkeypatch):
+    def test_sonar_settles_ancestors_and_pops_only_unexplored_handles(self, monkeypatch):
         # The bench's fs-b2d8 campaign at seed 0: 241 targets over 1,025
         # blocks. With return edges into call-site blocks, each target's BFS
         # walked its subtree and settled 56,105 locations in all; from
-        # after-call points it settles the target's ancestors. Every one of
-        # the 2,443 popped states ran its slice then; now a slice runs afresh
-        # once per node, and again only where reaching a target cut it short.
-        # A handle's frames are built only when its slice runs afresh: of the
-        # 4,645 handles pushed, 495 build any. The 2,202 handles at locations
-        # that cannot reach their target wait in the frontier's side list,
-        # and every run reaches its target or ends before one is popped.
+        # after-call points it settles the target's ancestors. When every
+        # targeted run restarted at ``main`` it popped 2,443 states, and
+        # 1,948 of them replayed a memoised slice; their solves made 3,896 of
+        # its 4,645 ``Solver.solve`` calls. With one pool across targets a
+        # run pops only handles that no earlier run popped, and the slices
+        # cut short at their targets again: 495 pops, and one cache hit per
+        # target, each target's emission asking its fork's solved node again.
         program = generate_program(GenParams(2, 8, 0))
         fields = {}
         distances = callgraph.ProgramIndex.distances
@@ -123,17 +123,18 @@ class TestFS:
             fields[target] = distances(index, target)
             return fields[target]
 
-        memos, pops = [], []
+        pools, pops = [], []
         campaign = orchestrator.symex_campaign
 
-        def recording_campaign(*args, slices, **kwargs):
-            memos.append(slices)
-            result = campaign(*args, slices=slices, **kwargs)
+        def recording_campaign(*args, pool, **kwargs):
+            pools.append(pool)
+            result = campaign(*args, pool=pool, **kwargs)
             pops.append(result.states_explored)
+            assert result.target_reached
             return result
 
-        pushes, stranded, popped, resumed = [0], [0], [], []
-        push, pop, resume = symex.SonarFrontier.push, symex.SonarFrontier.pop, symex._resume
+        pushes, stranded, popped, solves = [0], [0], [], [0]
+        push, pop, solve = symex.SonarFrontier.push, symex.SonarFrontier.pop, symex.Solver.solve
 
         def counting_push(frontier, handle):
             pushes[0] += 1
@@ -144,30 +145,37 @@ class TestFS:
         def noting_pop(frontier):
             fork, side, seq = handle = pop(frontier)
             assert fork[3][side][2] in frontier._hops  # it can reach the target
-            popped.append(fork[3][side][0] not in memos[-1])  # runs afresh
+            popped.append(seq)
             return handle
 
-        def noting_resume(fork, kept):
-            resumed.append(len(popped) - 1)  # the pop whose frames these are
-            return resume(fork, kept)
+        def counting_solve(solver, pc, num_vars):
+            solves[0] += 1
+            return solve(solver, pc, num_vars)
 
         monkeypatch.setattr(callgraph.ProgramIndex, "distances", recording_distances)
         monkeypatch.setattr(orchestrator, "symex_campaign", recording_campaign)
         monkeypatch.setattr(symex.SonarFrontier, "push", counting_push)
         monkeypatch.setattr(symex.SonarFrontier, "pop", noting_pop)
-        monkeypatch.setattr(symex, "_resume", noting_resume)
-        run_fs(program, HybridConfig(fuzz_budget=96, rng_seed=0))
+        monkeypatch.setattr(symex.Solver, "solve", counting_solve)
+        report = run_fs(program, HybridConfig(fuzz_budget=96, rng_seed=0))
         settled = sum(len(hops) for hops in fields.values())
         assert len(fields) == 241
         assert settled == 4_404
-        assert all(memo is memos[0] for memo in memos)  # one memo per campaign
-        assert pushes[0] == 4_645
-        assert stranded[0] == 2_202
-        assert sum(pops) == len(popped) == 2_443
-        assert sum(popped) == 495
-        assert 3 * (len(memos[0]) + len(fields)) <= sum(pops)
-        # Frames are built once for each fresh pop, and for no replayed one.
-        assert resumed == [n for n, fresh in enumerate(popped) if fresh]
+        assert all(pool is pools[0] for pool in pools)  # one pool per campaign
+        # Pooled handles keep their ``seq``: 379 handles were popped, and 116
+        # of them again, each a slice that reaching a target cut short.
+        assert sum(pops) == len(popped) == 495
+        assert len(set(popped)) == 379
+        stats = report.solver_stats
+        assert (solves[0], stats.queries, stats.cache_hits) == (749, 508, 241)
+        # Pushes count the pooled handles that each run takes back; 255
+        # handles are left in the pool when the last target is reached. The
+        # 254 handles at locations that cannot reach their target wait in
+        # the frontier's side list, and every run reaches its target before
+        # one is popped.
+        assert pushes[0] == 749
+        assert stranded[0] == 254
+        assert sum(len(handles) for loc, handles in pools[0].items() if loc is not None) == 255
 
     def test_no_hop_map_outlives_the_campaign_in_the_index(self):
         # Each targeted run owns the hop map it asked for: FS leaves the
@@ -181,15 +189,27 @@ class TestFS:
         assert index.distances("n_0_0") == first
         assert index.distances("n_0_0") is not first
 
-    def test_no_slice_memo_outlives_run_fs(self):
-        # A slice memo is a dict keyed by path-condition nodes.
+    def test_no_pooled_handle_or_path_condition_outlives_run_fs(self, monkeypatch):
+        # A pooled handle's fork holds its sides' path-condition nodes, and
+        # every node is the shared solver's, so none may outlive ``run_fs``.
         program = generate_program(GenParams(2, 8, 0))
+        campaign = orchestrator.symex_campaign
+        pooled = []
+
+        def counting_campaign(*args, pool, **kwargs):
+            result = campaign(*args, pool=pool, **kwargs)
+            pooled.append(sum(len(handles) for loc, handles in pool.items() if loc is not None))
+            return result
+
+        def live_nodes():
+            gc.collect()
+            return sum(isinstance(o, symex.PathCondition) for o in gc.get_objects())
+
+        before = live_nodes()
+        monkeypatch.setattr(orchestrator, "symex_campaign", counting_campaign)
         run_fs(program, HybridConfig(fuzz_budget=96, rng_seed=0))
-        gc.collect()
-        assert not [
-            o for o in gc.get_objects()
-            if isinstance(o, dict) and any(isinstance(k, symex.PathCondition) for k in o)
-        ]
+        assert pooled[-1] > 0  # handles were pooled when the last run ended
+        assert live_nodes() == before
 
     def test_mode_and_budget_validation(self):
         program = generate_program(GenParams(2, 1))
@@ -391,7 +411,8 @@ class TestBaselines:
 
 # FS covers main, f and k by fuzzing, then targets g and h. The slice from
 # ``low`` solves a one-sided branch, enters f, solves another and forks; the
-# run aimed at g records it, and the run aimed at h replays it.
+# run aimed at g runs it, and the run aimed at h starts from the handles
+# that it pooled, or runs it again after a restart at ``main``.
 SOLVES_AROUND_ENTRY_TEXT = """\
 program replays
 
@@ -458,12 +479,14 @@ class TestDeterminism:
 
     # sha256 of the report bytes with duration 0, pinned from the code as it
     # was before the per-program index replaced per-target analysis. A
-    # change here means FS or SF output changed.
+    # change here means FS or SF output changed. FS's was re-recorded when
+    # one pool of unexplored handles replaced restarts at ``main``: only
+    # its ``cache_hits`` moved, 318 -> 26.
     @pytest.mark.parametrize("runner, cfg, digest", [
         (
             run_fs,
             HybridConfig(fuzz_budget=64, rng_seed=0),
-            "b05736dc4db640b6680324a555b4c2166b741b356128410e24e4c11d826a239d",
+            "19dbb05102c1836559ca81f1880a56cfa61c31441323ffa658ab392ce8017e15",
         ),
         (
             run_sf,
@@ -476,32 +499,31 @@ class TestDeterminism:
         report = dataclasses.replace(runner(program, cfg), duration=0.0)
         assert hashlib.sha256(campaign_json_bytes(report)).hexdigest() == digest
 
-    # b3d4 trees; the opcode program, where replayed slices enter
-    # functions whose emission fails (opaque paths) and so solve again; and
-    # a program whose replayed slice solves both before and after an entry.
+    # b3d4 trees; the opcode program, where slices run again after a
+    # restart enter functions whose emission fails (opaque paths) and so
+    # solve again; and a program whose slice solves both before and after
+    # an entry.
     @pytest.mark.parametrize("name, cfg", [
         ("b3d4", HybridConfig(fuzz_budget=96, rng_seed=0)),
         ("b3d4", HybridConfig(fuzz_budget=96, rng_seed=7)),
         ("opcodes", HybridConfig(fuzz_budget=1, max_inputs=2)),
         ("solves-around-entry", HybridConfig(fuzz_budget=1, rng_seed=0)),
     ])
-    def test_slice_memo_replays_what_fresh_slices_do(self, name, cfg, monkeypatch):
-        # FS with its slice memo, against FS whose every popped handle runs
-        # its slice afresh. Each pushed handle (seq, node, counters and its
-        # fork's frames and stores), each pop, each solve and its result,
-        # each replayed test and each target's solver counters must come in
-        # the same order. Each fresh
-        # slice under the memo must start from the frames and stores that
-        # the same pop starts from without it, and only a pop of a node the
-        # memo lacks runs afresh.
+    def test_pool_explores_what_restarts_at_main_do(self, name, cfg, monkeypatch):
+        # FS with its pool, against FS whose every target restarts at
+        # ``main`` without one and runs every slice afresh. Both must emit
+        # the same tests in the same order and charge each target the same
+        # queries and verdicts; only cache hits may differ. Each node's
+        # first complete slice must start from equal frames and stores, and
+        # with the pool a node runs again only where reaching a target cut
+        # its slice short.
         if name == "opcodes":
             program = parse_program(PINNED_TEXT)
         elif name == "solves-around-entry":
             program = parse_program(SOLVES_AROUND_ENTRY_TEXT)
         else:
             program = generate_program(GenParams(3, 4, cfg.rng_seed))
-        push, pop = symex.SonarFrontier.push, symex.SonarFrontier.pop
-        resume, solve, replay = symex._resume, symex.Solver.solve, symex.run_concrete
+        run_slice, replay = symex.run_slice, symex.run_concrete
         campaign = orchestrator.symex_campaign
 
         def path(node):
@@ -517,67 +539,56 @@ class TestDeterminism:
                 for _, index, loc, store, dest in callers
             ]
 
-        def fs_log(memo):
-            log, memos, fresh, starts = [], [], [], {}
+        def fs_log(pooled):
+            log, starts, runs, cut = [], {}, [], []
 
-            def logged_push(frontier, handle):
-                fork, side, seq = handle
-                callers, store, ret_dest, sides, inputs_read, queries, steps, _ = fork
-                log.append((
-                    "push", seq, path(sides[side][0]), sides[side][2], inputs_read,
-                    queries, steps, frames(callers), sorted(store.items()), ret_dest,
-                ))
-                push(frontier, handle)
-
-            def logged_pop(frontier):
-                fork, side, seq = handle = pop(frontier)
-                node = fork[3][side][0]
-                log.append(("pop", seq, path(node)))
-                fresh.append(not memo or node not in memos[-1])
-                return handle
-
-            def logged_resume(fork, kept):
-                callers, store = resume(fork, kept)
-                assert len(fresh) - 1 not in starts  # one start per pop
-                starts[len(fresh) - 1] = (frames(callers), sorted(store.items()))
-                return callers, store
-
-            def logged_solve(solver, pc, num_vars):
-                result = solve(solver, pc, num_vars)
-                log.append(("solve", path(pc), num_vars, result))
+            def logged_slice(fork, side, *rest):
+                node = path(fork[3][side][0])
+                start = (frames(fork[0]), sorted(fork[1].items()))
+                runs.append(node)
+                try:
+                    result = run_slice(fork, side, *rest)
+                except symex._TargetReached:
+                    cut.append(node)
+                    raise
+                starts.setdefault(node, start)
                 return result
 
             def logged_replay(prog, values, *rest):
                 log.append(("replay", values))
                 return replay(prog, values, *rest)
 
-            def memo_campaign(*args, slices, **kwargs):
-                memos.append(slices)
-                result = campaign(*args, slices=slices if memo else None, **kwargs)
-                log.append(("target", kwargs["target"], result.stats))
+            def pool_campaign(*args, pool, **kwargs):
+                result = campaign(*args, pool=pool if pooled else None, **kwargs)
+                stats = result.stats.copy()
+                stats.cache_hits = 0
+                log.append(("target", kwargs["target"], stats, result.target_reached))
                 return result
 
             with monkeypatch.context() as patches:
-                patches.setattr(symex.SonarFrontier, "push", logged_push)
-                patches.setattr(symex.SonarFrontier, "pop", logged_pop)
-                patches.setattr(symex, "_resume", logged_resume)
-                patches.setattr(symex.Solver, "solve", logged_solve)
+                patches.setattr(symex, "run_slice", logged_slice)
                 patches.setattr(symex, "run_concrete", logged_replay)
-                patches.setattr(orchestrator, "symex_campaign", memo_campaign)
+                patches.setattr(orchestrator, "symex_campaign", pool_campaign)
                 report = run_fs(program, cfg)
-            assert sorted(starts) == [n for n, runs in enumerate(fresh) if runs]
             report = dataclasses.replace(report, duration=0.0)
-            return log, memos[0], starts, report
+            report.solver_stats.cache_hits = 0
+            return log, starts, runs, cut, report
 
-        memo_log, memo, memo_starts, memo_report = fs_log(True)
-        fresh_log, unused, fresh_starts, fresh_report = fs_log(False)
-        pushes = sum(1 for entry in fresh_log if entry[0] == "push")
-        pops = sum(1 for entry in fresh_log if entry[0] == "pop")
-        assert unused == {} and 0 < 2 * len(memo) < pushes  # slices were replayed
-        assert memo_log == fresh_log
-        assert len(fresh_starts) == pops > len(memo_starts) > 0
-        assert all(fresh_starts[n] == start for n, start in memo_starts.items())
-        assert campaign_json_bytes(memo_report) == campaign_json_bytes(fresh_report)
+        pool_log, pool_starts, pool_runs, pool_cut, pool_report = fs_log(True)
+        restart_log, restart_starts, restart_runs, _, restart_report = fs_log(False)
+        assert sum(entry[0] == "target" for entry in pool_log) > 1
+        assert pool_log == restart_log
+        assert pool_starts == restart_starts
+        assert campaign_json_bytes(pool_report) == campaign_json_bytes(restart_report)
+        # With the pool each node's slice is cut at most once and completes
+        # at most once, and a node runs again only after a cut.
+        assert len(set(pool_cut)) == len(pool_cut)
+        assert len(pool_runs) == len(pool_starts) + len(pool_cut)
+        seen = set()
+        for node in pool_runs:
+            assert node not in seen or node in pool_cut
+            seen.add(node)
+        assert len(restart_runs) > len(pool_runs)
 
     @pytest.mark.parametrize("runner, cfg_factory", [
         (run_fs, _fs_config),
@@ -639,19 +650,21 @@ class TestPinnedFSTrees:
     The first six runs use ``GenParams`` seed equal to ``rng_seed`` and were
     pinned before return edges moved to after-call points and before FS
     replayed slices from its memo; the last two were pinned before sonar
-    search expanded its distance fields lazily. A change here means FS
-    output changed.
+    search expanded its distance fields lazily. All eight were re-recorded
+    when one pool of unexplored handles replaced restarts at ``main`` and
+    the slice memo: only ``solver_stats.cache_hits`` moved, to about one
+    per target. A change here means FS output changed.
     """
 
     @pytest.mark.parametrize("params, fuzz_budget, rng_seed, digest", [
-        ((2, 8, 0), 96, 0, "5ee883e930864a63e594adc721d5efcda9366a2753a3cd7beb55092b9895ff67"),
-        ((2, 8, 7), 96, 7, "7dda0f971eb2f93e022bea45070648495ffe08fbeb0fe906caa16adcbc0be3c4"),
-        ((3, 6, 0), 1_000, 0, "5d1f3149166d657d8748f5ae07d3402a0de98f046c965e3ea61fdf6f04d41eca"),
-        ((3, 6, 7), 1_000, 7, "bd81baa2e32959f4db74086fc84e0096d58a5a3106d77543f9f8647e593df71e"),
-        ((4, 5, 0), 1_000, 0, "a7148de2ca8cc501e8a46b5a32e16e195fab5b17bb8c52ef57ba8a31f4605a51"),
-        ((4, 5, 7), 1_000, 7, "d52ffef89b9beabd6d05ce5a727ecb2cdd67690b9c3fbcf2304fb9d44208e253"),
-        ((2, 8, 0), 96, 7, "7a72d8d50ecee29e3f4594695e97b01138e9875c0a34ef0e064dc5fc62d5be86"),
-        ((4, 4, 0), 96, 0, "02af8ed41cc78a30e7d199e05ec4e4aed643ae535187d2e26852504aa5eeb5b5"),
+        ((2, 8, 0), 96, 0, "0ae315473b2b5aa1834cbb70e1c9b9e6bfc6e70ea864d5cd2518df62b8ad715a"),
+        ((2, 8, 7), 96, 7, "d5254a56afed48cdd6a1971dfccf5616e864056d2cf91186e2ffcf8841daf64d"),
+        ((3, 6, 0), 1_000, 0, "6c36873e9c05a5cd340d43ee9870e42528dcad4c05b4184f401d66c38e1fca4f"),
+        ((3, 6, 7), 1_000, 7, "3ad77ffe9c8c21dac62f1b9676f0d0c1032a363a5a1497fb684035de419aa71b"),
+        ((4, 5, 0), 1_000, 0, "7971a6e72280d8bcf1a3be993062d04feba7458de2e78c1359c5d37216a4b141"),
+        ((4, 5, 7), 1_000, 7, "12c43028479ad209d291019d689a76f88aa3a5f4661af614e8e89b056d0153d4"),
+        ((2, 8, 0), 96, 7, "a568608ee4856738c05eb618ab16d1c633fea2dc875245abb9e6a8154a074011"),
+        ((4, 4, 0), 96, 0, "32deb3b1b32590805f998b39e95723e3e04286c332db488bcea4e83ac03c479d"),
     ])
     def test_report_equals_the_recorded_one(self, params, fuzz_budget, rng_seed, digest):
         program = generate_program(GenParams(*params))
@@ -667,15 +680,17 @@ class TestPinnedTreeCounts:
 
     Recorded while the solver still cached results by each path's set of
     constraints. On a tree no two nodes share that set, so keeping each
-    result on its own node must leave every count as it is.
+    result on its own node must leave every count as it is. FS's cache hits
+    were re-recorded when its pool replaced restarts at ``main``: no slice
+    is replayed, so about one hit per target is left.
     """
 
     @pytest.mark.parametrize("params, rng_seed, fs, sf, symex_alone", [
-        ((2, 8), 0, (508, 508, 0, 0, 4137), (515, 515, 0, 0, 255), (515, 515, 0, 0, 255)),
-        ((2, 8), 7, (512, 512, 0, 0, 4243), (515, 515, 0, 0, 255), (515, 515, 0, 0, 255)),
-        ((3, 6), 0, (1460, 1460, 0, 0, 15810), (1461, 1461, 0, 0, 728),
+        ((2, 8), 0, (508, 508, 0, 0, 241), (515, 515, 0, 0, 255), (515, 515, 0, 0, 255)),
+        ((2, 8), 7, (512, 512, 0, 0, 247), (515, 515, 0, 0, 255), (515, 515, 0, 0, 255)),
+        ((3, 6), 0, (1460, 1460, 0, 0, 716), (1461, 1461, 0, 0, 728),
          (1461, 1461, 0, 0, 728)),
-        ((3, 6), 7, (1460, 1460, 0, 0, 15907), (1461, 1461, 0, 0, 728),
+        ((3, 6), 7, (1460, 1460, 0, 0, 721), (1461, 1461, 0, 0, 728),
          (1461, 1461, 0, 0, 728)),
     ])
     def test_counts_equal_the_recorded_ones(self, params, rng_seed, fs, sf, symex_alone):

@@ -28,7 +28,7 @@ from munchkin.solver import (
 )
 from munchkin.symex import symex_campaign
 
-from conftest import apply_cmp
+from conftest import apply_cmp, extend
 from test_symex import PINNED_TEXT
 
 X = lin_var(0)
@@ -44,10 +44,10 @@ def negate(constraint):
 
 
 def _solve(solver, constraints, num_vars):
-    """Solve a list of constraints as one path: ``solver.extend`` from the root."""
+    """Solve a list of constraints as one path: ``extend`` from the root."""
     node = solver.root
     for constraint in constraints:
-        node = solver.extend(node, constraint)
+        node = extend(solver, node, constraint)
     return solver.solve(node, num_vars)
 
 
@@ -179,21 +179,22 @@ class TestSolver:
 
     def test_each_num_vars_is_its_own_entry_on_a_node(self):
         solver = Solver()
-        node = solver.extend(solver.root, c("==", X, lin_const(3)))
+        node = extend(solver, solver.root, c("==", X, lin_const(3)))
         results = [solver.solve(node, n) for n in (1, 3, 1, 2, 3, 2)]
         assert [r.model for r in results] == [(3,), (3, 0, 0), (3,), (3, 0), (3, 0, 0), (3, 0)]
         assert solver.stats.queries == 3 and solver.stats.cache_hits == 3
 
     def test_an_equal_constraint_reaches_the_same_node(self):
-        # Each sonar run builds its constraints anew on its way down from main.
+        # A slice that runs again, cut short at an FS target before, builds
+        # its constraints anew.
         solver = Solver()
         first, again = c("<", lin_var(0), lin_const(3)), c("<", lin_var(0), lin_const(3))
         assert first is not again
-        node = solver.extend(solver.root, first)
-        assert solver.extend(solver.root, again) is node
-        opaque = solver.extend(node, c("==", OPAQUE, Y))
-        assert solver.extend(node, c("==", OPAQUE, lin_var(1))) is opaque
-        assert solver.extend(node, c("!=", OPAQUE, Y)) is not opaque
+        node = extend(solver, solver.root, first)
+        assert extend(solver, solver.root, again) is node
+        opaque = extend(solver, node, c("==", OPAQUE, Y))
+        assert extend(solver, node, c("==", OPAQUE, lin_var(1))) is opaque
+        assert extend(solver, node, c("!=", OPAQUE, Y)) is not opaque
 
 
 Z = lin_var(2)
@@ -607,8 +608,9 @@ class TestIncrementalSolving:
         with patch.object(solver_module, "_PROPAGATION_ROUNDS", rounds), \
                 patch.object(solver_module, "ENUMERATION_CAP", cap):
             solver = Solver()
-            # The second chain walks down a prefix of the first, as a later
-            # sonar run walks down from main, and then goes its own way.
+            # The second chain walks down a prefix of the first, as a slice
+            # cut short at an FS target does when it runs again, and then
+            # goes its own way.
             floor = max((n for _, n in first[:shared]), default=1)
             for chain in (first, first[:shared] + [(con, max(n, floor)) for con, n in second]):
                 node, prefix = solver.root, []
@@ -616,9 +618,9 @@ class TestIncrementalSolving:
                     # run_slice's order: both successors, then the state's own
                     # path condition when it emits a test.
                     for side in (constraint, negate(constraint)):
-                        got = solver.solve(solver.extend(node, side), num_vars)
+                        got = solver.solve(extend(solver, node, side), num_vars)
                         assert got == reference.solve(prefix + [side], num_vars)
-                    node, prefix = solver.extend(node, constraint), prefix + [constraint]
+                    node, prefix = extend(solver, node, constraint), prefix + [constraint]
                     assert solver.solve(node, num_vars) == reference.solve(prefix, num_vars)
         assert solver.stats == reference.stats
 
@@ -716,7 +718,7 @@ class TestFixpoint:
         with patch.object(solver_module, "_PROPAGATION_ROUNDS", cap):
             for end in range(1, len(path) + 1):
                 prefix = path[:end]
-                node = solver.extend(node, prefix[-1])
+                node = extend(solver, node, prefix[-1])
                 got = solver_module._settle(node)
                 live = [c for c in prefix if not c.is_const]
                 if any(c.is_opaque for c in prefix):
@@ -916,8 +918,8 @@ class TestSolverBranch:
     def test_the_nodes_are_the_constraint_and_its_negation(self):
         solver = Solver()
         then, other = solver.branch(solver.root, "<", X, lin_const(5))
-        assert then is solver.extend(solver.root, c("<", X, lin_const(5)))
-        assert other is solver.extend(solver.root, c(">=", X, lin_const(5)))
+        assert then is extend(solver, solver.root, c("<", X, lin_const(5)))
+        assert other is extend(solver, solver.root, c(">=", X, lin_const(5)))
         assert solver.stats == SolverStats()
 
     def test_an_equal_branch_again_gets_the_same_nodes_and_no_normalising(self, monkeypatch):

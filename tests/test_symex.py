@@ -891,13 +891,13 @@ class TestRunSlice:
         codes, entry, _, _ = lowered_form(program)
         return _handle([(solver.root, codes[entry], entry)])[0]
 
-    def _step(self, fork, side, solver, events=None):
+    def _step(self, fork, side, solver, kept=False):
         entered = []
 
         def on_entry(function, pc, inputs_read):
             entered.append((function, pc, inputs_read))
 
-        return run_slice(fork, side, solver, DEFAULT_MAX_INPUTS, on_entry, events), entered
+        return run_slice(fork, side, solver, DEFAULT_MAX_INPUTS, on_entry, kept), entered
 
     def test_the_entry_slice_runs_to_the_first_fork(self):
         solver = Solver()
@@ -909,15 +909,22 @@ class TestRunSlice:
         assert fork[4:7] == [1, 1, 5]
         assert entered == [("f", solver.root, 1), ("g", solver.root, 1)]
 
-    def test_events_record_entries_and_branch_solves_in_order(self):
+    def test_a_kept_fork_is_never_taken_over_so_a_side_runs_again_alike(self):
+        # A pool keeps every fork, and a slice cut short at a target runs
+        # again from the same fork, so no successor may take it over.
         solver = Solver()
-        fork, entered = self._step(self._entry(solver), 0, solver)
-        events = []
-        assert self._step(self._entry(solver), 0, solver, events) == (fork, entered)
-        then, other = (node for node, _, _ in fork[3])
-        assert events == entered + [(None, then, 1), (None, other, 1)]
+        fork, _ = self._step(self._entry(solver), 0, solver)
 
-    def test_only_the_last_child_without_a_memo_takes_over_the_callers(self):
+        def snapshot():
+            return [(*frame[:3], dict(frame[3]), frame[4]) for frame in fork[0]], dict(fork[1])
+
+        before = snapshot()
+        runs = [self._step(fork, side, solver, kept=True) for side in (1, 1, 0, 1)]
+        assert runs[0] == runs[1] == runs[3] != runs[2]
+        assert all(child[0] is not fork[0] for child, _ in runs)
+        assert snapshot() == before
+
+    def test_only_the_last_child_without_a_pool_takes_over_the_callers(self):
         solver = Solver()
         fork, _ = self._step(self._entry(solver), 0, solver)
         (first, low_entered), (second, high_entered) = (
@@ -930,7 +937,7 @@ class TestRunSlice:
         assert second[0] is fork[0] and first[0] is not fork[0]
         assert first[0] == second[0] == fork[0]
 
-        kept, _ = self._step(self._entry(solver), 0, solver, [])
-        children = [self._step(kept, side, solver, [])[0] for side in (0, 1)]
+        kept, _ = self._step(self._entry(solver), 0, solver, kept=True)
+        children = [self._step(kept, side, solver, kept=True)[0] for side in (0, 1)]
         assert children == [first, second]
         assert all(child[0] is not kept[0] for child in children)
